@@ -42,14 +42,6 @@ class ConfigError(ValueError):
     pass
 
 
-class RunConfig(argparse.Namespace):
-    """Parsed and merged run options for one subcommand invocation.
-
-    Invariants (enforced by validate_config): all rates positive, truncation
-    order >= 4, tolerance in (0, 1), stage counts >= 1, burn-in >= 0.
-    """
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise ConfigError(message)
@@ -199,6 +191,7 @@ def _check_positive(args, *names) -> None:
 
 
 def validate_config(args) -> None:
+    """Rates positive, order >= 4, tol in (0, 1), stages >= 1, burn-in >= 0."""
     order = getattr(args, "order", None)
     if order is not None and order < 4:
         raise ConfigError(f"order must be >= 4, got {order}")
@@ -269,13 +262,16 @@ def _run_analyze_gi(args) -> int:
         _emit_error("unconverged", "truncation ladder did not converge; "
                     "diagnostics written")
         return 3
+    # Stop once the rows hold all but 1e-10 of the solution's own total mass,
+    # which misses 1 by the defect of the identity phi(0) = 0.
+    mass = giqueue.pmf_total_mass(sol, model)
     rows = []
     cum = 0.0
     for i in range(1, 100001):
         pi = giqueue.stationary_pmf(sol, model, i)
         rows.append((i, pi))
         cum += pi
-        if 1.0 - cum < 1e-10 and i >= 10:
+        if mass - cum < 1e-10 and i >= 10:
             break
     path = write_csv(os.path.join(out, "analyze-gi-pmf.csv"),
                      ["i", "pi"], rows)
@@ -465,7 +461,7 @@ _DISPATCH = {
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv, namespace=RunConfig())
+        args = parser.parse_args(argv)
         if args.subcommand is None:
             raise ConfigError("a subcommand is required (see --help)")
         args = _apply_config_file(args)

@@ -190,11 +190,6 @@ class ArrivalDistribution:
         return self._sampler(rng, size)
 
 
-def laplace(a: ArrivalDistribution, s: float) -> float:
-    """Bhat(s) = E[exp(-s tau)] for the interarrival law. s must be >= 0."""
-    return a.laplace(s)
-
-
 def _tail_support(d: ServiceDistribution, k: int) -> float:
     """Smallest probe point Y with Gbar(Y)^k below the tail cutoff.
 

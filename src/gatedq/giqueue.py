@@ -100,7 +100,6 @@ class GiMomentSolution:
 
     defect records |sum_m (-1)^m x_m + 1|, the residual of the structural
     identity phi(0) = 0; it is reported, never re-imposed on the solution.
-    clamped_negatives counts pmf values in [-1e-10, 0) that were clamped.
     """
 
     x: dict
@@ -109,7 +108,6 @@ class GiMomentSolution:
     defect: float
     convergence: linsys.ConvergedSolution
     dominance: linsys.DominanceReport
-    clamped_negatives: int = 0
     notes: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
@@ -119,7 +117,6 @@ class GiMomentSolution:
             "n_used": self.n_used,
             "converged": self.converged,
             "defect": float(self.defect),
-            "clamped_negatives": self.clamped_negatives,
             "convergence": self.convergence.to_dict(),
             "dominance": self.dominance.to_dict(),
             "notes": list(self.notes),
@@ -184,38 +181,31 @@ def transition_row_mass(model: GiModel, i: int, head: int = 0) -> float:
     return total + _pairwise_sum(tail_terms)
 
 
-def _pow_or(base: float, exp: float, overflow: float) -> float:
-    """base ** exp, with out-of-range results replaced instead of raised."""
-    try:
-        return base ** exp
-    except OverflowError:
-        return overflow
-
-
 def _poisson_oracle(model: GiModel) -> linsys.CoefficientOracle:
     rho = model.rho
 
-    def a(i: int, j: int) -> float:
-        if i == 1:
-            if j == 1:
-                return -(1.0 - rho)
-            return (-1.0) ** (j - 1) * rho / (j * j)
-        if j == i:
-            corr = _pow_or(float(i), float(i), math.inf)
-            lead = _pow_or(rho, -i / 2.0, math.inf)
-            return ((1.0 + rho / i) * (-1.0) ** (i - 1) * rho ** (i / 2.0 - 1.0)
-                    / corr - lead / i)
-        denom = _pow_or(float(j), float(i), math.inf)
-        return (-1.0) ** (j - 1) * (1.0 + rho / j) * rho ** (i / 2.0 - 1.0) / denom
+    def a(i, j):
+        i, j = np.asarray(i), np.asarray(j)
+        # Deep probe rows leave double range: rho^{-i/2}, i^i and j^i
+        # overflow to inf, and the terms divided by them go to zero.
+        with np.errstate(over="ignore"):
+            row1 = np.where(j == 1, -(1.0 - rho),
+                            (-1.0) ** (j - 1) * rho / (j * j))
+            scale = rho ** (i / 2.0 - 1.0)
+            diag = ((1.0 + rho / i) * (-1.0) ** (i - 1) * scale / (1.0 * i) ** i
+                    - rho ** (-i / 2.0) / i)
+            off = (-1.0) ** (j - 1) * (1.0 + rho / j) * scale / (1.0 * j) ** i
+            return np.where(i == 1, row1, np.where(j == i, diag, off))
 
-    def b(i: int) -> float:
-        return -1.0 if i == 1 else 0.0
+    def b(i):
+        return np.where(np.asarray(i) == 1, -1.0, 0.0)
 
-    def tail_row_bound(i: int, cutoff: int) -> float:
-        if i == 1:
-            return rho / cutoff
-        return ((1.0 + rho / (cutoff + 1)) * rho ** (i / 2.0 - 1.0)
-                * cutoff ** (1 - i) / (i - 1))
+    def tail_row_bound(i, cutoff: int):
+        i = np.asarray(i)
+        with np.errstate(divide="ignore"):  # row 1 takes the other branch
+            rows = ((1.0 + rho / (cutoff + 1)) * rho ** (i / 2.0 - 1.0)
+                    * (1.0 * cutoff) ** (1 - i) / (i - 1))
+        return np.where(i == 1, rho / cutoff, rows)
 
     def analytic_region() -> bool:
         if not rho < 6.0 / math.pi ** 2:
@@ -239,26 +229,22 @@ def _general_oracle(model: GiModel) -> linsys.CoefficientOracle:
     oracle are lower estimates.
     """
 
-    def a_mk(m: int, k: int) -> float:
-        bk = model.bhat(k)
-        try:
-            return bk ** (m - 1) / (1.0 - bk) ** m
-        except (OverflowError, ZeroDivisionError):
-            return math.inf
+    def a(i, j):
+        i, j = np.asarray(i), np.asarray(j)
+        b1 = model.bhat(1)
+        bj = np.reshape([model.bhat(int(k)) for k in j.flat], j.shape)
+        # a_ij = bj^(i-1) / (1 - bj)^i is inf once the denominator underflows.
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            row1 = np.where(j == 1, -(1.0 - 2.0 * b1) / (1.0 - b1),
+                            (-1.0) ** (j - 1) * bj / (j * (1.0 - bj)))
+            den = (1.0 - bj) ** i
+            a_ij = np.where(den == 0.0, np.inf, bj ** (i - 1) / den)
+            return np.where(i == 1, row1, np.where(
+                j == i, ((-1.0) ** (i - 1) * a_ij - 1.0) / i,
+                (-1.0) ** (j - 1) * a_ij / j))
 
-    def a(i: int, j: int) -> float:
-        if i == 1:
-            b1 = model.bhat(1)
-            if j == 1:
-                return -(1.0 - 2.0 * b1) / (1.0 - b1)
-            bj = model.bhat(j)
-            return (-1.0) ** (j - 1) * bj / (j * (1.0 - bj))
-        if j == i:
-            return ((-1.0) ** (i - 1) * a_mk(i, i) - 1.0) / i
-        return (-1.0) ** (j - 1) * a_mk(i, j) / j
-
-    def b(i: int) -> float:
-        return -1.0 if i == 1 else 0.0
+    def b(i):
+        return np.where(np.asarray(i) == 1, -1.0, 0.0)
 
     return linsys.CoefficientOracle(a=a, b=b, name="gi-general")
 
@@ -293,10 +279,7 @@ def solve_factorial_moments(model: GiModel, order: int = 25, tol: float = 1e-8,
     if order < 4:
         raise ValueError(f"order must be >= 4, got {order}")
     oracle = factorial_oracle(model, override=override)
-    if n_max is not None and n_max == order:
-        conv = linsys.converge(oracle, max(2, order // 2), order, tol)
-    else:
-        conv = linsys.converge(oracle, order, n_max or 4 * order, tol)
+    conv = linsys.converge(oracle, order, n_max or 4 * order, tol)
 
     x = {m: float(conv.values[m - 1]) / m for m in range(1, conv.n_used + 1)}
     defect = abs(math.fsum((-1.0) ** m * xm for m, xm in x.items()) + 1.0)
@@ -315,7 +298,7 @@ def stationary_pmf(sol: GiMomentSolution, model: GiModel, i: int) -> float:
 
     The k-sum is cut at the first term below 1e-14 in magnitude.  Truncation
     of an alternating series can leave harmless tiny negatives; values in
-    [-1e-10, 0) are clamped to zero and counted on the solution.
+    [-1e-10, 0) are clamped to zero.
     """
     if i < 1:
         raise ValueError(f"pmf support starts at 1, got i={i}")
@@ -329,10 +312,7 @@ def stationary_pmf(sol: GiMomentSolution, model: GiModel, i: int) -> float:
             break
         terms.append(sol.x[k] * (-1.0) ** (k - 1) * (1.0 - bk) * bk ** (i - 1))
     val = math.fsum(terms)
-    if _NEGATIVE_CLAMP <= val < 0.0:
-        sol.clamped_negatives += 1
-        return 0.0
-    return val
+    return 0.0 if _NEGATIVE_CLAMP <= val < 0.0 else val
 
 
 def pmf_total_mass(sol: GiMomentSolution, model: GiModel) -> float:

@@ -14,6 +14,13 @@ generic pieces of that scheme:
 * converge: solve truncations along a doubling ladder until successive
   solutions agree on shared indices to a requested tolerance.
 
+Coefficients come from a CoefficientOracle whose functions take broadcastable
+integer index arrays and return arrays, so a truncation is one call to a and
+one to b, and each dominance probe reads one block.  An entry an oracle
+cannot compute raises ValueError or ArithmeticError for the whole block;
+truncate and the row probe pass that on, while the diagonal and column probes
+stop before the first row that raises and say so in a note.
+
 A finite machine can only probe the infinite conditions, so the report
 distinguishes "probed" facts (finite sums up to a cutoff, geometric-ratio
 checks) from analytic facts the oracle supplies in closed form (row tail
@@ -48,16 +55,22 @@ class ZeroDiagonalError(ValueError):
 class CoefficientOracle:
     """On-demand coefficients of an infinite system, 1-indexed.
 
-    a(i, j) and b(i) must be deterministic.  tail_row_bound(i, J), when
-    present, returns an analytic upper bound on sum_{j>J} |a(i,j)|.
+    a(i, j) and b(i) take integer index arrays that broadcast against each
+    other (scalars included) and return the entries at every index of the
+    broadcast shape; a scalar result stands for that value everywhere.  They
+    must be deterministic.  An entry that cannot be computed (a quadrature
+    that fails, say) raises ValueError or ArithmeticError for the whole call;
+    one that leaves floating-point range comes back as inf.
+    tail_row_bound(i, J), when present, takes an array of rows and an integer
+    cutoff J and returns analytic upper bounds on sum_{j>J} |a(i,j)|.
     analytic_region, when present, reports whether the model parameters lie
     in a closed-form region where strict dominance is proven for every row,
     not just the probed ones.
     """
 
-    a: Callable[[int, int], float]
-    b: Callable[[int], float]
-    tail_row_bound: Optional[Callable[[int, int], float]] = None
+    a: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    b: Callable[[np.ndarray], np.ndarray]
+    tail_row_bound: Optional[Callable[[np.ndarray, int], np.ndarray]] = None
     analytic_region: Optional[Callable[[], bool]] = None
     name: str = "oracle"
 
@@ -150,24 +163,25 @@ class ConvergedSolution:
         }
 
 
+def _block(f, *index) -> np.ndarray:
+    """f(*index) as a float array of the broadcast index shape."""
+    shape = np.broadcast_shapes(*(np.shape(i) for i in index))
+    return np.array(np.broadcast_to(np.asarray(f(*index), dtype=float), shape))
+
+
 def truncate(oracle: CoefficientOracle, n: int) -> TruncatedSystem:
     """Materialize the leading n x n block A[i][j] = a(i,j), b[i] = b(i)."""
     if n < 1:
         raise ValueError(f"truncation order must be >= 1, got {n}")
-    a = np.empty((n, n))
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            v = oracle.a(i, j)
-            if not math.isfinite(v):
-                raise AssemblyError(
-                    f"{oracle.name}: non-finite coefficient a({i},{j}) = {v}")
-            a[i - 1, j - 1] = v
-    b = np.empty(n)
-    for i in range(1, n + 1):
-        v = oracle.b(i)
-        if not math.isfinite(v):
-            raise AssemblyError(f"{oracle.name}: non-finite rhs b({i}) = {v}")
-        b[i - 1] = v
+    idx = np.arange(1, n + 1)
+    a = _block(oracle.a, idx[:, None], idx[None, :])
+    b = _block(oracle.b, idx)
+    for what, x in (("coefficient a", a), ("rhs b", b)):
+        bad = np.argwhere(~np.isfinite(x))
+        if len(bad):
+            at = ",".join(str(k + 1) for k in bad[0])
+            raise AssemblyError(f"{oracle.name}: non-finite {what}({at}) = "
+                                f"{x[tuple(bad[0])]}")
     return TruncatedSystem(n=n, a=a, b=b)
 
 
@@ -202,6 +216,25 @@ def solve(sys: TruncatedSystem) -> SolveResult:
     return SolveResult(x=x, residual=residual)
 
 
+def _rows_before_failure(block, rows: np.ndarray) -> np.ndarray:
+    """block(rows), cut before the first row whose entries cannot be computed.
+
+    block maps an array of row indices to an array with one leading-axis
+    entry per row.  Only when the whole block raises are the rows tried one
+    at a time, to find the first that raises; quadrature-backed oracles
+    memoize their entries, so the retry recomputes none of the earlier rows.
+    """
+    try:
+        return block(rows)
+    except (ValueError, ArithmeticError):
+        for k in range(len(rows)):
+            try:
+                block(rows[k:k + 1])
+            except (ValueError, ArithmeticError):
+                return block(rows[:k])
+        raise
+
+
 def _probe_diag_summability(oracle: CoefficientOracle, upto: int) -> tuple:
     """Cauchy probe of sum_i 1/|a_ii|: geometric decay of late increments.
 
@@ -211,21 +244,17 @@ def _probe_diag_summability(oracle: CoefficientOracle, upto: int) -> tuple:
     that stop being computable (quadrature-backed oracles run out of floating
     point range eventually) end the probe early; returns (ok, ratio, reached).
     """
-    inc = []
-    reached = 0
-    for i in range(1, upto + 1):
-        try:
-            d = abs(oracle.a(i, i))
-        except (ValueError, ArithmeticError):
-            break
-        if d == 0.0:
-            raise ZeroDiagonalError(f"{oracle.name}: zero diagonal at row {i}")
-        inc.append(1.0 / d)
-        reached = i
+    diag = np.abs(_rows_before_failure(
+        lambda i: _block(oracle.a, i, i), np.arange(1, upto + 1)))
+    reached = len(diag)
+    zero = np.flatnonzero(diag == 0.0)
+    if len(zero):
+        raise ZeroDiagonalError(
+            f"{oracle.name}: zero diagonal at row {zero[0] + 1}")
     if reached < 4:
         return False, math.nan, reached
     half = max(2, reached // 2)
-    first, last = inc[half - 1], inc[-1]
+    first, last = 1.0 / float(diag[half - 1]), 1.0 / float(diag[-1])
     if last == 0.0:
         return True, 0.0, reached
     ratio = (last / first) ** (1.0 / max(1, reached - half))
@@ -241,7 +270,9 @@ def dominance_report(oracle: CoefficientOracle, order: int,
     lower estimate and a note says so.  The three side conditions are probed:
     summability of 1/|a_ii| by geometric-ratio, boundedness of off-row sums
     by their probed maximum being finite, and column sums by finiteness up to
-    the cutoff.
+    the cutoff.  The probes read three blocks: rows 1..order by columns
+    1..cutoff, columns 1..order by rows 1..cutoff, and the diagonal to
+    4*order.
     """
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
@@ -255,38 +286,28 @@ def dominance_report(oracle: CoefficientOracle, order: int,
             f"no analytic tail bound: sigma is a lower estimate from the "
             f"first {cutoff} columns")
 
-    sigma = np.empty(order)
-    offdiag_sums = []
-    for i in range(1, order + 1):
-        diag = abs(oracle.a(i, i))
-        if diag == 0.0:
-            raise ZeroDiagonalError(f"{oracle.name}: zero diagonal at row {i}")
-        head = math.fsum(abs(oracle.a(i, j))
-                         for j in range(1, cutoff + 1) if j != i)
-        tail = oracle.tail_row_bound(i, cutoff) if has_tail else 0.0
-        offdiag_sums.append(head + tail)
-        sigma[i - 1] = (head + tail) / diag
-
     diag_ok, _ratio, diag_reached = _probe_diag_summability(oracle, 4 * order)
     if diag_reached < 4 * order:
         notes.append(
             f"diagonal probe ended at row {diag_reached} of {4 * order}: "
             f"later entries are not computable")
-    max_row = max(offdiag_sums)
+    rows = np.arange(1, order + 1)
+    cols = np.arange(1, cutoff + 1)
+    # The diagonal probe has found any zero among these diagonal entries.
+    block = np.abs(_block(oracle.a, rows[:, None], cols[None, :]))
+    diag = np.diag(block).copy()
+    np.fill_diagonal(block, 0.0)
+    head = np.array([math.fsum(r) for r in block])
+    tail = (_block(lambda i: oracle.tail_row_bound(i, cutoff), rows)
+            if has_tail else 0.0)
+    offdiag_sums = head + tail
+    sigma = offdiag_sums / diag
+    max_row = float(offdiag_sums.max())
     row_ok = math.isfinite(max_row)
-    col_ok = True
-    col_reached = cutoff
-    for j in range(1, order + 1):
-        parts = []
-        for i in range(1, cutoff + 1):
-            try:
-                parts.append(abs(oracle.a(i, j)))
-            except (ValueError, ArithmeticError):
-                col_reached = min(col_reached, i - 1)
-                break
-        if not math.isfinite(math.fsum(parts)):
-            col_ok = False
-            break
+    columns = _rows_before_failure(
+        lambda i: _block(oracle.a, i[:, None], rows[None, :]), cols)
+    col_reached = len(columns)
+    col_ok = bool(np.all(np.isfinite(np.abs(columns).sum(axis=0))))
     if col_ok and col_reached < cutoff:
         notes.append(
             f"column sums probed to row {col_reached} of {cutoff}: "
@@ -314,8 +335,12 @@ def converge(oracle: CoefficientOracle, n_start: int, n_max: int,
     Orders run n_start, 2*n_start, ... capped at n_max.  After each rung the
     gap max_j |x_j^(N) - x_j^(N_prev)| over shared indices is measured; the
     ladder stops at the first gap <= tol.  Exhausting n_max returns the last
-    solution with converged=False rather than raising.
+    solution with converged=False rather than raising.  n_max == n_start
+    pins the last rung at exactly that order: the ladder then starts from
+    max(2, n_start // 2), so the gap is measured against the half-order solve.
     """
+    if n_max == n_start:
+        n_start = max(2, n_start // 2)
     if n_start < 2:
         raise ValueError(f"n_start must be >= 2, got {n_start}")
     if n_max < 2 * n_start:

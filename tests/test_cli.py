@@ -6,9 +6,9 @@ import os
 import numpy as np
 import pytest
 
-from gatedq import cli, mgqueue
+from gatedq import cli, giqueue, mgqueue
 from gatedq.cli import main, write_csv
-from gatedq.distributions import ServiceDistribution
+from gatedq.distributions import ArrivalDistribution, ServiceDistribution
 
 
 def read_json(path):
@@ -58,6 +58,24 @@ def test_analyze_gi_writes_report_and_pmf(tmp_path):
     pis = [float(r[1]) for r in rows]
     assert abs(sum(pis) - 1.0) < 1e-9
     assert len(rows) >= 10
+
+
+def test_analyze_gi_pmf_stops_at_the_solution_mass(tmp_path):
+    """A solution whose mass misses 1 by its defect must not pad the CSV.
+
+    Here the defect is about 2e-7, so stopping at 1 - cum < 1e-10 never
+    happened and 100 000 rows, nearly all zero, were written.
+    """
+    out = str(tmp_path)
+    argv = ["analyze-gi", "--rho", "0.85", "--order", "25", "--n-max", "100",
+            "--tol", "1e-3"]
+    assert main(argv + ["--out", out]) == 0
+    _, rows = read_csv(os.path.join(out, "analyze-gi-pmf.csv"))
+    assert len(rows) < 1000
+    model = giqueue.GiModel(ArrivalDistribution.poisson(0.85), 1.0)
+    sol = giqueue.solve_factorial_moments(model, order=25, n_max=100, tol=1e-3)
+    mass = giqueue.pmf_total_mass(sol, model)
+    assert abs(sum(float(r[1]) for r in rows) - mass) < 1e-10
 
 
 def test_simulate_trace_round_trips(tmp_path):

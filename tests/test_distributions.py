@@ -10,7 +10,6 @@ from gatedq.distributions import (
     DivergentMomentError,
     GammaTable,
     ServiceDistribution,
-    laplace,
     min_moment,
     validate,
 )
@@ -171,8 +170,6 @@ def test_laplace_transform_values():
     assert a.laplace(0.0) == 1.0
     d = ArrivalDistribution.deterministic(math.log(2.0))
     assert d.laplace(1.0) == pytest.approx(0.5, rel=1e-15)
-    # Module-level helper is the same transform.
-    assert laplace(a, 1.0) == a.laplace(1.0)
 
 
 def test_laplace_transform_is_decreasing():

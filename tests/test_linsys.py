@@ -22,12 +22,12 @@ from gatedq.linsys import (
 
 def diag_oracle(diag, b=lambda i: 0.0):
     return CoefficientOracle(
-        a=lambda i, j: diag(i) if i == j else 0.0, b=b, name="diag")
+        a=lambda i, j: np.where(i == j, diag(i), 0.0), b=b, name="diag")
 
 
 def test_identity_system_solves_exactly():
     oracle = CoefficientOracle(
-        a=lambda i, j: 1.0 if i == j else 0.0, b=lambda i: float(i))
+        a=lambda i, j: np.where(i == j, 1.0, 0.0), b=lambda i: 1.0 * i)
     res = solve(truncate(oracle, 5))
     assert np.array_equal(res.x, np.arange(1.0, 6.0))
     assert res.residual == 0.0
@@ -35,8 +35,8 @@ def test_identity_system_solves_exactly():
 
 def test_two_by_two_hand_solution():
     oracle = CoefficientOracle(
-        a=lambda i, j: [[2.0, 1.0], [1.0, 3.0]][i - 1][j - 1],
-        b=lambda i: [3.0, 5.0][i - 1])
+        a=lambda i, j: np.array([[2.0, 1.0], [1.0, 3.0]])[i - 1, j - 1],
+        b=lambda i: np.array([3.0, 5.0])[i - 1])
     res = solve(truncate(oracle, 2))
     assert res.x[0] == pytest.approx(0.8, rel=1e-14)
     assert res.x[1] == pytest.approx(1.4, rel=1e-14)
@@ -72,7 +72,8 @@ def test_truncate_rejects_nonpositive_order():
 
 def test_truncate_names_the_bad_coefficient():
     oracle = CoefficientOracle(
-        a=lambda i, j: math.nan if (i, j) == (2, 3) else float(i == j),
+        a=lambda i, j: np.where((i == 2) & (j == 3), math.nan,
+                                np.where(i == j, 1.0, 0.0)),
         b=lambda i: 1.0)
     with pytest.raises(AssemblyError, match=r"a\(2,3\)"):
         truncate(oracle, 3)
@@ -80,8 +81,8 @@ def test_truncate_names_the_bad_coefficient():
 
 def test_truncate_names_the_bad_rhs():
     oracle = CoefficientOracle(
-        a=lambda i, j: float(i == j),
-        b=lambda i: math.inf if i == 2 else 1.0)
+        a=lambda i, j: np.where(i == j, 1.0, 0.0),
+        b=lambda i: np.where(i == 2, math.inf, 1.0))
     with pytest.raises(AssemblyError, match=r"b\(2\)"):
         truncate(oracle, 3)
 
@@ -105,7 +106,7 @@ def test_solve_rejects_rectangular_matrix():
 
 def test_dominance_violation_is_reported():
     oracle = CoefficientOracle(
-        a=lambda i, j: 1.0 if i == j else (2.0 if j == i + 1 else 0.0),
+        a=lambda i, j: np.where(i == j, 1.0, np.where(j == i + 1, 2.0, 0.0)),
         b=lambda i: 0.0)
     rep = dominance_report(oracle, order=4)
     assert not rep.satisfied
@@ -126,7 +127,7 @@ def test_dominance_satisfied_with_growing_diagonal():
 
 def test_dominance_uses_analytic_tail_bound():
     oracle = CoefficientOracle(
-        a=lambda i, j: 2.0 ** i if i == j else 0.0, b=lambda i: 0.0,
+        a=lambda i, j: np.where(i == j, 2.0 ** i, 0.0), b=lambda i: 0.0,
         tail_row_bound=lambda i, cutoff: 1.0)
     rep = dominance_report(oracle, order=4)
     assert rep.tail_is_analytic
@@ -136,13 +137,13 @@ def test_dominance_uses_analytic_tail_bound():
 
 def test_dominance_marginal_flag():
     outside = CoefficientOracle(
-        a=lambda i, j: 2.0 ** i if i == j else 0.0, b=lambda i: 0.0,
+        a=lambda i, j: np.where(i == j, 2.0 ** i, 0.0), b=lambda i: 0.0,
         analytic_region=lambda: False)
     rep = dominance_report(outside, order=4)
     assert rep.satisfied and rep.marginal
     assert rep.analytic_region_ok is False
     inside = CoefficientOracle(
-        a=lambda i, j: 2.0 ** i if i == j else 0.0, b=lambda i: 0.0,
+        a=lambda i, j: np.where(i == j, 2.0 ** i, 0.0), b=lambda i: 0.0,
         analytic_region=lambda: True)
     rep = dominance_report(inside, order=4)
     assert rep.satisfied and not rep.marginal
@@ -151,7 +152,8 @@ def test_dominance_marginal_flag():
 
 def test_dominance_rejects_zero_diagonal():
     oracle = CoefficientOracle(
-        a=lambda i, j: 0.0 if i == j == 2 else float(i == j), b=lambda i: 0.0)
+        a=lambda i, j: np.where((i == j) & (i != 2), 1.0, 0.0),
+        b=lambda i: 0.0)
     with pytest.raises(ZeroDiagonalError):
         dominance_report(oracle, order=3)
 
@@ -168,9 +170,9 @@ def test_dominance_survives_uncomputable_deep_entries():
     """Probes stop at the first row a quadrature-style oracle cannot price."""
 
     def a(i, j):
-        if i > 6:
+        if np.any(i > 6):
             raise ValueError("entry out of numeric range")
-        return 2.0 ** i if i == j else 0.0
+        return np.where(i == j, 2.0 ** i, 0.0)
 
     rep = dominance_report(CoefficientOracle(a=a, b=lambda i: 0.0), order=3)
     assert rep.satisfied
@@ -180,7 +182,7 @@ def test_dominance_survives_uncomputable_deep_entries():
 
 def test_converge_on_identity():
     oracle = CoefficientOracle(
-        a=lambda i, j: float(i == j), b=lambda i: 1.0)
+        a=lambda i, j: np.where(i == j, 1.0, 0.0), b=lambda i: 1.0)
     conv = converge(oracle, n_start=4, n_max=32, tol=1e-12)
     assert conv.converged
     assert conv.rungs == [4, 8]
@@ -198,7 +200,7 @@ def test_converge_reports_exhaustion_honestly():
     always disagree near the shared boundary.
     """
     oracle = CoefficientOracle(
-        a=lambda i, j: 1.0 if i == j else (0.5 if j == i + 1 else 0.0),
+        a=lambda i, j: np.where(i == j, 1.0, np.where(j == i + 1, 0.5, 0.0)),
         b=lambda i: 1.0)
     conv = converge(oracle, n_start=4, n_max=32, tol=1e-10)
     assert not conv.converged
@@ -209,11 +211,17 @@ def test_converge_reports_exhaustion_honestly():
 
 def test_converge_caps_the_last_rung_at_n_max():
     oracle = CoefficientOracle(
-        a=lambda i, j: 1.0 if i == j else (0.5 if j == i + 1 else 0.0),
+        a=lambda i, j: np.where(i == j, 1.0, np.where(j == i + 1, 0.5, 0.0)),
         b=lambda i: 1.0)
     conv = converge(oracle, n_start=4, n_max=10, tol=1e-10)
     assert conv.rungs == [4, 8, 10]
     assert conv.n_used == 10
+
+
+def test_converge_pins_the_last_rung_when_n_max_equals_n_start():
+    oracle = CoefficientOracle(
+        a=lambda i, j: np.where(i == j, 1.0, 0.0), b=lambda i: 1.0)
+    assert converge(oracle, 8, 8, 1e-12).rungs == [4, 8]
 
 
 def test_converge_argument_validation():
