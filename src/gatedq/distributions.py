@@ -20,13 +20,18 @@ Two families of inputs drive everything downstream:
   first moment E[tau] and second moment E[tau^2].  Poisson arrivals have
   Bhat(s) = lambda/(lambda+s); deterministic spacing c has Bhat(s) = exp(-s c).
 
-Both kinds of distribution are immutable after construction.  Min-moment
-values are memoized in a GammaTable because system assembly reads each entry
-O(N^2) times.
+Both kinds of distribution are immutable after construction.  A GammaTable
+memoizes two things for one service law: the gamma_{m,k} entries, which
+system assembly and the dominance probe read more than once, and the clamped
+tail max(Gbar(y), 0) at every quadrature node.  The node memo pays because
+QUADPACK refines each octave by bisection, so the integrals of all entries
+of a law sample Gbar at the same dyadic Gauss-Kronrod nodes; a user cdf is
+then called once per distinct node instead of once per node per entry.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 import warnings
@@ -52,7 +57,9 @@ class ServiceDistribution:
     kind is "exponential" (closed forms throughout) or "user" (callables
     supplied by the caller).  A user law may optionally carry a sampler
     (rng, size) -> ndarray; without one, sampling falls back to numeric
-    inversion of the cdf.
+    inversion of the cdf.  It may also carry an exact tail sf(y) = 1 - G(y);
+    without one the tail is 1 - cdf(y), which rounds to zero once the cdf
+    rounds to one.
     """
 
     kind: str
@@ -61,6 +68,7 @@ class ServiceDistribution:
     _cdf: Optional[Callable] = None
     _moment: Optional[Callable] = None
     _sampler: Optional[Callable] = None
+    _sf: Optional[Callable] = None
     name: str = ""
 
     @classmethod
@@ -71,9 +79,9 @@ class ServiceDistribution:
 
     @classmethod
     def from_callables(cls, pdf, cdf, moment=None, sampler=None,
-                       name: str = "user") -> "ServiceDistribution":
+                       name: str = "user", sf=None) -> "ServiceDistribution":
         return cls(kind="user", _pdf=pdf, _cdf=cdf, _moment=moment,
-                   _sampler=sampler, name=name)
+                   _sampler=sampler, _sf=sf, name=name)
 
     def pdf(self, y):
         if self.kind == "exponential":
@@ -95,6 +103,8 @@ class ServiceDistribution:
             y = np.asarray(y, dtype=float)
             out = np.where(y < 0, 1.0, np.exp(-self.mu * np.maximum(y, 0.0)))
             return out if out.ndim else float(out)
+        if self._sf is not None:
+            return self._sf(y)
         return 1.0 - self._cdf(y)
 
     def moment(self, m: int) -> float:
@@ -190,29 +200,41 @@ class ArrivalDistribution:
         return self._sampler(rng, size)
 
 
-def _tail_support(d: ServiceDistribution, k: int) -> float:
-    """Smallest probe point Y with Gbar(Y)^k below the tail cutoff.
+def _clamped_sf(d: ServiceDistribution, y: float) -> float:
+    # A user cdf evaluated near 1 leaves roundoff noise in 1 - cdf; clamp so
+    # the tail cannot dip below zero.
+    return max(float(d.sf(y)), 0.0)
 
-    Doubles the interval until the integrand of the min-moment identity is
-    negligible.  A tail that refuses to decay signals a divergent moment.
+
+def tail_support(d: ServiceDistribution, eps: float, k: int = 1,
+                 tail: Optional[Callable] = None) -> float:
+    """Smallest probe point Y in 1, 2, 4, ... with Gbar(Y)^k below eps.
+
+    tail(y) gives the clamped tail max(Gbar(y), 0); by default it calls
+    d.sf.  A tail that refuses to decay signals a divergent moment.
     """
+    if tail is None:
+        tail = functools.partial(_clamped_sf, d)
     y = 1.0
     for _ in range(120):
-        if float(d.sf(y)) ** k < _TAIL_EPS:
+        if tail(y) ** k < eps:
             return y
         y *= 2.0
     raise DivergentMomentError(
-        f"tail of {d.name or d.kind} does not decay enough for k={k}; "
+        f"tail of {d.name or d.kind} does not fall below {eps:g} for k={k}; "
         "moment integral diverges or converges too slowly")
 
 
-def min_moment(d: ServiceDistribution, m: int, k: int) -> float:
+def min_moment(d: ServiceDistribution, m: int, k: int,
+               tail: Optional[Callable] = None) -> float:
     """gamma_{m,k} = E[min(sigma_1, ..., sigma_k)^m].
 
     Exponential laws use the closed form m!/(k mu)^m.  Everything else goes
     through the tail identity integral m y^(m-1) Gbar(y)^k dy on [0, Y_max],
     with Y_max grown by doubling until Gbar(Y_max)^k < 1e-14 and the
-    quadrature run at absolute tolerance 1e-12.
+    quadrature run at absolute tolerance 1e-12.  tail(y) supplies the
+    clamped tail max(Gbar(y), 0) at each node; by default it calls d.sf, and
+    a GammaTable passes its node memo instead, which returns the same floats.
     """
     if m < 1 or k < 1:
         raise ValueError(f"min_moment needs m >= 1 and k >= 1, got m={m}, k={k}")
@@ -223,12 +245,12 @@ def min_moment(d: ServiceDistribution, m: int, k: int) -> float:
             # Out of double range; finish in log space, saturating at inf.
             log_val = math.lgamma(m + 1) - m * math.log(k * d.mu)
             return math.exp(log_val) if log_val < 709.0 else math.inf
-    y_max = _tail_support(d, k)
+    if tail is None:
+        tail = functools.partial(_clamped_sf, d)
+    y_max = tail_support(d, _TAIL_EPS, k, tail)
 
     def integrand(y):
-        # A user cdf evaluated near 1 leaves roundoff noise in 1 - cdf;
-        # clamp so the tail cannot dip below zero.
-        return m * y ** (m - 1) * max(float(d.sf(y)), 0.0) ** k
+        return m * y ** (m - 1) * tail(y) ** k
 
     # The support can span many orders of magnitude, and a single adaptive
     # pass over [0, y_max] will step right over a unit-scale bump.  Integrate
@@ -267,13 +289,15 @@ def min_moment(d: ServiceDistribution, m: int, k: int) -> float:
             raise DivergentMomentError(
                 f"min-moment integral for m={m}, k={k} keeps growing past "
                 f"Y={lo:.3e} (last octave mass {piece:.3e})")
-    # A tail can vanish for the wrong reason: once a user cdf rounds to 1,
-    # the integrand reads as zero no matter how heavy the true tail is.  A
-    # healthy cutoff is preceded by decaying octave masses; masses still
-    # growing (or flat) right before the drop mean the integral was cut off
-    # mid-climb and the value cannot be trusted.
+    # A tail computed as 1 - cdf can vanish for the wrong reason: once the
+    # cdf rounds to 1, the integrand reads as zero no matter how heavy the
+    # true tail is.  A healthy cutoff is preceded by decaying octave masses;
+    # masses still growing (or flat) right before the drop mean the integral
+    # was cut off mid-climb and the value cannot be trusted.  An exact sf
+    # that reaches zero means the support really ended, so it skips this.
     material = [p for p in pieces if abs(p) > 1e-6 * abs(val)]
-    if len(material) >= 2 and abs(material[-1]) > 0.9 * abs(material[-2]):
+    if (d._sf is None and len(material) >= 2
+            and abs(material[-1]) > 0.9 * abs(material[-2])):
         raise DivergentMomentError(
             f"cannot certify tail decay for m={m}, k={k}: octave masses "
             f"near the support edge are not shrinking "
@@ -284,15 +308,27 @@ def min_moment(d: ServiceDistribution, m: int, k: int) -> float:
 
 @dataclass
 class GammaTable:
-    """Memoized gamma_{m,k} entries for one service law.
+    """Memoized gamma_{m,k} entries for one service law, and the clamped
+    tail max(Gbar(y), 0) at every quadrature node their integrals visit.
 
-    The cache is guarded by a lock so a table shared between threads stays
-    consistent; entries themselves are plain floats and immutable.
+    The entry cache is guarded by a lock so a table shared between threads
+    stays consistent; entries themselves are plain floats and immutable.  The
+    node memo takes no lock: each dict read and write is atomic and a value
+    depends on its node alone, so a miss racing another thread's miss may
+    compute the same tail twice, and both store the same float.
     """
 
     dist: ServiceDistribution
     _cache: dict = field(default_factory=dict)
+    _tails: dict = field(default_factory=dict, repr=False)
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
+
+    def tail(self, y: float) -> float:
+        """Clamped tail max(Gbar(y), 0), computed once per node y."""
+        val = self._tails.get(y)
+        if val is None:
+            val = self._tails[y] = _clamped_sf(self.dist, y)
+        return val
 
     def gamma(self, m: int, k: int) -> float:
         key = (m, k)
@@ -300,7 +336,7 @@ class GammaTable:
             hit = self._cache.get(key)
         if hit is not None:
             return hit
-        val = min_moment(self.dist, m, k)
+        val = min_moment(self.dist, m, k, self.tail)
         with self._lock:
             self._cache[key] = val
         return val
@@ -337,15 +373,16 @@ class ValidationReport:
 def validate(d) -> ValidationReport:
     """Probe a distribution for the structural properties the solvers assume.
 
-    Service laws: density normalization, G(0)=0, monotone cdf, finite low
-    moments.  Arrival laws: Bhat(0)=1, Bhat decreasing, Bhat in (0,1) for
-    s>0, E[tau]>0 and the Jensen inequality E[tau^2] >= (E[tau])^2.
+    Service laws: density normalization, G(0)=0, monotone cdf, an exact tail
+    (when given) that matches 1 - cdf, finite low moments.  Arrival laws:
+    Bhat(0)=1, Bhat decreasing, Bhat in (0,1) for s>0, E[tau]>0 and the
+    Jensen inequality E[tau^2] >= (E[tau])^2.
     """
     issues = []
     defect = None
     if isinstance(d, ServiceDistribution):
         try:
-            y_max = _tail_support(d, 1)
+            y_max = tail_support(d, _TAIL_EPS)
             mass, _ = integrate.quad(lambda y: float(d.pdf(y)), 0.0, y_max,
                                      epsabs=1e-10, limit=400)
             defect = abs(1.0 - mass)
@@ -360,6 +397,12 @@ def validate(d) -> ValidationReport:
         cdf_vals = np.array([float(d.cdf(t)) for t in grid])
         if np.any(np.diff(cdf_vals) < -1e-12):
             issues.append("cdf decreases somewhere on the probe grid")
+        if d._sf is not None:
+            gap = float(np.max(np.abs(
+                np.array([float(d.sf(t)) for t in grid]) - (1.0 - cdf_vals))))
+            if not gap <= 1e-9:
+                issues.append(f"sf differs from 1 - cdf by up to {gap:.3g} "
+                              "on the probe grid")
         for m in (1, 2):
             try:
                 val = d.moment(m)

@@ -49,7 +49,7 @@ from typing import Optional
 import numpy as np
 
 from . import linsys
-from .distributions import GammaTable, ServiceDistribution
+from .distributions import GammaTable, ServiceDistribution, tail_support
 from .errors import OutOfRegimeError, UnconvergedError
 
 _SERIES_TERM_TOL = 1e-12
@@ -302,11 +302,51 @@ def _series_cutoff(y: dict) -> list:
     return keep
 
 
+def _density_series(sol: MgMomentSolution, model: MgModel):
+    """The density series of one solution as a function t -> f(t).
+
+    The cutoff and the signed coefficients (-1)^k y_k are fixed once, so a
+    quadrature that evaluates f node by node pays only for the terms.  t is
+    a float or a float array.  A float is summed in Python floats; its
+    powers Gbar^(k-1) still come from numpy, as an array's do, so f(t) and
+    f(array([t]))[0] are the same float.  Terms are accumulated with Kahan
+    compensation because the series alternates.
+    """
+    ks = _series_cutoff(sol.y)
+    coef = [(-1.0) ** k * sol.y[k] for k in ks]
+    exps = np.array([k - 1.0 for k in ks])
+    square = ks.index(3) if 3 in ks else None
+    pdf, sf = model.service.pdf, model.service.sf
+
+    def density(t):
+        if np.ndim(t):
+            g = np.asarray(pdf(t), dtype=float)
+            gbar = np.asarray(sf(t), dtype=float)
+            powers = (gbar ** (k - 1) for k in ks)
+        else:
+            g, gbar = float(pdf(t)), float(sf(t))
+            powers = np.power(gbar, exps).tolist()
+            # numpy squares an array raised to a scalar 2 instead of calling
+            # its pow loop, and the two can differ in the last bit.
+            if square is not None:
+                powers[square] = gbar * gbar
+        total, comp = g, 0.0
+        for k, c, p in zip(ks, coef, powers):
+            term = c * g * (1.0 - k * p)
+            delta = term - comp
+            fresh = total + delta
+            comp = (fresh - total) - delta
+            total = fresh
+        return total
+
+    return density
+
+
 def stationary_density(sol: MgMomentSolution, model: MgModel, y):
     """Series form of the stationary stage-length density at y.
 
-    Refuses unconverged solutions.  Terms are accumulated with Kahan
-    compensation because the series alternates.
+    Refuses unconverged solutions.  Returns a float for a scalar y and an
+    array otherwise.
     """
     if not sol.converged:
         raise UnconvergedError(
@@ -314,18 +354,7 @@ def stationary_density(sol: MgMomentSolution, model: MgModel, y):
     t = np.asarray(y, dtype=float)
     if np.any(t < 0):
         raise ValueError("density argument must be >= 0")
-    g = np.asarray(model.service.pdf(t), dtype=float)
-    gbar = np.asarray(model.service.sf(t), dtype=float)
-
-    total = g.copy()
-    comp = np.zeros_like(total)
-    for k in _series_cutoff(sol.y):
-        term = (-1.0) ** k * sol.y[k] * g * (1.0 - k * gbar ** (k - 1))
-        delta = term - comp
-        fresh = total + delta
-        comp = (fresh - total) - delta
-        total = fresh
-    return total if total.ndim else float(total)
+    return _density_series(sol, model)(t if t.ndim else float(t))
 
 
 def mean_customers_per_stage(sol: MgMomentSolution) -> float:
@@ -349,7 +378,8 @@ def stage_count_pmf(sol: MgMomentSolution, model: MgModel, k: int) -> float:
     if not sol.converged:
         raise UnconvergedError("stage_count_pmf needs a converged moment solution")
     lam = model.lam
-    y_max = _grid_upper_limit(model.service)
+    y_max = tail_support(model.service, _GRID_TAIL_EPS)
+    density = _density_series(sol, model)
 
     if k == 1:
         def weight(t):
@@ -363,21 +393,12 @@ def stage_count_pmf(sol: MgMomentSolution, model: MgModel, k: int) -> float:
             return math.exp(k * math.log(lam * t) - lam * t - log_fact)
 
     def integrand(t):
-        return weight(t) * float(stationary_density(sol, model, t))
+        return weight(t) * density(t)
 
     points = [min(y_max * 0.999, k / lam)] if k >= 2 else None
     val, _err = integrate.quad(integrand, 0.0, y_max, epsabs=1e-10,
                                limit=400, points=points)
     return val
-
-
-def _grid_upper_limit(service: ServiceDistribution) -> float:
-    y = 1.0
-    for _ in range(120):
-        if float(service.sf(y)) < _GRID_TAIL_EPS:
-            return y
-        y *= 2.0
-    raise ValueError("service tail does not reach 1e-10 at any probed range")
 
 
 @dataclass
@@ -406,7 +427,7 @@ def fixed_point_density(model: MgModel, n_points: int = 2048,
     not raise.
     """
     if y_max is None:
-        y_max = _grid_upper_limit(model.service)
+        y_max = tail_support(model.service, _GRID_TAIL_EPS)
     elif float(model.service.sf(y_max)) >= _GRID_TAIL_EPS:
         raise ValueError(
             f"grid must cover the service tail: Gbar({y_max}) = "

@@ -1,6 +1,8 @@
 """Distribution layer: closed forms, min-moment quadrature, validation."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -35,14 +37,32 @@ def wrapped_exponential(mu=MU, counter=None):
     return ServiceDistribution.from_callables(pdf, cdf, name="wrapped-exp")
 
 
-def pareto(alpha=1.5):
+def pareto(alpha=1.5, exact_sf=False):
     def pdf(y):
         return alpha * (1.0 + y) ** (-alpha - 1.0) if y >= 0 else 0.0
 
     def cdf(y):
         return 1.0 - (1.0 + y) ** (-alpha) if y >= 0 else 0.0
 
-    return ServiceDistribution.from_callables(pdf, cdf, name="pareto")
+    def sf(y):
+        return (1.0 + y) ** (-alpha) if y >= 0 else 1.0
+
+    return ServiceDistribution.from_callables(
+        pdf, cdf, name="pareto", sf=sf if exact_sf else None)
+
+
+def uniform(b, exact_sf=False):
+    """Uniform(0, b) through scalar-only callables."""
+
+    def cdf(y):
+        return min(max(y / b, 0.0), 1.0)
+
+    def sf(y):
+        return min(max(1.0 - y / b, 0.0), 1.0)
+
+    return ServiceDistribution.from_callables(
+        pdf=lambda y: 1.0 / b if 0.0 <= y <= b else 0.0, cdf=cdf,
+        name=f"uniform({b})", sf=sf if exact_sf else None)
 
 
 def test_exponential_pointwise():
@@ -138,6 +158,63 @@ def test_min_moment_pareto_divergent_case():
         min_moment(pareto(), 2, 1)
     with pytest.raises(DivergentMomentError):
         pareto().moment(2)
+
+
+def test_exact_sf_certifies_a_support_that_ends_mid_octave():
+    # Uniform on [0, 2]: the octaves [0, 1] and [1, 2] hold equal mass, which
+    # the certification cannot tell from a tail cut off by cdf rounding.
+    with pytest.raises(DivergentMomentError):
+        min_moment(uniform(2.0), 2, 1)
+    d = uniform(2.0, exact_sf=True)
+    assert d.sf(0.5) == 0.75 and d.sf(3.0) == 0.0
+    assert min_moment(d, 2, 1) == pytest.approx(4.0 / 3.0, rel=1e-12)
+
+
+def test_exact_sf_keeps_the_divergence_checks():
+    d = pareto(exact_sf=True)
+    assert min_moment(d, 1, 2) == pytest.approx(0.5, rel=1e-6)
+    with pytest.raises(DivergentMomentError):
+        min_moment(d, 2, 1)
+
+
+@pytest.mark.parametrize("law", [wrapped_exponential(), uniform(0.5)],
+                         ids=["wrapped-exp", "uniform"])
+def test_gamma_table_entries_equal_memo_free_min_moments(law):
+    # One table for all entries, so later entries read tails memoized by
+    # earlier ones.
+    table = GammaTable(law)
+    for m in range(1, 13):
+        for k in range(1, 13):
+            assert table.gamma(m, k) == min_moment(law, m, k), (m, k)
+    assert table._tails
+
+
+# min_moment silences IntegrationWarning with warnings.catch_warnings, which
+# swaps process-wide filters, so a concurrent call can let one through.
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+def test_gamma_table_shared_between_threads():
+    law = wrapped_exponential()
+    pairs = [(m, k) for m in range(1, 6) for k in range(1, 6)]
+    want = {p: min_moment(law, *p) for p in pairs}
+    table = GammaTable(law)
+    got = [{} for _ in range(4)]
+
+    def work(w):
+        for p in pairs[w::2] + pairs[::-1]:
+            got[w][p] = table.gamma(*p)
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(w,)) for w in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(t.is_alive() for t in threads)
+    assert all(g == want for g in got)
 
 
 def test_gamma_table_exponential_ratio_is_exact():
@@ -239,6 +316,18 @@ def test_validate_flags_defective_density():
     assert not rep.ok
     assert any("integrates" in msg for msg in rep.issues)
     assert rep.normalization_defect == pytest.approx(0.02, abs=1e-4)
+
+
+def test_validate_compares_an_exact_sf_with_the_cdf():
+    assert validate(uniform(2.0, exact_sf=True)).ok
+    off = ServiceDistribution.from_callables(
+        pdf=lambda y: MU * math.exp(-MU * y) if y >= 0 else 0.0,
+        cdf=lambda y: -math.expm1(-MU * y) if y >= 0 else 0.0,
+        sf=lambda y: (1.0 + 1e-8) * math.exp(-MU * y) if y >= 0 else 1.0,
+        name="off-sf")
+    rep = validate(off)
+    assert not rep.ok
+    assert any("sf differs" in msg for msg in rep.issues)
 
 
 def test_validate_flags_zero_interarrival_spacing():

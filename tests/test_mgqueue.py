@@ -7,8 +7,13 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from gatedq import mgqueue
-from gatedq.distributions import GammaTable, ServiceDistribution
+from gatedq import linsys, mgqueue
+from gatedq.distributions import (
+    DivergentMomentError,
+    GammaTable,
+    ServiceDistribution,
+    min_moment,
+)
 from gatedq.errors import OutOfRegimeError, UnconvergedError
 from gatedq.linsys import truncate, solve
 
@@ -25,6 +30,31 @@ def wrapped_exponential(mu=MU):
         pdf=lambda y: mu * math.exp(-mu * y) if y >= 0 else 0.0,
         cdf=lambda y: -math.expm1(-mu * y) if y >= 0 else 0.0,
         name="wrapped-exp")
+
+
+def erlang2(rate=10.0, nodes=None):
+    """Erlang-2 law on y >= 0 as numpy expressions; nodes records cdf calls."""
+
+    def cdf(y):
+        if nodes is not None:
+            nodes.append(y)
+        return 1.0 - (1.0 + rate * y) * np.exp(-rate * y)
+
+    return ServiceDistribution.from_callables(
+        pdf=lambda y: rate * rate * y * np.exp(-rate * y), cdf=cdf,
+        name="erlang2")
+
+
+def hyperexponential(exact_sf):
+    """Rates 5 and 5/3 with weight 1/2 each; 1 - cdf rounds to 0 near y = 21."""
+
+    def sf(y):
+        return 0.5 * np.exp(-5.0 * y) + 0.5 * np.exp(-5.0 * y / 3.0)
+
+    return ServiceDistribution.from_callables(
+        pdf=lambda y: 2.5 * np.exp(-5.0 * y) + 2.5 / 3.0 * np.exp(-5.0 * y / 3.0),
+        cdf=lambda y: 1.0 - sf(y), name="hyperexp",
+        sf=sf if exact_sf else None)
 
 
 # ---------------------------------------------------------------- kernel ----
@@ -174,6 +204,48 @@ def test_user_law_ladder_flags_are_honest():
     assert any("diagonal probe ended" in n for n in sol.dominance.notes)
 
 
+def test_gamma_table_evaluates_each_tail_node_once():
+    nodes = []
+    table = GammaTable(erlang2(nodes=nodes))
+    oracle = mgqueue.moment_oracle(
+        mgqueue.MgModel(lam=0.25, service=table.dist), table=table)
+    linsys.dominance_report(oracle, order=8)
+    assert len(table._cache) > 100
+    assert len(nodes) == len(set(nodes)) == len(table._tails)
+
+
+def test_tail_memo_leaves_the_general_solve_unchanged(monkeypatch):
+    m = mgqueue.MgModel(lam=0.25, service=erlang2())
+    sol = mgqueue.solve_stage_moments(m, order=4)
+
+    class Uncached(GammaTable):
+        # Entries are still cached; each one calls the cdf at all its nodes.
+        def gamma(self, i, k):
+            if (i, k) not in self._cache:
+                self._cache[(i, k)] = min_moment(self.dist, i, k)
+            return self._cache[(i, k)]
+
+    monkeypatch.setattr(mgqueue, "GammaTable", Uncached)
+    ref = mgqueue.solve_stage_moments(m, order=4)
+    assert sol.beta == ref.beta
+    assert sol.beta1 == ref.beta1
+    assert np.array_equal(sol.dominance.sigma, ref.dominance.sigma)
+
+
+def test_exact_sf_lets_a_hyperexponential_law_solve():
+    with pytest.raises(DivergentMomentError):
+        mgqueue.solve_stage_moments(
+            mgqueue.MgModel(lam=0.5, service=hyperexponential(False)), order=4)
+    m = mgqueue.MgModel(lam=0.5, service=hyperexponential(True))
+    sol = mgqueue.solve_stage_moments(m, order=4)
+    assert sol.converged
+    # The grid mean has an O(h^2) error; extrapolate from two grids.
+    means = [integrate.trapezoid(fp.y * fp.f, fp.y) for fp in (
+        mgqueue.fixed_point_density(m, n_points=n) for n in (1024, 2048))]
+    assert sol.beta1 == pytest.approx((4.0 * means[1] - means[0]) / 3.0,
+                                      rel=1e-6)
+
+
 def test_light_traffic_limit_of_mean_stage_length():
     sol = mgqueue.solve_stage_moments(model(lam=1e-6), order=10)
     assert abs(sol.beta1 - 1.0 / MU) < 1e-5
@@ -233,6 +305,44 @@ def test_stationary_density_domain_and_convergence_guards():
     broken = dataclasses.replace(sol, converged=False)
     with pytest.raises(UnconvergedError):
         mgqueue.stationary_density(broken, m, 0.5)
+
+
+def reference_density(sol, m, t):
+    """The per-node series evaluation, on 0-d arrays, kept as a reference."""
+    t = np.asarray(t, dtype=float)
+    g = np.asarray(m.service.pdf(t), dtype=float)
+    gbar = np.asarray(m.service.sf(t), dtype=float)
+    total = g.copy()
+    comp = np.zeros_like(total)
+    for k in mgqueue._series_cutoff(sol.y):
+        term = (-1.0) ** k * sol.y[k] * g * (1.0 - k * gbar ** (k - 1))
+        delta = term - comp
+        fresh = total + delta
+        comp = (fresh - total) - delta
+        total = fresh
+    return float(total)
+
+
+@pytest.mark.parametrize("m,order", [(model(), 10),
+                                     (mgqueue.MgModel(0.4, erlang2()), 4)],
+                         ids=["exponential", "erlang2"])
+def test_density_series_matches_the_per_node_reference(m, order):
+    sol = mgqueue.solve_stage_moments(m, order=order)
+    grid = np.linspace(0.0, 3.0, 401)
+    scalar = np.array([mgqueue.stationary_density(sol, m, t) for t in grid])
+    ref = np.array([reference_density(sol, m, t) for t in grid])
+    np.testing.assert_allclose(scalar, ref, rtol=1e-14, atol=0.0)
+    assert np.array_equal(mgqueue.stationary_density(sol, m, grid), scalar)
+
+
+def test_unbounded_tail_raises_a_value_error():
+    stuck = mgqueue.MgModel(lam=1.0, service=ServiceDistribution.from_callables(
+        pdf=lambda y: 0.0, cdf=lambda y: 0.5, name="stuck"))
+    sol = mgqueue.solve_stage_moments(model(), order=10)
+    with pytest.raises(DivergentMomentError):
+        mgqueue.stage_count_pmf(sol, stuck, 1)
+    with pytest.raises(ValueError):
+        mgqueue.fixed_point_density(stuck)
 
 
 # ------------------------------------------------------------ stage pmf ----
