@@ -14,8 +14,10 @@ Subcommands:
                simulated, SE)
 
 Exit codes: 0 success, 1 invalid configuration (machine-readable JSON on
-stderr), 2 out-of-regime refusal, 3 unconverged truncation ladder
-(diagnostic artifacts are still written).
+stderr), 2 out-of-regime refusal, 3 unconverged truncation ladder.  On exit
+3 analyze-mg and analyze-gi still write their JSON report (analyze-gi skips
+its pmf CSV); compare writes nothing and runs no simulation.  compare
+--figure mean-length pins the truncation at --order and never exits 3.
 
 A JSON file passed as --config overrides any flags it names.  The default
 output directory is $GATEDQ_OUTPUT_DIR, falling back to the working
@@ -183,35 +185,38 @@ def _require(args, *names) -> None:
             raise ConfigError(f"{flag} is required for {args.subcommand}")
 
 
-def _check_positive(args, *names) -> None:
-    for name in names:
-        v = getattr(args, name, None)
-        if v is not None and v <= 0:
-            raise ConfigError(f"{name.replace('_', '-')} must be positive, got {v}")
+# (attribute, rejects, requirement), checked in this order; None passes.
+_LIMITS = (
+    ("order", lambda v: v < 4, "be >= 4"),
+    ("tol", lambda v: not 0.0 < v < 1.0, "lie in (0, 1)"),
+    ("stages", lambda v: v < 1, "be >= 1"),
+    ("burn_in", lambda v: v < 0, "be >= 0"),
+) + tuple((rate, lambda v: v <= 0, "be positive")
+          for rate in ("lam", "mu", "rho", "arrival_rate", "deterministic"))
 
 
 def validate_config(args) -> None:
     """Rates positive, order >= 4, tol in (0, 1), stages >= 1, burn-in >= 0."""
-    order = getattr(args, "order", None)
-    if order is not None and order < 4:
-        raise ConfigError(f"order must be >= 4, got {order}")
-    tol = getattr(args, "tol", None)
-    if tol is not None and not 0.0 < tol < 1.0:
-        raise ConfigError(f"tol must lie in (0, 1), got {tol}")
-    stages = getattr(args, "stages", None)
-    if stages is not None and stages < 1:
-        raise ConfigError(f"stages must be >= 1, got {stages}")
-    burn = getattr(args, "burn_in", None)
-    if burn is not None and burn < 0:
-        raise ConfigError(f"burn-in must be >= 0, got {burn}")
-    _check_positive(args, "lam", "mu", "rho", "arrival_rate", "deterministic",
-                    "tol")
+    for attr, rejects, requirement in _LIMITS:
+        v = getattr(args, attr, None)
+        if v is not None and rejects(v):
+            raise ConfigError(f"{attr.replace('_', '-')} must {requirement}, "
+                              f"got {v}")
 
 
 def _outdir(args) -> str:
     out = getattr(args, "out", None) or os.environ.get("GATEDQ_OUTPUT_DIR") or "."
     os.makedirs(out, exist_ok=True)
     return out
+
+
+def _mg_model(args, lam: Optional[float] = None) -> mgqueue.MgModel:
+    """Gated M/M/inf from --lambda (or the given rate) and --mu."""
+    if lam is None:
+        _require(args, "lam")
+        lam = args.lam
+    _require(args, "mu")
+    return mgqueue.MgModel(lam, ServiceDistribution.exponential(args.mu))
 
 
 def _gi_model(args) -> giqueue.GiModel:
@@ -222,31 +227,41 @@ def _gi_model(args) -> giqueue.GiModel:
         mu = 1.0 if args.mu is None else args.mu
         return giqueue.GiModel(ArrivalDistribution.poisson(args.rho * mu), mu)
     if args.arrival_rate is not None:
-        _require(args, "mu")
-        return giqueue.GiModel(ArrivalDistribution.poisson(args.arrival_rate),
-                               args.mu)
-    if args.deterministic is not None:
-        _require(args, "mu")
-        return giqueue.GiModel(ArrivalDistribution.deterministic(args.deterministic),
-                               args.mu)
-    raise ConfigError("specify arrivals via --rho, --arrival-rate, or "
-                      "--deterministic")
+        arrivals = ArrivalDistribution.poisson(args.arrival_rate)
+    elif args.deterministic is not None:
+        arrivals = ArrivalDistribution.deterministic(args.deterministic)
+    else:
+        raise ConfigError("specify arrivals via --rho, --arrival-rate, or "
+                          "--deterministic")
+    _require(args, "mu")
+    return giqueue.GiModel(arrivals, args.mu)
+
+
+def _simulate(model, stages: int, seed: int, burn_in: int) -> simulator.StageTrace:
+    """Run the simulator of the model's gate mechanism."""
+    if isinstance(model, mgqueue.MgModel):
+        return simulator.simulate_mg(model.lam, model.service, stages,
+                                     seed=seed, burn_in=burn_in)
+    return simulator.simulate_gi(model.arrivals, model.mu, stages, seed=seed,
+                                 burn_in=burn_in)
+
+
+def _refuse_unconverged(sol, consequence: str) -> None:
+    if not sol.converged:
+        raise UnconvergedError(
+            f"truncation ladder did not converge; {consequence}")
 
 
 def _run_analyze_mg(args) -> int:
-    _require(args, "lam", "mu")
-    model = mgqueue.MgModel(args.lam, ServiceDistribution.exponential(args.mu))
-    sol = mgqueue.solve_stage_moments(model, order=args.order, tol=args.tol,
-                                      n_max=args.n_max, assembly=args.assembly)
+    sol = mgqueue.solve_stage_moments(_mg_model(args), order=args.order,
+                                      tol=args.tol, n_max=args.n_max,
+                                      assembly=args.assembly)
     path = write_json(os.path.join(_outdir(args), "analyze-mg.json"),
                       sol.to_dict())
     print(path)
     print(f"beta1={sol.beta1!r} EK={1.0 + sol.s!r} n_used={sol.n_used} "
           f"converged={sol.converged}")
-    if not sol.converged:
-        _emit_error("unconverged", "truncation ladder did not converge; "
-                    "diagnostics written")
-        return 3
+    _refuse_unconverged(sol, "diagnostics written")
     return 0
 
 
@@ -258,10 +273,7 @@ def _run_analyze_gi(args) -> int:
     out = _outdir(args)
     report = write_json(os.path.join(out, "analyze-gi.json"), sol.to_dict())
     print(report)
-    if not sol.converged:
-        _emit_error("unconverged", "truncation ladder did not converge; "
-                    "diagnostics written")
-        return 3
+    _refuse_unconverged(sol, "diagnostics written")
     # Stop once the rows hold all but 1e-10 of the solution's own total mass,
     # which misses 1 by the defect of the identity phi(0) = 0.
     mass = giqueue.pmf_total_mass(sol, model)
@@ -282,16 +294,8 @@ def _run_analyze_gi(args) -> int:
 
 def _run_simulate(args) -> int:
     _require(args, "stages")
-    if args.model == "mg":
-        _require(args, "lam", "mu")
-        trace = simulator.simulate_mg(args.lam,
-                                      ServiceDistribution.exponential(args.mu),
-                                      args.stages, seed=args.seed,
-                                      burn_in=args.burn_in)
-    else:
-        model = _gi_model(args)
-        trace = simulator.simulate_gi(model.arrivals, model.mu, args.stages,
-                                      seed=args.seed, burn_in=args.burn_in)
+    model = _mg_model(args) if args.model == "mg" else _gi_model(args)
+    trace = _simulate(model, args.stages, args.seed, args.burn_in)
     out = _outdir(args)
     rows = [(i, float(trace.y[i]), int(trace.k[i]), bool(trace.waiting[i]),
              float(trace.m[i])) for i in range(len(trace))]
@@ -311,16 +315,12 @@ def _run_simulate(args) -> int:
 
 def _run_dominance(args) -> int:
     if args.system == "mg":
-        _require(args, "lam", "mu")
-        model = mgqueue.MgModel(args.lam, ServiceDistribution.exponential(args.mu))
-        oracle = mgqueue.moment_oracle(model, assembly=args.assembly)
+        oracle = mgqueue.moment_oracle(_mg_model(args), assembly=args.assembly)
     else:
         oracle = giqueue.factorial_oracle(_gi_model(args),
                                           override=args.override)
-    kwargs = {}
-    if args.tail_cutoff is not None:
-        kwargs["tail_cutoff"] = args.tail_cutoff
-    report = linsys.dominance_report(oracle, order=args.order, **kwargs)
+    report = linsys.dominance_report(oracle, order=args.order,
+                                     tail_cutoff=args.tail_cutoff)
     path = write_json(os.path.join(_outdir(args), "dominance.json"),
                       report.to_dict())
     print(path)
@@ -329,122 +329,93 @@ def _run_dominance(args) -> int:
     return 0
 
 
-def _run_compare(args) -> int:
-    out = _outdir(args)
-    if args.figure == "moments":
-        return _compare_moments(args, out)
-    if args.figure == "density":
-        return _compare_density(args, out)
-    if args.figure == "mean-length":
-        return _compare_mean_length(args, out)
-    return _compare_pmf(args, out)
+# ----------------------------------------------------------------- compare ----
+# A figure's points are (first-column label, model, seed) triples; its rows
+# function turns one point's solution and trace into CSV rows.
+
+def _single_point(build):
+    return lambda args: [(None, build(args), args.seed)]
 
 
-def _compare_moments(args, out: str) -> int:
-    _require(args, "lam", "mu")
-    order = args.order or 10
-    stages = args.stages or 100000
-    model = mgqueue.MgModel(args.lam, ServiceDistribution.exponential(args.mu))
-    sol = mgqueue.solve_stage_moments(model, order=order, tol=args.tol)
-    if not sol.converged:
-        _emit_error("unconverged", "moment ladder did not converge")
-        return 3
-    trace = simulator.simulate_mg(args.lam,
-                                  ServiceDistribution.exponential(args.mu),
-                                  stages, seed=args.seed, burn_in=args.burn_in)
-    act = trace.m[trace.burn_in:]
-    rows = []
-    for i in range(2, order + 2):
-        if i not in sol.beta:
-            break
-        powered = act ** i
-        rows.append((i, sol.beta[i], float(powered.mean()),
-                     simulator._batch_se(powered)))
-    path = write_csv(os.path.join(out, "compare-moments.csv"),
-                     ["moment_order", "analytic", "simulated", "se"], rows)
-    print(path)
-    return 0
-
-
-def _compare_density(args, out: str) -> int:
-    _require(args, "lam", "mu")
-    order = args.order or 10
-    stages = args.stages or 100000
-    model = mgqueue.MgModel(args.lam, ServiceDistribution.exponential(args.mu))
-    sol = mgqueue.solve_stage_moments(model, order=order, tol=args.tol)
-    if not sol.converged:
-        _emit_error("unconverged", "moment ladder did not converge")
-        return 3
-    trace = simulator.simulate_mg(args.lam,
-                                  ServiceDistribution.exponential(args.mu),
-                                  stages, seed=args.seed, burn_in=args.burn_in)
-    y_max = -math.log(1e-10) / args.mu
-    stats = simulator.empirical_stats(trace, bins=args.bins, y_max=y_max,
-                                      column="active")
-    act = trace.m[trace.burn_in:]
-    width = stats.bin_edges[1] - stats.bin_edges[0]
-    rows = []
-    for b in range(args.bins):
-        lo, hi = stats.bin_edges[b], stats.bin_edges[b + 1]
-        center = 0.5 * (lo + hi)
-        analytic = float(mgqueue.stationary_density(sol, model, center))
-        inside = ((act >= lo) & (act < hi)).astype(float) / width
-        rows.append((float(center), analytic, float(stats.histogram[b]),
-                     simulator._batch_se(inside)))
-    path = write_csv(os.path.join(out, "compare-density.csv"),
-                     ["y", "analytic", "simulated", "se"], rows)
-    print(path)
-    return 0
-
-
-def _compare_mean_length(args, out: str) -> int:
+def _rho_grid_points(args):
     _require(args, "mu")
-    order = args.order or 10
-    stages = args.stages or 10000
     try:
         grid = [float(tok) for tok in args.rho_grid.split(",") if tok.strip()]
     except ValueError as exc:
         raise ConfigError(f"bad --rho-grid: {exc}")
     if not grid or any(not 0.0 < r < 1.0 for r in grid):
         raise ConfigError("--rho-grid values must lie in (0, 1)")
-    rows = []
-    for idx, rho in enumerate(grid):
-        lam = rho * args.mu
-        model = mgqueue.MgModel(lam, ServiceDistribution.exponential(args.mu))
-        # Fixed truncation order on purpose: this sweep reproduces the
-        # divergence of the truncated series for large rho, so the ladder
-        # must not be allowed to grow the system.
-        sol = mgqueue.solve_stage_moments(model, order=order, n_max=order,
-                                          tol=args.tol)
-        trace = simulator.simulate_mg(lam, ServiceDistribution.exponential(args.mu),
-                                      stages, seed=args.seed + idx,
-                                      burn_in=args.burn_in)
-        act = trace.m[trace.burn_in:]
-        rows.append((rho, sol.beta1, float(act.mean()),
-                     simulator._batch_se(act)))
-    path = write_csv(os.path.join(out, "compare-mean-length.csv"),
-                     ["rho", "analytic", "simulated", "se"], rows)
-    print(path)
-    return 0
+    return [(rho, _mg_model(args, lam=rho * args.mu), args.seed + idx)
+            for idx, rho in enumerate(grid)]
 
 
-def _compare_pmf(args, out: str) -> int:
-    model = _gi_model(args)
-    order = args.order or 25
-    stages = args.stages or 100000
-    sol = giqueue.solve_factorial_moments(model, order=order, tol=args.tol)
-    if not sol.converged:
-        _emit_error("unconverged", "factorial-moment ladder did not converge")
-        return 3
-    trace = simulator.simulate_gi(model.arrivals, model.mu, stages,
-                                  seed=args.seed, burn_in=args.burn_in)
+def _moment_rows(args, order, label, model, sol, trace):
+    act = trace.m[trace.burn_in:]
+    powered = ((i, act ** i) for i in range(2, order + 2) if i in sol.beta)
+    return [(i, sol.beta[i], float(p.mean()), simulator._batch_se(p))
+            for i, p in powered]
+
+
+def _density_rows(args, order, label, model, sol, trace):
+    y_max = -math.log(1e-10) / args.mu
+    stats = simulator.empirical_stats(trace, bins=args.bins, y_max=y_max,
+                                      column="active")
+    edges = stats.bin_edges
+    lo, hi = edges[:-1], edges[1:]
+    centers = 0.5 * (lo + hi)
+    analytic = mgqueue.stationary_density(sol, model, centers)
+    act = trace.m[trace.burn_in:]
+    width = edges[1] - edges[0]
+    return [(float(centers[b]), float(analytic[b]), float(stats.histogram[b]),
+             simulator._batch_se(((act >= lo[b]) & (act < hi[b])).astype(float)
+                                 / width))
+            for b in range(args.bins)]
+
+
+def _mean_length_rows(args, order, rho, model, sol, trace):
+    act = trace.m[trace.burn_in:]
+    return [(rho, sol.beta1, float(act.mean()), simulator._batch_se(act))]
+
+
+def _pmf_rows(args, order, label, model, sol, trace):
     stats = simulator.empirical_stats(trace, bins=args.bins, column="active")
+    return [(int(i), giqueue.stationary_pmf(sol, model, int(i)), float(p),
+             float(se))
+            for i, p, se in zip(stats.k_values, stats.k_pmf, stats.k_se)]
+
+
+# figure -> (first column, default order, default stages, points, rows)
+_FIGURES = {
+    "moments": ("moment_order", 10, 100000, _single_point(_mg_model),
+                _moment_rows),
+    "density": ("y", 10, 100000, _single_point(_mg_model), _density_rows),
+    "mean-length": ("rho", 10, 10000, _rho_grid_points, _mean_length_rows),
+    "pmf": ("i", 25, 100000, _single_point(_gi_model), _pmf_rows),
+}
+
+
+def _run_compare(args) -> int:
+    first, order, stages, points, rows_of = _FIGURES[args.figure]
+    out = _outdir(args)
+    order = args.order or order
+    stages = args.stages or stages
+    # mean-length pins the truncation at --order on purpose: the sweep
+    # reproduces the divergence of the truncated series for large rho, so
+    # the ladder must not grow the system, and its result is never refused.
+    pinned = args.figure == "mean-length"
     rows = []
-    for idx, i in enumerate(stats.k_values):
-        rows.append((int(i), giqueue.stationary_pmf(sol, model, int(i)),
-                     float(stats.k_pmf[idx]), float(stats.k_se[idx])))
-    path = write_csv(os.path.join(out, "compare-pmf.csv"),
-                     ["i", "analytic", "simulated", "se"], rows)
+    for label, model, seed in points(args):
+        solve = (mgqueue.solve_stage_moments
+                 if isinstance(model, mgqueue.MgModel)
+                 else giqueue.solve_factorial_moments)
+        sol = solve(model, order=order, tol=args.tol,
+                    n_max=order if pinned else None)
+        if not pinned:
+            _refuse_unconverged(sol, "nothing written")
+        trace = _simulate(model, stages, seed, args.burn_in)
+        rows.extend(rows_of(args, order, label, model, sol, trace))
+    path = write_csv(os.path.join(out, f"compare-{args.figure}.csv"),
+                     [first, "analytic", "simulated", "se"], rows)
     print(path)
     return 0
 

@@ -34,7 +34,6 @@ from __future__ import annotations
 import functools
 import math
 import threading
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -225,6 +224,26 @@ def tail_support(d: ServiceDistribution, eps: float, k: int = 1,
         "moment integral diverges or converges too slowly")
 
 
+def support_end(d: ServiceDistribution, y: float) -> float:
+    """Where the clamped tail of d first reads exactly 0 in [0, y], else y.
+
+    A tail that is still positive at y is returned as is.  Otherwise the end
+    of the support is found by bisection down to adjacent floats, so that a
+    quadrature can stop at a jump of the density instead of straddling it.
+    """
+    if _clamped_sf(d, y) > 0.0:
+        return y
+    lo, hi = 0.0, y
+    mid = 0.5 * hi
+    while lo < mid < hi:
+        if _clamped_sf(d, mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+        mid = 0.5 * (lo + hi)
+    return hi
+
+
 def min_moment(d: ServiceDistribution, m: int, k: int,
                tail: Optional[Callable] = None) -> float:
     """gamma_{m,k} = E[min(sigma_1, ..., sigma_k)^m].
@@ -257,38 +276,37 @@ def min_moment(d: ServiceDistribution, m: int, k: int,
     # octave by octave instead: [0,1], [1,2], [2,4], ... through the first
     # power of two at or past y_max, then keep extending until the additions
     # stop mattering.  The per-octave masses double as a divergence monitor.
+    # full_output=1 makes quad return its warnings instead of issuing them;
+    # the error gate below judges the estimates.
     pieces, errs = [], []
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        lo, hi = 0.0, 1.0
-        while lo < y_max:
-            v, err = integrate.quad(integrand, lo, hi, epsabs=_QUAD_ABS_TOL,
-                                    epsrel=1e-11, limit=200)
-            pieces.append(v)
-            errs.append(err)
-            lo, hi = hi, 2.0 * hi
-        val = math.fsum(pieces)
-        err = math.fsum(errs)
-        # The error gate is loose on purpose: tail noise from a user-supplied
-        # cdf inflates the estimate long before it moves the value, so only a
-        # catastrophic estimate (comparable to the value itself) aborts here.
-        if not math.isfinite(val) or err > max(1e-7, 1e-3 * abs(val)):
-            raise DivergentMomentError(
-                f"min-moment quadrature failed for m={m}, k={k}: "
-                f"value={val}, error estimate={err}")
-        for _ in range(24):
-            piece, _ = integrate.quad(integrand, lo, hi,
-                                      epsabs=_QUAD_ABS_TOL, epsrel=1e-11,
-                                      limit=200)
-            pieces.append(piece)
-            val += piece
-            lo, hi = hi, 2.0 * hi
-            if abs(piece) <= max(1e-12, 1e-9 * abs(val)):
-                break
-        else:
-            raise DivergentMomentError(
-                f"min-moment integral for m={m}, k={k} keeps growing past "
-                f"Y={lo:.3e} (last octave mass {piece:.3e})")
+    lo, hi = 0.0, 1.0
+    while lo < y_max:
+        v, err = integrate.quad(integrand, lo, hi, epsabs=_QUAD_ABS_TOL,
+                                epsrel=1e-11, limit=200, full_output=1)[:2]
+        pieces.append(v)
+        errs.append(err)
+        lo, hi = hi, 2.0 * hi
+    val = math.fsum(pieces)
+    err = math.fsum(errs)
+    # The error gate is loose on purpose: tail noise from a user-supplied
+    # cdf inflates the estimate long before it moves the value, so only a
+    # catastrophic estimate (comparable to the value itself) aborts here.
+    if not math.isfinite(val) or err > max(1e-7, 1e-3 * abs(val)):
+        raise DivergentMomentError(
+            f"min-moment quadrature failed for m={m}, k={k}: "
+            f"value={val}, error estimate={err}")
+    for _ in range(24):
+        piece = integrate.quad(integrand, lo, hi, epsabs=_QUAD_ABS_TOL,
+                               epsrel=1e-11, limit=200, full_output=1)[0]
+        pieces.append(piece)
+        val += piece
+        lo, hi = hi, 2.0 * hi
+        if abs(piece) <= max(1e-12, 1e-9 * abs(val)):
+            break
+    else:
+        raise DivergentMomentError(
+            f"min-moment integral for m={m}, k={k} keeps growing past "
+            f"Y={lo:.3e} (last octave mass {piece:.3e})")
     # A tail computed as 1 - cdf can vanish for the wrong reason: once the
     # cdf rounds to 1, the integrand reads as zero no matter how heavy the
     # true tail is.  A healthy cutoff is preceded by decaying octave masses;

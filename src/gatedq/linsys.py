@@ -31,12 +31,11 @@ no tail bound, sigma_i is a lower estimate and the report says so.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import linalg as sla
+from scipy.linalg import lapack
 
 
 class AssemblyError(ValueError):
@@ -201,17 +200,16 @@ def solve(sys: TruncatedSystem) -> SolveResult:
             f"numerically singular truncation (order {sys.n}): zero row")
     a_eq = sys.a / row_scale[:, None]
     b_eq = sys.b / row_scale
-    with warnings.catch_warnings():
-        # The factorization warns on zero pivots; the check below turns that
-        # condition into SingularSystemError instead.
-        warnings.simplefilter("ignore", sla.LinAlgWarning)
-        lu, piv = sla.lu_factor(a_eq)
+    # LAPACK's getrf/getrs, which lu_factor/lu_solve wrap, report a zero
+    # pivot through info instead of a warning; the check below turns it
+    # into SingularSystemError.
+    lu, piv, _ = lapack.dgetrf(np.asarray_chkfinite(a_eq))
     tiny = np.abs(np.diag(lu)).min()
     if tiny <= sys.n * np.finfo(float).eps:
         raise SingularSystemError(
             f"numerically singular truncation (order {sys.n}): "
             f"smallest pivot magnitude {tiny:.3e} after row equilibration")
-    x = sla.lu_solve((lu, piv), b_eq)
+    x, _ = lapack.dgetrs(lu, piv, np.asarray_chkfinite(b_eq))
     residual = float(np.abs(a_eq @ x - b_eq).max())
     return SolveResult(x=x, residual=residual)
 

@@ -49,7 +49,8 @@ from typing import Optional
 import numpy as np
 
 from . import linsys
-from .distributions import GammaTable, ServiceDistribution, tail_support
+from .distributions import (GammaTable, ServiceDistribution, support_end,
+                            tail_support)
 from .errors import OutOfRegimeError, UnconvergedError
 
 _SERIES_TERM_TOL = 1e-12
@@ -378,7 +379,8 @@ def stage_count_pmf(sol: MgMomentSolution, model: MgModel, k: int) -> float:
     if not sol.converged:
         raise UnconvergedError("stage_count_pmf needs a converged moment solution")
     lam = model.lam
-    y_max = tail_support(model.service, _GRID_TAIL_EPS)
+    y_max = support_end(model.service,
+                        tail_support(model.service, _GRID_TAIL_EPS))
     density = _density_series(sol, model)
 
     if k == 1:

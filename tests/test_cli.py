@@ -138,6 +138,10 @@ def test_compare_pmf_keeps_analytic_column_seed_free(tmp_path):
     assert len(shared) >= 3
     assert all(a1[i] == a2[i] for i in shared)
     assert any(x[2] != y[2] for x, y in zip(r1, r2))
+    model = giqueue.GiModel(ArrivalDistribution.poisson(0.5), 1.0)
+    sol = giqueue.solve_factorial_moments(model, order=25)
+    assert all(float(r[1]) == giqueue.stationary_pmf(sol, model, int(r[0]))
+               for r in r1)
 
 
 def test_compare_mean_length_uses_fixed_truncations(tmp_path):
@@ -172,6 +176,10 @@ def test_compare_moments_and_density_smoke(tmp_path):
     assert len(rows) == 16
     centers = [float(r[0]) for r in rows]
     assert centers == sorted(centers)
+    model = mgqueue.MgModel(lam=1.0, service=ServiceDistribution.exponential(2.5))
+    sol = mgqueue.solve_stage_moments(model, order=10)
+    analytic = mgqueue.stationary_density(sol, model, np.array(centers))
+    assert [float(r[1]) for r in rows] == analytic.tolist()
 
 
 # ------------------------------------------------------------ config files ----
@@ -219,6 +227,25 @@ def test_unconverged_exits_3_with_diagnostics(tmp_path, capsys):
     data = read_json(os.path.join(out, "analyze-gi.json"))
     assert data["converged"] is False
     assert not os.path.exists(os.path.join(out, "analyze-gi-pmf.csv"))
+
+
+@pytest.mark.parametrize("argv", [
+    ["--figure", "moments", "--lambda", "0.9", "--mu", "1.0"],
+    ["--figure", "density", "--lambda", "0.9", "--mu", "1.0"],
+    ["--figure", "pmf", "--rho", "0.9"],
+])
+def test_unconverged_compare_exits_3_before_simulating(argv, tmp_path, capsys,
+                                                       monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an unconverged compare must not simulate")
+
+    monkeypatch.setattr(cli.simulator, "simulate_mg", refuse)
+    monkeypatch.setattr(cli.simulator, "simulate_gi", refuse)
+    out = str(tmp_path)
+    assert main(["compare"] + argv + ["--order", "4", "--tol", "1e-13",
+                                      "--stages", "3000", "--out", out]) == 3
+    assert stderr_code(capsys) == "unconverged"
+    assert not [f for f in os.listdir(out) if f.startswith("compare-")]
 
 
 @pytest.mark.parametrize("argv", [

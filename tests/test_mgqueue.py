@@ -13,6 +13,7 @@ from gatedq.distributions import (
     GammaTable,
     ServiceDistribution,
     min_moment,
+    support_end,
 )
 from gatedq.errors import OutOfRegimeError, UnconvergedError
 from gatedq.linsys import truncate, solve
@@ -360,6 +361,31 @@ def test_stage_count_pmf_is_a_distribution():
     broken = dataclasses.replace(sol, converged=False)
     with pytest.raises(UnconvergedError):
         mgqueue.stage_count_pmf(broken, m, 1)
+
+
+def test_stage_count_pmf_stops_at_the_end_of_a_bounded_support():
+    """A uniform(0, 0.5) density jumps to 0 at 0.5, inside [0, y_max = 1].
+
+    Integrating across the jump gave P(K=2) = 0.0057433; the frozen values
+    are the stage-to-stage kernel's fixed point (quadrature on panels that
+    end at 0.5), which the converged series matches to 1e-16.
+    """
+    def pdf(y):
+        y = np.asarray(y, dtype=float)
+        return np.where((y >= 0) & (y <= 0.5), 2.0, 0.0)
+
+    def cdf(y):
+        return np.clip(np.asarray(y, dtype=float) / 0.5, 0.0, 1.0)
+
+    law = ServiceDistribution.from_callables(pdf, cdf, name="uniform(0.5)")
+    assert support_end(law, 1.0) == 0.5
+    assert support_end(ServiceDistribution.exponential(MU), 8.0) == 8.0
+    m = mgqueue.MgModel(lam=0.4, service=law)
+    sol = mgqueue.solve_stage_moments(m, order=4)
+    assert abs(mgqueue.stage_count_pmf(sol, m, 2)
+               - 0.005759764636017911) < 1e-12
+    assert abs(mgqueue.stage_count_pmf(sol, m, 3)
+               - 0.0002852489813774091) < 1e-12
 
 
 # ------------------------------------------------------------ fixed point ----
