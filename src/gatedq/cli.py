@@ -31,6 +31,7 @@ import json
 import math
 import os
 import sys
+from itertools import chain
 from typing import Optional
 
 import numpy as np
@@ -68,11 +69,27 @@ def _cell(v) -> str:
     return str(v)
 
 
-def write_csv(path: str, header, rows) -> str:
-    """Plain CSV, repr-formatted floats so values round-trip exactly."""
-    lines = [",".join(header)]
-    lines.extend(",".join(_cell(v) for v in row) for row in rows)
-    return _write_text(path, "\n".join(lines) + "\n")
+def _column_cells(col):
+    """Lazy cell strings of one column: the _cell text of each value, where
+    a float64, integer or bool array holds the Python scalars of tolist()."""
+    if isinstance(col, range):
+        return map(str, col)
+    if isinstance(col, np.ndarray):
+        if col.dtype == np.float64:
+            return map(repr, col.tolist())
+        if col.dtype.kind in "iu":
+            return map(str, col.tolist())
+        if col.dtype == np.bool_:
+            return map(("false", "true").__getitem__, col.tolist())
+    return map(_cell, col)
+
+
+def write_csv(path: str, header, columns) -> str:
+    """Plain CSV from equal-length columns, repr-formatted floats so values
+    round-trip exactly."""
+    cells = [_column_cells(col) for col in columns]
+    lines = map(",".join, zip(*cells, strict=True))
+    return _write_text(path, "\n".join(chain([",".join(header)], lines)) + "\n")
 
 
 def _emit_error(code: str, message: str) -> None:
@@ -186,22 +203,28 @@ def _require(args, *names) -> None:
 
 
 # (attribute, rejects, requirement), checked in this order; None passes.
+# Rates are rejected unless v > 0, which NaN never is.
 _LIMITS = (
     ("order", lambda v: v < 4, "be >= 4"),
     ("tol", lambda v: not 0.0 < v < 1.0, "lie in (0, 1)"),
     ("stages", lambda v: v < 1, "be >= 1"),
     ("burn_in", lambda v: v < 0, "be >= 0"),
-) + tuple((rate, lambda v: v <= 0, "be positive")
+) + tuple((rate, lambda v: not v > 0, "be positive")
           for rate in ("lam", "mu", "rho", "arrival_rate", "deterministic"))
 
 
 def validate_config(args) -> None:
-    """Rates positive, order >= 4, tol in (0, 1), stages >= 1, burn-in >= 0."""
+    """Rates positive, order >= 4, tol in (0, 1), stages >= 1, burn-in >= 0,
+    and n-max either order (a pinned truncation) or at least 2 * order."""
     for attr, rejects, requirement in _LIMITS:
         v = getattr(args, attr, None)
         if v is not None and rejects(v):
             raise ConfigError(f"{attr.replace('_', '-')} must {requirement}, "
                               f"got {v}")
+    n_max = getattr(args, "n_max", None)
+    if n_max is not None and n_max != args.order and n_max < 2 * args.order:
+        raise ConfigError(f"n-max must equal order ({args.order}) or be >= "
+                          f"2 * order ({2 * args.order}), got {n_max}")
 
 
 def _outdir(args) -> str:
@@ -277,16 +300,16 @@ def _run_analyze_gi(args) -> int:
     # Stop once the rows hold all but 1e-10 of the solution's own total mass,
     # which misses 1 by the defect of the identity phi(0) = 0.
     mass = giqueue.pmf_total_mass(sol, model)
-    rows = []
+    pmf = []
     cum = 0.0
     for i in range(1, 100001):
         pi = giqueue.stationary_pmf(sol, model, i)
-        rows.append((i, pi))
+        pmf.append(pi)
         cum += pi
         if mass - cum < 1e-10 and i >= 10:
             break
     path = write_csv(os.path.join(out, "analyze-gi-pmf.csv"),
-                     ["i", "pi"], rows)
+                     ["i", "pi"], [range(1, len(pmf) + 1), pmf])
     print(path)
     print(f"EK={sol.x[1]!r} n_used={sol.n_used} defect={sol.defect!r}")
     return 0
@@ -297,10 +320,10 @@ def _run_simulate(args) -> int:
     model = _mg_model(args) if args.model == "mg" else _gi_model(args)
     trace = _simulate(model, args.stages, args.seed, args.burn_in)
     out = _outdir(args)
-    rows = [(i, float(trace.y[i]), int(trace.k[i]), bool(trace.waiting[i]),
-             float(trace.m[i])) for i in range(len(trace))]
     trace_path = write_csv(os.path.join(out, f"trace-{args.model}.csv"),
-                           ["n", "y", "k", "waiting_phase", "m"], rows)
+                           ["n", "y", "k", "waiting_phase", "m"],
+                           [range(len(trace)), trace.y, trace.k, trace.waiting,
+                            trace.m])
     try:
         stats = simulator.empirical_stats(trace, bins=args.bins,
                                           column=args.column)
@@ -415,7 +438,7 @@ def _run_compare(args) -> int:
         trace = _simulate(model, stages, seed, args.burn_in)
         rows.extend(rows_of(args, order, label, model, sol, trace))
     path = write_csv(os.path.join(out, f"compare-{args.figure}.csv"),
-                     [first, "analytic", "simulated", "se"], rows)
+                     [first, "analytic", "simulated", "se"], zip(*rows))
     print(path)
     return 0
 

@@ -123,15 +123,18 @@ class ServiceDistribution:
 
     def _sample_by_inversion(self, rng, size, iters: int = 60):
         # Bisection on the cdf; adequate for smoke tests of user laws.  The
-        # supplied cdf only has to accept scalars, like everywhere else.
-        cdf = np.vectorize(self.cdf, otypes=[float])
+        # supplied cdf only has to accept scalars, like everywhere else; one
+        # that maps an array to an array of its shape is called once per
+        # bisection step for all draws instead of once per draw.
+        cdf = (self.cdf if _maps_arrays(self.cdf)
+               else np.vectorize(self.cdf, otypes=[float]))
         u = rng.random(size)
         hi = np.full(size, 1.0)
         for _ in range(200):
-            need = cdf(hi) < u.max()
+            need = cdf(hi) < u
             if not np.any(need):
                 break
-            hi = np.where(cdf(hi) < u, hi * 2.0, hi)
+            hi = np.where(need, hi * 2.0, hi)
         lo = np.zeros(size)
         for _ in range(iters):
             mid = 0.5 * (lo + hi)
@@ -139,6 +142,16 @@ class ServiceDistribution:
             lo = np.where(below, mid, lo)
             hi = np.where(below, hi, mid)
         return 0.5 * (lo + hi)
+
+
+def _maps_arrays(fn) -> bool:
+    """Whether fn maps a float array to an array of the same shape."""
+    probe = np.array([0.5, 1.0])
+    try:
+        out = fn(probe)
+    except (TypeError, ValueError):
+        return False
+    return isinstance(out, np.ndarray) and out.shape == probe.shape
 
 
 @dataclass(frozen=True)

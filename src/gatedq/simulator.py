@@ -15,7 +15,9 @@ Both simulators run the stage recursion literally, stage by stage:
 Randomness comes from a counter-based generator (Philox) with independent
 substreams for arrivals and services, keyed by (seed, stream index), so
 traces are bit-identical for a given seed and replications with different
-seeds are independent without shared state.
+seeds are independent without shared state.  Each substream is drawn
+_CHUNK values at a time, and the stage loop takes them as Python floats, so
+it does scalar arithmetic without a numpy scalar per draw.
 
 Stage lengths are recorded twice per record: m is the active phase (the
 service maximum) and y is the full span including any waiting phase.  The
@@ -95,37 +97,45 @@ def _substream(seed: int, stream: int) -> np.random.Generator:
 
 
 class _ChunkedSampler:
-    """Serves draws from fn(rng, size) out of large pre-drawn chunks."""
+    """Serves draws from fn(rng, size) out of large pre-drawn chunks.
+
+    A chunk is held as a list of Python floats, so take(n) returns a list
+    slice and one() a float; the draws are those of fn, chunk by chunk.
+    """
 
     def __init__(self, rng: np.random.Generator, fn, chunk: int = _CHUNK):
         self._rng = rng
         self._fn = fn
         self._chunk = chunk
-        self._buf = np.asarray(fn(rng, chunk), dtype=float)
+        self._buf = self._draw()
         self._pos = 0
 
-    def take(self, n: int) -> np.ndarray:
-        if self._pos + n <= len(self._buf):
-            out = self._buf[self._pos:self._pos + n]
-            self._pos += n
-            return out
-        parts = [self._buf[self._pos:]]
-        need = n - len(parts[0])
+    def _draw(self) -> list:
+        return np.asarray(self._fn(self._rng, self._chunk), dtype=float).tolist()
+
+    def take(self, n: int) -> list:
+        pos = self._pos
+        end = pos + n
+        if end <= len(self._buf):
+            self._pos = end
+            return self._buf[pos:end]
+        out = self._buf[pos:]
+        need = n - len(out)
         while need > self._chunk:
-            parts.append(np.asarray(self._fn(self._rng, self._chunk), dtype=float))
+            out += self._draw()
             need -= self._chunk
-        self._buf = np.asarray(self._fn(self._rng, self._chunk), dtype=float)
-        parts.append(self._buf[:need])
+        self._buf = self._draw()
+        out += self._buf[:need]
         self._pos = need
-        return np.concatenate(parts)
+        return out
 
     def one(self) -> float:
         if self._pos >= len(self._buf):
-            self._buf = np.asarray(self._fn(self._rng, self._chunk), dtype=float)
+            self._buf = self._draw()
             self._pos = 0
         v = self._buf[self._pos]
         self._pos += 1
-        return float(v)
+        return v
 
 
 def simulate_mg(lam: float, service: ServiceDistribution, n_stages: int,
@@ -144,7 +154,9 @@ def simulate_mg(lam: float, service: ServiceDistribution, n_stages: int,
     if burn_in < 0:
         raise ValueError(f"burn_in must be >= 0, got {burn_in}")
     arr_rng = _substream(seed, 0)
-    svc = _ChunkedSampler(_substream(seed, 1), service.sample)
+    poisson, exponential = arr_rng.poisson, arr_rng.exponential
+    take = _ChunkedSampler(_substream(seed, 1), service.sample).take
+    wait_scale = 1.0 / lam
 
     y = np.empty(n_stages)
     m = np.empty(n_stages)
@@ -152,12 +164,12 @@ def simulate_mg(lam: float, service: ServiceDistribution, n_stages: int,
     waiting = np.zeros(n_stages, dtype=bool)
     k_cur = 1
     for t in range(n_stages):
-        m_t = float(svc.take(k_cur).max())
-        a = int(arr_rng.poisson(lam * m_t))
+        m_t = max(take(k_cur))
+        a = poisson(lam * m_t)
         m[t] = m_t
         k[t] = k_cur
         if a == 0:
-            y[t] = m_t + float(arr_rng.exponential(1.0 / lam))
+            y[t] = m_t + exponential(wait_scale)
             waiting[t] = True
             k_cur = 1
         else:
@@ -182,9 +194,9 @@ def simulate_gi(arrivals: ArrivalDistribution, mu: float, n_stages: int,
         raise ValueError(f"n_stages must be >= 1, got {n_stages}")
     if burn_in < 0:
         raise ValueError(f"burn_in must be >= 0, got {burn_in}")
-    gaps = _ChunkedSampler(_substream(seed, 0), arrivals.sample)
-    svc = _ChunkedSampler(_substream(seed, 1),
-                          ServiceDistribution.exponential(mu).sample)
+    gap = _ChunkedSampler(_substream(seed, 0), arrivals.sample).one
+    take = _ChunkedSampler(_substream(seed, 1),
+                           ServiceDistribution.exponential(mu).sample).take
 
     y = np.empty(n_stages)
     m = np.empty(n_stages)
@@ -192,11 +204,11 @@ def simulate_gi(arrivals: ArrivalDistribution, mu: float, n_stages: int,
     waiting = np.zeros(n_stages, dtype=bool)
     k_cur = 1
     for t in range(n_stages):
-        m_t = float(svc.take(k_cur).max())
-        s = gaps.one()
+        m_t = max(take(k_cur))
+        s = gap()
         count = 1
         while s <= m_t:
-            s += gaps.one()
+            s += gap()
             count += 1
         y[t] = s
         m[t] = m_t

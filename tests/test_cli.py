@@ -1,12 +1,13 @@
 """Command-line interface: artifacts, exit codes, config handling."""
 
+import argparse
 import json
 import os
 
 import numpy as np
 import pytest
 
-from gatedq import cli, giqueue, mgqueue
+from gatedq import cli, giqueue, mgqueue, simulator
 from gatedq.cli import main, write_csv
 from gatedq.distributions import ArrivalDistribution, ServiceDistribution
 
@@ -90,7 +91,7 @@ def test_simulate_trace_round_trips(tmp_path):
     parsed = [(int(r[0]), float(r[1]), int(r[2]), r[3] == "true", float(r[4]))
               for r in rows]
     rewritten = os.path.join(out, "again.csv")
-    write_csv(rewritten, header, parsed)
+    write_csv(rewritten, header, zip(*parsed))
     assert open(rewritten).read() == open(trace_path).read()
     stats = read_json(os.path.join(out, "stats-mg.json"))
     assert stats["n_used"] == 200
@@ -262,6 +263,11 @@ def test_unconverged_compare_exits_3_before_simulating(argv, tmp_path, capsys,
     ["compare", "--figure", "mean-length", "--mu", "2.5", "--rho-grid", "0.0"],
     ["bogus-subcommand"],
     [],
+    ["analyze-mg", "--lambda", "0.5", "--mu", "nan"],
+    ["simulate", "--model", "mg", "--lambda", "nan", "--mu", "1.0"],
+    ["analyze-mg", "--lambda", "0.5", "--mu", "1.0", "--order", "10",
+     "--n-max", "12"],
+    ["analyze-gi", "--rho", "0.3", "--n-max", "30"],
 ])
 def test_config_errors_exit_1(argv, tmp_path, capsys):
     assert main(argv + ["--out", str(tmp_path)] if argv else argv) == 1
@@ -297,7 +303,115 @@ def test_simulate_insufficient_data_exits_1_after_writing_trace(tmp_path, capsys
 def test_csv_cells_preserve_value_semantics(tmp_path):
     path = str(tmp_path / "cells.csv")
     awkward = 0.1 + 0.2
-    write_csv(path, ["a", "b", "c", "d"], [(1, awkward, True, "name")])
+    write_csv(path, ["a", "b", "c", "d"], [[1], [awkward], [True], ["name"]])
     header, rows = read_csv(path)
     assert rows == [["1", "0.30000000000000004", "true", "name"]]
     assert float(rows[0][1]) == awkward
+
+
+# The per-row writer that formatted every cell through one type dispatch,
+# kept as the reference for the column-wise writer's bytes.
+
+def _reference_cell(v) -> str:
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, float):
+        return repr(v)
+    return str(v)
+
+
+def reference_csv(header, rows) -> str:
+    lines = [",".join(header)]
+    lines.extend(",".join(_reference_cell(v) for v in row) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+def read_text(path):
+    with open(path) as fh:
+        return fh.read()
+
+
+def test_write_csv_columns_match_the_per_row_writer(tmp_path):
+    floats = np.array([0.1 + 0.2, -0.0, 1e-300, 5e-324, np.inf, -np.inf,
+                       np.nan, 123456789.0])
+    ints = np.arange(-4, 4)
+    small = np.arange(8, dtype=np.uint8)
+    flags = floats > 0.0
+    singles = floats.astype(np.float32)
+    mixed = ["x", 2, 0.5, True, None, -1, "", 7e22]
+    header = list("abcdefg")
+    path = write_csv(str(tmp_path / "cols.csv"), header,
+                     [range(3, 11), floats, ints, small, flags, singles, mixed])
+    # float64, integer and bool arrays reach the old writer as the Python
+    # scalars of tolist(); any other column element by element.
+    rows = zip(range(3, 11), floats.tolist(), ints.tolist(), small.tolist(),
+               flags.tolist(), singles, mixed)
+    assert read_text(path) == reference_csv(header, rows)
+    path = write_csv(str(tmp_path / "empty.csv"), ["a", "b"], [[], np.empty(0)])
+    assert read_text(path) == "a,b\n"
+    with pytest.raises(ValueError):
+        write_csv(str(tmp_path / "ragged.csv"), ["a", "b"], [range(3), [1.0]])
+
+
+@pytest.mark.parametrize("argv", [
+    ["--model", "mg", "--lambda", "1.0", "--mu", "2.5", "--seed", "61"],
+    ["--model", "gi", "--rho", "0.5", "--seed", "62"],
+])
+def test_simulate_trace_bytes_match_the_per_row_writer(argv, tmp_path):
+    out = str(tmp_path)
+    assert main(["simulate"] + argv + ["--stages", "3000", "--out", out]) == 0
+    args = dict(zip(argv[::2], argv[1::2]))
+    seed = int(args["--seed"])
+    if args["--model"] == "mg":
+        trace = simulator.simulate_mg(
+            1.0, ServiceDistribution.exponential(2.5), 3000, seed=seed)
+    else:
+        trace = simulator.simulate_gi(ArrivalDistribution.poisson(0.5), 1.0,
+                                      3000, seed=seed)
+    rows = [(i, float(trace.y[i]), int(trace.k[i]), bool(trace.waiting[i]),
+             float(trace.m[i])) for i in range(len(trace))]
+    got = read_text(os.path.join(out, f"trace-{args['--model']}.csv"))
+    assert got == reference_csv(["n", "y", "k", "waiting_phase", "m"], rows)
+
+
+def test_analyze_gi_pmf_bytes_match_the_per_row_writer(tmp_path):
+    out = str(tmp_path)
+    assert main(["analyze-gi", "--rho", "0.5", "--out", out]) == 0
+    model = giqueue.GiModel(ArrivalDistribution.poisson(0.5), 1.0)
+    sol = giqueue.solve_factorial_moments(model, order=25)
+    mass = giqueue.pmf_total_mass(sol, model)
+    rows, cum = [], 0.0
+    for i in range(1, 100001):
+        pi = giqueue.stationary_pmf(sol, model, i)
+        rows.append((i, pi))
+        cum += pi
+        if mass - cum < 1e-10 and i >= 10:
+            break
+    got = read_text(os.path.join(out, "analyze-gi-pmf.csv"))
+    assert got == reference_csv(["i", "pi"], rows)
+
+
+@pytest.mark.parametrize("figure,argv", [
+    ("density", ["--lambda", "1.0", "--mu", "2.5", "--bins", "16"]),
+    ("pmf", ["--rho", "0.5"]),
+])
+def test_compare_bytes_match_the_per_row_writer(figure, argv, tmp_path):
+    out = str(tmp_path)
+    assert main(["compare", "--figure", figure, "--stages", "3000",
+                 "--seed", "63", "--out", out] + argv) == 0
+    if figure == "density":
+        model = mgqueue.MgModel(1.0, ServiceDistribution.exponential(2.5))
+        sol = mgqueue.solve_stage_moments(model, order=10)
+        trace = simulator.simulate_mg(1.0, model.service, 3000, seed=63)
+        rows = cli._density_rows(argparse.Namespace(mu=2.5, bins=16), 10,
+                                 None, model, sol, trace)
+        first = "y"
+    else:
+        model = giqueue.GiModel(ArrivalDistribution.poisson(0.5), 1.0)
+        sol = giqueue.solve_factorial_moments(model, order=25)
+        trace = simulator.simulate_gi(model.arrivals, 1.0, 3000, seed=63)
+        rows = cli._pmf_rows(argparse.Namespace(bins=64), 25, None, model,
+                             sol, trace)
+        first = "i"
+    got = read_text(os.path.join(out, f"compare-{figure}.csv"))
+    assert got == reference_csv([first, "analytic", "simulated", "se"], rows)

@@ -290,6 +290,46 @@ def test_service_sampling_inversion_fallback():
     assert abs(draws.mean() - 1.0 / MU) < 3.5 * se
 
 
+def numpy_erlang2(rate, counter=None):
+    """Erlang-2 cdf written with numpy, so it maps arrays to arrays."""
+
+    def cdf(y):
+        if counter is not None:
+            counter["cdf"] += 1
+        y = np.asarray(y, dtype=float)
+        return np.where(y < 0, 0.0, 1.0 - (1.0 + rate * y) * np.exp(-rate * y))
+
+    return cdf
+
+
+def test_inversion_bisects_whole_arrays_when_the_cdf_takes_them():
+    counter = {"cdf": 0}
+    cdf = numpy_erlang2(10.0, counter)
+    on_arrays = ServiceDistribution.from_callables(lambda y: 0.0, cdf)
+    # float() of a two-element array raises, so this law takes the
+    # per-element path through np.vectorize.
+    on_scalars = ServiceDistribution.from_callables(
+        lambda y: 0.0, lambda y: float(numpy_erlang2(10.0)(y)))
+    got = on_arrays.sample(np.random.default_rng(17), 2000)
+    calls = counter["cdf"]
+    assert calls < 300
+    want = on_scalars.sample(np.random.default_rng(17), 2000)
+    assert np.array_equal(got, want)
+    se = got.std(ddof=1) / math.sqrt(got.size)
+    assert abs(got.mean() - 0.2) < 3.5 * se
+
+
+def test_inversion_still_samples_a_scalar_only_math_cdf():
+    # math.expm1 rejects an array with TypeError; wrapped_exponential's
+    # comparison y >= 0 rejects one with ValueError.
+    d = ServiceDistribution.from_callables(
+        lambda y: 0.0, lambda y: -math.expm1(-2.0 * y), name="math-exp")
+    draws = d.sample(np.random.default_rng(19), 2000)
+    assert np.all(draws >= 0.0)
+    se = draws.std(ddof=1) / math.sqrt(draws.size)
+    assert abs(draws.mean() - 0.5) < 3.5 * se
+
+
 def test_user_sampler_callable_wins():
     d = ServiceDistribution.from_callables(
         pdf=lambda y: 0.0, cdf=lambda y: 0.0,

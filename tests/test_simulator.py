@@ -4,11 +4,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gatedq import giqueue, mgqueue, simulator
 from gatedq.distributions import ArrivalDistribution, ServiceDistribution
 from gatedq.errors import InsufficientDataError
-from gatedq.simulator import _ChunkedSampler, simulate_gi, simulate_mg
+from gatedq.simulator import (
+    _CHUNK,
+    StageTrace,
+    _ChunkedSampler,
+    _substream,
+    simulate_gi,
+    simulate_mg,
+)
 
 LAM = 1.0
 MU = 2.5
@@ -191,3 +200,165 @@ def test_chunked_sampler_crosses_buffer_boundaries():
     singles = np.array([b.one() for _ in range(30)])
     np.testing.assert_array_equal(got, singles)
     assert np.all((got >= 0.0) & (got < 1.0))
+
+
+# ------------------------------------------------- literal reference engine ----
+# The sampler and both stage loops as they were written on numpy buffers and
+# numpy scalars, kept verbatim as the reference: the engine that serves
+# Python floats must reproduce every draw and every stage bit for bit.
+
+class _ReferenceChunkedSampler:
+    """Serves draws from fn(rng, size) out of large pre-drawn chunks."""
+
+    def __init__(self, rng: np.random.Generator, fn, chunk: int = _CHUNK):
+        self._rng = rng
+        self._fn = fn
+        self._chunk = chunk
+        self._buf = np.asarray(fn(rng, chunk), dtype=float)
+        self._pos = 0
+
+    def take(self, n: int) -> np.ndarray:
+        if self._pos + n <= len(self._buf):
+            out = self._buf[self._pos:self._pos + n]
+            self._pos += n
+            return out
+        parts = [self._buf[self._pos:]]
+        need = n - len(parts[0])
+        while need > self._chunk:
+            parts.append(np.asarray(self._fn(self._rng, self._chunk), dtype=float))
+            need -= self._chunk
+        self._buf = np.asarray(self._fn(self._rng, self._chunk), dtype=float)
+        parts.append(self._buf[:need])
+        self._pos = need
+        return np.concatenate(parts)
+
+    def one(self) -> float:
+        if self._pos >= len(self._buf):
+            self._buf = np.asarray(self._fn(self._rng, self._chunk), dtype=float)
+            self._pos = 0
+        v = self._buf[self._pos]
+        self._pos += 1
+        return float(v)
+
+
+def reference_simulate_mg(lam: float, service: ServiceDistribution,
+                          n_stages: int, seed: int,
+                          burn_in: int = 1000) -> StageTrace:
+    arr_rng = _substream(seed, 0)
+    svc = _ReferenceChunkedSampler(_substream(seed, 1), service.sample)
+
+    y = np.empty(n_stages)
+    m = np.empty(n_stages)
+    k = np.empty(n_stages, dtype=np.int64)
+    waiting = np.zeros(n_stages, dtype=bool)
+    k_cur = 1
+    for t in range(n_stages):
+        m_t = float(svc.take(k_cur).max())
+        a = int(arr_rng.poisson(lam * m_t))
+        m[t] = m_t
+        k[t] = k_cur
+        if a == 0:
+            y[t] = m_t + float(arr_rng.exponential(1.0 / lam))
+            waiting[t] = True
+            k_cur = 1
+        else:
+            y[t] = m_t
+            k_cur = a
+    return StageTrace(y=y, m=m, k=k, waiting=waiting, seed=seed,
+                      burn_in=burn_in, kind="mg",
+                      model=f"mg(lam={lam}, service={service.name})")
+
+
+def reference_simulate_gi(arrivals: ArrivalDistribution, mu: float,
+                          n_stages: int, seed: int,
+                          burn_in: int = 1000) -> StageTrace:
+    gaps = _ReferenceChunkedSampler(_substream(seed, 0), arrivals.sample)
+    svc = _ReferenceChunkedSampler(_substream(seed, 1),
+                                   ServiceDistribution.exponential(mu).sample)
+
+    y = np.empty(n_stages)
+    m = np.empty(n_stages)
+    k = np.empty(n_stages, dtype=np.int64)
+    waiting = np.zeros(n_stages, dtype=bool)
+    k_cur = 1
+    for t in range(n_stages):
+        m_t = float(svc.take(k_cur).max())
+        s = gaps.one()
+        count = 1
+        while s <= m_t:
+            s += gaps.one()
+            count += 1
+        y[t] = s
+        m[t] = m_t
+        k[t] = k_cur
+        k_cur = count
+    return StageTrace(y=y, m=m, k=k, waiting=waiting, seed=seed,
+                      burn_in=burn_in, kind="gi",
+                      model=f"gi(arrivals={arrivals.name}, mu={mu})")
+
+
+def assert_same_trace(got: StageTrace, want: StageTrace) -> None:
+    for column in ("y", "m", "k", "waiting"):
+        a, b = getattr(got, column), getattr(want, column)
+        assert a.dtype == b.dtype, column
+        assert np.array_equal(a, b), column
+    assert (got.seed, got.burn_in, got.kind, got.model) == \
+        (want.seed, want.burn_in, want.kind, want.model)
+
+
+@pytest.mark.parametrize("lam,mu,seed", [(1.0, 2.5, 2026), (0.3, 0.6, 2027),
+                                         (2.8, 4.0, 2028)])
+def test_mg_engine_matches_the_literal_reference(lam, mu, seed):
+    service = ServiceDistribution.exponential(mu)
+    assert_same_trace(simulate_mg(lam, service, 5000, seed=seed),
+                      reference_simulate_mg(lam, service, 5000, seed=seed))
+
+
+def test_mg_engine_matches_the_reference_on_a_user_sampler():
+    erlang2 = ServiceDistribution.from_callables(
+        pdf=lambda y: 0.0, cdf=lambda y: 0.0, name="erlang2-sampler",
+        sampler=lambda rng, size: rng.gamma(2.0, 0.2, size))
+    assert_same_trace(simulate_mg(1.5, erlang2, 5000, seed=31),
+                      reference_simulate_mg(1.5, erlang2, 5000, seed=31))
+
+
+@pytest.mark.parametrize("arrivals,mu,seed", [
+    (ArrivalDistribution.poisson(0.5), 1.0, 41),
+    (ArrivalDistribution.deterministic(1.5), 1.0, 42),
+])
+def test_gi_engine_matches_the_literal_reference(arrivals, mu, seed):
+    assert_same_trace(simulate_gi(arrivals, mu, 5000, seed=seed),
+                      reference_simulate_gi(arrivals, mu, 5000, seed=seed))
+
+
+def test_engines_match_the_reference_across_chunk_boundaries():
+    tr = simulate_mg(LAM, SERVICE, 70000, seed=51)
+    assert_same_trace(tr, reference_simulate_mg(LAM, SERVICE, 70000, seed=51))
+    # The services drawn span more than one 65 536-draw chunk.
+    assert tr.k.sum() > _CHUNK
+    tr = simulate_gi(GI_ARRIVALS, 1.0, 70000, seed=52)
+    assert_same_trace(tr, reference_simulate_gi(GI_ARRIVALS, 1.0, 70000,
+                                                seed=52))
+    assert tr.k.sum() > _CHUNK
+
+
+@settings(max_examples=25, deadline=None)
+@given(rho=st.floats(0.02, 0.95), mu=st.floats(0.2, 5.0),
+       seed=st.integers(0, 2 ** 63 - 1))
+def test_engines_match_the_reference_and_keep_their_invariants(rho, mu, seed):
+    lam = rho * mu
+    service = ServiceDistribution.exponential(mu)
+    tr = simulate_mg(lam, service, 400, seed=seed, burn_in=0)
+    assert_same_trace(tr, reference_simulate_mg(lam, service, 400, seed=seed,
+                                                burn_in=0))
+    assert np.all(tr.k >= 1)
+    assert np.all(tr.y >= tr.m)
+    assert np.array_equal(tr.waiting, tr.y > tr.m)
+
+    arrivals = ArrivalDistribution.poisson(lam)
+    tr = simulate_gi(arrivals, mu, 400, seed=seed, burn_in=0)
+    assert_same_trace(tr, reference_simulate_gi(arrivals, mu, 400, seed=seed,
+                                                burn_in=0))
+    assert np.all(tr.k >= 1)
+    assert np.all(tr.y > tr.m)
+    assert not tr.waiting.any()
