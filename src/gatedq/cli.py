@@ -46,6 +46,18 @@ class ConfigError(ValueError):
 
 
 class _Parser(argparse.ArgumentParser):
+    """Raises ConfigError instead of exiting, and keeps each flag's action
+    by destination so that config-file values can be checked against it."""
+
+    def __init__(self, *args, **kwargs):
+        self.flags = {}
+        super().__init__(*args, **kwargs)
+
+    def add_argument(self, *args, **kwargs):
+        action = super().add_argument(*args, **kwargs)
+        self.flags[action.dest] = action
+        return action
+
     def error(self, message):
         raise ConfigError(message)
 
@@ -170,10 +182,40 @@ def _build_parser() -> _Parser:
     cmp_.add_argument("--burn-in", type=int, default=1000)
     cmp_.add_argument("--bins", type=int, default=64)
     common(cmp_)
+    p.commands = sub.choices
     return p
 
 
-def _apply_config_file(args: argparse.Namespace) -> argparse.Namespace:
+def _config_value(action, key: str, value):
+    """A config-file value as the flag would have parsed it, or ConfigError.
+
+    JSON numbers stand for float flags (ints are widened), integers for int
+    flags, strings for text flags and true/false for switches; a JSON
+    true/false is never taken as a number.
+    """
+    if action.nargs == 0:
+        kind, ok = "true or false", isinstance(value, bool)
+    elif action.type is float:
+        kind = "a number"
+        ok = isinstance(value, (int, float)) and not isinstance(value, bool)
+        value = float(value) if ok else value
+    elif action.type is int:
+        kind = "an integer"
+        ok = isinstance(value, int) and not isinstance(value, bool)
+    else:
+        kind, ok = "a string", isinstance(value, str)
+    if ok and action.choices is not None and value not in action.choices:
+        kind, ok = f"one of {', '.join(map(repr, action.choices))}", False
+    if not ok:
+        raise ConfigError(f"config key {key!r} must be {kind}, "
+                          f"got {json.dumps(value)}")
+    return value
+
+
+def _apply_config_file(args: argparse.Namespace,
+                       flags: dict) -> argparse.Namespace:
+    """Override args with the JSON object in --config; flags maps each
+    destination of the subcommand to its argparse action."""
     path = getattr(args, "config", None)
     if not path:
         return args
@@ -188,10 +230,10 @@ def _apply_config_file(args: argparse.Namespace) -> argparse.Namespace:
         attr = key.replace("-", "_")
         if attr == "lambda":
             attr = "lam"
-        if not hasattr(args, attr):
+        if attr not in flags or not hasattr(args, attr):
             raise ConfigError(f"config key {key!r} is not a flag of "
                               f"{args.subcommand}")
-        setattr(args, attr, value)
+        setattr(args, attr, _config_value(flags[attr], key, value))
     return args
 
 
@@ -203,19 +245,20 @@ def _require(args, *names) -> None:
 
 
 # (attribute, rejects, requirement), checked in this order; None passes.
-# Rates are rejected unless v > 0, which NaN never is.
+# Rates are rejected unless 0 < v < inf, which NaN never satisfies.
 _LIMITS = (
     ("order", lambda v: v < 4, "be >= 4"),
     ("tol", lambda v: not 0.0 < v < 1.0, "lie in (0, 1)"),
     ("stages", lambda v: v < 1, "be >= 1"),
     ("burn_in", lambda v: v < 0, "be >= 0"),
-) + tuple((rate, lambda v: not v > 0, "be positive")
+) + tuple((rate, lambda v: not 0 < v < math.inf, "be positive and finite")
           for rate in ("lam", "mu", "rho", "arrival_rate", "deterministic"))
 
 
 def validate_config(args) -> None:
-    """Rates positive, order >= 4, tol in (0, 1), stages >= 1, burn-in >= 0,
-    and n-max either order (a pinned truncation) or at least 2 * order."""
+    """Rates positive and finite, order >= 4, tol in (0, 1), stages >= 1,
+    burn-in >= 0, and n-max either order (a pinned truncation) or at least
+    2 * order."""
     for attr, rejects, requirement in _LIMITS:
         v = getattr(args, attr, None)
         if v is not None and rejects(v):
@@ -458,7 +501,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.subcommand is None:
             raise ConfigError("a subcommand is required (see --help)")
-        args = _apply_config_file(args)
+        args = _apply_config_file(args,
+                                  parser.commands[args.subcommand].flags)
         validate_config(args)
         return _DISPATCH[args.subcommand](args)
     except ConfigError as exc:

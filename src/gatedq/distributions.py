@@ -27,18 +27,36 @@ tail max(Gbar(y), 0) at every quadrature node.  The node memo pays because
 QUADPACK refines each octave by bisection, so the integrals of all entries
 of a law sample Gbar at the same dyadic Gauss-Kronrod nodes; a user cdf is
 then called once per distinct node instead of once per node per entry.
+The quadratures reach scipy.integrate through the module attribute
+integrate, which is imported on first access, so a program that only uses
+exponential laws never loads scipy.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import sys
 import threading
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import integrate
+
+
+def __getattr__(name: str):
+    """The module attribute integrate is scipy.integrate, imported on first
+    access: only the quadratures of general laws need it."""
+    global integrate
+    if name == "integrate":
+        from scipy import integrate
+        return integrate
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def _integrate():
+    """The module attribute integrate, which a caller may have replaced."""
+    return getattr(sys.modules[__name__], "integrate")
 
 
 class DivergentMomentError(ValueError):
@@ -277,6 +295,7 @@ def min_moment(d: ServiceDistribution, m: int, k: int,
             # Out of double range; finish in log space, saturating at inf.
             log_val = math.lgamma(m + 1) - m * math.log(k * d.mu)
             return math.exp(log_val) if log_val < 709.0 else math.inf
+    integrate = _integrate()
     if tail is None:
         tail = functools.partial(_clamped_sf, d)
     y_max = tail_support(d, _TAIL_EPS, k, tail)
@@ -412,6 +431,7 @@ def validate(d) -> ValidationReport:
     issues = []
     defect = None
     if isinstance(d, ServiceDistribution):
+        integrate = _integrate()
         try:
             y_max = tail_support(d, _TAIL_EPS)
             mass, _ = integrate.quad(lambda y: float(d.pdf(y)), 0.0, y_max,

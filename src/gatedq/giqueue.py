@@ -42,12 +42,12 @@ combinations of geometric laws:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy.special import zeta
 
 from . import linsys
 from .distributions import ArrivalDistribution
@@ -56,6 +56,10 @@ from .errors import OutOfRegimeError, UnconvergedError
 _MAX_BINOMIAL_ROW = 60
 _PMF_TERM_TOL = 1e-14
 _NEGATIVE_CLAMP = -1e-10
+# Bernoulli numbers B_2, B_4, ..., B_16 for the Euler-Maclaurin tail of zeta.
+_BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6,
+              -3617 / 510)
+_ZETA_HEAD = 10
 
 
 @dataclass(frozen=True)
@@ -134,6 +138,24 @@ def light_traffic_ok(model: GiModel) -> LightTraffic:
     return LightTraffic(ok=b1 < 0.5, margin=0.5 - b1)
 
 
+@functools.lru_cache(maxsize=None)
+def _zeta(s: int) -> float:
+    """Riemann zeta(s) for an integer s >= 2, memoized.
+
+    Sums n^-s for n < 10 and adds the Euler-Maclaurin tail at N = 10 with
+    Bernoulli terms through B_16, all in one math.fsum.  For s = 2..65 the
+    result is the correctly rounded double.
+    """
+    n = _ZETA_HEAD
+    terms = [k ** -s for k in range(1, n)]
+    terms += [n ** (1 - s) / (s - 1), 0.5 * n ** -s]
+    rising = s  # s (s+1) ... (s+2k-2)
+    for k, b in enumerate(_BERNOULLI, start=1):
+        terms.append(b / math.factorial(2 * k) * rising * n ** (1 - s - 2 * k))
+        rising *= (s + 2 * k - 1) * (s + 2 * k)
+    return math.fsum(terms)
+
+
 def _pairwise_sum(terms) -> float:
     vals = list(terms)
     if not vals:
@@ -210,7 +232,7 @@ def _poisson_oracle(model: GiModel) -> linsys.CoefficientOracle:
     def analytic_region() -> bool:
         if not rho < 6.0 / math.pi ** 2:
             return False
-        worst = max(i * rho ** (i - 1) * (zeta(i) + rho * zeta(i + 1))
+        worst = max(i * rho ** (i - 1) * (_zeta(i) + rho * _zeta(i + 1))
                     for i in range(2, 65))
         return bool(worst < 1.0)
 

@@ -7,7 +7,8 @@ the unique bounded solution of the infinite system.  This module provides the
 generic pieces of that scheme:
 
 * truncate: materialize the leading N x N block and right-hand side,
-* solve: dense LU solve with residual reporting,
+* solve: dense LU solve (numpy's LAPACK gesv) with a condition guard and
+  residual reporting,
 * dominance_report: probe the strict-dominance ratios sigma_i and the three
   side conditions (summable inverse diagonals, uniformly bounded off-row
   sums, finite column sums) that the truncation-convergence argument needs,
@@ -35,7 +36,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import lapack
 
 
 class AssemblyError(ValueError):
@@ -43,7 +43,7 @@ class AssemblyError(ValueError):
 
 
 class SingularSystemError(ValueError):
-    """Dense factorization hit a numerically zero pivot."""
+    """A truncation is singular or too ill-conditioned to solve."""
 
 
 class ZeroDiagonalError(ValueError):
@@ -83,8 +83,12 @@ class TruncatedSystem:
 
 @dataclass(frozen=True)
 class SolveResult:
+    """Solution x with the residual inf-norm and the 1-norm reciprocal
+    condition number of the row-equilibrated system."""
+
     x: np.ndarray
     residual: float
+    rcond: float
 
 
 @dataclass
@@ -189,8 +193,10 @@ def solve(sys: TruncatedSystem) -> SolveResult:
 
     Rows are equilibrated to unit max magnitude first: the assembled systems
     have diagonals growing geometrically with the row index, and without
-    scaling a healthy pivot in a small-magnitude row is indistinguishable
-    from a genuinely collapsed one.
+    scaling a well-posed small-magnitude row is indistinguishable from a
+    genuinely collapsed one.  The equilibrated matrix is refused as singular
+    when LAPACK meets an exactly zero pivot or when its exact 1-norm
+    reciprocal condition number 1 / (|A|_1 |A^-1|_1) is at most n * eps.
     """
     if sys.a.shape[0] != sys.a.shape[1]:
         raise ValueError("system matrix must be square")
@@ -198,20 +204,22 @@ def solve(sys: TruncatedSystem) -> SolveResult:
     if np.any(row_scale == 0.0):
         raise SingularSystemError(
             f"numerically singular truncation (order {sys.n}): zero row")
-    a_eq = sys.a / row_scale[:, None]
-    b_eq = sys.b / row_scale
-    # LAPACK's getrf/getrs, which lu_factor/lu_solve wrap, report a zero
-    # pivot through info instead of a warning; the check below turns it
-    # into SingularSystemError.
-    lu, piv, _ = lapack.dgetrf(np.asarray_chkfinite(a_eq))
-    tiny = np.abs(np.diag(lu)).min()
-    if tiny <= sys.n * np.finfo(float).eps:
+    a_eq = np.asarray_chkfinite(sys.a / row_scale[:, None])
+    b_eq = np.asarray_chkfinite(sys.b / row_scale)
+    try:
+        inv = np.linalg.inv(a_eq)
+        x = np.linalg.solve(a_eq, b_eq)
+    except np.linalg.LinAlgError as exc:
         raise SingularSystemError(
-            f"numerically singular truncation (order {sys.n}): "
-            f"smallest pivot magnitude {tiny:.3e} after row equilibration")
-    x, _ = lapack.dgetrs(lu, piv, np.asarray_chkfinite(b_eq))
+            f"numerically singular truncation (order {sys.n}): {exc}") from None
+    rcond = 1.0 / (float(np.abs(a_eq).sum(axis=0).max())
+                   * float(np.abs(inv).sum(axis=0).max()))
+    if rcond <= sys.n * np.finfo(float).eps:
+        raise SingularSystemError(
+            f"numerically singular truncation (order {sys.n}): reciprocal "
+            f"condition number {rcond:.3e} after row equilibration")
     residual = float(np.abs(a_eq @ x - b_eq).max())
-    return SolveResult(x=x, residual=residual)
+    return SolveResult(x=x, residual=residual, rcond=rcond)
 
 
 def _rows_before_failure(block, rows: np.ndarray) -> np.ndarray:

@@ -366,18 +366,52 @@ def mean_customers_per_stage(sol: MgMomentSolution) -> float:
     return 1.0 + sol.s
 
 
+def _exponential_count_pmf(sol: MgMomentSolution, model: MgModel,
+                           k: int) -> float:
+    """P(K = k) in closed form for exponential service.
+
+    With c_j = (-1)^j y_j over the series terms and C = 1 + sum_j c_j, the
+    series density is C mu e^{-mu t} - sum_j c_j j mu e^{-j mu t}, a finite
+    sum of exponentials w_j j mu e^{-j mu t}.  Each integrates against the
+    Poisson weight in closed form, with a = lam + j mu:
+
+        k >= 2:  w_j j mu lam^k / a^(k+1),  taken in log space as
+                 w_j (j mu / a) exp(-k log1p(j mu / lam)),
+        k = 1:   w_j j mu (1/a + lam/a^2).
+    """
+    lam, mu = model.lam, model.service.mu
+    ks = _series_cutoff(sol.y)
+    coef = [(-1.0) ** j * sol.y[j] for j in ks]
+    weights = [1.0 + math.fsum(coef)] + [-c for c in coef]
+    terms = []
+    for j, w in zip([1] + ks, weights):
+        rate = j * mu
+        a = lam + rate
+        if k == 1:
+            terms.append(w * rate * (1.0 / a + lam / (a * a)))
+        else:
+            terms.append(w * rate / a * math.exp(-k * math.log1p(rate / lam)))
+    return math.fsum(terms)
+
+
 def stage_count_pmf(sol: MgMomentSolution, model: MgModel, k: int) -> float:
-    """P(K = k) by quadrature of the conditional law against the density.
+    """P(K = k): the conditional law of K integrated against the density.
 
     Conditional on a stage length y the next stage serves Poisson(lam y)
     customers for k >= 2 and 1 with the folded probability (1 + lam y) e^{-lam y}.
+    For exponential service the series density is a finite sum of
+    exponentials and the integral is taken in closed form; any other law
+    integrates by quadrature (scipy.integrate.quad) up to where the tail
+    falls below 1e-10 or the support ends.
     """
-    from scipy import integrate
-
     if k < 1:
         raise ValueError(f"customer count starts at 1, got k={k}")
     if not sol.converged:
         raise UnconvergedError("stage_count_pmf needs a converged moment solution")
+    if model.service.kind == "exponential":
+        return _exponential_count_pmf(sol, model, k)
+    from scipy import integrate
+
     lam = model.lam
     y_max = support_end(model.service,
                         tail_support(model.service, _GRID_TAIL_EPS))

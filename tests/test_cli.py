@@ -268,6 +268,9 @@ def test_unconverged_compare_exits_3_before_simulating(argv, tmp_path, capsys,
     ["analyze-mg", "--lambda", "0.5", "--mu", "1.0", "--order", "10",
      "--n-max", "12"],
     ["analyze-gi", "--rho", "0.3", "--n-max", "30"],
+    ["analyze-mg", "--lambda", "0.5", "--mu", "inf"],
+    ["simulate", "--model", "mg", "--lambda", "inf", "--mu", "1.0",
+     "--stages", "2000"],
 ])
 def test_config_errors_exit_1(argv, tmp_path, capsys):
     assert main(argv + ["--out", str(tmp_path)] if argv else argv) == 1
@@ -287,6 +290,50 @@ def test_bad_config_files_exit_1(tmp_path, capsys):
     assert main(["analyze-mg", "--lambda", "0.4", "--mu", "1.0",
                  "--config", str(tmp_path / "missing.json"),
                  "--out", out]) == 1
+
+
+ANALYZE_MG = ["analyze-mg", "--lambda", "0.4", "--mu", "1.0"]
+SIMULATE_MG = ["simulate", "--model", "mg", "--lambda", "0.4", "--mu", "1.0",
+               "--stages", "2000"]
+
+
+@pytest.mark.parametrize("argv,overrides", [
+    (ANALYZE_MG, {"order": "12"}),
+    (ANALYZE_MG, {"order": 12.0}),
+    (ANALYZE_MG, {"order": True}),
+    (ANALYZE_MG, {"lambda": "0.5"}),
+    (ANALYZE_MG, {"lambda": False}),
+    (ANALYZE_MG, {"mu": None}),
+    (ANALYZE_MG, {"assembly": "bogus"}),
+    (ANALYZE_MG, {"assembly": 3}),
+    (ANALYZE_MG, {"out": 7}),
+    (ANALYZE_MG, {"subcommand": "analyze-gi"}),
+    (SIMULATE_MG, {"seed": True}),
+    (SIMULATE_MG, {"burn-in": False}),
+])
+def test_config_values_are_type_checked(argv, overrides, tmp_path, capsys):
+    cfg = tmp_path / "typed.json"
+    cfg.write_text(json.dumps(overrides))
+    out = tmp_path / "out"
+    assert main(argv + ["--config", str(cfg), "--out", str(out)]) == 1
+    assert stderr_code(capsys) == "config"
+    assert not out.exists()
+
+
+def test_config_values_parse_like_their_flags(tmp_path):
+    """An integer for a float flag and true for a switch are accepted, and
+    the run writes the same bytes as the same flags on the command line."""
+    by_flags, by_config = tmp_path / "flags", tmp_path / "config"
+    assert main(["analyze-gi", "--arrival-rate", "1", "--mu", "2",
+                 "--order", "20", "--override", "--out", str(by_flags)]) == 0
+    cfg = tmp_path / "typed.json"
+    cfg.write_text(json.dumps({"arrival-rate": 1, "mu": 2, "order": 20,
+                               "override": True}))
+    assert main(["analyze-gi", "--config", str(cfg),
+                 "--out", str(by_config)]) == 0
+    for name in ("analyze-gi.json", "analyze-gi-pmf.csv"):
+        assert ((by_flags / name).read_bytes()
+                == (by_config / name).read_bytes())
 
 
 def test_simulate_insufficient_data_exits_1_after_writing_trace(tmp_path, capsys):

@@ -211,3 +211,42 @@ def test_ladder_exhaustion_is_reported_not_raised():
         poisson_model(0.9), order=4, n_max=8, tol=1e-13)
     assert not sol.converged
     assert sol.convergence.rungs == [4, 8]
+
+
+# ------------------------------------------------------------- zeta region ----
+
+def test_zeta_matches_scipy_and_is_correctly_rounded():
+    import mpmath
+    from scipy.special import zeta
+
+    for s in range(2, 66):
+        assert abs(giqueue._zeta(s) - zeta(s)) <= 1e-15 * zeta(s), s
+        with mpmath.workdps(40):
+            assert giqueue._zeta(s) == float(mpmath.zeta(s)), s
+
+
+def _region_with_scipy_zeta(rho):
+    """The closed-form dominance region as written with scipy's zeta."""
+    from scipy.special import zeta
+
+    if not rho < 6.0 / math.pi ** 2:
+        return False
+    return max(i * rho ** (i - 1) * (zeta(i) + rho * zeta(i + 1))
+               for i in range(2, 65)) < 1.0
+
+
+def test_analytic_region_is_unchanged_on_a_dense_grid():
+    lo, hi = 0.2, 0.3  # bisect the crossover, near rho = 0.256
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if _region_with_scipy_zeta(mid) else (lo, mid)
+    edge = 6.0 / math.pi ** 2
+    grid = np.concatenate([
+        np.linspace(0.001, 0.99, 1500),
+        [lo, hi, np.nextafter(lo, 0.0), np.nextafter(hi, 1.0),
+         edge, np.nextafter(edge, 0.0), np.nextafter(edge, 1.0)]])
+    for rho in grid:
+        rho = float(rho)
+        region = giqueue.factorial_oracle(poisson_model(rho)).analytic_region
+        assert region() == _region_with_scipy_zeta(rho), rho
+    assert _region_with_scipy_zeta(lo) and not _region_with_scipy_zeta(hi)

@@ -99,6 +99,22 @@ def test_solve_rejects_zero_row():
         solve(TruncatedSystem(n=2, a=a, b=np.array([1.0, 0.0])))
 
 
+def test_solve_rejects_a_near_singular_matrix():
+    a = np.array([[1.0, 1.0], [1.0, 1.0 + np.finfo(float).eps]])
+    with pytest.raises(SingularSystemError, match="condition number"):
+        solve(TruncatedSystem(n=2, a=a, b=np.array([1.0, 2.0])))
+
+
+def test_solve_reports_the_reciprocal_condition_number():
+    assert solve(TruncatedSystem(n=4, a=np.eye(4), b=np.ones(4))).rcond == 1.0
+    # Row equilibration makes this diagonal system the identity.
+    a = np.diag([1.0, 1e3, 1e-6])
+    assert solve(TruncatedSystem(n=3, a=a, b=np.ones(3))).rcond == 1.0
+    a = np.array([[2.0, 1.0], [1.0, 2.0]])  # row-scaled: [[1, .5], [.5, 1]]
+    assert solve(TruncatedSystem(n=2, a=a, b=np.ones(2))).rcond == (
+        pytest.approx(1.0 / 3.0, rel=1e-14))
+
+
 def test_solve_rejects_rectangular_matrix():
     with pytest.raises(ValueError):
         solve(TruncatedSystem(n=2, a=np.ones((2, 3)), b=np.ones(2)))

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -361,6 +362,41 @@ def test_stage_count_pmf_is_a_distribution():
     broken = dataclasses.replace(sol, converged=False)
     with pytest.raises(UnconvergedError):
         mgqueue.stage_count_pmf(broken, m, 1)
+
+
+@pytest.mark.parametrize("lam,mu", [(0.1, 1.0), (1.0, 2.5), (0.5, 1.0),
+                                    (0.7, 1.0), (1.2, 2.0)])
+def test_closed_form_stage_count_pmf_matches_the_quadrature(lam, mu):
+    """The exponential closed form against the quadrature path, which the
+    same law takes when given as callables with an exact tail.
+
+    E[K] = 1 + s holds to the accuracy of the moment solution itself, about
+    1e-13 at these loads; at rho = 0.75 the default ladder (tol 1e-8) stops
+    with s off by 2e-11.
+    """
+    m = model(lam, mu)
+    as_callables = mgqueue.MgModel(lam, ServiceDistribution.from_callables(
+        pdf=lambda y: mu * np.exp(-mu * np.asarray(y, dtype=float)),
+        cdf=lambda y: -np.expm1(-mu * np.asarray(y, dtype=float)),
+        sf=lambda y: np.exp(-mu * np.asarray(y, dtype=float)),
+        name="exp-callables"))
+    sol = mgqueue.solve_stage_moments(m)
+    for k in range(1, 41):
+        assert abs(mgqueue.stage_count_pmf(sol, m, k)
+                   - mgqueue.stage_count_pmf(sol, as_callables, k)) <= 1e-12, k
+    pmf = [mgqueue.stage_count_pmf(sol, m, k) for k in range(1, 501)]
+    assert abs(math.fsum(pmf) - 1.0) <= 1e-13
+    mean = math.fsum(k * p for k, p in enumerate(pmf, start=1))
+    assert abs(mean - (1.0 + sol.s)) <= 1e-12
+
+
+def test_closed_form_stage_count_pmf_survives_large_counts():
+    m = model(0.7, 1.0)
+    sol = mgqueue.solve_stage_moments(m)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        p = mgqueue.stage_count_pmf(sol, m, 2000)
+    assert math.isfinite(p) and p >= 0.0
 
 
 def test_stage_count_pmf_stops_at_the_end_of_a_bounded_support():
