@@ -14,7 +14,8 @@ Subcommands:
                simulated, SE)
 
 Exit codes: 0 success, 1 invalid configuration (machine-readable JSON on
-stderr), 2 out-of-regime refusal, 3 unconverged truncation ladder.  On exit
+stderr), 2 out-of-regime refusal (also for a model whose coefficients leave
+floating-point range), 3 unconverged truncation ladder.  On exit
 3 analyze-mg and analyze-gi still write their JSON report (analyze-gi skips
 its pmf CSV); compare writes nothing and runs no simulation.  compare
 --figure mean-length pins the truncation at --order and never exits 3.
@@ -251,14 +252,17 @@ _LIMITS = (
     ("tol", lambda v: not 0.0 < v < 1.0, "lie in (0, 1)"),
     ("stages", lambda v: v < 1, "be >= 1"),
     ("burn_in", lambda v: v < 0, "be >= 0"),
+    ("bins", lambda v: v < 1, "be >= 1"),
 ) + tuple((rate, lambda v: not 0 < v < math.inf, "be positive and finite")
           for rate in ("lam", "mu", "rho", "arrival_rate", "deterministic"))
 
 
 def validate_config(args) -> None:
     """Rates positive and finite, order >= 4, tol in (0, 1), stages >= 1,
-    burn-in >= 0, and n-max either order (a pinned truncation) or at least
-    2 * order."""
+    burn-in >= 0, bins >= 1, n-max either order (a pinned truncation) or at
+    least 2 * order, tail-cutoff >= order, and for compare, whose figures
+    summarize their simulations, stages (the figure's default when not
+    given) leaving at least simulator.MIN_RECORDS stages after burn-in."""
     for attr, rejects, requirement in _LIMITS:
         v = getattr(args, attr, None)
         if v is not None and rejects(v):
@@ -268,6 +272,17 @@ def validate_config(args) -> None:
     if n_max is not None and n_max != args.order and n_max < 2 * args.order:
         raise ConfigError(f"n-max must equal order ({args.order}) or be >= "
                           f"2 * order ({2 * args.order}), got {n_max}")
+    cutoff = getattr(args, "tail_cutoff", None)
+    if cutoff is not None and cutoff < args.order:
+        raise ConfigError(f"tail-cutoff must be >= order ({args.order}), "
+                          f"got {cutoff}")
+    if args.subcommand == "compare":
+        stages = args.stages or _FIGURES[args.figure][2]
+        if stages - args.burn_in < simulator.MIN_RECORDS:
+            raise ConfigError(
+                f"stages ({stages}) minus burn-in ({args.burn_in}) must be "
+                f">= {simulator.MIN_RECORDS}, the simulator's minimum record "
+                "count")
 
 
 def _outdir(args) -> str:
@@ -508,7 +523,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         _emit_error("config", str(exc))
         return 1
-    except OutOfRegimeError as exc:
+    except (OutOfRegimeError, linsys.AssemblyError) as exc:
+        # A coefficient that leaves floating-point range puts the model
+        # outside what the system can represent.
         _emit_error("out_of_regime", str(exc))
         return 2
     except UnconvergedError as exc:

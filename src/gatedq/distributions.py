@@ -20,21 +20,35 @@ Two families of inputs drive everything downstream:
   first moment E[tau] and second moment E[tau^2].  Poisson arrivals have
   Bhat(s) = lambda/(lambda+s); deterministic spacing c has Bhat(s) = exp(-s c).
 
-Both kinds of distribution are immutable after construction.  A GammaTable
-memoizes two things for one service law: the gamma_{m,k} entries, which
-system assembly and the dominance probe read more than once, and the clamped
-tail max(Gbar(y), 0) at every quadrature node.  The node memo pays because
-QUADPACK refines each octave by bisection, so the integrals of all entries
-of a law sample Gbar at the same dyadic Gauss-Kronrod nodes; a user cdf is
-then called once per distinct node instead of once per node per entry.
-The quadratures reach scipy.integrate through the module attribute
-integrate, which is imported on first access, so a program that only uses
-exponential laws never loads scipy.
+Both kinds of distribution are immutable after construction.
+
+The min moments of a general law come from one adaptive Gauss-Kronrod
+engine: QUADPACK's 21-point qk21 rule and error estimate, written with numpy
+arrays.  It integrates every requested (m, k) entry, octave by octave, in
+the same array rounds: each round bisects the panels with large error
+estimates in all unfinished integrals at once, and calls the law's tail once
+on the round's new distinct nodes.  A tail that maps a node array to an
+array of its shape is called on the array; any other is called node by
+node.  As in QUADPACK, a first pass whose error estimate equals resasc has
+saturated and is refined, not accepted: without that rule a panel that
+straddles a jump of the density (uniform service, say) can pass with a
+wrong value.
+
+A GammaTable memoizes two things for one service law: the gamma_{m,k}
+entries, which system assembly and the dominance probe read more than once
+and compute a block at a time, and the clamped tail max(Gbar(y), 0) at every
+quadrature node.  The node memo pays because every integral refines its
+octaves by bisection, so the entries of a law sample Gbar at the same
+dyadic Gauss-Kronrod nodes and a user cdf is called once per distinct node.
+An entry's value depends on the law, m and k alone, not on the block it was
+computed in.  Only validate() integrates with scipy.integrate, reached
+through the module attribute integrate, which is imported on first access.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import sys
 import threading
@@ -61,10 +75,6 @@ def _integrate():
 
 class DivergentMomentError(ValueError):
     """Raised when a requested moment integral fails to converge."""
-
-
-_QUAD_ABS_TOL = 1e-12
-_TAIL_EPS = 1e-14
 
 
 @dataclass(frozen=True)
@@ -230,10 +240,369 @@ class ArrivalDistribution:
         return self._sampler(rng, size)
 
 
+# QUADPACK's 21-point Gauss-Kronrod rule (qk21): the Kronrod abscissae on
+# [-1, 1] from the outside in with their weights, the centre last.  The odd
+# entries are the 10-point Gauss abscissae, whose weights are _WG.
+_XGK = (0.995657163025808080735527280689003,
+        0.973906528517171720077964012084452,
+        0.930157491355708226001207180059508,
+        0.865063366688984510732096688423493,
+        0.780817726586416897063717578345042,
+        0.679409568299024406234327365114874,
+        0.562757134668604683339000099272694,
+        0.433395394129247190799265943165784,
+        0.294392862701460198131126603103866,
+        0.148874338981631210884826001129720,
+        0.0)
+_WGK = (0.011694638867371874278064396062192,
+        0.032558162307964727478818972459390,
+        0.054755896574351996031381300244580,
+        0.075039674810919952767043140916190,
+        0.093125454583697605535065465083366,
+        0.109387158802297641899210590325805,
+        0.123491976262065851077208067640314,
+        0.134709217311473325928054001771707,
+        0.142775938577060080797094273138717,
+        0.147739104901338491374841515972068,
+        0.149445554002916905664936468389821)
+_WG = (0.066671344308688137593568809893332,
+       0.149451349150580593145776339657697,
+       0.219086362515982043995534934228163,
+       0.269266719309996355091226921569469,
+       0.295524224714752870173892994651338)
+# The 21 nodes of a panel as rows: the centre, then the ten left and the ten
+# right abscissae.  Weights are columns that broadcast against the rows.
+_OFFSETS = np.array([0.0] + [-x for x in _XGK[:10]] + list(_XGK[:10]))[:, None]
+_W_KRONROD = np.array([_WGK[10]] + list(_WGK[:10]) * 2)[:, None]
+_W_GAUSS = np.array(
+    [0.0] + [_WG[j // 2] if j % 2 else 0.0 for j in range(10)] * 2)[:, None]
+_GAUSS_ROWS = np.flatnonzero(_W_GAUSS)
+_EPMACH = float(np.finfo(float).eps)
+_UFLOW = float(np.finfo(float).tiny)
+
+_QUAD_ABS_TOL = 1e-12
+_QUAD_REL_TOL = 1e-11
+_TAIL_EPS = 1e-14
+_MAX_PANELS = 200      # panels per octave, QUADPACK's limit
+_MAX_EXTENSIONS = 24   # octaves past the tail support
+_SPLIT = 0.1           # bisect panels with this share of the worst error
+_CHUNK = 256           # panels per integrand array; bounds the working set
+_SPANS = 512           # integrals per engine call; bounds the panel state
+
+
 def _clamped_sf(d: ServiceDistribution, y: float) -> float:
     # A user cdf evaluated near 1 leaves roundoff noise in 1 - cdf; clamp so
     # the tail cannot dip below zero.
     return max(float(d.sf(y)), 0.0)
+
+
+def _memo_tail(d: ServiceDistribution, memo: dict, y: float) -> float:
+    """Clamped tail at one node, computed once per node through memo."""
+    val = memo.get(y)
+    if val is None:
+        val = memo[y] = _clamped_sf(d, y)
+    return val
+
+
+def _clamped_sfs(d: ServiceDistribution, ys: list) -> list:
+    """Clamped tails at the nodes ys: one sf call on their array when sf maps
+    it to an array of its shape, else one call per node."""
+    arr = np.array(ys)
+    try:
+        out = d.sf(arr)
+    except (TypeError, ValueError):
+        out = None
+    if isinstance(out, np.ndarray) and out.shape == arr.shape:
+        return np.maximum(out.astype(float), 0.0).tolist()
+    return [_clamped_sf(d, y) for y in ys]
+
+
+def _memo_tails(d: ServiceDistribution, memo: dict,
+                nodes: np.ndarray) -> np.ndarray:
+    """Clamped tails at an array of nodes.
+
+    sf sees only the nodes new to memo, all in one call.  The lookups take
+    _CHUNK panels' worth of nodes at a time, which bounds the Python floats
+    alive at once.
+    """
+    flat = nodes.ravel()
+    vals = np.empty(len(flat))
+    step = 21 * _CHUNK
+    for s in range(0, len(flat), step):
+        part = flat[s:s + step].tolist()
+        # Clamped tails are never negative, so -1 marks a node memo lacks.
+        vals[s:s + len(part)] = np.fromiter(
+            map(memo.get, part, itertools.repeat(-1.0)), float, len(part))
+    missing = np.flatnonzero(vals < 0.0)
+    if len(missing):
+        ys = flat[missing].tolist()
+        fresh = list(dict.fromkeys(ys))
+        memo.update(zip(fresh, _clamped_sfs(d, fresh)))
+        vals[missing] = list(map(memo.__getitem__, ys))
+    return vals.reshape(nodes.shape)
+
+
+def _row_sum(rows: np.ndarray) -> np.ndarray:
+    """Sum of the rows of a 2-D array, added from the top down as a running
+    sum does, so that each column's sum depends on that column alone."""
+    return np.add.accumulate(rows, axis=0)[-1]
+
+
+def _qk21(f: np.ndarray, hlgth: np.ndarray) -> tuple:
+    """QUADPACK's qk21 on panels whose 21 node values are the columns of f.
+
+    Returns (result, abserr, resasc) per panel.
+    """
+    wf = _W_KRONROD * f
+    resk = _row_sum(wf)
+    resg = _row_sum(_W_GAUSS[_GAUSS_ROWS] * f[_GAUSS_ROWS])
+    np.abs(wf, out=wf)
+    resabs = _row_sum(wf)
+    f = np.abs(f - 0.5 * resk)
+    f *= _W_KRONROD
+    resasc = _row_sum(f)
+    dhlgth = np.abs(hlgth)
+    resabs *= dhlgth
+    resasc *= dhlgth
+    err = np.abs((resk - resg) * hlgth)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.minimum(1.0, 200.0 * err / resasc)
+    err = np.where((resasc != 0.0) & (err != 0.0),
+                   resasc * (ratio * np.sqrt(ratio)), err)
+    err = np.where(resabs > _UFLOW / (50.0 * _EPMACH),
+                   np.maximum(50.0 * _EPMACH * resabs, err), err)
+    return resk * hlgth, err, resasc
+
+
+def _panels(d, memo, m, k, a, b) -> tuple:
+    """qk21 sums of m y^(m-1) T(y)^k on the panels [a, b], one per entry of
+    the float arrays m, k, a, b, where T is the clamped tail.
+
+    The tails of all the panels' nodes come from one _memo_tails call; the
+    integrand is then formed _CHUNK panels at a time.  Returns (result,
+    abserr, resasc, overflow), overflow marking panels where y^(m-1)
+    leaves double range.
+    """
+    # Entries share panels, so nodes are formed once per distinct panel.
+    distinct = {}
+    inv = np.array([distinct.setdefault(p, len(distinct))
+                    for p in zip(a.tolist(), b.tolist())])
+    lo, hi = np.array(list(distinct)).T
+    nodes = 0.5 * (lo + hi) + 0.5 * (hi - lo) * _OFFSETS
+    tails = _memo_tails(d, memo, nodes)
+    out = [np.empty(len(a)) for _ in range(3)] + [np.empty(len(a), bool)]
+    for s in range(0, len(a), _CHUNK):
+        part = slice(s, s + _CHUNK)
+        cols = inv[part]
+        # Full exponent arrays keep np.power on one contiguous loop, so a
+        # node's power is the same float whatever else is in the chunk.  An
+        # overflowed power makes the panel's sums inf or nan; the overflow
+        # flag, not those sums, decides the entry.
+        exps = np.empty((21, len(cols)))
+        exps[...] = m[part] - 1.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            f = np.power(nodes[:, cols], exps)
+            out[3][part] = np.isinf(f).any(axis=0)
+            exps[...] = k[part]
+            f *= m[part]
+            f *= np.power(tails[:, cols], exps)
+            sums = _qk21(f, 0.5 * (b[part] - a[part]))
+        for dst, val in zip(out, sums):
+            dst[part] = val
+    return tuple(out)
+
+
+def _gauss_kronrod(d, memo, m, k, lo, hi) -> tuple:
+    """Adaptive qk21 integrals of m y^(m-1) T(y)^k over [lo, hi], one per
+    entry of the float arrays m, k, lo, hi.
+
+    All unfinished integrals advance in the same rounds.  A round bisects
+    every panel whose error estimate is at least _SPLIT of its integral's
+    worst, and an integral finishes when its summed estimate meets
+    max(1e-12, 1e-11 |value|), when it holds _MAX_PANELS panels, when a
+    panel it would bisect is too short to halve, or when its value stops
+    being finite or y^(m-1) overflows.  As in QUADPACK, a first pass is
+    not accepted when its estimate equals resasc: the estimate saturated,
+    which happens when a panel straddles a jump of the integrand.  The
+    panels of one integral keep an order that its own refinement fixes, and
+    its sums run in that order, so its value does not depend on the other
+    integrals.  Returns (value, error, overflow) arrays.
+    """
+    n = len(m)
+    value, error = np.zeros(n), np.zeros(n)
+    overflow = np.zeros(n, bool)
+    pid, a, b = np.arange(n), lo, hi
+    res, err, asc, ovf = _panels(d, memo, m, k, a, b)
+    saturated = (err == asc) & (err != 0.0)
+    while len(pid):
+        count = np.bincount(pid, minlength=n)
+        area = np.bincount(pid, res, n)
+        errsum = np.bincount(pid, err, n)
+        over = np.bincount(pid, ovf, n) > 0
+        worst = np.zeros(n)
+        with np.errstate(invalid="ignore"):  # nan sums end their integral
+            np.maximum.at(worst, pid, err)
+        pick = err >= _SPLIT * worst[pid]
+        mid = 0.5 * (a + b)
+        tiny = pick & (np.maximum(np.abs(a), np.abs(b))
+                       <= (1.0 + 100.0 * _EPMACH) * (np.abs(mid) + 1e3 * _UFLOW))
+        room = _MAX_PANELS - count
+        ok = (errsum <= np.maximum(_QUAD_ABS_TOL, _QUAD_REL_TOL * np.abs(area))
+              ) & ~saturated
+        done = (count > 0) & (ok | over | ~np.isfinite(errsum) | (room <= 0)
+                              | (np.bincount(pid, tiny, n) > 0))
+        value[done], error[done], overflow[done] = (
+            area[done], errsum[done], over[done])
+        saturated[:] = False
+        live = ~done[pid]
+        pick &= live
+        wanted = np.bincount(pid, pick, n)
+        for g in np.flatnonzero(~done & (wanted > room)):
+            # Near the panel limit only the largest errors are bisected.
+            cand = np.flatnonzero(pick & (pid == g))
+            pick[cand[np.argsort(-err[cand], kind="stable")[room[g]:]]] = False
+        if not pick.any():
+            break
+        keep = live & ~pick
+        ca = np.concatenate((a[pick], mid[pick]))
+        cb = np.concatenate((mid[pick], b[pick]))
+        cpid = np.concatenate((pid[pick], pid[pick]))
+        cres, cerr, _, covf = _panels(d, memo, m[cpid], k[cpid], ca, cb)
+        pid = np.concatenate((pid[keep], cpid))
+        a = np.concatenate((a[keep], ca))
+        b = np.concatenate((b[keep], cb))
+        res = np.concatenate((res[keep], cres))
+        err = np.concatenate((err[keep], cerr))
+        ovf = np.concatenate((ovf[keep], covf))
+    return value, error, overflow
+
+
+def _overflow_error() -> OverflowError:
+    # What y ** (m - 1) raises for a Python float y when it overflows.
+    return OverflowError(34, "Numerical result out of range")
+
+
+def _exponential_min_moment(mu: float, m: int, k: int) -> float:
+    try:
+        return math.factorial(m) / (k * mu) ** m
+    except OverflowError:
+        # Out of double range; finish in log space, saturating at inf.
+        log_val = math.lgamma(m + 1) - m * math.log(k * mu)
+        return math.exp(log_val) if log_val < 709.0 else math.inf
+
+
+def _certified(d: ServiceDistribution, m: int, k: int, pieces: list,
+               val: float):
+    """val, or the error refusing it when its octave masses do not decay.
+
+    A tail computed as 1 - cdf can vanish for the wrong reason: once the
+    cdf rounds to 1, the integrand reads as zero no matter how heavy the
+    true tail is.  A healthy cutoff is preceded by decaying octave masses;
+    masses still growing (or flat) right before the drop mean the integral
+    was cut off mid-climb and the value cannot be trusted.  An exact sf
+    that reaches zero means the support really ended, so it skips this.
+    """
+    material = [p for p in pieces if abs(p) > 1e-6 * abs(val)]
+    if (d._sf is None and len(material) >= 2
+            and abs(material[-1]) > 0.9 * abs(material[-2])):
+        return DivergentMomentError(
+            f"cannot certify tail decay for m={m}, k={k}: octave masses "
+            f"near the support edge are not shrinking "
+            f"({material[-2]:.3e} then {material[-1]:.3e}); the moment may "
+            f"diverge, or the tail is below cdf resolution")
+    return val
+
+
+def _min_moments(d: ServiceDistribution, pairs: list, memo: dict) -> dict:
+    """gamma_{m,k} for every pair (m, k): its float, or the exception that
+    entry raises.
+
+    Each entry integrates m y^(m-1) Gbar(y)^k octave by octave, [0,1],
+    [1,2], [2,4], ... through Y_max, the first power of two with
+    Gbar(Y_max)^k < 1e-14, then keeps extending octave by octave until an
+    addition stops mattering.  One _gauss_kronrod pass takes the octaves of
+    all entries, and one more each further extension; passes over more than
+    _SPANS integrals run in slices.  memo maps nodes to clamped tails and
+    also serves tail_support's probes.
+    """
+    for m, k in pairs:
+        if m < 1 or k < 1:
+            raise ValueError(
+                f"min_moment needs m >= 1 and k >= 1, got m={m}, k={k}")
+    if d.kind == "exponential":
+        return {(m, k): _exponential_min_moment(d.mu, m, k) for m, k in pairs}
+    out = {}
+    tail = functools.partial(_memo_tail, d, memo)
+    # The support can span many orders of magnitude, and a single adaptive
+    # pass over [0, Y_max] would step right over a unit-scale bump, hence
+    # the octaves; their masses double as a divergence monitor.  The first
+    # call also takes the first octave past Y_max, which every entry that
+    # passes the error gate integrates.
+    jobs = {}
+    for p in pairs:
+        try:
+            y_max = tail_support(d, _TAIL_EPS, p[1], tail)
+        except DivergentMomentError as exc:
+            out[p] = exc
+            continue
+        octaves = [(0.0, 1.0)]
+        while octaves[-1][0] < y_max:
+            octaves.append((octaves[-1][1], 2.0 * octaves[-1][1]))
+        jobs[p] = octaves
+    # Per entry: its octave masses, their running total, and how many of
+    # them lie past Y_max.
+    masses, total, extended = {}, {}, {}
+    while jobs:
+        spans = [(m, k, lo, hi) for (m, k), octaves in jobs.items()
+                 for lo, hi in octaves]
+        vals, errs, overflows = [], [], []
+        for s in range(0, len(spans), _SPANS):
+            cols = (np.array(c, dtype=float) for c in zip(*spans[s:s + _SPANS]))
+            for acc, x in zip((vals, errs, overflows),
+                              _gauss_kronrod(d, memo, *cols)):
+                acc.extend(x.tolist())
+        at = 0
+        for p, octaves in list(jobs.items()):
+            m, k = p
+            n = len(octaves)
+            del jobs[p]
+            val_p, err_p, ovf_p = (x[at:at + n]
+                                   for x in (vals, errs, overflows))
+            at += n
+            if p not in masses:
+                # The octaves through Y_max, then the first one past it.
+                if any(ovf_p[:-1]):
+                    out[p] = _overflow_error()
+                    continue
+                val = math.fsum(val_p[:-1])
+                err = math.fsum(err_p[:-1])
+                # The error gate is loose on purpose: tail noise from a
+                # user-supplied cdf inflates the estimate long before it
+                # moves the value, so only a catastrophic estimate
+                # (comparable to the value itself) aborts here.
+                if not math.isfinite(val) or err > max(1e-7, 1e-3 * abs(val)):
+                    out[p] = DivergentMomentError(
+                        f"min-moment quadrature failed for m={m}, k={k}: "
+                        f"value={val}, error estimate={err}")
+                    continue
+                masses[p], total[p], extended[p] = val_p[:-1], val, 0
+            if ovf_p[-1]:
+                out[p] = _overflow_error()
+                continue
+            piece = val_p[-1]
+            masses[p].append(piece)
+            total[p] += piece
+            extended[p] += 1
+            lo = octaves[-1][1]
+            if abs(piece) <= max(1e-12, 1e-9 * abs(total[p])):
+                out[p] = _certified(d, m, k, masses[p], total[p])
+            elif extended[p] == _MAX_EXTENSIONS:
+                out[p] = DivergentMomentError(
+                    f"min-moment integral for m={m}, k={k} keeps growing "
+                    f"past Y={lo:.3e} (last octave mass {piece:.3e})")
+            else:
+                jobs[p] = [(lo, 2.0 * lo)]
+    return out
 
 
 def tail_support(d: ServiceDistribution, eps: float, k: int = 1,
@@ -275,84 +644,17 @@ def support_end(d: ServiceDistribution, y: float) -> float:
     return hi
 
 
-def min_moment(d: ServiceDistribution, m: int, k: int,
-               tail: Optional[Callable] = None) -> float:
+def min_moment(d: ServiceDistribution, m: int, k: int) -> float:
     """gamma_{m,k} = E[min(sigma_1, ..., sigma_k)^m].
 
     Exponential laws use the closed form m!/(k mu)^m.  Everything else goes
-    through the tail identity integral m y^(m-1) Gbar(y)^k dy on [0, Y_max],
-    with Y_max grown by doubling until Gbar(Y_max)^k < 1e-14 and the
-    quadrature run at absolute tolerance 1e-12.  tail(y) supplies the
-    clamped tail max(Gbar(y), 0) at each node; by default it calls d.sf, and
-    a GammaTable passes its node memo instead, which returns the same floats.
+    through the tail identity integral m y^(m-1) Gbar(y)^k dy, integrated
+    octave by octave by the batched Gauss-Kronrod engine at absolute
+    tolerance 1e-12, as the one-entry case of a GammaTable block.
     """
-    if m < 1 or k < 1:
-        raise ValueError(f"min_moment needs m >= 1 and k >= 1, got m={m}, k={k}")
-    if d.kind == "exponential":
-        try:
-            return math.factorial(m) / (k * d.mu) ** m
-        except OverflowError:
-            # Out of double range; finish in log space, saturating at inf.
-            log_val = math.lgamma(m + 1) - m * math.log(k * d.mu)
-            return math.exp(log_val) if log_val < 709.0 else math.inf
-    integrate = _integrate()
-    if tail is None:
-        tail = functools.partial(_clamped_sf, d)
-    y_max = tail_support(d, _TAIL_EPS, k, tail)
-
-    def integrand(y):
-        return m * y ** (m - 1) * tail(y) ** k
-
-    # The support can span many orders of magnitude, and a single adaptive
-    # pass over [0, y_max] will step right over a unit-scale bump.  Integrate
-    # octave by octave instead: [0,1], [1,2], [2,4], ... through the first
-    # power of two at or past y_max, then keep extending until the additions
-    # stop mattering.  The per-octave masses double as a divergence monitor.
-    # full_output=1 makes quad return its warnings instead of issuing them;
-    # the error gate below judges the estimates.
-    pieces, errs = [], []
-    lo, hi = 0.0, 1.0
-    while lo < y_max:
-        v, err = integrate.quad(integrand, lo, hi, epsabs=_QUAD_ABS_TOL,
-                                epsrel=1e-11, limit=200, full_output=1)[:2]
-        pieces.append(v)
-        errs.append(err)
-        lo, hi = hi, 2.0 * hi
-    val = math.fsum(pieces)
-    err = math.fsum(errs)
-    # The error gate is loose on purpose: tail noise from a user-supplied
-    # cdf inflates the estimate long before it moves the value, so only a
-    # catastrophic estimate (comparable to the value itself) aborts here.
-    if not math.isfinite(val) or err > max(1e-7, 1e-3 * abs(val)):
-        raise DivergentMomentError(
-            f"min-moment quadrature failed for m={m}, k={k}: "
-            f"value={val}, error estimate={err}")
-    for _ in range(24):
-        piece = integrate.quad(integrand, lo, hi, epsabs=_QUAD_ABS_TOL,
-                               epsrel=1e-11, limit=200, full_output=1)[0]
-        pieces.append(piece)
-        val += piece
-        lo, hi = hi, 2.0 * hi
-        if abs(piece) <= max(1e-12, 1e-9 * abs(val)):
-            break
-    else:
-        raise DivergentMomentError(
-            f"min-moment integral for m={m}, k={k} keeps growing past "
-            f"Y={lo:.3e} (last octave mass {piece:.3e})")
-    # A tail computed as 1 - cdf can vanish for the wrong reason: once the
-    # cdf rounds to 1, the integrand reads as zero no matter how heavy the
-    # true tail is.  A healthy cutoff is preceded by decaying octave masses;
-    # masses still growing (or flat) right before the drop mean the integral
-    # was cut off mid-climb and the value cannot be trusted.  An exact sf
-    # that reaches zero means the support really ended, so it skips this.
-    material = [p for p in pieces if abs(p) > 1e-6 * abs(val)]
-    if (d._sf is None and len(material) >= 2
-            and abs(material[-1]) > 0.9 * abs(material[-2])):
-        raise DivergentMomentError(
-            f"cannot certify tail decay for m={m}, k={k}: octave masses "
-            f"near the support edge are not shrinking "
-            f"({material[-2]:.3e} then {material[-1]:.3e}); the moment may "
-            f"diverge, or the tail is below cdf resolution")
+    val = _min_moments(d, [(m, k)], {})[(m, k)]
+    if isinstance(val, Exception):
+        raise val
     return val
 
 
@@ -361,45 +663,76 @@ class GammaTable:
     """Memoized gamma_{m,k} entries for one service law, and the clamped
     tail max(Gbar(y), 0) at every quadrature node their integrals visit.
 
-    The entry cache is guarded by a lock so a table shared between threads
-    stays consistent; entries themselves are plain floats and immutable.  The
-    node memo takes no lock: each dict read and write is atomic and a value
-    depends on its node alone, so a miss racing another thread's miss may
-    compute the same tail twice, and both store the same float.
+    A block of entries is computed in one batch; an entry's value depends
+    on the law, m and k alone, so it is the same float whichever block
+    computes it.  An entry that fails is remembered with its exception.
+    The entry caches are guarded by a lock so a table shared between
+    threads stays consistent; entries themselves are plain floats and
+    immutable.  The node memo takes no lock: each dict read and write is
+    atomic and a value depends on its node alone, so a miss racing another
+    thread's miss may compute the same tail twice, and both store the same
+    float.
     """
 
     dist: ServiceDistribution
     _cache: dict = field(default_factory=dict)
+    _failed: dict = field(default_factory=dict, repr=False)
     _tails: dict = field(default_factory=dict, repr=False)
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
-    def tail(self, y: float) -> float:
-        """Clamped tail max(Gbar(y), 0), computed once per node y."""
-        val = self._tails.get(y)
-        if val is None:
-            val = self._tails[y] = _clamped_sf(self.dist, y)
-        return val
+    def _entries(self, pairs: list) -> dict:
+        """The entry cache, once it holds every pair in pairs.
+
+        The missing entries are computed in one batch.  If any of pairs
+        fails, the entries that succeeded are cached first, and then the
+        first failing pair in the order of pairs raises its exception.
+        """
+        with self._lock:
+            todo = [p for p in dict.fromkeys(pairs)
+                    if p not in self._cache and p not in self._failed]
+        if todo:
+            found = _min_moments(self.dist, todo, self._tails)
+            with self._lock:
+                for p, val in found.items():
+                    if isinstance(val, Exception):
+                        self._failed[p] = val
+                    else:
+                        self._cache[p] = val
+        for p in pairs:
+            exc = self._failed.get(p)
+            if exc is not None:
+                raise exc.with_traceback(None)
+        return self._cache
 
     def gamma(self, m: int, k: int) -> float:
-        key = (m, k)
-        with self._lock:
-            hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        val = min_moment(self.dist, m, k, self.tail)
-        with self._lock:
-            self._cache[key] = val
-        return val
+        return self._entries([(m, k)])[(m, k)]
+
+    def gammas(self, ms, ks) -> np.ndarray:
+        """gamma_{m,k} at every index pair of the broadcast arrays ms, ks."""
+        m, k = np.broadcast_arrays(ms, ks)
+        pairs = list(zip(m.ravel().tolist(), k.ravel().tolist()))
+        cache = self._entries(pairs)
+        return np.reshape([cache[p] for p in pairs], m.shape)
 
     def ratio(self, m: int, k: int) -> float:
-        """gamma_{m,k} / gamma_{m,1}, always in [0, 1].
+        return float(self.ratios(m, k))
+
+    def ratios(self, ms, ks) -> np.ndarray:
+        """gamma_{m,k} / gamma_{m,1}, always in [0, 1], at every index pair
+        of the broadcast arrays ms, ks, from one batch of entries.
 
         For exponential laws this is k^-m exactly, which stays representable
         long after the two moments themselves overflow.
         """
+        m, k = np.broadcast_arrays(ms, ks)
+        pairs = list(zip(m.ravel().tolist(), k.ravel().tolist()))
         if self.dist.kind == "exponential":
-            return float(k) ** -m
-        return self.gamma(m, k) / self.gamma(m, 1)
+            vals = [float(q) ** -p for p, q in pairs]
+        else:
+            cache = self._entries(
+                [e for p, q in pairs for e in ((p, q), (p, 1))])
+            vals = [cache[(p, q)] / cache[(p, 1)] for p, q in pairs]
+        return np.reshape(vals, m.shape)
 
 
 @dataclass

@@ -193,8 +193,9 @@ def _general_oracle(model: MgModel, table: GammaTable) -> linsys.CoefficientOrac
 
     Off-diagonal entries tend to a constant along each row, so no finite
     analytic tail bound exists; dominance probes of this oracle are honest
-    lower estimates and never certify convergence.  Each entry reads the
-    gamma table, which computes an entry by quadrature once.
+    lower estimates and never certify convergence.  Each block of entries
+    reads the gamma table once, which computes the entries it lacks in one
+    batched quadrature.
     """
     lam = model.lam
 
@@ -206,8 +207,8 @@ def _general_oracle(model: MgModel, table: GammaTable) -> linsys.CoefficientOrac
 
     def a(mi, mj):
         i, j = np.broadcast_arrays(np.asarray(mi) + 1, np.asarray(mj) + 1)
-        pairs = [(int(p), int(q)) for p, q in zip(i.flat, j.flat)]
-        ratio = np.reshape([table.ratio(p, q) for p, q in pairs], i.shape)
+        ratio = table.ratios(i, j)
+        pairs = zip(i.ravel().tolist(), j.ravel().tolist())
         diag = np.reshape([lead(p) if p == q else 0.0 for p, q in pairs],
                           i.shape)
         return diag - (-1.0) ** j * (1.0 - ratio)
@@ -273,9 +274,10 @@ def solve_stage_moments(model: MgModel, order: int = 10, tol: float = 1e-8,
         s = math.fsum((-1.0) ** i * yi for i, yi in y.items())
 
     beta = {i: math.factorial(i) * yi / lam ** i for i, yi in y.items()}
-    g11 = table.gamma(1, 1)
+    ks = sorted(y)
+    g11, *g1k = table.gammas(1, [1] + ks).tolist()
     beta1 = g11 + math.fsum(
-        (-1.0) ** k * y[k] * (g11 - table.gamma(1, k)) for k in sorted(y))
+        (-1.0) ** k * y[k] * (g11 - g) for k, g in zip(ks, g1k))
 
     dom = linsys.dominance_report(oracle, order=min(conv.n_used, 64))
     heuristic = not dom.satisfied

@@ -227,6 +227,10 @@ def _batch_se(values: np.ndarray, n_batches: int = _N_BATCHES) -> float:
     return float(means.std(ddof=1) / math.sqrt(n_batches))
 
 
+# Post-burn-in stages a trace needs before empirical_stats summarizes it.
+MIN_RECORDS = 100
+
+
 @dataclass
 class EmpiricalStats:
     """Post-burn-in summary of a trace with batch-means standard errors."""
@@ -277,9 +281,10 @@ def empirical_stats(trace: StageTrace, bins: int = 64,
     data = (trace.m if column == "active" else trace.y)[trace.burn_in:]
     ks = trace.k[trace.burn_in:]
     n = len(data)
-    if n < 100:
+    if n < MIN_RECORDS:
         raise InsufficientDataError(
-            f"only {n} stages after burn-in={trace.burn_in}; need >= 100")
+            f"only {n} stages after burn-in={trace.burn_in}; "
+            f"need >= {MIN_RECORDS}")
     if y_max is None:
         y_max = float(data.max())
     if y_max <= 0:

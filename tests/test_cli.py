@@ -220,6 +220,43 @@ def test_out_of_regime_exits_2(tmp_path, capsys):
     assert not os.path.exists(os.path.join(out, "analyze-mg.json"))
 
 
+def test_unrepresentable_model_exits_2(tmp_path, capsys):
+    # rho = 5e-301: the row scaling rho^(-i/2) overflows a double.
+    out = str(tmp_path)
+    assert main(["analyze-mg", "--lambda", "0.5", "--mu", "1e300",
+                 "--out", out]) == 2
+    assert stderr_code(capsys) == "out_of_regime"
+    assert not os.listdir(out)
+
+
+@pytest.mark.parametrize("argv", [
+    ["--figure", "pmf", "--rho", "0.3", "--stages", "300"],
+    ["--figure", "moments", "--lambda", "0.5", "--mu", "1.0",
+     "--stages", "300"],
+    # The figure's default stages (10 000) against a longer burn-in.
+    ["--figure", "mean-length", "--mu", "1.0", "--rho-grid", "0.1",
+     "--burn-in", "9950"],
+])
+def test_compare_too_few_stages_exits_1_before_simulating(argv, tmp_path,
+                                                          capsys,
+                                                          monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a refused compare must not simulate")
+
+    monkeypatch.setattr(cli.simulator, "simulate_mg", refuse)
+    monkeypatch.setattr(cli.simulator, "simulate_gi", refuse)
+    out = tmp_path / "out"
+    assert main(["compare"] + argv + ["--out", str(out)]) == 1
+    assert stderr_code(capsys) == "config"
+    assert not out.exists()
+
+
+def test_simulate_too_few_stages_exits_1(tmp_path, capsys):
+    assert main(["simulate", "--model", "mg", "--lambda", "0.5", "--mu", "1.0",
+                 "--stages", "200", "--out", str(tmp_path)]) == 1
+    assert stderr_code(capsys) == "config"
+
+
 def test_unconverged_exits_3_with_diagnostics(tmp_path, capsys):
     out = str(tmp_path)
     assert main(["analyze-gi", "--rho", "0.9", "--order", "4", "--n-max", "8",
@@ -271,6 +308,14 @@ def test_unconverged_compare_exits_3_before_simulating(argv, tmp_path, capsys,
     ["analyze-mg", "--lambda", "0.5", "--mu", "inf"],
     ["simulate", "--model", "mg", "--lambda", "inf", "--mu", "1.0",
      "--stages", "2000"],
+    ["dominance", "--system", "mg", "--lambda", "0.5", "--mu", "1.0",
+     "--order", "12", "--tail-cutoff", "3"],
+    ["dominance", "--system", "gi", "--rho", "0.3", "--order", "12",
+     "--tail-cutoff", "3"],
+    ["simulate", "--model", "mg", "--lambda", "0.5", "--mu", "1.0",
+     "--stages", "3000", "--bins", "0"],
+    ["compare", "--figure", "density", "--lambda", "0.5", "--mu", "1.0",
+     "--stages", "3000", "--bins", "0"],
 ])
 def test_config_errors_exit_1(argv, tmp_path, capsys):
     assert main(argv + ["--out", str(tmp_path)] if argv else argv) == 1

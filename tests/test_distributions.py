@@ -13,6 +13,7 @@ from gatedq.distributions import (
     GammaTable,
     ServiceDistribution,
     min_moment,
+    tail_support,
     validate,
 )
 
@@ -238,6 +239,251 @@ def test_gamma_table_memoizes():
     second = table.gamma(2, 1)
     assert second == first
     assert counter["cdf"] == calls_after_first
+
+
+# ------------------------------------------------- batched quadrature ----
+
+def quadpack_min_moment(d, m, k, memo):
+    """The per-entry QUADPACK quadrature that the batched engine replaced,
+    kept as its reference: scipy.integrate.quad octave by octave, with the
+    same tolerances, panel limit, error gate, extension and certification.
+    memo maps nodes to clamped tails, as the table's node memo did.
+    """
+    from scipy import integrate
+
+    def tail(y):
+        val = memo.get(y)
+        if val is None:
+            val = memo[y] = max(float(d.sf(y)), 0.0)
+        return val
+
+    y_max = tail_support(d, 1e-14, k, tail)
+
+    def integrand(y):
+        return m * y ** (m - 1) * tail(y) ** k
+
+    def octave(lo, hi):
+        return integrate.quad(integrand, lo, hi, epsabs=1e-12, epsrel=1e-11,
+                              limit=200, full_output=1)[:2]
+
+    pieces, errs = [], []
+    lo, hi = 0.0, 1.0
+    while lo < y_max:
+        v, err = octave(lo, hi)
+        pieces.append(v)
+        errs.append(err)
+        lo, hi = hi, 2.0 * hi
+    val, err = math.fsum(pieces), math.fsum(errs)
+    if not math.isfinite(val) or err > max(1e-7, 1e-3 * abs(val)):
+        raise DivergentMomentError(f"quadrature failed for m={m}, k={k}")
+    for _ in range(24):
+        piece = octave(lo, hi)[0]
+        pieces.append(piece)
+        val += piece
+        lo, hi = hi, 2.0 * hi
+        if abs(piece) <= max(1e-12, 1e-9 * abs(val)):
+            break
+    else:
+        raise DivergentMomentError(f"m={m}, k={k} keeps growing")
+    material = [p for p in pieces if abs(p) > 1e-6 * abs(val)]
+    if (d._sf is None and len(material) >= 2
+            and abs(material[-1]) > 0.9 * abs(material[-2])):
+        raise DivergentMomentError(f"cannot certify tail decay for m={m}, k={k}")
+    return val
+
+
+def erlang2(rate=10.0, exact_sf=False):
+    """Erlang-2 law as numpy expressions, which map arrays to arrays."""
+
+    def sf(y):
+        y = np.asarray(y, dtype=float)
+        return np.where(y < 0, 1.0, (1.0 + rate * y) * np.exp(-rate * y))
+
+    def cdf(y):
+        y = np.asarray(y, dtype=float)
+        return np.where(y < 0, 0.0, 1.0 - (1.0 + rate * y) * np.exp(-rate * y))
+
+    return ServiceDistribution.from_callables(
+        lambda y: rate * rate * y * np.exp(-rate * y), cdf, name="erlang2",
+        sf=sf if exact_sf else None)
+
+
+def numpy_uniform(b, exact_sf=False):
+    """Uniform(0, b) as numpy expressions."""
+
+    def cdf(y):
+        return np.clip(np.asarray(y, dtype=float) / b, 0.0, 1.0)
+
+    def sf(y):
+        return np.clip(1.0 - np.asarray(y, dtype=float) / b, 0.0, 1.0)
+
+    return ServiceDistribution.from_callables(
+        lambda y: 0.0, cdf, name=f"uniform({b})", sf=sf if exact_sf else None)
+
+
+def hyperexponential_with_sf():
+    def sf(y):
+        return 0.5 * np.exp(-5.0 * y) + 0.5 * np.exp(-5.0 * y / 3.0)
+
+    return ServiceDistribution.from_callables(
+        lambda y: 0.0, lambda y: 1.0 - sf(y), name="hyperexp", sf=sf)
+
+
+ORDERS = range(1, 34)
+
+
+def test_batched_entries_match_closed_forms():
+    """m, k <= 33 against closed forms for laws with an exact tail.
+
+    uniform(0, c): c^m m! k! / (m+k)!.  Erlang-2 with rate r:
+    sum_j C(k,j) r^j m (m+j-1)! / (kr)^(m+j).  Entries down to 1e-60 are
+    held to the quadrature's absolute tolerance, 1e-12, and large ones to
+    1e-12 relative.
+    """
+    c, r = 0.5, 10.0
+    pairs = [(m, k) for m in ORDERS for k in ORDERS]
+    ms, ks = np.array(pairs).T
+    uni = GammaTable(numpy_uniform(c, exact_sf=True)).gammas(ms, ks)
+    erl = GammaTable(erlang2(r, exact_sf=True)).gammas(ms, ks)
+    for (m, k), got_u, got_e in zip(pairs, uni, erl):
+        want_u = (c ** m * math.factorial(m) * math.factorial(k)
+                  / math.factorial(m + k))
+        want_e = math.fsum(math.comb(k, j) * r ** j * m
+                           * math.factorial(m + j - 1) / (k * r) ** (m + j)
+                           for j in range(k + 1))
+        assert got_u == pytest.approx(want_u, rel=1e-12, abs=1e-12), (m, k)
+        assert got_e == pytest.approx(want_e, rel=1e-12, abs=1e-12), (m, k)
+
+
+@pytest.mark.parametrize("law,exact_upto", [
+    (wrapped_exponential(), 8),
+    (erlang2(), 8),
+    (numpy_uniform(0.5), 33),
+    (hyperexponential_with_sf(), 33),
+], ids=["wrapped-exp", "erlang2", "uniform", "hyperexp-sf"])
+def test_batched_entries_match_the_quadpack_reference(law, exact_upto):
+    """Every m, k <= 33 against the per-entry QUADPACK quadrature.
+
+    Both sides fail on the same entries, with the same exception type.
+    Ratios gamma_{m,k}/gamma_{m,1} agree within 1e-10 and gamma_{m,1}
+    within 1e-10 relative.  A tail computed as 1 - cdf carries roundoff
+    noise that the integrand magnifies by y^(m-1), and two quadratures that
+    both meet the absolute tolerance 1e-12 integrate that noise differently,
+    so for those laws gamma_{m,1} is compared up to m = 8 only.
+    """
+    memo, want = {}, {}
+    for m in ORDERS:
+        for k in ORDERS:
+            try:
+                want[(m, k)] = quadpack_min_moment(law, m, k, memo)
+            except DivergentMomentError:
+                want[(m, k)] = None
+    table = GammaTable(law)
+    good = [p for p, v in want.items() if v is not None]
+    got = dict(zip(good, table.gammas(*np.array(good).T).tolist()))
+    for p, v in want.items():
+        if v is None:
+            with pytest.raises(DivergentMomentError):
+                table.gamma(*p)
+    for (m, k), v in want.items():
+        if v is None or want[(m, 1)] is None:
+            continue
+        if k == 1 and m <= exact_upto:
+            assert abs(got[(m, 1)] / v - 1.0) <= 1e-10, m
+        assert abs(got[(m, k)] / got[(m, 1)] - v / want[(m, 1)]) <= 1e-10, (
+            m, k)
+
+
+@pytest.mark.parametrize("law", [wrapped_exponential(), erlang2(),
+                                 numpy_uniform(0.5)],
+                         ids=["wrapped-exp", "erlang2", "uniform"])
+def test_entry_values_do_not_depend_on_the_batch(law):
+    """An entry computed alone, inside two different blocks, and through a
+    memo warmed by other entries is the same float."""
+    pairs = [(2, 3), (7, 1), (9, 9), (12, 5)]
+    alone = [min_moment(law, m, k) for m, k in pairs]
+    square = GammaTable(law)
+    idx = np.arange(1, 14)
+    block = square.gammas(idx[:, None], idx[None, :])
+    column = GammaTable(law)
+    column.gammas(np.array([m for m, _ in pairs] + [20, 1]),
+                  np.array([k for _, k in pairs] + [2, 30]))
+    warm = GammaTable(law)
+    warm.gammas(np.arange(14, 20), 4)
+    assert warm._tails
+    for (m, k), want in zip(pairs, alone):
+        assert block[m - 1, k - 1] == want, (m, k)
+        assert column.gamma(m, k) == want, (m, k)
+        assert warm.gamma(m, k) == want, (m, k)
+
+
+def test_blocks_from_threads_sharing_a_table():
+    law = erlang2()
+    idx = np.arange(1, 9)
+    want = np.array([[min_moment(law, m, k) for k in idx] for m in idx])
+    table = GammaTable(law)
+    got = [None] * 4
+
+    def work(w):
+        # Overlapping blocks: rows from w on, then the whole square.
+        table.gammas(idx[w:, None], idx[None, :])
+        got[w] = table.gammas(idx[:, None], idx[None, :])
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(w,)) for w in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(t.is_alive() for t in threads)
+    for g in got:
+        assert np.array_equal(g, want)
+
+def test_a_scalar_only_cdf_still_integrates():
+    # math.expm1 rejects the node array, so the tail is taken node by node.
+    law = ServiceDistribution.from_callables(
+        lambda y: 0.0, lambda y: -math.expm1(-MU * y), name="math-exp")
+    got = GammaTable(law).gammas(np.array([1, 3, 5]), np.array([1, 2, 4]))
+    want = [math.factorial(m) / (k * MU) ** m for m, k in ((1, 1), (3, 2), (5, 4))]
+    np.testing.assert_allclose(got, want, rtol=1e-9)
+
+
+def test_a_failing_block_raises_its_first_failure_and_caches_the_rest():
+    counter = {"cdf": 0}
+
+    def cdf(y):
+        counter["cdf"] += 1
+        return 1.0 - (1.0 + y) ** (-1.5) if y >= 0 else 0.0
+
+    table = GammaTable(ServiceDistribution.from_callables(
+        lambda y: 0.0, cdf, name="pareto"))
+    idx = np.arange(1, 4)
+    # E[min^2] of one Pareto(1.5) draw diverges; (2, 1) is the first such
+    # entry in row-major order.
+    with pytest.raises(DivergentMomentError, match="m=2, k=1"):
+        table.gammas(idx[:, None], idx[None, :])
+    assert (1, 1) in table._cache and (3, 3) in table._cache
+    calls = counter["cdf"]
+    for m in idx:
+        for k in idx:
+            try:
+                table.gamma(int(m), int(k))
+            except DivergentMomentError:
+                assert (int(m), int(k)) not in table._cache
+    assert counter["cdf"] == calls
+
+
+def test_divergent_and_stuck_tails_still_raise():
+    with pytest.raises(DivergentMomentError):
+        GammaTable(pareto()).gammas(2, 1)
+    stuck = ServiceDistribution.from_callables(
+        lambda y: 0.0, lambda y: 0.5, name="stuck")
+    with pytest.raises(DivergentMomentError):
+        min_moment(stuck, 1, 1)
 
 
 def test_laplace_transform_values():

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from gatedq import linsys, mgqueue
+from gatedq import distributions, linsys, mgqueue
 from gatedq.distributions import (
     DivergentMomentError,
     GammaTable,
@@ -39,7 +39,7 @@ def erlang2(rate=10.0, nodes=None):
 
     def cdf(y):
         if nodes is not None:
-            nodes.append(y)
+            nodes.extend(np.ravel(y).tolist())
         return 1.0 - (1.0 + rate * y) * np.exp(-rate * y)
 
     return ServiceDistribution.from_callables(
@@ -214,6 +214,23 @@ def test_gamma_table_evaluates_each_tail_node_once():
     linsys.dominance_report(oracle, order=8)
     assert len(table._cache) > 100
     assert len(nodes) == len(set(nodes)) == len(table._tails)
+
+
+def test_general_oracle_computes_each_block_in_one_batch(monkeypatch):
+    batches = []
+    batch = distributions._min_moments
+
+    def counted(d, pairs, memo):
+        batches.append(len(pairs))
+        return batch(d, pairs, memo)
+
+    monkeypatch.setattr(distributions, "_min_moments", counted)
+    sol = mgqueue.solve_stage_moments(mgqueue.MgModel(0.25, erlang2()), order=4)
+    assert sol.convergence.rungs == [4, 8] and sol.dominance.order == 8
+    # Each batch holds the block's entries not yet cached: the two rungs,
+    # beta_1's gamma_{1,k}, then the diagonal, row and column blocks of the
+    # dominance probe, 513 entries in all.
+    assert batches == [20, 52, 9, 48, 192, 192]
 
 
 def test_tail_memo_leaves_the_general_solve_unchanged(monkeypatch):

@@ -1,7 +1,9 @@
-"""The package and every exponential or GI command run without loading scipy.
+"""The package, every exponential or GI command and a general-law moment
+solve run without loading scipy.
 
-scipy is needed only by the quadratures of general service laws.  The check
-runs in a fresh interpreter, since the test process itself has scipy loaded.
+scipy is needed only by validate() and by the general-law stage_count_pmf.
+The check runs in a fresh interpreter, since the test process itself has
+scipy loaded.
 """
 
 import json
@@ -76,5 +78,5 @@ def test_exponential_and_gi_paths_load_no_scipy(tmp_path):
     assert len(report) == 11
     for command, (code, modules) in report.items():
         assert (code, modules) == (0, []), command
-    # The general law still solves, by quadrature, once scipy is loaded.
-    assert converged and 0.15 < beta1 < 0.3 and loaded
+    # The general law solves by quadrature, and the quadrature is not scipy's.
+    assert converged and 0.15 < beta1 < 0.3 and not loaded
