@@ -14,7 +14,9 @@ Subcommands:
                simulated, SE)
 
 Exit codes: 0 success, 1 invalid configuration (machine-readable JSON on
-stderr), 2 out-of-regime refusal (also for a model whose coefficients leave
+stderr; simulate and compare refuse a run whose stages leave fewer than
+simulator.MIN_RECORDS after burn-in before simulating or writing anything),
+2 out-of-regime refusal (also for a model whose coefficients leave
 floating-point range), 3 unconverged truncation ladder.  On exit
 3 analyze-mg and analyze-gi still write their JSON report (analyze-gi skips
 its pmf CSV); compare writes nothing and runs no simulation.  compare
@@ -260,9 +262,11 @@ _LIMITS = (
 def validate_config(args) -> None:
     """Rates positive and finite, order >= 4, tol in (0, 1), stages >= 1,
     burn-in >= 0, bins >= 1, n-max either order (a pinned truncation) or at
-    least 2 * order, tail-cutoff >= order, and for compare, whose figures
-    summarize their simulations, stages (the figure's default when not
-    given) leaving at least simulator.MIN_RECORDS stages after burn-in."""
+    least 2 * order, tail-cutoff >= order, and for simulate and compare,
+    whose artifacts summarize their simulations, stages (for compare the
+    figure's default when not given) leaving at least
+    simulator.MIN_RECORDS stages after burn-in, so that nothing is
+    simulated or written for too short a run."""
     for attr, rejects, requirement in _LIMITS:
         v = getattr(args, attr, None)
         if v is not None and rejects(v):
@@ -276,7 +280,8 @@ def validate_config(args) -> None:
     if cutoff is not None and cutoff < args.order:
         raise ConfigError(f"tail-cutoff must be >= order ({args.order}), "
                           f"got {cutoff}")
-    if args.subcommand == "compare":
+    if args.subcommand in ("simulate", "compare"):
+        # simulate always has stages; compare may leave them to its figure.
         stages = args.stages or _FIGURES[args.figure][2]
         if stages - args.burn_in < simulator.MIN_RECORDS:
             raise ConfigError(
@@ -374,7 +379,6 @@ def _run_analyze_gi(args) -> int:
 
 
 def _run_simulate(args) -> int:
-    _require(args, "stages")
     model = _mg_model(args) if args.model == "mg" else _gi_model(args)
     trace = _simulate(model, args.stages, args.seed, args.burn_in)
     out = _outdir(args)

@@ -22,12 +22,15 @@ Two families of inputs drive everything downstream:
 
 Both kinds of distribution are immutable after construction.
 
-The min moments of a general law come from one adaptive Gauss-Kronrod
-engine: QUADPACK's 21-point qk21 rule and error estimate, written with numpy
-arrays.  It integrates every requested (m, k) entry, octave by octave, in
-the same array rounds: each round bisects the panels with large error
-estimates in all unfinished integrals at once, and calls the law's tail once
-on the round's new distinct nodes.  A tail that maps a node array to an
+Every integral of the package comes from one adaptive Gauss-Kronrod engine:
+QUADPACK's 21-point qk21 rule and error estimate, written with numpy arrays.
+It takes its integrand as a function of a node array and of the index of
+each node's integral, and advances all its integrals in the same array
+rounds: each round bisects the panels with large error estimates in all
+unfinished integrals at once.  The min moments of a general law integrate
+every requested (m, k) entry octave by octave and call the law's tail once
+on a round's new distinct nodes; validate() integrates the density and
+mgqueue the stage-count pmf.  A user callable that maps a node array to an
 array of its shape is called on the array; any other is called node by
 node.  As in QUADPACK, a first pass whose error estimate equals resasc has
 saturated and is refined, not accepted: without that rule a panel that
@@ -41,8 +44,7 @@ quadrature node.  The node memo pays because every integral refines its
 octaves by bisection, so the entries of a law sample Gbar at the same
 dyadic Gauss-Kronrod nodes and a user cdf is called once per distinct node.
 An entry's value depends on the law, m and k alone, not on the block it was
-computed in.  Only validate() integrates with scipy.integrate, reached
-through the module attribute integrate, which is imported on first access.
+computed in.
 """
 
 from __future__ import annotations
@@ -50,7 +52,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import sys
 import threading
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -58,19 +59,9 @@ from typing import Callable, Optional
 import numpy as np
 
 
-def __getattr__(name: str):
-    """The module attribute integrate is scipy.integrate, imported on first
-    access: only the quadratures of general laws need it."""
-    global integrate
-    if name == "integrate":
-        from scipy import integrate
-        return integrate
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def _integrate():
-    """The module attribute integrate, which a caller may have replaced."""
-    return getattr(sys.modules[__name__], "integrate")
+# bench/spans.py, the external tracer, reads and replaces this attribute when
+# it installs; no quadrature uses it.  It goes when the tracer does.
+integrate = None
 
 
 class DivergentMomentError(ValueError):
@@ -151,35 +142,36 @@ class ServiceDistribution:
 
     def _sample_by_inversion(self, rng, size, iters: int = 60):
         # Bisection on the cdf; adequate for smoke tests of user laws.  The
-        # supplied cdf only has to accept scalars, like everywhere else; one
-        # that maps an array to an array of its shape is called once per
-        # bisection step for all draws instead of once per draw.
-        cdf = (self.cdf if _maps_arrays(self.cdf)
-               else np.vectorize(self.cdf, otypes=[float]))
+        # cdf sees the whole array of draws at each bisection step when it
+        # maps arrays to arrays, and one draw at a time otherwise.
         u = rng.random(size)
         hi = np.full(size, 1.0)
         for _ in range(200):
-            need = cdf(hi) < u
+            need = _on_nodes(self.cdf, hi) < u
             if not np.any(need):
                 break
             hi = np.where(need, hi * 2.0, hi)
         lo = np.zeros(size)
         for _ in range(iters):
             mid = 0.5 * (lo + hi)
-            below = cdf(mid) < u
+            below = _on_nodes(self.cdf, mid) < u
             lo = np.where(below, mid, lo)
             hi = np.where(below, hi, mid)
         return 0.5 * (lo + hi)
 
 
-def _maps_arrays(fn) -> bool:
-    """Whether fn maps a float array to an array of the same shape."""
-    probe = np.array([0.5, 1.0])
+def _on_nodes(fn, nodes: np.ndarray) -> np.ndarray:
+    """fn at every entry of the float array nodes: one call on the array when
+    fn maps it to an array of its shape, else one call per node.  A user
+    law only has to accept scalars."""
     try:
-        out = fn(probe)
+        out = fn(nodes)
     except (TypeError, ValueError):
-        return False
-    return isinstance(out, np.ndarray) and out.shape == probe.shape
+        out = None
+    if isinstance(out, np.ndarray) and out.shape == nodes.shape:
+        return out.astype(float)
+    return np.reshape([float(fn(y)) for y in nodes.ravel().tolist()],
+                      nodes.shape)
 
 
 @dataclass(frozen=True)
@@ -304,42 +296,20 @@ def _memo_tail(d: ServiceDistribution, memo: dict, y: float) -> float:
     return val
 
 
-def _clamped_sfs(d: ServiceDistribution, ys: list) -> list:
-    """Clamped tails at the nodes ys: one sf call on their array when sf maps
-    it to an array of its shape, else one call per node."""
-    arr = np.array(ys)
-    try:
-        out = d.sf(arr)
-    except (TypeError, ValueError):
-        out = None
-    if isinstance(out, np.ndarray) and out.shape == arr.shape:
-        return np.maximum(out.astype(float), 0.0).tolist()
-    return [_clamped_sf(d, y) for y in ys]
-
-
 def _memo_tails(d: ServiceDistribution, memo: dict,
                 nodes: np.ndarray) -> np.ndarray:
-    """Clamped tails at an array of nodes.
-
-    sf sees only the nodes new to memo, all in one call.  The lookups take
-    _CHUNK panels' worth of nodes at a time, which bounds the Python floats
-    alive at once.
-    """
-    flat = nodes.ravel()
-    vals = np.empty(len(flat))
-    step = 21 * _CHUNK
-    for s in range(0, len(flat), step):
-        part = flat[s:s + step].tolist()
-        # Clamped tails are never negative, so -1 marks a node memo lacks.
-        vals[s:s + len(part)] = np.fromiter(
-            map(memo.get, part, itertools.repeat(-1.0)), float, len(part))
+    """Clamped tails at an array of nodes, each distinct node looked up in
+    memo once; sf sees only the nodes new to memo, all in one call."""
+    uniq, inv = np.unique(nodes, return_inverse=True)
+    # Clamped tails are never negative, so -1 marks a node memo lacks.
+    vals = np.fromiter(map(memo.get, uniq.tolist(), itertools.repeat(-1.0)),
+                       float, len(uniq))
     missing = np.flatnonzero(vals < 0.0)
     if len(missing):
-        ys = flat[missing].tolist()
-        fresh = list(dict.fromkeys(ys))
-        memo.update(zip(fresh, _clamped_sfs(d, fresh)))
-        vals[missing] = list(map(memo.__getitem__, ys))
-    return vals.reshape(nodes.shape)
+        fresh = np.maximum(_on_nodes(d.sf, uniq[missing]), 0.0)
+        memo.update(zip(uniq[missing].tolist(), fresh.tolist()))
+        vals[missing] = fresh
+    return vals[inv].reshape(nodes.shape)
 
 
 def _row_sum(rows: np.ndarray) -> np.ndarray:
@@ -374,71 +344,57 @@ def _qk21(f: np.ndarray, hlgth: np.ndarray) -> tuple:
     return resk * hlgth, err, resasc
 
 
-def _panels(d, memo, m, k, a, b) -> tuple:
-    """qk21 sums of m y^(m-1) T(y)^k on the panels [a, b], one per entry of
-    the float arrays m, k, a, b, where T is the clamped tail.
+def _panels(integrand, idx, a, b) -> tuple:
+    """qk21 sums of integrand on the panels [a, b] of the integrals idx, one
+    per entry of the arrays idx, a, b.
 
-    The tails of all the panels' nodes come from one _memo_tails call; the
-    integrand is then formed _CHUNK panels at a time.  Returns (result,
-    abserr, resasc, overflow), overflow marking panels where y^(m-1)
-    leaves double range.
+    integrand(nodes, idx) takes the 21 nodes of each of n panels as the
+    columns of a (21, n) array, and the index of each panel's integral, and
+    returns (values, stop): the integrand at the nodes, and a flag per panel
+    that ends its integral.  It sees _CHUNK panels at a time, which bounds
+    the working set.  Returns (result, abserr, resasc, stop).
     """
-    # Entries share panels, so nodes are formed once per distinct panel.
-    distinct = {}
-    inv = np.array([distinct.setdefault(p, len(distinct))
-                    for p in zip(a.tolist(), b.tolist())])
-    lo, hi = np.array(list(distinct)).T
-    nodes = 0.5 * (lo + hi) + 0.5 * (hi - lo) * _OFFSETS
-    tails = _memo_tails(d, memo, nodes)
     out = [np.empty(len(a)) for _ in range(3)] + [np.empty(len(a), bool)]
     for s in range(0, len(a), _CHUNK):
         part = slice(s, s + _CHUNK)
-        cols = inv[part]
-        # Full exponent arrays keep np.power on one contiguous loop, so a
-        # node's power is the same float whatever else is in the chunk.  An
-        # overflowed power makes the panel's sums inf or nan; the overflow
-        # flag, not those sums, decides the entry.
-        exps = np.empty((21, len(cols)))
-        exps[...] = m[part] - 1.0
+        half = 0.5 * (b[part] - a[part])
+        f, out[3][part] = integrand(0.5 * (a[part] + b[part]) + half * _OFFSETS,
+                                    idx[part])
         with np.errstate(over="ignore", invalid="ignore"):
-            f = np.power(nodes[:, cols], exps)
-            out[3][part] = np.isinf(f).any(axis=0)
-            exps[...] = k[part]
-            f *= m[part]
-            f *= np.power(tails[:, cols], exps)
-            sums = _qk21(f, 0.5 * (b[part] - a[part]))
+            # A stopped panel's values may hold inf, and its sums nan.
+            sums = _qk21(f, half)
         for dst, val in zip(out, sums):
             dst[part] = val
     return tuple(out)
 
 
-def _gauss_kronrod(d, memo, m, k, lo, hi) -> tuple:
-    """Adaptive qk21 integrals of m y^(m-1) T(y)^k over [lo, hi], one per
-    entry of the float arrays m, k, lo, hi.
+def _gauss_kronrod(integrand, lo, hi) -> tuple:
+    """Adaptive qk21 integrals of integrand over [lo[i], hi[i]], one per
+    entry of the float arrays lo, hi; integrand is as in _panels.
 
     All unfinished integrals advance in the same rounds.  A round bisects
     every panel whose error estimate is at least _SPLIT of its integral's
     worst, and an integral finishes when its summed estimate meets
     max(1e-12, 1e-11 |value|), when it holds _MAX_PANELS panels, when a
     panel it would bisect is too short to halve, or when its value stops
-    being finite or y^(m-1) overflows.  As in QUADPACK, a first pass is
-    not accepted when its estimate equals resasc: the estimate saturated,
-    which happens when a panel straddles a jump of the integrand.  The
-    panels of one integral keep an order that its own refinement fixes, and
-    its sums run in that order, so its value does not depend on the other
-    integrals.  Returns (value, error, overflow) arrays.
+    being finite or a panel's stop flag is set.  As in QUADPACK, a first
+    pass is not accepted when its estimate equals resasc: the estimate
+    saturated, which happens when a panel straddles a jump of the
+    integrand.  The panels of one integral keep an order that its own
+    refinement fixes, and its sums run in that order, so its value does not
+    depend on the other integrals.  Returns (value, error, stopped) arrays.
     """
-    n = len(m)
+    n = len(lo)
     value, error = np.zeros(n), np.zeros(n)
-    overflow = np.zeros(n, bool)
+    stopped = np.zeros(n, bool)
     pid, a, b = np.arange(n), lo, hi
-    res, err, asc, ovf = _panels(d, memo, m, k, a, b)
+    res, err, asc, stops = _panels(integrand, pid, a, b)
     saturated = (err == asc) & (err != 0.0)
     while len(pid):
         count = np.bincount(pid, minlength=n)
         area = np.bincount(pid, res, n)
         errsum = np.bincount(pid, err, n)
-        over = np.bincount(pid, ovf, n) > 0
+        stop = np.bincount(pid, stops, n) > 0
         worst = np.zeros(n)
         with np.errstate(invalid="ignore"):  # nan sums end their integral
             np.maximum.at(worst, pid, err)
@@ -449,10 +405,10 @@ def _gauss_kronrod(d, memo, m, k, lo, hi) -> tuple:
         room = _MAX_PANELS - count
         ok = (errsum <= np.maximum(_QUAD_ABS_TOL, _QUAD_REL_TOL * np.abs(area))
               ) & ~saturated
-        done = (count > 0) & (ok | over | ~np.isfinite(errsum) | (room <= 0)
+        done = (count > 0) & (ok | stop | ~np.isfinite(errsum) | (room <= 0)
                               | (np.bincount(pid, tiny, n) > 0))
-        value[done], error[done], overflow[done] = (
-            area[done], errsum[done], over[done])
+        value[done], error[done], stopped[done] = (
+            area[done], errsum[done], stop[done])
         saturated[:] = False
         live = ~done[pid]
         pick &= live
@@ -467,14 +423,46 @@ def _gauss_kronrod(d, memo, m, k, lo, hi) -> tuple:
         ca = np.concatenate((a[pick], mid[pick]))
         cb = np.concatenate((mid[pick], b[pick]))
         cpid = np.concatenate((pid[pick], pid[pick]))
-        cres, cerr, _, covf = _panels(d, memo, m[cpid], k[cpid], ca, cb)
+        cres, cerr, _, cstops = _panels(integrand, cpid, ca, cb)
         pid = np.concatenate((pid[keep], cpid))
         a = np.concatenate((a[keep], ca))
         b = np.concatenate((b[keep], cb))
         res = np.concatenate((res[keep], cres))
         err = np.concatenate((err[keep], cerr))
-        ovf = np.concatenate((ovf[keep], covf))
-    return value, error, overflow
+        stops = np.concatenate((stops[keep], cstops))
+    return value, error, stopped
+
+
+def piecewise_integral(fn, cuts: list) -> float:
+    """Integral of fn over [cuts[0], cuts[-1]]: one adaptive qk21 integral
+    per piece [cuts[i], cuts[i+1]], all in the same rounds, added with
+    math.fsum.  fn maps an array of nodes to the integrand there."""
+    pieces, _, _ = _gauss_kronrod(
+        lambda nodes, _idx: (fn(nodes), np.zeros(nodes.shape[1], bool)),
+        np.array(cuts[:-1], dtype=float), np.array(cuts[1:], dtype=float))
+    return math.fsum(pieces.tolist())
+
+
+def _min_moment_integrand(d: ServiceDistribution, memo: dict, m, k):
+    """m y^(m-1) T(y)^k for integral i at m[i], k[i], where T is the clamped
+    tail from memo; a panel stops where y^(m-1) leaves double range."""
+    def integrand(nodes, idx):
+        tails = _memo_tails(d, memo, nodes)
+        # Full exponent arrays keep np.power on one contiguous loop, so a
+        # node's power is the same float whatever else is in the chunk.  An
+        # overflowed power makes the panel's sums inf or nan; the stop flag,
+        # not those sums, decides the entry.
+        exps = np.empty(nodes.shape)
+        exps[...] = m[idx] - 1.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            f = np.power(nodes, exps)
+            overflow = np.isinf(f).any(axis=0)
+            exps[...] = k[idx]
+            f *= m[idx]
+            f *= np.power(tails, exps)
+        return f, overflow
+
+    return integrand
 
 
 def _overflow_error() -> OverflowError:
@@ -557,9 +545,10 @@ def _min_moments(d: ServiceDistribution, pairs: list, memo: dict) -> dict:
                  for lo, hi in octaves]
         vals, errs, overflows = [], [], []
         for s in range(0, len(spans), _SPANS):
-            cols = (np.array(c, dtype=float) for c in zip(*spans[s:s + _SPANS]))
-            for acc, x in zip((vals, errs, overflows),
-                              _gauss_kronrod(d, memo, *cols)):
+            m, k, lo, hi = (np.array(c, dtype=float)
+                            for c in zip(*spans[s:s + _SPANS]))
+            for acc, x in zip((vals, errs, overflows), _gauss_kronrod(
+                    _min_moment_integrand(d, memo, m, k), lo, hi)):
                 acc.extend(x.tolist())
         at = 0
         for p, octaves in list(jobs.items()):
@@ -764,11 +753,10 @@ def validate(d) -> ValidationReport:
     issues = []
     defect = None
     if isinstance(d, ServiceDistribution):
-        integrate = _integrate()
         try:
             y_max = tail_support(d, _TAIL_EPS)
-            mass, _ = integrate.quad(lambda y: float(d.pdf(y)), 0.0, y_max,
-                                     epsabs=1e-10, limit=400)
+            mass = piecewise_integral(functools.partial(_on_nodes, d.pdf),
+                                      [0.0, y_max])
             defect = abs(1.0 - mass)
             if defect > 1e-6:
                 issues.append(f"density integrates to {mass:.6g}, defect {defect:.3g}")
@@ -778,12 +766,11 @@ def validate(d) -> ValidationReport:
         if abs(float(d.cdf(0.0))) > 1e-9:
             issues.append(f"G(0) = {float(d.cdf(0.0)):.3g}, expected 0")
         grid = np.linspace(0.0, y_max, 257)
-        cdf_vals = np.array([float(d.cdf(t)) for t in grid])
+        cdf_vals = _on_nodes(d.cdf, grid)
         if np.any(np.diff(cdf_vals) < -1e-12):
             issues.append("cdf decreases somewhere on the probe grid")
         if d._sf is not None:
-            gap = float(np.max(np.abs(
-                np.array([float(d.sf(t)) for t in grid]) - (1.0 - cdf_vals))))
+            gap = float(np.max(np.abs(_on_nodes(d.sf, grid) - (1.0 - cdf_vals))))
             if not gap <= 1e-9:
                 issues.append(f"sf differs from 1 - cdf by up to {gap:.3g} "
                               "on the probe grid")

@@ -49,8 +49,8 @@ from typing import Optional
 import numpy as np
 
 from . import linsys
-from .distributions import (GammaTable, ServiceDistribution, support_end,
-                            tail_support)
+from .distributions import (GammaTable, ServiceDistribution, _on_nodes,
+                            piecewise_integral, support_end, tail_support)
 from .errors import OutOfRegimeError, UnconvergedError
 
 _SERIES_TERM_TOL = 1e-12
@@ -306,36 +306,23 @@ def _series_cutoff(y: dict) -> list:
 
 
 def _density_series(sol: MgMomentSolution, model: MgModel):
-    """The density series of one solution as a function t -> f(t).
+    """The density series of one solution as a function of a float array t.
 
     The cutoff and the signed coefficients (-1)^k y_k are fixed once, so a
-    quadrature that evaluates f node by node pays only for the terms.  t is
-    a float or a float array.  A float is summed in Python floats; its
-    powers Gbar^(k-1) still come from numpy, as an array's do, so f(t) and
-    f(array([t]))[0] are the same float.  Terms are accumulated with Kahan
-    compensation because the series alternates.
+    caller that evaluates f many times pays only for the terms.  pdf and sf
+    see the whole array when they map it to an array of its shape, else one
+    node at a time.  Terms are accumulated with Kahan compensation because
+    the series alternates.
     """
     ks = _series_cutoff(sol.y)
     coef = [(-1.0) ** k * sol.y[k] for k in ks]
-    exps = np.array([k - 1.0 for k in ks])
-    square = ks.index(3) if 3 in ks else None
     pdf, sf = model.service.pdf, model.service.sf
 
     def density(t):
-        if np.ndim(t):
-            g = np.asarray(pdf(t), dtype=float)
-            gbar = np.asarray(sf(t), dtype=float)
-            powers = (gbar ** (k - 1) for k in ks)
-        else:
-            g, gbar = float(pdf(t)), float(sf(t))
-            powers = np.power(gbar, exps).tolist()
-            # numpy squares an array raised to a scalar 2 instead of calling
-            # its pow loop, and the two can differ in the last bit.
-            if square is not None:
-                powers[square] = gbar * gbar
+        g, gbar = _on_nodes(pdf, t), _on_nodes(sf, t)
         total, comp = g, 0.0
-        for k, c, p in zip(ks, coef, powers):
-            term = c * g * (1.0 - k * p)
+        for k, c in zip(ks, coef):
+            term = c * g * (1.0 - k * gbar ** (k - 1))
             delta = term - comp
             fresh = total + delta
             comp = (fresh - total) - delta
@@ -348,8 +335,8 @@ def _density_series(sol: MgMomentSolution, model: MgModel):
 def stationary_density(sol: MgMomentSolution, model: MgModel, y):
     """Series form of the stationary stage-length density at y.
 
-    Refuses unconverged solutions.  Returns a float for a scalar y and an
-    array otherwise.
+    Refuses unconverged solutions.  Returns a float for a scalar y, from the
+    same evaluation on a 1-element array, and an array otherwise.
     """
     if not sol.converged:
         raise UnconvergedError(
@@ -357,7 +344,8 @@ def stationary_density(sol: MgMomentSolution, model: MgModel, y):
     t = np.asarray(y, dtype=float)
     if np.any(t < 0):
         raise ValueError("density argument must be >= 0")
-    return _density_series(sol, model)(t if t.ndim else float(t))
+    f = _density_series(sol, model)(np.atleast_1d(t))
+    return f if t.ndim else float(f[0])
 
 
 def mean_customers_per_stage(sol: MgMomentSolution) -> float:
@@ -402,9 +390,11 @@ def stage_count_pmf(sol: MgMomentSolution, model: MgModel, k: int) -> float:
     Conditional on a stage length y the next stage serves Poisson(lam y)
     customers for k >= 2 and 1 with the folded probability (1 + lam y) e^{-lam y}.
     For exponential service the series density is a finite sum of
-    exponentials and the integral is taken in closed form; any other law
-    integrates by quadrature (scipy.integrate.quad) up to where the tail
-    falls below 1e-10 or the support ends.
+    exponentials and the integral is taken in closed form.  Any other law
+    integrates weight times density with the adaptive Gauss-Kronrod engine
+    of distributions, up to where the tail falls below 1e-10 or the support
+    ends; for k >= 2 the range is split at the weight's peak k/lam (at most
+    0.999 of the range), and the two pieces are added with math.fsum.
     """
     if k < 1:
         raise ValueError(f"customer count starts at 1, got k={k}")
@@ -412,31 +402,23 @@ def stage_count_pmf(sol: MgMomentSolution, model: MgModel, k: int) -> float:
         raise UnconvergedError("stage_count_pmf needs a converged moment solution")
     if model.service.kind == "exponential":
         return _exponential_count_pmf(sol, model, k)
-    from scipy import integrate
 
     lam = model.lam
     y_max = support_end(model.service,
                         tail_support(model.service, _GRID_TAIL_EPS))
     density = _density_series(sol, model)
-
-    if k == 1:
-        def weight(t):
-            return (1.0 + lam * t) * math.exp(-lam * t)
-    else:
-        log_fact = math.lgamma(k + 1)
-
-        def weight(t):
-            if t <= 0.0:
-                return 0.0
-            return math.exp(k * math.log(lam * t) - lam * t - log_fact)
+    log_fact = math.lgamma(k + 1)
 
     def integrand(t):
-        return weight(t) * density(t)
+        if k == 1:
+            weight = (1.0 + lam * t) * np.exp(-lam * t)
+        else:
+            with np.errstate(divide="ignore"):  # log(0) weighs t = 0 by 0
+                weight = np.exp(k * np.log(lam * t) - lam * t - log_fact)
+        return weight * density(t)
 
-    points = [min(y_max * 0.999, k / lam)] if k >= 2 else None
-    val, _err = integrate.quad(integrand, 0.0, y_max, epsabs=1e-10,
-                               limit=400, points=points)
-    return val
+    return piecewise_integral(integrand, [0.0, y_max] if k == 1 else
+                              [0.0, min(y_max * 0.999, k / lam), y_max])
 
 
 @dataclass

@@ -381,13 +381,19 @@ def test_config_values_parse_like_their_flags(tmp_path):
                 == (by_config / name).read_bytes())
 
 
-def test_simulate_insufficient_data_exits_1_after_writing_trace(tmp_path, capsys):
+def test_simulate_insufficient_data_exits_1_without_writing_trace(
+        tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a refused simulate must not simulate")
+
+    # Like compare, simulate refuses the run before simulating or writing.
+    monkeypatch.setattr(cli.simulator, "simulate_mg", refuse)
     out = str(tmp_path)
     assert main(["simulate", "--model", "mg", "--lambda", "1.0", "--mu", "2.5",
                  "--stages", "120", "--burn-in", "100", "--out", out]) == 1
     assert stderr_code(capsys) == "config"
-    # The trace itself is still useful and is written before the failure.
-    assert os.path.exists(os.path.join(out, "trace-mg.csv"))
+    assert not os.path.exists(os.path.join(out, "trace-mg.csv"))
+    assert os.listdir(out) == []
 
 
 # ------------------------------------------------------------- serialization ----

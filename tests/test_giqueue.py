@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from gatedq import giqueue
 from gatedq.distributions import ArrivalDistribution
@@ -176,6 +178,17 @@ def test_pgf_boundary_identities():
         giqueue.pgf(sol, m, 1.2)
     with pytest.raises(ValueError):
         giqueue.pgf(sol, m, -0.1)
+
+
+@seed(4127)
+@settings(max_examples=25, deadline=None)
+@given(rho=st.floats(0.01, 0.7), mu=st.floats(0.2, 5.0))
+def test_pgf_boundary_identities_across_light_traffic(rho, mu):
+    # pgf(1) = sum_k (-1)^(k-1) x_k, which misses 1 by the solution's defect.
+    m = poisson_model(rho, mu)
+    sol = giqueue.solve_factorial_moments(m)
+    assert giqueue.pgf(sol, m, 0.0) == 0.0
+    assert abs(giqueue.pgf(sol, m, 1.0) - 1.0) <= sol.defect + 1e-12
 
 
 def test_pmf_stays_nonnegative_near_the_regime_edge():

@@ -6,6 +6,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from gatedq import distributions, linsys, mgqueue
@@ -14,7 +16,9 @@ from gatedq.distributions import (
     GammaTable,
     ServiceDistribution,
     min_moment,
+    piecewise_integral,
     support_end,
+    tail_support,
 )
 from gatedq.errors import OutOfRegimeError, UnconvergedError
 from gatedq.linsys import truncate, solve
@@ -59,6 +63,19 @@ def hyperexponential(exact_sf):
         sf=sf if exact_sf else None)
 
 
+def uniform_law(b):
+    """Uniform(0, b) as numpy expressions, without an exact tail."""
+
+    def pdf(y):
+        y = np.asarray(y, dtype=float)
+        return np.where((y >= 0) & (y <= b), 1.0 / b, 0.0)
+
+    def cdf(y):
+        return np.clip(np.asarray(y, dtype=float) / b, 0.0, 1.0)
+
+    return ServiceDistribution.from_callables(pdf, cdf, name=f"uniform({b})")
+
+
 # ---------------------------------------------------------------- kernel ----
 
 def test_kernel_density_frozen_value():
@@ -78,6 +95,18 @@ def test_kernel_rows_integrate_to_one(x):
         lambda y: mgqueue.kernel_density(model(), x, y), 0.0, 40.0,
         limit=200)
     assert val == pytest.approx(1.0, abs=1e-10)
+
+
+@seed(7319)
+@settings(max_examples=25, deadline=None)
+@given(lam=st.floats(0.01, 5.0), mu=st.floats(0.2, 5.0),
+       x=st.floats(0.0, 20.0))
+def test_kernel_rows_integrate_to_one_for_any_rates(lam, mu, x):
+    # Past y = 40/mu the row keeps at most (1 + lam x) e^-40 of its mass.
+    m = mgqueue.MgModel(lam, ServiceDistribution.exponential(mu))
+    mass = piecewise_integral(lambda y: mgqueue.kernel_density(m, x, y),
+                              [0.0, 40.0 / mu])
+    assert mass == pytest.approx(1.0, abs=1e-10)
 
 
 def test_kernel_rejects_negative_arguments():
@@ -439,6 +468,66 @@ def test_stage_count_pmf_stops_at_the_end_of_a_bounded_support():
                - 0.005759764636017911) < 1e-12
     assert abs(mgqueue.stage_count_pmf(sol, m, 3)
                - 0.0002852489813774091) < 1e-12
+
+
+def quadpack_stage_count_pmf(sol, m, k):
+    """The general-law stage_count_pmf that the batched engine replaced,
+    kept as its reference: scipy.integrate.quad over the same range with the
+    same split point, on the series density one node at a time."""
+    lam = m.lam
+    y_max = support_end(m.service, tail_support(m.service, 1e-10))
+    density = mgqueue._density_series(sol, m)
+
+    if k == 1:
+        def weight(t):
+            return (1.0 + lam * t) * math.exp(-lam * t)
+    else:
+        log_fact = math.lgamma(k + 1)
+
+        def weight(t):
+            if t <= 0.0:
+                return 0.0
+            return math.exp(k * math.log(lam * t) - lam * t - log_fact)
+
+    def integrand(t):
+        return weight(t) * float(density(np.array([t]))[0])
+
+    points = [min(y_max * 0.999, k / lam)] if k >= 2 else None
+    val, _err = integrate.quad(integrand, 0.0, y_max, epsabs=1e-10,
+                               limit=400, points=points)
+    return val
+
+
+@pytest.mark.parametrize("lam", [0.1, 0.25, 0.4])
+@pytest.mark.parametrize("law", [erlang2(), uniform_law(0.5),
+                                 hyperexponential(True)],
+                         ids=["erlang2", "uniform", "hyperexp-sf"])
+def test_general_stage_count_pmf_matches_the_quadpack_reference(law, lam):
+    m = mgqueue.MgModel(lam, law)
+    sol = mgqueue.solve_stage_moments(m, order=4)
+    for k in range(1, 11):
+        assert abs(mgqueue.stage_count_pmf(sol, m, k)
+                   - quadpack_stage_count_pmf(sol, m, k)) <= 1e-12, k
+
+
+def test_a_scalar_only_law_gets_its_density_and_pmf():
+    """A law written with math, whose pdf and cdf reject arrays, is called
+    one node at a time by the density and the pmf."""
+    m = mgqueue.MgModel(lam=0.4, service=wrapped_exponential())
+    sol = mgqueue.solve_stage_moments(m, order=4)
+    grid = np.linspace(0.0, 2.0, 41)
+    array = mgqueue.stationary_density(sol, m, grid)
+    scalar = [mgqueue.stationary_density(sol, m, t) for t in grid.tolist()]
+    assert all(type(f) is float for f in scalar)
+    assert array.tolist() == scalar
+    # The same series on the exponential law's own pdf and tail.
+    exponential = model(lam=0.4)
+    np.testing.assert_allclose(
+        array, mgqueue.stationary_density(sol, exponential, grid),
+        rtol=1e-13, atol=0.0)
+    for k in (1, 2, 3):
+        assert abs(mgqueue.stage_count_pmf(sol, m, k)
+                   - mgqueue.stage_count_pmf(sol, exponential, k)) <= 1e-12
 
 
 # ------------------------------------------------------------ fixed point ----

@@ -1,9 +1,11 @@
-"""The package, every exponential or GI command and a general-law moment
-solve run without loading scipy.
+"""The package, every command-line subcommand, validate() and the moment
+solve, density and stage-count pmf of a general law run without loading
+scipy.
 
-scipy is needed only by validate() and by the general-law stage_count_pmf.
-The check runs in a fresh interpreter, since the test process itself has
-scipy loaded.
+numpy is the only runtime dependency: every integral comes from the
+package's own Gauss-Kronrod engine, and scipy serves the tests as a
+reference only.  The check runs in a fresh interpreter, since the test
+process itself has scipy loaded.
 """
 
 import json
@@ -57,9 +59,20 @@ def cdf(y):
     y = np.asarray(y, dtype=float)
     return np.where(y < 0, 0.0, 1.0 - (1.0 + 10.0 * y) * np.exp(-10.0 * y))
 
-sol = solve_stage_moments(
-    MgModel(0.3, ServiceDistribution.from_callables(pdf, cdf)), order=4)
-report["general"] = [sol.converged, sol.beta1, "scipy.integrate" in sys.modules]
+from gatedq import stage_count_pmf, stationary_density, validate
+
+erlang = ServiceDistribution.from_callables(pdf, cdf)
+model = MgModel(0.3, erlang)
+sol = solve_stage_moments(model, order=4)
+pmf = [stage_count_pmf(sol, model, k) for k in (1, 2, 3)]
+density = stationary_density(sol, model, 0.1)
+report["general"] = [sol.converged, sol.beta1, pmf, density, scipy_modules()]
+
+uniform = ServiceDistribution.from_callables(
+    lambda y: np.where((np.asarray(y) >= 0) & (np.asarray(y) <= 0.5), 2.0, 0.0),
+    lambda y: np.clip(np.asarray(y, dtype=float) / 0.5, 0.0, 1.0))
+laws = [ServiceDistribution.exponential(2.5), erlang, uniform]
+report["validate"] = [[validate(d).ok for d in laws], scipy_modules()]
 print(json.dumps(report))
 """
 
@@ -74,9 +87,15 @@ def test_exponential_and_gi_paths_load_no_scipy(tmp_path):
     assert done.returncode == 0, done.stderr
     report = json.loads(done.stdout.strip().splitlines()[-1])
     assert report.pop("import") == []
-    converged, beta1, loaded = report.pop("general")
+    converged, beta1, pmf, density, general_modules = report.pop("general")
+    ok, validate_modules = report.pop("validate")
     assert len(report) == 11
     for command, (code, modules) in report.items():
         assert (code, modules) == (0, []), command
-    # The general law solves by quadrature, and the quadrature is not scipy's.
-    assert converged and 0.15 < beta1 < 0.3 and not loaded
+    # The general law solves and integrates its pmf by quadrature, and the
+    # quadrature is not scipy's.
+    assert converged and 0.15 < beta1 < 0.3
+    assert 0.9 < pmf[0] < 1.0 and 0.0 < pmf[2] < pmf[1] < 0.1
+    assert density > 0.0
+    assert general_modules == []
+    assert ok == [True, True, True] and validate_modules == []
