@@ -24,12 +24,14 @@ its pmf CSV); compare writes nothing and runs no simulation.  compare
 
 A JSON file passed as --config overrides any flags it names.  The default
 output directory is $GATEDQ_OUTPUT_DIR, falling back to the working
-directory.
+directory.  In-process callers of main() reuse one argument parser per
+process, built on the first call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -112,7 +114,12 @@ def _emit_error(code: str, message: str) -> None:
         {"error": {"code": code, "message": message}}, sort_keys=True) + "\n")
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The gatedq parser, built once per process on the first main() call.
+
+    parse_args and _apply_config_file only read it, so calls share it.
+    """
     p = _Parser(prog="gatedq", description=__doc__,
                 formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = p.add_subparsers(dest="subcommand", parser_class=_Parser)
@@ -410,7 +417,7 @@ def _run_dominance(args) -> int:
                       report.to_dict())
     print(path)
     print(f"satisfied={report.satisfied} marginal={report.marginal} "
-          f"sigma={report.sigma!r}")
+          f"max_sigma={report.max_sigma!r} worst_row={report.worst_row}")
     return 0
 
 

@@ -254,7 +254,12 @@ def _general_oracle(model: GiModel) -> linsys.CoefficientOracle:
     def a(i, j):
         i, j = np.asarray(i), np.asarray(j)
         b1 = model.bhat(1)
-        bj = np.reshape([model.bhat(int(k)) for k in j.flat], j.shape)
+        # One bhat per distinct column, spread over the block (np.unique of
+        # an integer array imports numpy.ma, ~2 MB, on its first call).
+        flat = np.sort(j, axis=None)
+        cols = flat[np.insert(flat[1:] != flat[:-1], 0, True)]
+        bj = np.array([model.bhat(k) for k in cols.tolist()])[
+            np.searchsorted(cols, j)]
         # a_ij = bj^(i-1) / (1 - bj)^i is inf once the denominator underflows.
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             row1 = np.where(j == 1, -(1.0 - 2.0 * b1) / (1.0 - b1),

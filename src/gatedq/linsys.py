@@ -117,13 +117,17 @@ class DominanceReport:
     max_offdiag_row_sum: float
     notes: list = field(default_factory=list)
 
+    @property
+    def max_sigma(self) -> float:
+        return float(self.sigma[self.worst_row - 1])
+
     def to_dict(self) -> dict:
         return {
             "order": self.order,
             "tail_cutoff": self.tail_cutoff,
             "sigma": [float(s) for s in self.sigma],
             "worst_row": self.worst_row,
-            "max_sigma": float(self.sigma[self.worst_row - 1]),
+            "max_sigma": self.max_sigma,
             "diag_sums_summable": self.diag_sums_summable,
             "row_sums_bounded": self.row_sums_bounded,
             "col_sums_finite": self.col_sums_finite,
@@ -303,7 +307,10 @@ def dominance_report(oracle: CoefficientOracle, order: int,
     block = np.abs(_block(oracle.a, rows[:, None], cols[None, :]))
     diag = np.diag(block).copy()
     np.fill_diagonal(block, 0.0)
-    head = np.array([math.fsum(r) for r in block])
+    # fsum is correctly rounded, so summing a row's Python floats gives the
+    # same sum as summing its np.float64 entries, without boxing each one;
+    # one row at a time keeps the list of floats small.
+    head = np.array([math.fsum(r.tolist()) for r in block])
     tail = (_block(lambda i: oracle.tail_row_bound(i, cutoff), rows)
             if has_tail else 0.0)
     offdiag_sums = head + tail

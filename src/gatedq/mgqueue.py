@@ -83,7 +83,8 @@ class MgModel:
 class MgMomentSolution:
     """Converged (or honestly non-converged) stage-length moments.
 
-    beta[i] = E[Y^i] for i = 2..n_used, y[i] = lam^i beta[i]/i!, s is the
+    beta[i] = E[Y^i] for i = 2..n_used (an index whose beta_i leaves double
+    range is left out, and a note names it), y[i] = lam^i beta[i]/i!, s is the
     alternating sum y_2 - y_3 + ..., and beta1 the separately recovered mean.
     heuristic marks general-service solves whose dominance probe failed.
     """
@@ -244,6 +245,26 @@ def moment_oracle(model: MgModel, assembly: str = "auto",
     raise ValueError(f"unknown assembly {assembly!r}")
 
 
+def _raw_moment(i: int, yi: float, lam: float) -> Optional[float]:
+    """beta_i = i! y_i / lam^i, or None when it lies outside double range.
+
+    Where i! (from i = 171 on) or lam^i leaves double range, or the quotient
+    comes out infinite from a finite y_i, it is formed in log space instead.
+    """
+    try:
+        bi = math.factorial(i) * yi / lam ** i
+        if not math.isinf(bi) or math.isinf(yi):
+            return bi
+    except ArithmeticError:
+        if not yi or not math.isfinite(yi):
+            return yi
+    try:
+        return math.copysign(math.exp(
+            math.lgamma(i + 1.0) + math.log(abs(yi)) - i * math.log(lam)), yi)
+    except OverflowError:
+        return None
+
+
 def solve_stage_moments(model: MgModel, order: int = 10, tol: float = 1e-8,
                         n_max: Optional[int] = None,
                         assembly: str = "auto") -> MgMomentSolution:
@@ -273,7 +294,8 @@ def solve_stage_moments(model: MgModel, order: int = 10, tol: float = 1e-8,
         y = {m + 2: float(v) for m, v in enumerate(conv.values)}
         s = math.fsum((-1.0) ** i * yi for i, yi in y.items())
 
-    beta = {i: math.factorial(i) * yi / lam ** i for i, yi in y.items()}
+    raw = {i: _raw_moment(i, yi, lam) for i, yi in y.items()}
+    beta = {i: bi for i, bi in raw.items() if bi is not None}
     ks = sorted(y)
     g11, *g1k = table.gammas(1, [1] + ks).tolist()
     beta1 = g11 + math.fsum(
@@ -285,6 +307,10 @@ def solve_stage_moments(model: MgModel, order: int = 10, tol: float = 1e-8,
     neg = [i for i, yi in y.items() if yi <= 0]
     if neg:
         notes.append(f"nonpositive scaled moments at indices {neg}")
+    lost = [i for i in raw if i not in beta]
+    if lost:
+        notes.append(f"beta_i outside double range, left out of beta, at "
+                     f"indices {lost}")
     return MgMomentSolution(
         lam=lam, beta=beta, y=y, s=s, beta1=beta1, n_used=conv.n_used,
         converged=conv.converged, assembly=assembly, convergence=conv,

@@ -3,6 +3,9 @@
 import argparse
 import json
 import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -123,6 +126,41 @@ def test_dominance_reports(tmp_path):
     assert data["satisfied"] is False
 
 
+def test_dominance_prints_one_line_with_the_worst_row(tmp_path, capsys):
+    out = str(tmp_path)
+    assert main(["dominance", "--system", "gi", "--rho", "0.45",
+                 "--order", "12", "--out", out]) == 0
+    data = read_json(os.path.join(out, "dominance.json"))
+    assert capsys.readouterr().out.splitlines() == [
+        os.path.join(out, "dominance.json"),
+        f"satisfied=False marginal=False max_sigma={data['max_sigma']!r} "
+        f"worst_row={data['worst_row']}"]
+
+
+@pytest.mark.parametrize("argv,kept", [
+    # i! leaves double range at i = 171: these ladders converge with 176
+    # and 200 unknowns and used to die with an OverflowError.
+    (["--lambda", "0.8", "--mu", "1.0", "--order", "22"], 170),
+    (["--lambda", "0.8", "--mu", "1.0", "--order", "100", "--n-max", "200"],
+     170),
+    # Here i! y_i / lam^i comes out infinite from i = 151 on without an
+    # error, and used to be written as Infinity, which is not JSON.
+    (["--lambda", "0.4", "--mu", "0.5", "--order", "20", "--n-max", "160"],
+     150),
+])
+def test_analyze_mg_leaves_out_beta_beyond_double_range(argv, kept, tmp_path):
+    path = tmp_path / "analyze-mg.json"
+    assert main(["analyze-mg"] + argv + ["--out", str(tmp_path)]) == 0
+    assert "Infinity" not in path.read_text()
+    data = read_json(path)
+    assert data["converged"] is True
+    assert sorted(int(i) for i in data["beta"]) == list(range(2, kept + 1))
+    assert len(data["y"]) == data["n_used"] - 1
+    assert data["notes"] == [
+        f"beta_i outside double range, left out of beta, at indices "
+        f"{list(range(kept + 1, data['n_used'] + 1))}"]
+
+
 def test_compare_pmf_keeps_analytic_column_seed_free(tmp_path):
     args = ["compare", "--figure", "pmf", "--rho", "0.5",
             "--stages", "3000", "--burn-in", "500"]
@@ -208,6 +246,60 @@ def test_output_dir_environment_variable(tmp_path, monkeypatch):
                  "--mu", "1.0", "--order", "8", "--out", str(flagdir)]) == 0
     assert (flagdir / "dominance.json").exists()
     assert not (envdir / "dominance.json.tmp").exists()
+
+
+# ----------------------------------------------------------- parser reuse ----
+
+def _run_captured(argv, out, capsys):
+    """Exit code, stdout with the output directory masked, and artifacts."""
+    code = main(argv + ["--out", str(out)])
+    stdout = capsys.readouterr().out.replace(str(out), "<out>")
+    files = ({p.name: p.read_bytes() for p in sorted(out.iterdir())}
+             if out.exists() else {})
+    return code, stdout, files
+
+
+def test_parser_reuse_leaves_no_state_between_calls(tmp_path, capsys):
+    parser = cli._build_parser()
+    first = ["analyze-gi", "--deterministic", "2.0", "--mu", "1.0"]
+    before = _run_captured(first, tmp_path / "first", capsys)
+    assert before[0] == 0 and set(before[2]) == {"analyze-gi.json",
+                                                 "analyze-gi-pmf.csv"}
+    # A flag argparse itself rejects, then a failed requirement.
+    assert main(["analyze-mg", "--lambda", "0.4", "--mu", "1.0",
+                 "--order", "four"]) == 1
+    assert stderr_code(capsys) == "config"
+    assert main(["analyze-mg", "--mu", "2.5"]) == 1
+    assert stderr_code(capsys) == "config"
+    # The config file rescues an out-of-regime rate; the same flags without
+    # it are refused again, so the override did not stick to the parser.
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"lambda": 0.5}))
+    over = tmp_path / "override"
+    assert main(["analyze-mg", "--lambda", "3.0", "--mu", "1.0",
+                 "--config", str(cfg), "--out", str(over)]) == 0
+    assert read_json(over / "analyze-mg.json")["lam"] == 0.5
+    assert main(["analyze-mg", "--lambda", "3.0", "--mu", "1.0",
+                 "--out", str(tmp_path / "regime")]) == 2
+    assert stderr_code(capsys) == "out_of_regime"
+    assert main(["analyze-gi", "--rho", "0.9", "--order", "4", "--n-max", "8",
+                 "--tol", "1e-13", "--out", str(tmp_path / "unconverged")]) == 3
+    assert stderr_code(capsys) == "unconverged"
+    assert _run_captured(first, tmp_path / "again", capsys) == before
+    assert cli._build_parser() is parser
+
+
+def test_importing_the_cli_builds_no_parser():
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(src)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    done = subprocess.run(
+        [sys.executable, "-c", "import gatedq.cli as c; "
+         "print(c._build_parser.cache_info().currsize)"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "0"
 
 
 # -------------------------------------------------------------- exit codes ----

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -195,6 +196,40 @@ def test_beta_keys_follow_truncation_order():
     for i in range(2, 11):
         assert sol.beta[i] == pytest.approx(
             math.factorial(i) * sol.y[i] / LAM ** i, rel=1e-13)
+
+
+def test_long_ladder_leaves_out_beta_beyond_double_range():
+    """From i = 171 on, i! leaves double range.  The ladder at rho = 0.8
+    runs to 320 unknowns; every beta_i with i >= 171 overflows a double and
+    is left out with a note, and the rest keep the exact expression."""
+    lam = 0.8
+    sol = mgqueue.solve_stage_moments(
+        mgqueue.MgModel(lam, ServiceDistribution.exponential(1.0)),
+        order=10, tol=1e-12, n_max=640)
+    assert sol.converged and sol.n_used == 320
+    assert sorted(sol.y) == list(range(2, 321))
+    assert sorted(sol.beta) == list(range(2, 171))
+    for i in range(2, 171):
+        assert sol.beta[i] == math.factorial(i) * sol.y[i] / lam ** i
+    assert (f"beta_i outside double range, left out of beta, at indices "
+            f"{list(range(171, 321))}") in sol.notes
+
+
+def test_beta_past_factorial_range_is_formed_in_log_space():
+    # With mu = 8, beta_i stays in double range well past i = 171, where
+    # i! alone does not.
+    lam = 6.4
+    sol = mgqueue.solve_stage_moments(
+        mgqueue.MgModel(lam, ServiceDistribution.exponential(8.0)), order=22)
+    assert sol.converged and sol.n_used == 176
+    assert sorted(sol.beta) == list(range(2, 177))
+    assert not sol.notes
+    for i in range(2, 171):
+        assert sol.beta[i] == math.factorial(i) * sol.y[i] / lam ** i
+    for i in range(171, 177):
+        exact = float(Fraction(math.factorial(i)) * Fraction(sol.y[i])
+                      / Fraction(lam) ** i)
+        assert sol.beta[i] == pytest.approx(exact, rel=1e-12)
 
 
 def test_two_assemblies_agree():

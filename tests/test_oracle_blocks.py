@@ -15,13 +15,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gatedq import giqueue, mgqueue
+from gatedq import giqueue, linsys, mgqueue
 from gatedq.distributions import (
     ArrivalDistribution,
     GammaTable,
     ServiceDistribution,
 )
-from gatedq.linsys import truncate
+from gatedq.linsys import dominance_report, truncate
 
 N = 256
 RHO_GRID = (1e-3, 0.05, 0.25, 0.5, 0.75, 0.94)
@@ -166,3 +166,85 @@ def test_truncation_is_the_leading_block_of_the_next_rung(kind, rho, n):
     small, large = truncate(oracle, n), truncate(oracle, 2 * n)
     np.testing.assert_array_equal(small.a, large.a[:n, :n])
     np.testing.assert_array_equal(small.b, large.b[:n])
+
+
+# ------------------------------------------------- probe-sized blocks, bit for bit
+
+def per_entry_gi_general_a(model, i, j):
+    """The general GI oracle's a(i, j) with one bhat call per block entry,
+    as it was before bhat was read once per distinct column."""
+    i, j = np.asarray(i), np.asarray(j)
+    b1 = model.bhat(1)
+    bj = np.reshape([model.bhat(int(k)) for k in j.flat], j.shape)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        row1 = np.where(j == 1, -(1.0 - 2.0 * b1) / (1.0 - b1),
+                        (-1.0) ** (j - 1) * bj / (j * (1.0 - bj)))
+        den = (1.0 - bj) ** i
+        a_ij = np.where(den == 0.0, np.inf, bj ** (i - 1) / den)
+        return np.where(i == 1, row1, np.where(
+            j == i, ((-1.0) ** (i - 1) * a_ij - 1.0) / i,
+            (-1.0) ** (j - 1) * a_ij / j))
+
+
+def gi_erlang2_model(rho):
+    """Erlang-2 interarrivals of mean 1/rho, given only as callables."""
+    rate = 2.0 * rho
+    return giqueue.GiModel(ArrivalDistribution.from_callables(
+        sampler=lambda rng, size: rng.gamma(2.0, 1.0 / rate, size),
+        laplace=lambda s: (rate / (rate + s)) ** 2,
+        mean=1.0 / rho, second_moment=1.5 / rho ** 2, name="erlang2"), 1.0)
+
+
+@pytest.mark.parametrize("make_model", [gi_deterministic_model,
+                                        gi_erlang2_model])
+@pytest.mark.parametrize("rho", [0.05, 0.3, 0.6])
+@pytest.mark.parametrize("shape", [(200, 50), (50, 200)])
+def test_general_gi_probe_blocks_equal_the_per_entry_bhat_reference(
+        make_model, rho, shape):
+    rows, cols = (np.arange(1, n + 1) for n in shape)
+    oracle = giqueue._general_oracle(make_model(rho))
+    block = (rows[:, None], cols[None, :])
+    for i, j in (block, np.broadcast_arrays(*block), (rows, rows)):
+        got = oracle.a(i, j)
+        want = per_entry_gi_general_a(make_model(rho), i, j)
+        assert got.shape == want.shape
+        np.testing.assert_array_equal(got, want)
+
+
+def reference_dominance_dict(oracle, order):
+    """dominance_report(oracle, order).to_dict() with the off-diagonal row
+    sums taken by math.fsum over the rows' np.float64 entries."""
+    report = dominance_report(oracle, order=order).to_dict()
+    rows = np.arange(1, order + 1)
+    cols = np.arange(1, report["tail_cutoff"] + 1)
+    block = np.abs(linsys._block(oracle.a, rows[:, None], cols[None, :]))
+    diag = np.diag(block).copy()
+    np.fill_diagonal(block, 0.0)
+    sums = np.array([math.fsum(r) for r in block])
+    if oracle.tail_row_bound is not None:
+        sums = sums + linsys._block(
+            lambda i: oracle.tail_row_bound(i, report["tail_cutoff"]), rows)
+    sigma = sums / diag
+    worst = int(np.argmax(sigma)) + 1
+    max_row = float(sums.max())
+    report.update(
+        sigma=[float(x) for x in sigma], worst_row=worst,
+        max_sigma=float(sigma[worst - 1]), max_offdiag_row_sum=max_row,
+        row_sums_bounded=math.isfinite(max_row),
+        satisfied=(bool(np.all(sigma < 1.0)) and report["diag_sums_summable"]
+                   and math.isfinite(max_row) and report["col_sums_finite"]))
+    report["marginal"] = (report["satisfied"]
+                          and report["analytic_region_ok"] is False)
+    return report
+
+
+@pytest.mark.parametrize("make_oracle,order", [
+    (lambda: mgqueue.moment_oracle(mg_model(0.75)), 12),
+    (lambda: giqueue.factorial_oracle(gi_poisson_model(0.45)), 25),
+    (lambda: giqueue.factorial_oracle(gi_deterministic_model(0.4)), 64),
+    (lambda: giqueue._general_oracle(gi_erlang2_model(0.3)), 50),
+])
+def test_dominance_report_sums_rows_bit_for_bit(make_oracle, order):
+    oracle = make_oracle()
+    assert (dominance_report(oracle, order=order).to_dict()
+            == reference_dominance_dict(oracle, order))
