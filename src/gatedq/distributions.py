@@ -68,74 +68,75 @@ class DivergentMomentError(ValueError):
     """Raised when a requested moment integral fails to converge."""
 
 
+def _exponential_law(mu: float) -> tuple:
+    """pdf, cdf and sf of the exponential law with rate mu, which read 0, 0
+    and 1 below 0.  Each maps an array to an array and a scalar to a float."""
+    def on_halfline(expr, below):
+        def fn(y):
+            y = np.asarray(y, dtype=float)
+            out = np.where(y < 0, below, expr(np.maximum(y, 0.0)))
+            return out if out.ndim else float(out)
+        return fn
+
+    return (on_halfline(lambda t: mu * np.exp(-mu * t), 0.0),
+            on_halfline(lambda t: -np.expm1(-mu * t), 0.0),
+            on_halfline(lambda t: np.exp(-mu * t), 1.0))
+
+
 @dataclass(frozen=True)
 class ServiceDistribution:
-    """A service-time law: density, cdf, tail, and moment access.
+    """A service-time law: the callables it carries, and its rate if it has one.
 
-    kind is "exponential" (closed forms throughout) or "user" (callables
-    supplied by the caller).  A user law may optionally carry a sampler
-    (rng, size) -> ndarray; without one, sampling falls back to numeric
-    inversion of the cdf.  It may also carry an exact tail sf(y) = 1 - G(y);
+    pdf and cdf are required.  An exact tail sf(y) = 1 - G(y) is optional;
     without one the tail is 1 - cdf(y), which rounds to zero once the cdf
-    rounds to one.
+    rounds to one.  moment(m) is optional; without one a raw moment is the
+    min moment gamma_{m,1}.  A sampler (rng, size) -> ndarray is optional;
+    without one, sampling inverts the cdf numerically.  mu is set for an
+    exponential law only, and the closed forms downstream are picked by it.
+    exponential() and from_callables() fill in the same fields.
     """
 
-    kind: str
-    mu: Optional[float] = None
-    _pdf: Optional[Callable] = None
-    _cdf: Optional[Callable] = None
+    _pdf: Callable
+    _cdf: Callable
+    _sf: Optional[Callable] = None
     _moment: Optional[Callable] = None
     _sampler: Optional[Callable] = None
-    _sf: Optional[Callable] = None
+    mu: Optional[float] = None
     name: str = ""
 
     @classmethod
     def exponential(cls, mu: float) -> "ServiceDistribution":
         if mu <= 0:
             raise ValueError(f"exponential rate must be positive, got {mu}")
-        return cls(kind="exponential", mu=mu, name=f"exponential(mu={mu})")
+        return cls(*_exponential_law(mu),
+                   lambda m: math.factorial(m) / mu ** m,
+                   lambda rng, size: rng.exponential(1.0 / mu, size),
+                   mu=mu, name=f"exponential(mu={mu})")
 
     @classmethod
     def from_callables(cls, pdf, cdf, moment=None, sampler=None,
                        name: str = "user", sf=None) -> "ServiceDistribution":
-        return cls(kind="user", _pdf=pdf, _cdf=cdf, _moment=moment,
-                   _sampler=sampler, _sf=sf, name=name)
+        return cls(pdf, cdf, sf, moment, sampler, name=name)
 
     def pdf(self, y):
-        if self.kind == "exponential":
-            y = np.asarray(y, dtype=float)
-            out = np.where(y < 0, 0.0, self.mu * np.exp(-self.mu * np.maximum(y, 0.0)))
-            return out if out.ndim else float(out)
         return self._pdf(y)
 
     def cdf(self, y):
-        if self.kind == "exponential":
-            y = np.asarray(y, dtype=float)
-            out = np.where(y < 0, 0.0, -np.expm1(-self.mu * np.maximum(y, 0.0)))
-            return out if out.ndim else float(out)
         return self._cdf(y)
 
     def sf(self, y):
         """Tail function Gbar(y) = 1 - G(y)."""
-        if self.kind == "exponential":
-            y = np.asarray(y, dtype=float)
-            out = np.where(y < 0, 1.0, np.exp(-self.mu * np.maximum(y, 0.0)))
-            return out if out.ndim else float(out)
         if self._sf is not None:
             return self._sf(y)
         return 1.0 - self._cdf(y)
 
     def moment(self, m: int) -> float:
         """Raw moment E[sigma^m]."""
-        if self.kind == "exponential":
-            return math.factorial(m) / self.mu ** m
         if self._moment is not None:
             return self._moment(m)
         return min_moment(self, m, 1)
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        if self.kind == "exponential":
-            return rng.exponential(1.0 / self.mu, size)
         if self._sampler is not None:
             return self._sampler(rng, size)
         return self._sample_by_inversion(rng, size)
@@ -176,39 +177,40 @@ def _on_nodes(fn, nodes: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ArrivalDistribution:
-    """A renewal interarrival law with Laplace transform and two moments.
+    """A renewal interarrival law: its first two moments, its Laplace
+    transform s -> E[exp(-s tau)] and its sampler (rng, size) -> ndarray.
 
-    kinds: "poisson" (exponential gaps, rate lam), "deterministic" (constant
-    spacing c), "user" (sampler + Laplace transform + moments supplied).
+    lam is set for Poisson arrivals only, and the closed forms downstream
+    are picked by it.  poisson(), deterministic() and from_callables() fill
+    in the same fields.
     """
 
-    kind: str
+    mean: float
+    second_moment: float
+    _laplace: Callable
+    _sampler: Callable
     lam: Optional[float] = None
-    c: Optional[float] = None
-    mean: float = 0.0
-    second_moment: float = 0.0
-    _laplace: Optional[Callable] = None
-    _sampler: Optional[Callable] = None
     name: str = ""
 
     @classmethod
     def poisson(cls, lam: float) -> "ArrivalDistribution":
         if lam <= 0:
             raise ValueError(f"arrival rate must be positive, got {lam}")
-        return cls(kind="poisson", lam=lam, mean=1.0 / lam,
-                   second_moment=2.0 / lam ** 2, name=f"poisson(lambda={lam})")
+        return cls(1.0 / lam, 2.0 / lam ** 2, lambda s: lam / (lam + s),
+                   lambda rng, size: rng.exponential(1.0 / lam, size),
+                   lam=lam, name=f"poisson(lambda={lam})")
 
     @classmethod
     def deterministic(cls, c: float) -> "ArrivalDistribution":
         # c = 0 is representable so that validate() can flag it.
-        return cls(kind="deterministic", c=c, mean=c, second_moment=c ** 2,
+        return cls(c, c ** 2, lambda s: math.exp(-s * c),
+                   lambda rng, size: np.full(size, float(c)),
                    name=f"deterministic(c={c})")
 
     @classmethod
     def from_callables(cls, sampler, laplace, mean, second_moment,
                        name: str = "user") -> "ArrivalDistribution":
-        return cls(kind="user", mean=mean, second_moment=second_moment,
-                   _laplace=laplace, _sampler=sampler, name=name)
+        return cls(mean, second_moment, laplace, sampler, name=name)
 
     @property
     def b0(self) -> float:
@@ -218,17 +220,9 @@ class ArrivalDistribution:
     def laplace(self, s: float) -> float:
         if s < 0:
             raise ValueError(f"Laplace transform argument must be >= 0, got {s}")
-        if self.kind == "poisson":
-            return self.lam / (self.lam + s)
-        if self.kind == "deterministic":
-            return math.exp(-s * self.c)
         return self._laplace(s)
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        if self.kind == "poisson":
-            return rng.exponential(1.0 / self.lam, size)
-        if self.kind == "deterministic":
-            return np.full(size, float(self.c))
         return self._sampler(rng, size)
 
 
@@ -517,7 +511,7 @@ def _min_moments(d: ServiceDistribution, pairs: list, memo: dict) -> dict:
         if m < 1 or k < 1:
             raise ValueError(
                 f"min_moment needs m >= 1 and k >= 1, got m={m}, k={k}")
-    if d.kind == "exponential":
+    if d.mu is not None:
         return {(m, k): _exponential_min_moment(d.mu, m, k) for m, k in pairs}
     out = {}
     tail = functools.partial(_memo_tail, d, memo)
@@ -609,8 +603,8 @@ def tail_support(d: ServiceDistribution, eps: float, k: int = 1,
             return y
         y *= 2.0
     raise DivergentMomentError(
-        f"tail of {d.name or d.kind} does not fall below {eps:g} for k={k}; "
-        "moment integral diverges or converges too slowly")
+        f"tail of {d.name or 'the service law'} does not fall below "
+        f"{eps:g} for k={k}; moment integral diverges or converges too slowly")
 
 
 def support_end(d: ServiceDistribution, y: float) -> float:
@@ -715,7 +709,7 @@ class GammaTable:
         """
         m, k = np.broadcast_arrays(ms, ks)
         pairs = list(zip(m.ravel().tolist(), k.ravel().tolist()))
-        if self.dist.kind == "exponential":
+        if self.dist.mu is not None:
             vals = [float(q) ** -p for p, q in pairs]
         else:
             cache = self._entries(

@@ -280,16 +280,17 @@ def factorial_oracle(model: GiModel, override: bool = False) -> linsys.Coefficie
     """Oracle for the factorial-moment system in unknowns w_i = i x_i.
 
     Refuses models with bhat_1 >= 1/2 (outside light traffic) unless the
-    caller overrides.  Poisson arrivals get the rho^{-i/2}-scaled rows with
-    analytic tails and the closed-form sufficient region; any other arrival
-    law gets the raw assembly with probed dominance only.
+    caller overrides.  Poisson arrivals (a law that carries a rate lam) get
+    the rho^{-i/2}-scaled rows with analytic tails and the closed-form
+    sufficient region; any other arrival law gets the raw assembly with
+    probed dominance only.
     """
     lt = light_traffic_ok(model)
     if not lt.ok and not override:
         raise OutOfRegimeError(
             f"bhat(mu) = {model.bhat(1):.4g} >= 1/2: outside the light-traffic "
             "region (pass override=True to assemble anyway)")
-    if model.arrivals.kind == "poisson":
+    if model.arrivals.lam is not None:
         return _poisson_oracle(model)
     return _general_oracle(model)
 

@@ -70,7 +70,8 @@ class MgModel:
 
     @property
     def mu(self) -> Optional[float]:
-        return self.service.mu if self.service.kind == "exponential" else None
+        """The service rate, carried by exponential laws only."""
+        return self.service.mu
 
     @property
     def rho(self) -> Optional[float]:
@@ -225,11 +226,12 @@ def moment_oracle(model: MgModel, assembly: str = "auto",
     """Coefficient oracle for the stage-moment system.
 
     assembly "auto" picks the transformed exponential system when the service
-    law is exponential (the only case with a dominance certificate) and the
-    general gamma-table system otherwise.  "general" can be forced for an
-    exponential law to cross-check the two assemblies against each other.
+    law carries a rate mu, i.e. is exponential (the only case with a
+    dominance certificate), and the general gamma-table system otherwise.
+    "general" can be forced for an exponential law to cross-check the two
+    assemblies against each other.
     """
-    exponential = model.service.kind == "exponential"
+    exponential = model.mu is not None
     if assembly == "auto":
         assembly = "transformed" if exponential else "general"
     if assembly == "transformed":
@@ -278,9 +280,8 @@ def solve_stage_moments(model: MgModel, order: int = 10, tol: float = 1e-8,
     """
     if order < 4:
         raise ValueError(f"order must be >= 4, got {order}")
-    exponential = model.service.kind == "exponential"
     if assembly == "auto":
-        assembly = "transformed" if exponential else "general"
+        assembly = "transformed" if model.mu is not None else "general"
     table = GammaTable(model.service)
     oracle = moment_oracle(model, assembly=assembly, table=table)
 
@@ -415,18 +416,19 @@ def stage_count_pmf(sol: MgMomentSolution, model: MgModel, k: int) -> float:
 
     Conditional on a stage length y the next stage serves Poisson(lam y)
     customers for k >= 2 and 1 with the folded probability (1 + lam y) e^{-lam y}.
-    For exponential service the series density is a finite sum of
-    exponentials and the integral is taken in closed form.  Any other law
-    integrates weight times density with the adaptive Gauss-Kronrod engine
-    of distributions, up to where the tail falls below 1e-10 or the support
-    ends; for k >= 2 the range is split at the weight's peak k/lam (at most
-    0.999 of the range), and the two pieces are added with math.fsum.
+    For a law that carries a rate mu (exponential service) the series
+    density is a finite sum of exponentials and the integral is taken in
+    closed form.  Any other law integrates weight times density with the
+    adaptive Gauss-Kronrod engine of distributions, up to where the tail
+    falls below 1e-10 or the support ends; for k >= 2 the range is split at
+    the weight's peak k/lam (at most 0.999 of the range), and the two pieces
+    are added with math.fsum.
     """
     if k < 1:
         raise ValueError(f"customer count starts at 1, got k={k}")
     if not sol.converged:
         raise UnconvergedError("stage_count_pmf needs a converged moment solution")
-    if model.service.kind == "exponential":
+    if model.mu is not None:
         return _exponential_count_pmf(sol, model, k)
 
     lam = model.lam

@@ -393,7 +393,7 @@ def drift_check(trace: StageTrace, model: GiModel,
                    if nb > 1 else float("nan"))
         bound[idx] = rho * _harmonic(int(i)) + b0
     reference = None
-    if model.arrivals.kind == "poisson":
+    if model.arrivals.lam is not None:
         reference = np.array([1.0 + rho * _harmonic(int(i)) for i in states])
 
     violations = [int(i) for idx, i in enumerate(states)

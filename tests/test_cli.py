@@ -6,9 +6,12 @@ import os
 import pathlib
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gatedq import cli, giqueue, mgqueue, simulator
 from gatedq.cli import main, write_csv
@@ -321,6 +324,16 @@ def test_unrepresentable_model_exits_2(tmp_path, capsys):
     assert not os.listdir(out)
 
 
+def test_singular_truncation_exits_2_without_writing(tmp_path, capsys):
+    # bhat(1) = exp(-0.5) > 1/2 forced through --override: the order-50 rung
+    # is numerically singular, which used to escape main as a traceback.
+    out = str(tmp_path)
+    assert main(["analyze-gi", "--deterministic", "0.5", "--mu", "1.0",
+                 "--override", "--out", out]) == 2
+    assert stderr_code(capsys) == "out_of_regime"
+    assert not os.listdir(out)
+
+
 @pytest.mark.parametrize("argv", [
     ["--figure", "pmf", "--rho", "0.3", "--stages", "300"],
     ["--figure", "moments", "--lambda", "0.5", "--mu", "1.0",
@@ -605,3 +618,35 @@ def test_compare_bytes_match_the_per_row_writer(figure, argv, tmp_path):
         first = "i"
     got = read_text(os.path.join(out, f"compare-{figure}.csv"))
     assert got == reference_csv([first, "analytic", "simulated", "se"], rows)
+
+
+# ------------------------------------------------------- JSON properties ----
+
+def _refuse_constant(name):
+    raise ValueError(f"non-finite JSON constant {name}")
+
+
+_ANALYZE_RUNS = st.one_of(
+    st.tuples(st.just("analyze-mg"), st.floats(0.05, 0.99),
+              st.integers(4, 40)),
+    st.tuples(st.just("analyze-gi"), st.floats(0.05, 0.49),
+              st.integers(4, 60)))
+
+
+@settings(max_examples=20, deadline=None)
+@given(run=_ANALYZE_RUNS)
+def test_analyze_json_is_finite_and_canonical(run):
+    """Across light traffic, analyze-mg and analyze-gi exit 0 or 3, and each
+    JSON artifact holds no NaN or Infinity and re-serializes to its bytes."""
+    command, rho, order = run
+    load = (["--lambda", repr(rho), "--mu", "1.0"] if command == "analyze-mg"
+            else ["--rho", repr(rho)])
+    with tempfile.TemporaryDirectory() as out:
+        assert main([command, *load, "--order", str(order),
+                     "--out", out]) in (0, 3)
+        names = [n for n in os.listdir(out) if n.endswith(".json")]
+        assert names
+        for name in names:
+            text = read_text(os.path.join(out, name))
+            obj = json.loads(text, parse_constant=_refuse_constant)
+            assert json.dumps(obj, sort_keys=True, indent=2) + "\n" == text

@@ -82,6 +82,64 @@ def test_exponential_pointwise():
     assert d.pdf(y)[0] == 0.0 and d.pdf(y)[1] == MU
 
 
+def _reference_exponential(mu, y):
+    """The closed forms that exponential laws evaluated before they became
+    callables; the constructor must reproduce them bit for bit."""
+    y = np.asarray(y, dtype=float)
+    out = (np.where(y < 0, 0.0, mu * np.exp(-mu * np.maximum(y, 0.0))),
+           np.where(y < 0, 0.0, -np.expm1(-mu * np.maximum(y, 0.0))),
+           np.where(y < 0, 1.0, np.exp(-mu * np.maximum(y, 0.0))))
+    return [o if o.ndim else float(o) for o in out]
+
+
+@pytest.mark.parametrize("mu", [MU, 0.3, 7.0])
+def test_exponential_callables_reproduce_the_closed_forms_bit_for_bit(mu):
+    d = ServiceDistribution.exponential(mu)
+    grid = np.array([-3.0, -1e-300, -0.0, 0.0, 1e-300, 0.4, 1.0, 3.7, 50.0,
+                     800.0])
+    for y in [*grid.tolist(), grid, grid.reshape(2, 5)]:
+        got = [d.pdf(y), d.cdf(y), d.sf(y)]
+        want = _reference_exponential(mu, y)
+        for g, w in zip(got, want):
+            if isinstance(w, float):
+                assert type(g) is float and g == w
+            else:
+                assert g.shape == w.shape and np.array_equal(g, w)
+
+
+def test_seeded_draws_equal_the_closed_form_samplers():
+    draws = [
+        (ServiceDistribution.exponential(MU).sample,
+         lambda rng, n: rng.exponential(1.0 / MU, n)),
+        (ArrivalDistribution.poisson(0.85).sample,
+         lambda rng, n: rng.exponential(1.0 / 0.85, n)),
+        (ArrivalDistribution.deterministic(0.3).sample,
+         lambda rng, n: np.full(n, 0.3)),
+    ]
+    for sample, reference in draws:
+        got = sample(np.random.default_rng(19), 500)
+        want = reference(np.random.default_rng(19), 500)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_laplace_transforms_equal_the_closed_forms():
+    lam, c = 0.85, 0.7
+    poisson = ArrivalDistribution.poisson(lam)
+    det = ArrivalDistribution.deterministic(c)
+    for s in [0.0, 1e-12, 0.5, 1.0, 3.0, 40.0, 1e6]:
+        assert poisson.laplace(s) == lam / (lam + s)
+        assert det.laplace(s) == math.exp(-s * c)
+
+
+def test_only_the_named_families_carry_a_rate():
+    assert ServiceDistribution.exponential(MU).mu == MU
+    assert wrapped_exponential().mu is None
+    assert ArrivalDistribution.poisson(0.85).lam == 0.85
+    assert ArrivalDistribution.deterministic(0.7).lam is None
+    assert ArrivalDistribution.from_callables(
+        None, lambda s: 1.0, 1.0, 1.0).lam is None
+
+
 def test_exponential_constructor_rejects_bad_rate():
     with pytest.raises(ValueError):
         ServiceDistribution.exponential(0.0)

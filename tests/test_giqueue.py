@@ -154,6 +154,27 @@ def test_deterministic_arrivals_frozen_solution():
     assert not sol.dominance.tail_is_analytic
 
 
+@pytest.mark.parametrize("rho", [0.1, 0.2, 0.3])
+def test_assembly_follows_what_the_arrival_law_carries(rho):
+    """Poisson arrivals given as callables carry no rate, so they get the
+    general assembly, and its solution agrees with the closed-form one."""
+    as_callables = giqueue.GiModel(ArrivalDistribution.from_callables(
+        lambda rng, n: rng.exponential(1.0 / rho, n),
+        lambda s: rho / (rho + s), 1.0 / rho, 2.0 / rho ** 2), 1.0)
+    named = poisson_model(rho)
+    assert giqueue.factorial_oracle(as_callables).name == "gi-general"
+    assert giqueue.factorial_oracle(named).name.startswith("gi-poisson")
+    general = giqueue.solve_factorial_moments(as_callables)
+    closed = giqueue.solve_factorial_moments(named)
+    assert general.converged and closed.converged
+    for m in range(1, 9):
+        assert general.x[m] == pytest.approx(closed.x[m], rel=0, abs=1e-12), m
+    for i in range(1, 11):
+        assert giqueue.stationary_pmf(general, as_callables, i) == \
+            pytest.approx(giqueue.stationary_pmf(closed, named, i),
+                          rel=0, abs=1e-12), i
+
+
 # ------------------------------------------------------------- pmf and pgf ----
 
 def test_pmf_is_a_distribution_and_matches_the_pgf():

@@ -1,0 +1,152 @@
+"""Record what a fixed list of gatedq commands produce, for a byte-for-byte
+comparison of two checkouts.
+
+    python3 tools/same_bytes.py CHECKOUT OUTDIR
+
+imports gatedq from CHECKOUT/src and runs, in this one process, every
+`gatedq ...` line of CHECKOUT's README "Command line" section followed by a
+fixed list of edge cases: an unconverged ladder, beta_i past double range,
+out-of-regime and unrepresentable models, a numerically singular
+truncation, both dominance systems, short simulate runs and every compare
+figure.  Each command runs in its own empty directory OUTDIR/NN (the
+working directory, so the paths it prints are relative).
+OUTDIR/manifest.json holds, per command, its exit code, stdout, stderr and
+the sha256 of each file it wrote.  An exception that escapes cli.main is
+recorded as exit 1 with its last traceback line, which names no path.
+
+Two checkouts give the same bytes when their manifests are identical:
+
+    python3 tools/same_bytes.py PARENT /tmp/parent
+    python3 tools/same_bytes.py .      /tmp/change
+    diff /tmp/parent/manifest.json /tmp/change/manifest.json
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import pathlib
+import shlex
+import sys
+import traceback
+
+# The --config example of the README reads this file.
+CONFIG = {"run.json": '{"order": 12}\n'}
+
+EDGES = [
+    # Unconverged ladders: the analyze reports are still written, compare
+    # writes nothing.
+    "gatedq analyze-mg --lambda 0.99 --mu 1.0 --order 4",
+    "gatedq analyze-gi --rho 0.85 --order 4 --n-max 8 --tol 1e-14",
+    "gatedq compare --figure moments --lambda 0.99 --mu 1.0 --order 4",
+    # beta_i past double range on a long ladder.
+    "gatedq analyze-mg --lambda 0.8 --mu 1.0 --order 22",
+    # Refusals: outside light traffic, unrepresentable, numerically singular.
+    "gatedq analyze-mg --lambda 3.0 --mu 2.5",
+    "gatedq analyze-gi --deterministic 0.5 --mu 1.0",
+    "gatedq analyze-mg --lambda 0.5 --mu 1e300",
+    "gatedq analyze-gi --deterministic 0.5 --mu 1.0 --override",
+    # A configuration error.
+    "gatedq analyze-mg --lambda -1.0 --mu 2.5",
+    # Both assemblies of the M/G system on an exponential law, and the GI
+    # system for Poisson, given-rate and deterministic arrivals.
+    "gatedq analyze-mg --lambda 1.0 --mu 2.5 --assembly general --order 8",
+    "gatedq analyze-gi --arrival-rate 0.4 --mu 1.0",
+    "gatedq dominance --system mg --lambda 0.5 --mu 1.0 --order 12",
+    "gatedq dominance --system mg --lambda 0.5 --mu 1.0 --order 8 "
+    "--assembly general",
+    "gatedq dominance --system gi --rho 0.45 --order 12",
+    "gatedq dominance --system gi --deterministic 1.0 --mu 1.0 --order 12",
+    # Short simulations of both queues and all arrival laws.
+    "gatedq simulate --model mg --lambda 1.0 --mu 2.5 --stages 2000 --seed 3",
+    "gatedq simulate --model mg --lambda 0.5 --mu 1.0 --stages 2000 "
+    "--column total",
+    "gatedq simulate --model gi --rho 0.5 --stages 2000 --burn-in 100",
+    "gatedq simulate --model gi --deterministic 1.0 --mu 1.0 --stages 2000",
+    "gatedq simulate --model gi --arrival-rate 0.3 --mu 1.0 --stages 2000",
+    # Every compare figure at short lengths.
+    "gatedq compare --figure moments --lambda 0.5 --mu 1.0 --stages 3000",
+    "gatedq compare --figure density --lambda 0.5 --mu 1.0 --stages 3000 "
+    "--bins 16",
+    "gatedq compare --figure mean-length --mu 1.0 --rho-grid 0.2,0.6 "
+    "--stages 2000",
+    "gatedq compare --figure pmf --rho 0.3 --stages 3000",
+    "gatedq compare --figure pmf --deterministic 1.0 --mu 1.0 --stages 3000",
+]
+
+
+def readme_commands(checkout: pathlib.Path) -> list:
+    """`gatedq` lines inside fenced blocks of the README's "Command line"
+    section."""
+    text = (checkout / "README.md").read_text()
+    section = text.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    commands, fenced = [], False
+    for line in section.splitlines():
+        if line.startswith("```"):
+            fenced = not fenced
+        elif fenced and line.startswith("gatedq "):
+            commands.append(line.split("#", 1)[0].strip())
+    return commands
+
+
+def run(main, command: str, workdir: pathlib.Path) -> dict:
+    """Run one command in workdir and describe what it did."""
+    workdir.mkdir(parents=True)
+    for name, text in CONFIG.items():
+        (workdir / name).write_text(text)
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(workdir)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(shlex.split(command)[1:])
+            except SystemExit as exc:
+                code = exc.code
+            except Exception as exc:  # what an uncaught error would do
+                err.write("".join(traceback.format_exception_only(exc)))
+                code = 1
+    finally:
+        os.chdir(cwd)
+    artifacts = {
+        str(path.relative_to(workdir)):
+            hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(workdir.rglob("*"))
+        if path.is_file() and path.name not in CONFIG}
+    return {"command": command, "exit": code, "stdout": out.getvalue(),
+            "stderr": err.getvalue(), "artifacts": artifacts}
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if len(argv) != 2:
+        print(__doc__.split("\n\n")[1], file=sys.stderr)
+        return 2
+    checkout = pathlib.Path(argv[0]).resolve()
+    outdir = pathlib.Path(argv[1]).resolve()
+    if outdir.exists() and any(outdir.iterdir()):
+        print(f"{outdir} is not empty", file=sys.stderr)
+        return 2
+    sys.path.insert(0, str(checkout / "src"))
+    os.environ.pop("GATEDQ_OUTPUT_DIR", None)
+    from gatedq import cli
+
+    source = pathlib.Path(cli.__file__).resolve()
+    if checkout not in source.parents:
+        print(f"imported gatedq from {source}, not from {checkout}",
+              file=sys.stderr)
+        return 2
+    commands = readme_commands(checkout) + EDGES
+    manifest = [run(cli.main, command, outdir / f"{n:02d}")
+                for n, command in enumerate(commands)]
+    path = outdir / "manifest.json"
+    path.write_text(json.dumps(manifest, indent=2) + "\n")
+    print(f"{path}: {len(manifest)} commands")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
