@@ -177,16 +177,18 @@ def _on_nodes(fn, nodes: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ArrivalDistribution:
-    """A renewal interarrival law: its first two moments, its Laplace
-    transform s -> E[exp(-s tau)] and its sampler (rng, size) -> ndarray.
+    """A renewal interarrival law: its mean, its Lorden constant
+    b0 = E[tau^2] / (E[tau])^2, its Laplace transform s -> E[exp(-s tau)]
+    and its sampler (rng, size) -> ndarray.
 
     lam is set for Poisson arrivals only, and the closed forms downstream
     are picked by it.  poisson(), deterministic() and from_callables() fill
-    in the same fields.
+    in the same fields; the named laws carry b0 exactly (2 and 1), so no
+    rate or spacing is squared.
     """
 
     mean: float
-    second_moment: float
+    b0: float
     _laplace: Callable
     _sampler: Callable
     lam: Optional[float] = None
@@ -196,26 +198,23 @@ class ArrivalDistribution:
     def poisson(cls, lam: float) -> "ArrivalDistribution":
         if lam <= 0:
             raise ValueError(f"arrival rate must be positive, got {lam}")
-        return cls(1.0 / lam, 2.0 / lam ** 2, lambda s: lam / (lam + s),
+        return cls(1.0 / lam, 2.0, lambda s: lam / (lam + s),
                    lambda rng, size: rng.exponential(1.0 / lam, size),
                    lam=lam, name=f"poisson(lambda={lam})")
 
     @classmethod
     def deterministic(cls, c: float) -> "ArrivalDistribution":
         # c = 0 is representable so that validate() can flag it.
-        return cls(c, c ** 2, lambda s: math.exp(-s * c),
+        return cls(c, 1.0, lambda s: math.exp(-s * c),
                    lambda rng, size: np.full(size, float(c)),
                    name=f"deterministic(c={c})")
 
     @classmethod
     def from_callables(cls, sampler, laplace, mean, second_moment,
                        name: str = "user") -> "ArrivalDistribution":
-        return cls(mean, second_moment, laplace, sampler, name=name)
-
-    @property
-    def b0(self) -> float:
-        """Lorden constant E[tau^2] / (E[tau])^2 (2 for Poisson, 1 for deterministic)."""
-        return self.second_moment / self.mean ** 2
+        # A zero mean is kept so that validate() can flag it.
+        b0 = second_moment / mean ** 2 if mean else math.nan
+        return cls(mean, b0, laplace, sampler, name=name)
 
     def laplace(self, s: float) -> float:
         if s < 0:
@@ -780,7 +779,7 @@ def validate(d) -> ValidationReport:
         subject = d.name or "arrivals"
         if d.mean <= 0:
             issues.append(f"E[tau] = {d.mean}, must be positive")
-        if d.second_moment < d.mean ** 2 - 1e-12:
+        if d.b0 < 1.0 - 1e-12:
             issues.append("E[tau^2] < (E[tau])^2 violates Jensen")
         try:
             b_zero = d.laplace(0.0)

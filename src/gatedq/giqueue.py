@@ -12,9 +12,11 @@ transition probabilities have the closed form
 with bhat_k = Bhat(k mu), the interarrival Laplace transform evaluated at
 multiples of the service rate.  (The k = 0 term of the binomial expansion is
 identically zero because bhat_0 = 1; it is dropped analytically rather than
-computed, and the remaining alternating sum is evaluated pairwise because
-the binomial weights cancel catastrophically for large i.  Rows beyond
-i = 60 are refused in double precision; simulate instead.)
+computed.  The remaining alternating sum is added exactly by math.fsum, but
+the binomial weights cancel catastrophically for large i, so rounding the
+terms themselves bounds its accuracy: a sum whose computed rounding bound
+(i + j + 2) eps sum_k |term_k| exceeds 1e-6 is refused, which happens from
+about i = 28 on for the first columns; simulate instead.)
 
 The scaled factorial moments x_m = phi^(m)(1)/m! of the stationary pmf
 satisfy x_m = sum_k x_k (-1)^{k-1} a_mk with a_mk = bhat_k^{m-1}/(1-bhat_k)^m.
@@ -53,7 +55,8 @@ from . import linsys
 from .distributions import ArrivalDistribution
 from .errors import OutOfRegimeError, UnconvergedError
 
-_MAX_BINOMIAL_ROW = 60
+_EPS = float(np.finfo(float).eps)
+_ROUNDING_TOL = 1e-6
 _PMF_TERM_TOL = 1e-14
 _NEGATIVE_CLAMP = -1e-10
 # Bernoulli numbers B_2, B_4, ..., B_16 for the Euler-Maclaurin tail of zeta.
@@ -156,32 +159,38 @@ def _zeta(s: int) -> float:
     return math.fsum(terms)
 
 
-def _pairwise_sum(terms) -> float:
-    vals = list(terms)
-    if not vals:
-        return 0.0
-    while len(vals) > 1:
-        nxt = [vals[k] + vals[k + 1] for k in range(0, len(vals) - 1, 2)]
-        if len(vals) % 2:
-            nxt.append(vals[-1])
-        vals = nxt
-    return vals[0]
+def _binomial_sum(i: int, ops: int, weights) -> float:
+    """math.fsum of C(i,k) (-1)^k w_k over k = 1..i, refused once rounding
+    the terms can move it by more than _ROUNDING_TOL.
+
+    Each term carries a relative rounding error below ops * eps, so
+    ops * eps * sum |terms| bounds the error of the sum on the given bhat_k;
+    the binomial weights make that bound grow like 2^i.
+    """
+    try:
+        terms = [math.comb(i, k) * (-1.0) ** k * w
+                 for k, w in enumerate(weights, start=1)]
+    except OverflowError:  # C(i,k) past double range
+        terms = [math.inf]
+    bound = ops * _EPS * math.fsum(map(abs, terms))
+    if not bound <= _ROUNDING_TOL:
+        raise ValueError(
+            f"row i={i}: rounding the alternating binomial terms can move "
+            f"the sum by {bound:.3g} in double arithmetic; estimate this "
+            "row by simulation instead")
+    return math.fsum(terms)
+
+
+def _bhats(model: GiModel, i: int) -> list:
+    return [model.bhat(k) for k in range(1, i + 1)]
 
 
 def transition_probability(model: GiModel, i: int, j: int) -> float:
     """P(K_next = j | K = i) for the customers-per-stage chain."""
     if i < 1 or j < 1:
         raise ValueError(f"states start at 1, got i={i}, j={j}")
-    if i > _MAX_BINOMIAL_ROW:
-        raise ValueError(
-            f"row i={i} exceeds {_MAX_BINOMIAL_ROW}: the alternating binomial "
-            "sum loses all precision in double arithmetic; estimate this row "
-            "by simulation instead")
-    terms = []
-    for k in range(1, i + 1):
-        bk = model.bhat(k)
-        terms.append(math.comb(i, k) * (-1.0) ** k * bk ** (j - 1) * (bk - 1.0))
-    return _pairwise_sum(terms)
+    return _binomial_sum(i, i + j + 2, [bk ** (j - 1) * (bk - 1.0)
+                                        for bk in _bhats(model, i)])
 
 
 def transition_row_mass(model: GiModel, i: int, head: int = 0) -> float:
@@ -191,16 +200,10 @@ def transition_row_mass(model: GiModel, i: int, head: int = 0) -> float:
     """
     if i < 1:
         raise ValueError(f"states start at 1, got i={i}")
-    if i > _MAX_BINOMIAL_ROW:
-        raise ValueError(f"row i={i} exceeds {_MAX_BINOMIAL_ROW}")
     total = math.fsum(transition_probability(model, i, j)
                       for j in range(1, head + 1))
-    tail_terms = []
-    for k in range(1, i + 1):
-        bk = model.bhat(k)
-        tail_terms.append(math.comb(i, k) * (-1.0) ** k * (bk - 1.0)
-                          * bk ** head / (1.0 - bk))
-    return total + _pairwise_sum(tail_terms)
+    return total + _binomial_sum(i, i + head + 3, [
+        (bk - 1.0) * bk ** head / (1.0 - bk) for bk in _bhats(model, i)])
 
 
 def _poisson_oracle(model: GiModel) -> linsys.CoefficientOracle:
@@ -253,16 +256,10 @@ def _general_oracle(model: GiModel) -> linsys.CoefficientOracle:
 
     def a(i, j):
         i, j = np.asarray(i), np.asarray(j)
-        b1 = model.bhat(1)
-        # One bhat per distinct column, spread over the block (np.unique of
-        # an integer array imports numpy.ma, ~2 MB, on its first call).
-        flat = np.sort(j, axis=None)
-        cols = flat[np.insert(flat[1:] != flat[:-1], 0, True)]
-        bj = np.array([model.bhat(k) for k in cols.tolist()])[
-            np.searchsorted(cols, j)]
+        bj = np.array(_bhats(model, j.max(initial=0)))[j - 1]
         # a_ij = bj^(i-1) / (1 - bj)^i is inf once the denominator underflows.
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            row1 = np.where(j == 1, -(1.0 - 2.0 * b1) / (1.0 - b1),
+            row1 = np.where(j == 1, -(1.0 - 2.0 * bj) / (1.0 - bj),
                             (-1.0) ** (j - 1) * bj / (j * (1.0 - bj)))
             den = (1.0 - bj) ** i
             a_ij = np.where(den == 0.0, np.inf, bj ** (i - 1) / den)

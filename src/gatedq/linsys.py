@@ -183,13 +183,18 @@ def truncate(oracle: CoefficientOracle, n: int) -> TruncatedSystem:
     idx = np.arange(1, n + 1)
     a = _block(oracle.a, idx[:, None], idx[None, :])
     b = _block(oracle.b, idx)
-    for what, x in (("coefficient a", a), ("rhs b", b)):
-        bad = np.argwhere(~np.isfinite(x))
-        if len(bad):
-            at = ",".join(str(k + 1) for k in bad[0])
-            raise AssemblyError(f"{oracle.name}: non-finite {what}({at}) = "
-                                f"{x[tuple(bad[0])]}")
+    _require_finite(oracle, "coefficient a", a)
+    _require_finite(oracle, "rhs b", b)
     return TruncatedSystem(n=n, a=a, b=b)
+
+
+def _require_finite(oracle: CoefficientOracle, what: str, x: np.ndarray) -> None:
+    """Raise AssemblyError at the first non-finite entry of x (1-indexed)."""
+    bad = np.argwhere(~np.isfinite(x))
+    if len(bad):
+        at = ",".join(str(k + 1) for k in bad[0])
+        raise AssemblyError(f"{oracle.name}: non-finite {what}({at}) = "
+                            f"{x[tuple(bad[0])]}")
 
 
 def solve(sys: TruncatedSystem) -> SolveResult:
@@ -304,7 +309,10 @@ def dominance_report(oracle: CoefficientOracle, order: int,
     rows = np.arange(1, order + 1)
     cols = np.arange(1, cutoff + 1)
     # The diagonal probe has found any zero among these diagonal entries.
-    block = np.abs(_block(oracle.a, rows[:, None], cols[None, :]))
+    block = _block(oracle.a, rows[:, None], cols[None, :])
+    # Rows whose truncation truncate() refuses have no dominance to report.
+    _require_finite(oracle, "coefficient a", block[:, :order])
+    block = np.abs(block)
     diag = np.diag(block).copy()
     np.fill_diagonal(block, 0.0)
     # fsum is correctly rounded, so summing a row's Python floats gives the

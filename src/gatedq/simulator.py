@@ -15,9 +15,11 @@ Both simulators run the stage recursion literally, stage by stage:
 Randomness comes from a counter-based generator (Philox) with independent
 substreams for arrivals and services, keyed by (seed, stream index), so
 traces are bit-identical for a given seed and replications with different
-seeds are independent without shared state.  Each substream is drawn
-_CHUNK values at a time, and the stage loop takes them as Python floats, so
-it does scalar arithmetic without a numpy scalar per draw.
+seeds are independent without shared state.  Each law's draws come as a
+stream: a generator that draws _CHUNK values at a time from its substream
+and yields them as Python floats, so the stage loop does scalar arithmetic
+without a numpy scalar per draw and takes the k draws of a stage with
+islice.
 
 Stage lengths are recorded twice per record: m is the active phase (the
 service maximum) and y is the full span including any waiting phase.  The
@@ -30,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterator, Optional
 
 import numpy as np
@@ -96,46 +99,14 @@ def _substream(seed: int, stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-class _ChunkedSampler:
-    """Serves draws from fn(rng, size) out of large pre-drawn chunks.
-
-    A chunk is held as a list of Python floats, so take(n) returns a list
-    slice and one() a float; the draws are those of fn, chunk by chunk.
-    """
-
-    def __init__(self, rng: np.random.Generator, fn, chunk: int = _CHUNK):
-        self._rng = rng
-        self._fn = fn
-        self._chunk = chunk
-        self._buf = self._draw()
-        self._pos = 0
-
-    def _draw(self) -> list:
-        return np.asarray(self._fn(self._rng, self._chunk), dtype=float).tolist()
-
-    def take(self, n: int) -> list:
-        pos = self._pos
-        end = pos + n
-        if end <= len(self._buf):
-            self._pos = end
-            return self._buf[pos:end]
-        out = self._buf[pos:]
-        need = n - len(out)
-        while need > self._chunk:
-            out += self._draw()
-            need -= self._chunk
-        self._buf = self._draw()
-        out += self._buf[:need]
-        self._pos = need
-        return out
-
-    def one(self) -> float:
-        if self._pos >= len(self._buf):
-            self._buf = self._draw()
-            self._pos = 0
-        v = self._buf[self._pos]
-        self._pos += 1
-        return v
+def _draws(rng: np.random.Generator, law) -> Iterator[float]:
+    """The draws of law.sample(rng, _CHUNK) as Python floats, one chunk
+    after another; _CHUNK is read at each refill."""
+    while True:
+        chunk = np.asarray(law.sample(rng, _CHUNK), dtype=float).tolist()
+        if not chunk:
+            raise ValueError(f"the sampler of {law.name!r} returned no draws")
+        yield from chunk
 
 
 def simulate_mg(lam: float, service: ServiceDistribution, n_stages: int,
@@ -155,7 +126,7 @@ def simulate_mg(lam: float, service: ServiceDistribution, n_stages: int,
         raise ValueError(f"burn_in must be >= 0, got {burn_in}")
     arr_rng = _substream(seed, 0)
     poisson, exponential = arr_rng.poisson, arr_rng.exponential
-    take = _ChunkedSampler(_substream(seed, 1), service.sample).take
+    services = _draws(_substream(seed, 1), service)
     wait_scale = 1.0 / lam
 
     y = np.empty(n_stages)
@@ -164,7 +135,7 @@ def simulate_mg(lam: float, service: ServiceDistribution, n_stages: int,
     waiting = np.zeros(n_stages, dtype=bool)
     k_cur = 1
     for t in range(n_stages):
-        m_t = max(take(k_cur))
+        m_t = max(islice(services, k_cur))
         a = poisson(lam * m_t)
         m[t] = m_t
         k[t] = k_cur
@@ -194,9 +165,8 @@ def simulate_gi(arrivals: ArrivalDistribution, mu: float, n_stages: int,
         raise ValueError(f"n_stages must be >= 1, got {n_stages}")
     if burn_in < 0:
         raise ValueError(f"burn_in must be >= 0, got {burn_in}")
-    gap = _ChunkedSampler(_substream(seed, 0), arrivals.sample).one
-    take = _ChunkedSampler(_substream(seed, 1),
-                           ServiceDistribution.exponential(mu).sample).take
+    gap = _draws(_substream(seed, 0), arrivals).__next__
+    services = _draws(_substream(seed, 1), ServiceDistribution.exponential(mu))
 
     y = np.empty(n_stages)
     m = np.empty(n_stages)
@@ -204,7 +174,7 @@ def simulate_gi(arrivals: ArrivalDistribution, mu: float, n_stages: int,
     waiting = np.zeros(n_stages, dtype=bool)
     k_cur = 1
     for t in range(n_stages):
-        m_t = max(take(k_cur))
+        m_t = max(islice(services, k_cur))
         s = gap()
         count = 1
         while s <= m_t:

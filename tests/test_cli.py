@@ -334,6 +334,48 @@ def test_singular_truncation_exits_2_without_writing(tmp_path, capsys):
     assert not os.listdir(out)
 
 
+def _reject_constant(name):
+    raise ValueError(f"non-finite JSON constant {name}")
+
+
+@pytest.mark.parametrize("command", [
+    # The Poisson rate squared leaves double range.
+    "analyze-gi --rho 1e-200",
+    "analyze-gi --arrival-rate 1e-300 --mu 1.0",
+    "dominance --system gi --rho 1e-200",
+    "simulate --model gi --rho 1e-200 --stages 2000",
+    "compare --figure pmf --rho 1e-200 --stages 2000",
+    "analyze-gi --rho 0.3 --mu 1e300",
+    # The deterministic spacing squared overflows.
+    "analyze-gi --deterministic 1e300 --mu 1.0",
+    "simulate --model gi --deterministic 1e300 --mu 1.0 --stages 2000",
+    # bhat(1) rounds to 1.
+    "analyze-gi --deterministic 1e-300 --mu 1.0 --override",
+    "dominance --system gi --deterministic 1e-300 --mu 1.0 --override",
+])
+def test_extreme_gi_rates_exit_cleanly(command, tmp_path, capsys):
+    """Each run either writes finite, canonical artifacts or exits 2 with
+    nothing written; none ends in a traceback."""
+    code = main(command.split() + ["--out", str(tmp_path)])
+    assert code in (0, 2)
+    if code == 2:
+        assert stderr_code(capsys) == "out_of_regime"
+        assert not os.listdir(tmp_path)
+        return
+    written = sorted(tmp_path.iterdir())
+    assert written
+    for path in written:
+        raw = path.read_text()
+        if path.suffix == ".json":
+            data = json.loads(raw, parse_constant=_reject_constant)
+            assert raw == json.dumps(data, sort_keys=True, indent=2) + "\n"
+        else:
+            _, rows = read_csv(path)
+            cells = [c for row in rows for c in row
+                     if c not in ("true", "false")]
+            assert np.all(np.isfinite(np.array(cells, dtype=float)))
+
+
 @pytest.mark.parametrize("argv", [
     ["--figure", "pmf", "--rho", "0.3", "--stages", "300"],
     ["--figure", "moments", "--lambda", "0.5", "--mu", "1.0",

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -64,6 +65,48 @@ def test_transition_row_refusals():
         giqueue.transition_probability(m, 1, 0)
     with pytest.raises(ValueError):
         giqueue.transition_row_mass(m, 61)
+
+
+TRANSITION_LAWS = [ArrivalDistribution.poisson(0.5),
+                   ArrivalDistribution.deterministic(1.5)]
+
+
+@pytest.mark.parametrize("arrivals", TRANSITION_LAWS)
+def test_rows_whose_terms_lost_their_precision_are_refused(arrivals):
+    # At i = 43 the row mass used to come out 0.99988 (Poisson) and P went
+    # negative further down the row (deterministic).
+    m = giqueue.GiModel(arrivals, 1.0)
+    with pytest.raises(ValueError, match="simulation"):
+        giqueue.transition_row_mass(m, 43)
+    with pytest.raises(ValueError, match="simulation"):
+        giqueue.transition_probability(m, 43, 1)
+
+
+@pytest.mark.parametrize("arrivals", TRANSITION_LAWS)
+def test_accepted_transitions_lie_within_their_rounding_bound(arrivals):
+    """Rows 1-20 are accepted, and each accepted P_ij, i, j <= 30, is within
+    (i + j + 2) eps sum |terms| of the exact alternating sum on the same
+    float bhat_k."""
+    m = giqueue.GiModel(arrivals, 1.0)
+    eps = np.finfo(float).eps
+    accepted = 0
+    for i in range(1, 31):
+        bhat = [m.bhat(k) for k in range(1, i + 1)]
+        exact_bhat = [Fraction(b) for b in bhat]
+        for j in range(1, 31):
+            try:
+                got = giqueue.transition_probability(m, i, j)
+            except ValueError:
+                assert i > 20, (i, j)
+                continue
+            accepted += 1
+            terms = [math.comb(i, k) * b ** (j - 1) * (b - 1.0)
+                     for k, b in enumerate(bhat, start=1)]
+            bound = (i + j + 2) * eps * math.fsum(map(abs, terms))
+            exact = sum(math.comb(i, k) * (-1) ** k * b ** (j - 1) * (b - 1)
+                        for k, b in enumerate(exact_bhat, start=1))
+            assert abs(Fraction(got) - exact) <= bound, (i, j)
+    assert accepted > 800
 
 
 def test_deterministic_transform_value():

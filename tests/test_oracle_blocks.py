@@ -211,6 +211,21 @@ def test_general_gi_probe_blocks_equal_the_per_entry_bhat_reference(
         np.testing.assert_array_equal(got, want)
 
 
+@pytest.mark.parametrize("make_oracle", [
+    lambda: mgqueue.moment_oracle(mg_model(0.5)),
+    lambda: mgqueue.moment_oracle(mg_model(0.5), assembly="general"),
+    lambda: giqueue.factorial_oracle(gi_poisson_model(0.3)),
+    lambda: giqueue.factorial_oracle(gi_deterministic_model(0.3)),
+])
+def test_an_empty_row_range_gives_an_empty_block(make_oracle):
+    oracle = make_oracle()
+    rows, cols = np.arange(1, 1), np.arange(1, 5)
+    for i, j in ((rows, rows), (rows[:, None], cols[None, :])):
+        got = np.asarray(oracle.a(i, j))
+        assert got.dtype == np.float64
+        assert got.shape == np.broadcast_shapes(i.shape, j.shape)
+
+
 def reference_dominance_dict(oracle, order):
     """dominance_report(oracle, order).to_dict() with the off-diagonal row
     sums taken by math.fsum over the rows' np.float64 entries."""

@@ -1,6 +1,7 @@
 """Discrete-event oracle: determinism, structure, and statistical checks."""
 
 import math
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from gatedq.errors import InsufficientDataError
 from gatedq.simulator import (
     _CHUNK,
     StageTrace,
-    _ChunkedSampler,
+    _draws,
     _substream,
     simulate_gi,
     simulate_mg,
@@ -190,14 +191,22 @@ def test_batch_se_matches_direct_computation():
     assert got == pytest.approx(expected, rel=1e-12)
 
 
-def test_chunked_sampler_crosses_buffer_boundaries():
-    draw = lambda rng, size: rng.random(size)
-    a = _ChunkedSampler(np.random.default_rng(123), draw, chunk=8)
-    parts = [a.take(5), a.take(5), a.take(20)]
+class _Uniform:
+    name = "uniform"
+
+    @staticmethod
+    def sample(rng, size):
+        return rng.random(size)
+
+
+def test_draw_stream_crosses_chunk_boundaries(monkeypatch):
+    monkeypatch.setattr(simulator, "_CHUNK", 8)
+    a = _draws(np.random.default_rng(123), _Uniform)
+    parts = [list(islice(a, n)) for n in (5, 5, 20)]
     got = np.concatenate(parts)
     assert got.size == 30
-    b = _ChunkedSampler(np.random.default_rng(123), draw, chunk=8)
-    singles = np.array([b.one() for _ in range(30)])
+    b = _draws(np.random.default_rng(123), _Uniform)
+    singles = np.array([next(b) for _ in range(30)])
     np.testing.assert_array_equal(got, singles)
     assert np.all((got >= 0.0) & (got < 1.0))
 
@@ -242,10 +251,10 @@ class _ReferenceChunkedSampler:
 
 
 def reference_simulate_mg(lam: float, service: ServiceDistribution,
-                          n_stages: int, seed: int,
-                          burn_in: int = 1000) -> StageTrace:
+                          n_stages: int, seed: int, burn_in: int = 1000,
+                          chunk: int = _CHUNK) -> StageTrace:
     arr_rng = _substream(seed, 0)
-    svc = _ReferenceChunkedSampler(_substream(seed, 1), service.sample)
+    svc = _ReferenceChunkedSampler(_substream(seed, 1), service.sample, chunk)
 
     y = np.empty(n_stages)
     m = np.empty(n_stages)
@@ -340,6 +349,32 @@ def test_engines_match_the_reference_across_chunk_boundaries():
     assert_same_trace(tr, reference_simulate_gi(GI_ARRIVALS, 1.0, 70000,
                                                 seed=52))
     assert tr.k.sum() > _CHUNK
+
+
+def test_mg_engine_matches_the_reference_when_a_stage_takes_several_chunks(
+        monkeypatch):
+    monkeypatch.setattr(simulator, "_CHUNK", 8)
+    service = ServiceDistribution.exponential(1.0)
+    tr = simulate_mg(8.0, service, 2000, seed=53)
+    assert_same_trace(tr, reference_simulate_mg(8.0, service, 2000, seed=53,
+                                                chunk=8))
+    # Some stages take more than two chunks of draws at once.
+    assert tr.k.max() > 2 * 8
+
+
+def test_a_sampler_with_no_draws_is_refused():
+    def empty(rng, size):
+        return np.empty(0)
+
+    service = ServiceDistribution.from_callables(
+        pdf=lambda y: 0.0, cdf=lambda y: 0.0, sampler=empty, name="no-draws")
+    with pytest.raises(ValueError, match="no-draws"):
+        simulate_mg(1.0, service, 200, seed=1, burn_in=0)
+    arrivals = ArrivalDistribution.from_callables(
+        sampler=empty, laplace=lambda s: 1.0 / (1.0 + s), mean=1.0,
+        second_moment=2.0, name="no-draws")
+    with pytest.raises(ValueError, match="no-draws"):
+        simulate_gi(arrivals, 1.0, 200, seed=1, burn_in=0)
 
 
 @settings(max_examples=25, deadline=None)

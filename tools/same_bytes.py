@@ -7,8 +7,8 @@ imports gatedq from CHECKOUT/src and runs, in this one process, every
 `gatedq ...` line of CHECKOUT's README "Command line" section followed by a
 fixed list of edge cases: an unconverged ladder, beta_i past double range,
 out-of-regime and unrepresentable models, a numerically singular
-truncation, both dominance systems, short simulate runs and every compare
-figure.  Each command runs in its own empty directory OUTDIR/NN (the
+truncation, both dominance systems, short simulate runs, simulate runs whose
+draws cross a chunk, every compare figure and extreme GI rates.  Each command runs in its own empty directory OUTDIR/NN (the
 working directory, so the paths it prints are relative).
 OUTDIR/manifest.json holds, per command, its exit code, stdout, stderr and
 the sha256 of each file it wrote.  An exception that escapes cli.main is
@@ -75,6 +75,21 @@ EDGES = [
     "--stages 2000",
     "gatedq compare --figure pmf --rho 0.3 --stages 3000",
     "gatedq compare --figure pmf --deterministic 1.0 --mu 1.0 --stages 3000",
+    # Draws that cross a 65 536-draw chunk in both simulators.
+    "gatedq simulate --model mg --lambda 1.2 --mu 2.0 --stages 70000",
+    "gatedq simulate --model gi --rho 0.6 --stages 70000",
+    # Extreme GI rates: a Poisson rate or a deterministic spacing whose
+    # square leaves double range, and a bhat(mu) that rounds to 1.
+    "gatedq analyze-gi --rho 1e-200",
+    "gatedq analyze-gi --arrival-rate 1e-300 --mu 1.0",
+    "gatedq dominance --system gi --rho 1e-200",
+    "gatedq simulate --model gi --rho 1e-200 --stages 2000",
+    "gatedq compare --figure pmf --rho 1e-200 --stages 2000",
+    "gatedq analyze-gi --rho 0.3 --mu 1e300",
+    "gatedq analyze-gi --deterministic 1e300 --mu 1.0",
+    "gatedq simulate --model gi --deterministic 1e300 --mu 1.0 --stages 2000",
+    "gatedq analyze-gi --deterministic 1e-300 --mu 1.0 --override",
+    "gatedq dominance --system gi --deterministic 1e-300 --mu 1.0 --override",
 ]
 
 
