@@ -194,7 +194,8 @@ def transition_probability(model: GiModel, i: int, j: int) -> float:
 
 
 def transition_row_mass(model: GiModel, i: int, head: int = 0) -> float:
-    """sum_j P_ij with the tail beyond j = head summed as geometric series.
+    """sum_j P_ij with the tail beyond j = head summed as geometric series:
+    sum_{j > head} bhat_k^(j-1) (bhat_k - 1) = -bhat_k^head.
 
     head = 0 collapses to the pure closed form sum_k C(i,k)(-1)^{k+1}.
     """
@@ -202,8 +203,8 @@ def transition_row_mass(model: GiModel, i: int, head: int = 0) -> float:
         raise ValueError(f"states start at 1, got i={i}")
     total = math.fsum(transition_probability(model, i, j)
                       for j in range(1, head + 1))
-    return total + _binomial_sum(i, i + head + 3, [
-        (bk - 1.0) * bk ** head / (1.0 - bk) for bk in _bhats(model, i)])
+    return total + _binomial_sum(i, i + head + 1,
+                                 [-bk ** head for bk in _bhats(model, i)])
 
 
 def _poisson_oracle(model: GiModel) -> linsys.CoefficientOracle:

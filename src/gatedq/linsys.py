@@ -183,18 +183,13 @@ def truncate(oracle: CoefficientOracle, n: int) -> TruncatedSystem:
     idx = np.arange(1, n + 1)
     a = _block(oracle.a, idx[:, None], idx[None, :])
     b = _block(oracle.b, idx)
-    _require_finite(oracle, "coefficient a", a)
-    _require_finite(oracle, "rhs b", b)
+    for what, x in (("coefficient a", a), ("rhs b", b)):
+        bad = np.argwhere(~np.isfinite(x))
+        if len(bad):
+            at = ",".join(str(k + 1) for k in bad[0])
+            raise AssemblyError(f"{oracle.name}: non-finite {what}({at}) = "
+                                f"{x[tuple(bad[0])]}")
     return TruncatedSystem(n=n, a=a, b=b)
-
-
-def _require_finite(oracle: CoefficientOracle, what: str, x: np.ndarray) -> None:
-    """Raise AssemblyError at the first non-finite entry of x (1-indexed)."""
-    bad = np.argwhere(~np.isfinite(x))
-    if len(bad):
-        at = ",".join(str(k + 1) for k in bad[0])
-        raise AssemblyError(f"{oracle.name}: non-finite {what}({at}) = "
-                            f"{x[tuple(bad[0])]}")
 
 
 def solve(sys: TruncatedSystem) -> SolveResult:
@@ -284,10 +279,12 @@ def dominance_report(oracle: CoefficientOracle, order: int,
     oracle's analytic tail bound when it has one; otherwise sigma_i is a
     lower estimate and a note says so.  The three side conditions are probed:
     summability of 1/|a_ii| by geometric-ratio, boundedness of off-row sums
-    by their probed maximum being finite, and column sums by finiteness up to
+    by every probed sigma_i being finite, and column sums by finiteness up to
     the cutoff.  The probes read three blocks: rows 1..order by columns
     1..cutoff, columns 1..order by rows 1..cutoff, and the diagonal to
-    4*order.
+    4*order.  A probed row whose sigma_i is not finite (an infinite
+    off-diagonal sum, or a NaN entry) raises AssemblyError, so a report holds
+    only finite numbers and row_sums_bounded is always true.
     """
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
@@ -309,10 +306,7 @@ def dominance_report(oracle: CoefficientOracle, order: int,
     rows = np.arange(1, order + 1)
     cols = np.arange(1, cutoff + 1)
     # The diagonal probe has found any zero among these diagonal entries.
-    block = _block(oracle.a, rows[:, None], cols[None, :])
-    # Rows whose truncation truncate() refuses have no dominance to report.
-    _require_finite(oracle, "coefficient a", block[:, :order])
-    block = np.abs(block)
+    block = np.abs(_block(oracle.a, rows[:, None], cols[None, :]))
     diag = np.diag(block).copy()
     np.fill_diagonal(block, 0.0)
     # fsum is correctly rounded, so summing a row's Python floats gives the
@@ -322,9 +316,15 @@ def dominance_report(oracle: CoefficientOracle, order: int,
     tail = (_block(lambda i: oracle.tail_row_bound(i, cutoff), rows)
             if has_tail else 0.0)
     offdiag_sums = head + tail
-    sigma = offdiag_sums / diag
+    with np.errstate(invalid="ignore"):
+        sigma = offdiag_sums / diag
+    unbounded = np.flatnonzero(~np.isfinite(sigma))
+    if len(unbounded):
+        i = unbounded[0]
+        raise AssemblyError(
+            f"{oracle.name}: row {i + 1} has no finite dominance ratio: "
+            f"off-diagonal sum {offdiag_sums[i]} over diagonal {diag[i]}")
     max_row = float(offdiag_sums.max())
-    row_ok = math.isfinite(max_row)
     columns = _rows_before_failure(
         lambda i: _block(oracle.a, i[:, None], rows[None, :]), cols)
     col_reached = len(columns)
@@ -335,7 +335,7 @@ def dominance_report(oracle: CoefficientOracle, order: int,
             f"later entries are not computable")
 
     worst = int(np.argmax(sigma)) + 1
-    satisfied = bool(np.all(sigma < 1.0)) and diag_ok and row_ok and col_ok
+    satisfied = bool(np.all(sigma < 1.0)) and diag_ok and col_ok
     region = bool(oracle.analytic_region()) if oracle.analytic_region else None
     marginal = satisfied and region is False
     if marginal:
@@ -343,7 +343,7 @@ def dominance_report(oracle: CoefficientOracle, order: int,
                      "outside the closed-form sufficient region")
     return DominanceReport(
         order=order, tail_cutoff=cutoff, sigma=sigma, worst_row=worst,
-        diag_sums_summable=diag_ok, row_sums_bounded=row_ok,
+        diag_sums_summable=diag_ok, row_sums_bounded=True,
         col_sums_finite=col_ok, satisfied=satisfied,
         tail_is_analytic=has_tail, analytic_region_ok=region,
         marginal=marginal, max_offdiag_row_sum=max_row, notes=notes)

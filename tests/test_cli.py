@@ -376,6 +376,37 @@ def test_extreme_gi_rates_exit_cleanly(command, tmp_path, capsys):
             assert np.all(np.isfinite(np.array(cells, dtype=float)))
 
 
+def test_dominance_reports_rows_past_double_range(tmp_path):
+    """Deep Poisson rows leave double range on purpose (a(309,309) is -inf
+    at rho 0.01): their sigma reads 0, the column sums are not finite, and
+    the report is written."""
+    assert main(["dominance", "--system", "gi", "--rho", "0.01",
+                 "--order", "400", "--out", str(tmp_path)]) == 0
+    raw = (tmp_path / "dominance.json").read_text()
+    data = json.loads(raw, parse_constant=_reject_constant)
+    assert data["sigma"][308:] == [0.0] * 92
+    assert data["col_sums_finite"] is False
+    assert data["satisfied"] is False
+
+
+@pytest.mark.parametrize("spacing,order,row", [
+    # bhat(1) rounds to 1, so row 1 is inf on and off the diagonal.
+    ("1e-300", "25", 1),
+    # Rows 31-36 have an infinite off-diagonal sum over a finite diagonal;
+    # this report used to carry Infinity and NaN.
+    ("1e-10", "100", 31),
+])
+def test_dominance_with_an_infinite_sigma_exits_2(spacing, order, row,
+                                                  tmp_path, capsys):
+    assert main(["dominance", "--system", "gi", "--deterministic", spacing,
+                 "--mu", "1.0", "--override", "--order", order,
+                 "--out", str(tmp_path)]) == 2
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["code"] == "out_of_regime"
+    assert f"row {row} has no finite dominance ratio" in err["message"]
+    assert not os.listdir(tmp_path)
+
+
 @pytest.mark.parametrize("argv", [
     ["--figure", "pmf", "--rho", "0.3", "--stages", "300"],
     ["--figure", "moments", "--lambda", "0.5", "--mu", "1.0",

@@ -109,6 +109,35 @@ def test_accepted_transitions_lie_within_their_rounding_bound(arrivals):
     assert accepted > 800
 
 
+@pytest.mark.parametrize("arrivals", TRANSITION_LAWS)
+def test_row_mass_tails_lie_within_their_rounding_bound(arrivals):
+    """The geometric tail beyond j = head, -sum_k C(i,k)(-1)^k bhat_k^head,
+    is within (i + head + 1) eps sum |terms| of its exact value on the same
+    float bhat_k; adding the head's P_ij rounds once more."""
+    m = giqueue.GiModel(arrivals, 1.0)
+    eps = np.finfo(float).eps
+    for i in range(1, 21):
+        bhat = [m.bhat(k) for k in range(1, i + 1)]
+        for head in (0, 1, 5, 20):
+            got = giqueue.transition_row_mass(m, i, head)
+            probs = [giqueue.transition_probability(m, i, j)
+                     for j in range(1, head + 1)]
+            terms = [math.comb(i, k) * b ** head
+                     for k, b in enumerate(bhat, start=1)]
+            bound = ((i + head + 1) * eps * math.fsum(terms)
+                     + eps * (abs(math.fsum(probs)) + abs(got)))
+            exact = sum(map(Fraction, probs)) - sum(
+                math.comb(i, k) * (-1) ** k * Fraction(b) ** head
+                for k, b in enumerate(bhat, start=1))
+            assert abs(Fraction(got) - exact) <= bound, (i, head)
+
+
+def test_a_bhat_that_rounds_to_one_keeps_unit_row_mass():
+    m = giqueue.GiModel(ArrivalDistribution.deterministic(1e-300), 1.0)
+    assert m.bhat(1) == 1.0
+    assert giqueue.transition_row_mass(m, 1) == 1.0
+
+
 def test_deterministic_transform_value():
     m = giqueue.GiModel(ArrivalDistribution.deterministic(1.0), 1.0)
     assert m.bhat(3) == pytest.approx(math.exp(-3.0), rel=1e-15)

@@ -60,6 +60,8 @@ EDGES = [
     "--assembly general",
     "gatedq dominance --system gi --rho 0.45 --order 12",
     "gatedq dominance --system gi --deterministic 1.0 --mu 1.0 --order 12",
+    # Poisson rows that leave double range on purpose from row 309.
+    "gatedq dominance --system gi --rho 0.01 --order 400",
     # Short simulations of both queues and all arrival laws.
     "gatedq simulate --model mg --lambda 1.0 --mu 2.5 --stages 2000 --seed 3",
     "gatedq simulate --model mg --lambda 0.5 --mu 1.0 --stages 2000 "
@@ -90,6 +92,9 @@ EDGES = [
     "gatedq simulate --model gi --deterministic 1e300 --mu 1.0 --stages 2000",
     "gatedq analyze-gi --deterministic 1e-300 --mu 1.0 --override",
     "gatedq dominance --system gi --deterministic 1e-300 --mu 1.0 --override",
+    # Rows with an infinite off-diagonal sum over a finite diagonal.
+    "gatedq dominance --system gi --deterministic 1e-10 --mu 1.0 --override "
+    "--order 100",
 ]
 
 
