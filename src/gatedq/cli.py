@@ -305,7 +305,14 @@ def _outdir(args) -> str:
 
 
 def _mg_model(args, lam: Optional[float] = None) -> mgqueue.MgModel:
-    """Gated M/M/inf from --lambda (or the given rate) and --mu."""
+    """Gated M/M/inf from --lambda (or the given rate) and --mu.
+
+    The exponential law takes closed forms, so building it per call costs
+    nothing.  A --service option for general laws, when one is added, should
+    build its law once per command and pass it to every model here: a law
+    carries its min-moment table, so the grid points of mean-length would
+    then share one table instead of each computing its own.
+    """
     if lam is None:
         _require(args, "lam")
         lam = args.lam

@@ -44,7 +44,10 @@ quadrature node.  The node memo pays because every integral refines its
 octaves by bisection, so the entries of a law sample Gbar at the same
 dyadic Gauss-Kronrod nodes and a user cdf is called once per distinct node.
 An entry's value depends on the law, m and k alone, not on the block it was
-computed in.
+computed in.  Since the entries do not depend on the arrival rate, each law
+carries one table, built on first use (ServiceDistribution.gamma_table):
+every solve of a law after its first reads the entries it shares with
+earlier solves from that table, and the table is freed with its law.
 """
 
 from __future__ import annotations
@@ -94,6 +97,10 @@ class ServiceDistribution:
     without one, sampling inverts the cdf numerically.  mu is set for an
     exponential law only, and the closed forms downstream are picked by it.
     exponential() and from_callables() fill in the same fields.
+
+    gamma_table is the law's one GammaTable, built on first use and kept
+    for the life of the law; every reader of the law's min moments goes
+    through it.  To free its entries, drop the law.
     """
 
     _pdf: Callable
@@ -130,11 +137,17 @@ class ServiceDistribution:
             return self._sf(y)
         return 1.0 - self._cdf(y)
 
+    @functools.cached_property
+    def gamma_table(self) -> "GammaTable":
+        # cached_property writes to the instance __dict__, which the frozen
+        # dataclass's __setattr__ does not guard.
+        return GammaTable(self)
+
     def moment(self, m: int) -> float:
         """Raw moment E[sigma^m]."""
         if self._moment is not None:
             return self._moment(m)
-        return min_moment(self, m, 1)
+        return self.gamma_table.gamma(m, 1)
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         if self._sampler is not None:
@@ -644,6 +657,8 @@ def min_moment(d: ServiceDistribution, m: int, k: int) -> float:
 class GammaTable:
     """Memoized gamma_{m,k} entries for one service law, and the clamped
     tail max(Gbar(y), 0) at every quadrature node their integrals visit.
+    A law's own table is its gamma_table; a table built by hand (a test's
+    reference, say) shares nothing with it.
 
     A block of entries is computed in one batch; an entry's value depends
     on the law, m and k alone, so it is the same float whichever block

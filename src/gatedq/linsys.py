@@ -147,7 +147,9 @@ class ConvergedSolution:
     values holds the last truncation's solution (index j stored at values[j-1]).
     gaps holds |x_j^(N) - x_j^(N_prev)| over the indices the last two rungs
     share.  converged means the max gap met the tolerance before the ladder
-    ran out of orders; an exhausted ladder is reported, not raised.
+    ran out of orders; an exhausted ladder is reported, not raised.  stopped
+    says why a ladder ended before its last order, when it did (see
+    converge); a ladder stopped after one rung has no gaps and max_gap inf.
     """
 
     values: np.ndarray
@@ -158,6 +160,7 @@ class ConvergedSolution:
     tol: float
     rungs: list
     residuals: list
+    stopped: Optional[str] = None
 
     def to_dict(self) -> dict:
         return {
@@ -350,7 +353,7 @@ def dominance_report(oracle: CoefficientOracle, order: int,
 
 
 def converge(oracle: CoefficientOracle, n_start: int, n_max: int,
-             tol: float) -> ConvergedSolution:
+             tol: float, stop_on: tuple = ()) -> ConvergedSolution:
     """Solve truncations along a doubling ladder until they agree.
 
     Orders run n_start, 2*n_start, ... capped at n_max.  After each rung the
@@ -359,6 +362,10 @@ def converge(oracle: CoefficientOracle, n_start: int, n_max: int,
     solution with converged=False rather than raising.  n_max == n_start
     pins the last rung at exactly that order: the ladder then starts from
     max(2, n_start // 2), so the gap is measured against the half-order solve.
+    An exception of a type in stop_on that the oracle raises while a rung
+    after the first is assembled ends the ladder at the last rung that
+    solved, unconverged, and stopped names the rung and the exception; on
+    the first rung it propagates, as every other exception does.
     """
     if n_max == n_start:
         n_start = max(2, n_start // 2)
@@ -374,9 +381,18 @@ def converge(oracle: CoefficientOracle, n_start: int, n_max: int,
     gaps = np.array([])
     max_gap = math.inf
     converged = False
+    stopped = None
     n = n_start
     while True:
-        res = solve(truncate(oracle, n))
+        try:
+            system = truncate(oracle, n)
+        except stop_on as exc:
+            if prev is None:
+                raise
+            stopped = f"rung {n} could not be assembled: {exc}"
+            n_used = rungs[-1]
+            break
+        res = solve(system)
         rungs.append(n)
         residuals.append(res.residual)
         if prev is not None:
@@ -395,4 +411,4 @@ def converge(oracle: CoefficientOracle, n_start: int, n_max: int,
         n = min(2 * n, n_max)
     return ConvergedSolution(values=prev, n_used=n_used, gaps=gaps,
                              max_gap=max_gap, converged=converged, tol=tol,
-                             rungs=rungs, residuals=residuals)
+                             rungs=rungs, residuals=residuals, stopped=stopped)

@@ -49,8 +49,9 @@ from typing import Optional
 import numpy as np
 
 from . import linsys
-from .distributions import (GammaTable, ServiceDistribution, _on_nodes,
-                            piecewise_integral, support_end, tail_support)
+from .distributions import (DivergentMomentError, GammaTable,
+                            ServiceDistribution, _on_nodes, piecewise_integral,
+                            support_end, tail_support)
 from .errors import OutOfRegimeError, UnconvergedError
 
 _SERIES_TERM_TOL = 1e-12
@@ -197,7 +198,9 @@ def _general_oracle(model: MgModel, table: GammaTable) -> linsys.CoefficientOrac
     analytic tail bound exists; dominance probes of this oracle are honest
     lower estimates and never certify convergence.  Each block of entries
     reads the gamma table once, which computes the entries it lacks in one
-    batched quadrature.
+    batched quadrature.  The table is the law's own unless a caller passes
+    another, so an oracle at a new lam computes only the entries that no
+    earlier solve of the law has read.
     """
     lam = model.lam
 
@@ -229,7 +232,8 @@ def moment_oracle(model: MgModel, assembly: str = "auto",
     law carries a rate mu, i.e. is exponential (the only case with a
     dominance certificate), and the general gamma-table system otherwise.
     "general" can be forced for an exponential law to cross-check the two
-    assemblies against each other.
+    assemblies against each other.  The general system reads table, by
+    default the law's own gamma_table.
     """
     exponential = model.mu is not None
     if assembly == "auto":
@@ -243,7 +247,7 @@ def moment_oracle(model: MgModel, assembly: str = "auto",
                 "is outside the light-traffic regime")
         return _transformed_oracle(model)
     if assembly == "general":
-        return _general_oracle(model, table or GammaTable(model.service))
+        return _general_oracle(model, table or model.service.gamma_table)
     raise ValueError(f"unknown assembly {assembly!r}")
 
 
@@ -276,16 +280,20 @@ def solve_stage_moments(model: MgModel, order: int = 10, tol: float = 1e-8,
     to n_max (default 8 * order) or until successive solutions agree to tol.
     Passing n_max == order pins the truncation at exactly that size (see
     linsys.converge), which is how the fixed-truncation figures are
-    reproduced.
+    reproduced.  A min moment that cannot be computed (DivergentMomentError)
+    on a rung after the first ends the ladder at the last rung that solved:
+    the solution comes back unconverged, with a note naming the entry.  On
+    the first rung it raises.
     """
     if order < 4:
         raise ValueError(f"order must be >= 4, got {order}")
     if assembly == "auto":
         assembly = "transformed" if model.mu is not None else "general"
-    table = GammaTable(model.service)
+    table = model.service.gamma_table
     oracle = moment_oracle(model, assembly=assembly, table=table)
 
-    conv = linsys.converge(oracle, order, n_max or 8 * order, tol)
+    conv = linsys.converge(oracle, order, n_max or 8 * order, tol,
+                           stop_on=(DivergentMomentError,))
 
     lam = model.lam
     if assembly == "transformed":
@@ -304,7 +312,8 @@ def solve_stage_moments(model: MgModel, order: int = 10, tol: float = 1e-8,
 
     dom = linsys.dominance_report(oracle, order=min(conv.n_used, 64))
     heuristic = not dom.satisfied
-    notes = []
+    notes = [f"ladder stopped at n = {conv.n_used}: {conv.stopped}"
+             ] if conv.stopped else []
     neg = [i for i, yi in y.items() if yi <= 0]
     if neg:
         notes.append(f"nonpositive scaled moments at indices {neg}")

@@ -240,6 +240,29 @@ def test_converge_pins_the_last_rung_when_n_max_equals_n_start():
     assert converge(oracle, 8, 8, 1e-12).rungs == [4, 8]
 
 
+def test_converge_stops_before_a_rung_it_cannot_assemble():
+    class Uncomputable(ValueError):
+        pass
+
+    def a(i, j):
+        if np.any(i > 10):
+            raise Uncomputable("entry (11, 1) cannot be computed")
+        return np.where(i == j, 1.0, np.where(j == i + 1, 0.5, 0.0))
+
+    oracle = CoefficientOracle(a=a, b=lambda i: 1.0)
+    conv = converge(oracle, 4, 32, 1e-10, stop_on=(Uncomputable,))
+    assert not conv.converged
+    assert conv.rungs == [4, 8] and conv.n_used == 8 and len(conv.values) == 8
+    assert conv.stopped == ("rung 16 could not be assembled: entry (11, 1) "
+                            "cannot be computed")
+    assert converge(oracle, 4, 8, 1e-10, stop_on=(Uncomputable,)).stopped is None
+    # On the first rung, and without stop_on, the exception propagates.
+    with pytest.raises(Uncomputable):
+        converge(oracle, 16, 32, 1e-10, stop_on=(Uncomputable,))
+    with pytest.raises(Uncomputable):
+        converge(oracle, 4, 32, 1e-10)
+
+
 def test_converge_argument_validation():
     oracle = diag_oracle(lambda i: 1.0, b=lambda i: 1.0)
     with pytest.raises(ValueError):

@@ -1,8 +1,12 @@
 """Stage-length analytics for the gated M/G/infinity queue."""
 
 import dataclasses
+import gc
 import math
+import sys
+import threading
 import warnings
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -297,28 +301,49 @@ def test_general_oracle_computes_each_block_in_one_batch(monkeypatch):
     assert batches == [20, 52, 9, 48, 192, 192]
 
 
-def test_tail_memo_leaves_the_general_solve_unchanged(monkeypatch):
-    m = mgqueue.MgModel(lam=0.25, service=erlang2())
+class Uncached(GammaTable):
+    """A table whose entries each come from the memo-free min_moment, so
+    each one calls the cdf at all its nodes; no tail is memoized."""
+
+    def _entries(self, pairs):
+        for p in pairs:
+            if p not in self._cache:
+                self._cache[p] = min_moment(self.dist, *p)
+        return self._cache
+
+
+def test_tail_memo_leaves_the_general_solve_unchanged():
+    law = erlang2()
+    m = mgqueue.MgModel(lam=0.25, service=law)
     sol = mgqueue.solve_stage_moments(m, order=4)
 
-    class Uncached(GammaTable):
-        # Entries are still cached; each one calls the cdf at all its nodes.
-        def gamma(self, i, k):
-            if (i, k) not in self._cache:
-                self._cache[(i, k)] = min_moment(self.dist, i, k)
-            return self._cache[(i, k)]
-
-    monkeypatch.setattr(mgqueue, "GammaTable", Uncached)
-    ref = mgqueue.solve_stage_moments(m, order=4)
-    assert sol.beta == ref.beta
-    assert sol.beta1 == ref.beta1
-    assert np.array_equal(sol.dominance.sigma, ref.dominance.sigma)
+    # The reference repeats the solve on an uncached table of its own.
+    table = Uncached(law)
+    oracle = mgqueue.moment_oracle(m, table=table)
+    conv = linsys.converge(oracle, 4, 32, 1e-8)
+    ks = list(range(2, conv.n_used + 2))
+    g11, *g1k = table.gammas(1, [1] + ks).tolist()
+    beta1 = g11 + math.fsum((-1.0) ** k * y * (g11 - g) for k, y, g in zip(
+        ks, conv.values.tolist(), g1k))
+    dom = linsys.dominance_report(oracle, order=min(conv.n_used, 64))
+    assert table is not law.gamma_table and not table._tails
+    assert len(table._cache) > 100
+    assert conv.rungs == sol.convergence.rungs
+    assert np.array_equal(conv.values, sol.convergence.values)
+    assert beta1 == sol.beta1
+    assert np.array_equal(dom.sigma, sol.dominance.sigma)
 
 
 def test_exact_sf_lets_a_hyperexponential_law_solve():
-    with pytest.raises(DivergentMomentError):
-        mgqueue.solve_stage_moments(
-            mgqueue.MgModel(lam=0.5, service=hyperexponential(False)), order=4)
+    # Without the exact tail, gamma_{26,1} cannot be certified: a first rung
+    # that needs it raises, and a ladder that reaches it stops before it.
+    cut = mgqueue.MgModel(lam=0.5, service=hyperexponential(False))
+    with pytest.raises(DivergentMomentError, match="m=26, k=1"):
+        mgqueue.solve_stage_moments(cut, order=32)
+    short = mgqueue.solve_stage_moments(cut, order=4)
+    assert not short.converged and short.n_used == 16
+    assert any(n.startswith("ladder stopped at n = 16: rung 32 ")
+               and "m=26, k=1" in n for n in short.notes)
     m = mgqueue.MgModel(lam=0.5, service=hyperexponential(True))
     sol = mgqueue.solve_stage_moments(m, order=4)
     assert sol.converged
@@ -327,6 +352,124 @@ def test_exact_sf_lets_a_hyperexponential_law_solve():
         mgqueue.fixed_point_density(m, n_points=n) for n in (1024, 2048))]
     assert sol.beta1 == pytest.approx((4.0 * means[1] - means[0]) / 3.0,
                                       rel=1e-6)
+
+
+def lognormal(s=0.5, scale=0.4):
+    """Lognormal law from its pdf and cdf alone, written with math.erfc."""
+
+    def pdf(y):
+        if y <= 0.0:
+            return 0.0
+        z = math.log(y / scale) / s
+        return math.exp(-0.5 * z * z) / (y * s * math.sqrt(2.0 * math.pi))
+
+    def cdf(y):
+        if y <= 0.0:
+            return 0.0
+        return 0.5 * math.erfc(-math.log(y / scale) / (s * math.sqrt(2.0)))
+
+    return ServiceDistribution.from_callables(pdf, cdf, name="lognormal")
+
+
+def test_lognormal_ladder_stops_at_the_last_rung_that_solves():
+    m = mgqueue.MgModel(lam=0.5, service=lognormal())
+    sol = mgqueue.solve_stage_moments(m, order=8)
+    assert not sol.converged and sol.n_used == 8
+    assert sol.convergence.rungs == [8] and sol.convergence.max_gap == math.inf
+    assert any(n.startswith("ladder stopped at n = 8: rung 16 ")
+               and "m=16, k=1" in n for n in sol.notes)
+    # Rung 8 is the same truncation the pinned ladder solves.
+    pinned = mgqueue.solve_stage_moments(m, order=8, n_max=8)
+    assert np.array_equal(sol.convergence.values, pinned.convergence.values)
+    assert pinned.convergence.max_gap < 1e-6 and not pinned.notes
+    with pytest.raises(DivergentMomentError, match="m=16, k=1"):
+        mgqueue.solve_stage_moments(m, order=16)
+
+
+# Loads fixed before the first run; each sweep visits them in both orders.
+SWEEP_LAMS = (0.1, 0.37, 0.25, 0.4, 0.13)
+SWEEP_LAWS = {"erlang2": erlang2, "uniform": lambda: uniform_law(0.5)}
+
+
+@pytest.mark.parametrize("make", SWEEP_LAWS.values(), ids=list(SWEEP_LAWS))
+def test_a_load_sweep_on_one_law_matches_fresh_laws(make):
+    fresh = {lam: mgqueue.solve_stage_moments(
+        mgqueue.MgModel(lam, make()), order=4).to_dict() for lam in SWEEP_LAMS}
+    for lams in (SWEEP_LAMS, SWEEP_LAMS[::-1]):
+        law = make()
+        for lam in lams:
+            sol = mgqueue.solve_stage_moments(mgqueue.MgModel(lam, law),
+                                              order=4)
+            assert sol.to_dict() == fresh[lam], lam
+
+
+def counting(law):
+    """law with a cdf that counts its calls in the returned dict."""
+    calls = {"cdf": 0}
+
+    def cdf(y):
+        calls["cdf"] += 1
+        return law.cdf(y)
+
+    return ServiceDistribution.from_callables(law.pdf, cdf, name=law.name), calls
+
+
+def test_a_failed_entry_fails_again_without_calling_the_cdf(monkeypatch):
+    law, calls = counting(hyperexponential(False))
+    batches = []
+    batch = distributions._min_moments
+
+    def counted(d, pairs, memo):
+        batches.append(len(pairs))
+        return batch(d, pairs, memo)
+
+    monkeypatch.setattr(distributions, "_min_moments", counted)
+    errors = []
+    for lam in (0.5, 0.3):
+        before = calls["cdf"], len(batches)
+        with pytest.raises(DivergentMomentError) as info:
+            mgqueue.solve_stage_moments(mgqueue.MgModel(lam, law), order=32)
+        errors.append((type(info.value), str(info.value),
+                       calls["cdf"] - before[0], len(batches) - before[1]))
+    (kind, msg, cdf_calls, _), again = errors
+    # The second solve computes nothing: the entry's failure is remembered.
+    assert cdf_calls > 0 and again == (kind, msg, 0, 0)
+
+
+def test_a_law_and_its_table_are_freed_together():
+    law = erlang2()
+    mgqueue.solve_stage_moments(mgqueue.MgModel(0.25, law), order=4)
+    refs = weakref.ref(law), weakref.ref(law.gamma_table)
+    del law
+    gc.collect()
+    assert [r() for r in refs] == [None, None]
+
+
+def test_threads_sharing_a_law_match_serial_solves():
+    # More threads than cores, switching often, each at its own load.
+    lams = (0.15, 0.35, 0.25, 0.1)
+    want = [mgqueue.solve_stage_moments(mgqueue.MgModel(lam, erlang2()),
+                                        order=4).to_dict() for lam in lams]
+    law = erlang2()
+    got = [None] * len(lams)
+
+    def work(w):
+        got[w] = mgqueue.solve_stage_moments(mgqueue.MgModel(lams[w], law),
+                                             order=4).to_dict()
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(w,))
+                   for w in range(len(lams))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(t.is_alive() for t in threads)
+    assert got == want
 
 
 def test_light_traffic_limit_of_mean_stage_length():
