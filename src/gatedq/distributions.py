@@ -99,8 +99,9 @@ class ServiceDistribution:
     exponential() and from_callables() fill in the same fields.
 
     gamma_table is the law's one GammaTable, built on first use and kept
-    for the life of the law; every reader of the law's min moments goes
-    through it.  To free its entries, drop the law.
+    for the life of the law; moment() and the M/G solves read the law's min
+    moments through it (min_moment stays memo-free).  To free its entries,
+    drop the law.
     """
 
     _pdf: Callable
