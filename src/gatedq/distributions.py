@@ -37,13 +37,21 @@ saturated and is refined, not accepted: without that rule a panel that
 straddles a jump of the density (uniform service, say) can pass with a
 wrong value.
 
+A min moment is positive for any law with mass above 0, so an entry whose
+octaves all read 0.0 missed its mass between the nodes of [0, 1]; it is
+integrated again on the dyadic sub-octaves of [0, 1], and refused when it
+still reads 0.0 there.
+
 A GammaTable memoizes two things for one service law: the gamma_{m,k}
 entries, which system assembly and the dominance probe read more than once
 and compute a block at a time, and the clamped tail max(Gbar(y), 0) at every
-quadrature node.  The node memo pays because every integral refines its
-octaves by bisection, so the entries of a law sample Gbar at the same
-dyadic Gauss-Kronrod nodes and a user cdf is called once per distinct node.
-An entry's value depends on the law, m and k alone, not on the block it was
+quadrature node.  The entries live in one float64 array indexed [m, k] that
+holds NaN where an entry is not computed, so a block of entries is one
+fancy-index gather, and only a gather that finds NaN takes the fill path.
+The node memo pays because every integral refines its octaves by
+bisection, so the entries of a law sample Gbar at the same dyadic
+Gauss-Kronrod nodes and a user cdf is called once per distinct node.  An
+entry's value depends on the law, m and k alone, not on the block it was
 computed in.  Since the entries do not depend on the arrival rate, each law
 carries one table, built on first use (ServiceDistribution.gamma_table):
 every solve of a law after its first reads the entries it shares with
@@ -287,6 +295,7 @@ _MAX_EXTENSIONS = 24   # octaves past the tail support
 _SPLIT = 0.1           # bisect panels with this share of the worst error
 _CHUNK = 256           # panels per integrand array; bounds the working set
 _SPANS = 512           # integrals per engine call; bounds the panel state
+_SUB_ROUND = 16        # dyadic sub-octaves of [0, 1] per round of _below_one
 
 
 def _clamped_sf(d: ServiceDistribution, y: float) -> float:
@@ -375,14 +384,14 @@ def _panels(integrand, idx, a, b) -> tuple:
     return tuple(out)
 
 
-def _gauss_kronrod(integrand, lo, hi) -> tuple:
+def _gauss_kronrod(integrand, lo, hi, abs_tol: float = _QUAD_ABS_TOL) -> tuple:
     """Adaptive qk21 integrals of integrand over [lo[i], hi[i]], one per
     entry of the float arrays lo, hi; integrand is as in _panels.
 
     All unfinished integrals advance in the same rounds.  A round bisects
     every panel whose error estimate is at least _SPLIT of its integral's
     worst, and an integral finishes when its summed estimate meets
-    max(1e-12, 1e-11 |value|), when it holds _MAX_PANELS panels, when a
+    max(abs_tol, 1e-11 |value|), when it holds _MAX_PANELS panels, when a
     panel it would bisect is too short to halve, or when its value stops
     being finite or a panel's stop flag is set.  As in QUADPACK, a first
     pass is not accepted when its estimate equals resasc: the estimate
@@ -410,7 +419,7 @@ def _gauss_kronrod(integrand, lo, hi) -> tuple:
         tiny = pick & (np.maximum(np.abs(a), np.abs(b))
                        <= (1.0 + 100.0 * _EPMACH) * (np.abs(mid) + 1e3 * _UFLOW))
         room = _MAX_PANELS - count
-        ok = (errsum <= np.maximum(_QUAD_ABS_TOL, _QUAD_REL_TOL * np.abs(area))
+        ok = (errsum <= np.maximum(abs_tol, _QUAD_REL_TOL * np.abs(area))
               ) & ~saturated
         done = (count > 0) & (ok | stop | ~np.isfinite(errsum) | (room <= 0)
                               | (np.bincount(pid, tiny, n) > 0))
@@ -548,15 +557,9 @@ def _min_moments(d: ServiceDistribution, pairs: list, memo: dict) -> dict:
     # them lie past Y_max.
     masses, total, extended = {}, {}, {}
     while jobs:
-        spans = [(m, k, lo, hi) for (m, k), octaves in jobs.items()
-                 for lo, hi in octaves]
-        vals, errs, overflows = [], [], []
-        for s in range(0, len(spans), _SPANS):
-            m, k, lo, hi = (np.array(c, dtype=float)
-                            for c in zip(*spans[s:s + _SPANS]))
-            for acc, x in zip((vals, errs, overflows), _gauss_kronrod(
-                    _min_moment_integrand(d, memo, m, k), lo, hi)):
-                acc.extend(x.tolist())
+        vals, errs, overflows = _span_integrals(
+            d, memo, [(m, k, lo, hi) for (m, k), octaves in jobs.items()
+                      for lo, hi in octaves])
         at = 0
         for p, octaves in list(jobs.items()):
             m, k = p
@@ -598,6 +601,64 @@ def _min_moments(d: ServiceDistribution, pairs: list, memo: dict) -> dict:
                     f"past Y={lo:.3e} (last octave mass {piece:.3e})")
             else:
                 jobs[p] = [(lo, 2.0 * lo)]
+    zeros = [p for p, val in out.items()
+             if isinstance(val, float) and val == 0.0]
+    if zeros:
+        out.update(_below_one(d, zeros, memo))
+    return out
+
+
+def _span_integrals(d: ServiceDistribution, memo: dict, spans: list,
+                    abs_tol: float = _QUAD_ABS_TOL) -> tuple:
+    """Lists of the values, error estimates and overflow flags of the
+    integrals of m y^(m-1) Gbar(y)^k over [lo, hi], one per span
+    (m, k, lo, hi), in _gauss_kronrod passes of at most _SPANS integrals."""
+    vals, errs, overflows = [], [], []
+    for s in range(0, len(spans), _SPANS):
+        m, k, lo, hi = (np.array(c, dtype=float)
+                        for c in zip(*spans[s:s + _SPANS]))
+        for acc, x in zip((vals, errs, overflows), _gauss_kronrod(
+                _min_moment_integrand(d, memo, m, k), lo, hi, abs_tol)):
+            acc.extend(x.tolist())
+    return vals, errs, overflows
+
+
+def _below_one(d: ServiceDistribution, pairs: list, memo: dict) -> dict:
+    """gamma_{m,k} for entries whose octave integrals all read 0.0, or the
+    error refusing them.
+
+    gamma_{m,k} > 0 for any law with mass above 0, so such an entry missed
+    its mass: every Gauss-Kronrod node of [0, 1] lies past the support, or
+    y^(m-1) underflows at the nodes inside it.  The entry is integrated
+    again on the dyadic sub-octaves [2^-(j+1), 2^-j] of [0, 1], _SUB_ROUND
+    more per round, until a sub-octave adds less than 2^-53 of the running
+    total.  The values are tiny, so each sub-octave is held to the relative
+    tolerance alone, down to the smallest normal float.  An entry that
+    still reads 0.0 once y^(m-1) leaves double range is refused: its value
+    lies below double range, or its mass below quadrature resolution.
+    """
+    out = {}
+    total = dict.fromkeys(pairs, 0.0)
+    top = 0
+    while total:
+        spans = [(m, k, 2.0 ** -(j + 1), 2.0 ** -j) for m, k in total
+                 for j in range(top, top + _SUB_ROUND)]
+        vals = _span_integrals(d, memo, spans, _UFLOW)[0]
+        top += _SUB_ROUND
+        for n, p in enumerate(list(total)):
+            pieces = vals[n * _SUB_ROUND:(n + 1) * _SUB_ROUND]
+            total[p] += math.fsum(pieces)
+            val = total[p]
+            if val > 0.0 and pieces[-1] <= 0.5 * _EPMACH * val:
+                out[p] = val
+            elif top * max(p[0] - 1, 1) >= 1074:
+                out[p] = val or DivergentMomentError(
+                    f"min moment for m={p[0]}, k={p[1]} reads 0.0 on every "
+                    f"dyadic sub-octave of [0, 1]: it lies below double "
+                    f"range, or the law's mass below quadrature resolution")
+            else:
+                continue
+            del total[p]
     return out
 
 
@@ -646,12 +707,18 @@ def min_moment(d: ServiceDistribution, m: int, k: int) -> float:
     Exponential laws use the closed form m!/(k mu)^m.  Everything else goes
     through the tail identity integral m y^(m-1) Gbar(y)^k dy, integrated
     octave by octave by the batched Gauss-Kronrod engine at absolute
-    tolerance 1e-12, as the one-entry case of a GammaTable block.
+    tolerance 1e-12, as the one-entry case of a GammaTable block.  A value
+    that reads 0.0 is integrated again on the dyadic sub-octaves of [0, 1]
+    (see _below_one).
     """
     val = _min_moments(d, [(m, k)], {})[(m, k)]
     if isinstance(val, Exception):
         raise val
     return val
+
+
+def _empty_store() -> np.ndarray:
+    return np.full((1, 1), np.nan)
 
 
 @dataclass
@@ -661,56 +728,97 @@ class GammaTable:
     A law's own table is its gamma_table; a table built by hand (a test's
     reference, say) shares nothing with it.
 
-    A block of entries is computed in one batch; an entry's value depends
-    on the law, m and k alone, so it is the same float whichever block
-    computes it.  An entry that fails is remembered with its exception.
-    The entry caches are guarded by a lock so a table shared between
-    threads stays consistent; entries themselves are plain floats and
-    immutable.  The node memo takes no lock: each dict read and write is
-    atomic and a value depends on its node alone, so a miss racing another
-    thread's miss may compute the same tail twice, and both store the same
-    float.
+    The entries live in one float64 array indexed [m, k] (row and column 0
+    unused), which holds NaN wherever an entry is not computed: not yet
+    asked for, or failed.  No computed entry is NaN, so a block of entries
+    is read with one gather and is complete when the gather holds no NaN.
+    The array grows to the largest m and k asked for.  A block's missing
+    entries are computed in one batch; an entry's value depends on the law,
+    m and k alone, so it is the same float whichever block computes it.  An
+    entry that fails stays NaN and is remembered with its exception.
+
+    Writes to the array, and its growth, are guarded by a lock so a table
+    shared between threads stays consistent.  A read takes no lock: it
+    sees either an entry's value or NaN, and NaN sends it to the locked
+    fill path, which computes only what is still missing there.  The node
+    memo takes no lock either: each dict read and write is atomic and a
+    value depends on its node alone, so a miss racing another thread's miss
+    may compute the same tail twice, and both store the same float.
     """
 
     dist: ServiceDistribution
-    _cache: dict = field(default_factory=dict)
+    _values: np.ndarray = field(default_factory=_empty_store, repr=False)
     _failed: dict = field(default_factory=dict, repr=False)
     _tails: dict = field(default_factory=dict, repr=False)
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
-    def _entries(self, pairs: list) -> dict:
-        """The entry cache, once it holds every pair in pairs.
+    def _entries(self, m: np.ndarray, k: np.ndarray) -> np.ndarray:
+        """gamma_{m,k} at every index pair of the integer arrays m, k, which
+        have one shape.
 
-        The missing entries are computed in one batch.  If any of pairs
-        fails, the entries that succeeded are cached first, and then the
-        first failing pair in the order of pairs raises its exception.
+        The missing entries are computed in one batch.  If any pair fails,
+        the entries that succeeded are stored first, and then the first
+        failing pair in the C order of m, k raises its exception.
         """
+        shape, m, k = m.shape, m.ravel(), k.ravel()
+        if not m.size:
+            return np.empty(shape)
+        store = self._values
+        if (min(m.min(), k.min()) >= 1 and m.max() < store.shape[0]
+                and k.max() < store.shape[1]):
+            vals = store[m, k]
+            if not np.isnan(vals).any():
+                return vals.reshape(shape)
+        pairs = list(zip(m.tolist(), k.tolist()))
         with self._lock:
             todo = [p for p in dict.fromkeys(pairs)
-                    if p not in self._cache and p not in self._failed]
-        if todo:
-            found = _min_moments(self.dist, todo, self._tails)
-            with self._lock:
-                for p, val in found.items():
-                    if isinstance(val, Exception):
-                        self._failed[p] = val
-                    else:
-                        self._cache[p] = val
-        for p in pairs:
-            exc = self._failed.get(p)
-            if exc is not None:
-                raise exc.with_traceback(None)
-        return self._cache
+                    if p not in self._failed and not self._holds(p)]
+        found = _min_moments(self.dist, todo, self._tails) if todo else {}
+        with self._lock:
+            # Failed pairs widen the store too, so the gather below stays
+            # inside it and reads them as NaN.
+            self._grow(int(m.max()), int(k.max()))
+            done = []
+            for p, val in found.items():
+                if isinstance(val, Exception):
+                    self._failed[p] = val
+                else:
+                    done.append(p)
+            if done:
+                rows, cols = np.array(done).T
+                self._values[rows, cols] = [found[p] for p in done]
+        vals = self._values[m, k]
+        for at in np.flatnonzero(np.isnan(vals)).tolist():
+            raise self._failed[pairs[at]].with_traceback(None)
+        return vals.reshape(shape)
+
+    def _holds(self, p: tuple) -> bool:
+        """Whether the store holds entry p = (m, k)."""
+        m, k = p
+        rows, cols = self._values.shape
+        return 0 < m < rows and 0 < k < cols and not math.isnan(
+            self._values[m, k])
+
+    def _grow(self, m: int, k: int) -> None:
+        """Widen the store, under the lock, to hold index [m, k]."""
+        rows, cols = self._values.shape
+        if m >= rows or k >= cols:
+            store = np.full((max(m + 1, rows), max(k + 1, cols)), np.nan)
+            store[:rows, :cols] = self._values
+            self._values = store
+
+    @property
+    def _cache(self) -> "_Computed":
+        # The (m, k) pairs whose entries are computed, for bench/spans.py's
+        # hit counter, which asks `(m, k) in table._cache`.
+        return _Computed(self)
 
     def gamma(self, m: int, k: int) -> float:
-        return self._entries([(m, k)])[(m, k)]
+        return float(self._entries(np.asarray(m), np.asarray(k)))
 
     def gammas(self, ms, ks) -> np.ndarray:
         """gamma_{m,k} at every index pair of the broadcast arrays ms, ks."""
-        m, k = np.broadcast_arrays(ms, ks)
-        pairs = list(zip(m.ravel().tolist(), k.ravel().tolist()))
-        cache = self._entries(pairs)
-        return np.reshape([cache[p] for p in pairs], m.shape)
+        return self._entries(*np.broadcast_arrays(ms, ks))
 
     def ratio(self, m: int, k: int) -> float:
         return float(self.ratios(m, k))
@@ -720,17 +828,32 @@ class GammaTable:
         of the broadcast arrays ms, ks, from one batch of entries.
 
         For exponential laws this is k^-m exactly, which stays representable
-        long after the two moments themselves overflow.
+        long after the two moments themselves overflow.  A gamma_{m,1} of
+        0.0 raises ZeroDivisionError, as a float division does.
         """
         m, k = np.broadcast_arrays(ms, ks)
-        pairs = list(zip(m.ravel().tolist(), k.ravel().tolist()))
         if self.dist.mu is not None:
-            vals = [float(q) ** -p for p, q in pairs]
-        else:
-            cache = self._entries(
-                [e for p, q in pairs for e in ((p, q), (p, 1))])
-            vals = [cache[(p, q)] / cache[(p, 1)] for p, q in pairs]
-        return np.reshape(vals, m.shape)
+            # Python's float power, not numpy's: the two differ in the last
+            # bit for some (m, k).
+            return np.reshape([float(q) ** -p for p, q in zip(
+                m.ravel().tolist(), k.ravel().tolist())], m.shape)
+        # Each (m, k) is read beside its (m, 1), so a failure raises in the
+        # order the pairs come in.
+        both = self._entries(np.stack((m, m), axis=-1),
+                             np.stack((k, np.ones_like(k)), axis=-1))
+        if not both[..., 1].all():
+            raise ZeroDivisionError("float division by zero")
+        return both[..., 0] / both[..., 1]
+
+
+@dataclass(frozen=True)
+class _Computed:
+    """The pairs (m, k) whose entries a GammaTable holds, as a container."""
+
+    table: GammaTable
+
+    def __contains__(self, p) -> bool:
+        return self.table._holds(p)
 
 
 @dataclass

@@ -150,6 +150,8 @@ class ConvergedSolution:
     ran out of orders; an exhausted ladder is reported, not raised.  stopped
     says why a ladder ended before its last order, when it did (see
     converge); a ladder stopped after one rung has no gaps and max_gap inf.
+    to_dict writes a max_gap that is not finite as None (JSON null), so its
+    dict is standard JSON.
     """
 
     values: np.ndarray
@@ -165,7 +167,8 @@ class ConvergedSolution:
     def to_dict(self) -> dict:
         return {
             "n_used": self.n_used,
-            "max_gap": float(self.max_gap),
+            "max_gap": (float(self.max_gap) if math.isfinite(self.max_gap)
+                        else None),
             "converged": self.converged,
             "tol": self.tol,
             "rungs": list(self.rungs),

@@ -204,18 +204,24 @@ def _general_oracle(model: MgModel, table: GammaTable) -> linsys.CoefficientOrac
     """
     lam = model.lam
 
-    def lead(i: int) -> float:
+    def lead(i: int, gamma: float) -> float:
+        # Python floats: lam ** i is libm's pow, which numpy's power does
+        # not always match in the last bit.
         try:
-            return math.factorial(i) / (lam ** i * table.gamma(i, 1))
+            return math.factorial(i) / (lam ** i * gamma)
         except (OverflowError, ZeroDivisionError):
             return math.inf
 
     def a(mi, mj):
         i, j = np.broadcast_arrays(np.asarray(mi) + 1, np.asarray(mj) + 1)
         ratio = table.ratios(i, j)
-        pairs = zip(i.ravel().tolist(), j.ravel().tolist())
-        diag = np.reshape([lead(p) if p == q else 0.0 for p, q in pairs],
-                          i.shape)
+        # ratios has read gamma_{i,1} for every i here, so this gather
+        # computes nothing.
+        on = i == j
+        rows = i[on]
+        diag = np.zeros(i.shape)
+        diag[on] = [lead(p, g) for p, g in zip(
+            rows.tolist(), table.gammas(rows, 1).tolist())]
         return diag - (-1.0) ** j * (1.0 - ratio)
 
     def b(_i):

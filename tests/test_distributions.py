@@ -1,12 +1,14 @@
 """Distribution layer: closed forms, min-moment quadrature, validation."""
 
 import math
+import random
 import sys
 import threading
 
 import numpy as np
 import pytest
 
+from gatedq import distributions
 from gatedq.distributions import (
     ArrivalDistribution,
     DivergentMomentError,
@@ -524,15 +526,114 @@ def test_a_failing_block_raises_its_first_failure_and_caches_the_rest():
     # entry in row-major order.
     with pytest.raises(DivergentMomentError, match="m=2, k=1"):
         table.gammas(idx[:, None], idx[None, :])
-    assert (1, 1) in table._cache and (3, 3) in table._cache
+    assert not np.isnan(table._values[[1, 3], [1, 3]]).any()
     calls = counter["cdf"]
     for m in idx:
         for k in idx:
             try:
                 table.gamma(int(m), int(k))
             except DivergentMomentError:
-                assert (int(m), int(k)) not in table._cache
+                assert np.isnan(table._values[m, k])
     assert counter["cdf"] == calls
+
+
+def uniform_gamma(b, m, k):
+    return b ** m * math.factorial(m) * math.factorial(k) / math.factorial(m + k)
+
+
+@pytest.mark.parametrize("law", [erlang2(exact_sf=True),
+                                 numpy_uniform(0.5, exact_sf=True)],
+                         ids=["erlang2", "uniform"])
+def test_the_store_grows_block_by_block_to_the_memo_free_entries(law):
+    idx = np.arange(1, 41)
+    want = np.array([[min_moment(law, m, k) for k in idx] for m in idx])
+    tiles = [(r, c) for r in range(0, 40, 8) for c in range(0, 40, 10)]
+    random.Random(16).shuffle(tiles)
+    # Shell by shell out from the corner, so the store grows several times;
+    # the order inside a shell stays shuffled.
+    tiles.sort(key=lambda t: max(t[0] // 8, t[1] // 10))
+    table = GammaTable(law)
+    shapes = []
+    for r, c in tiles:
+        got = table.gammas(idx[r:r + 8, None], idx[None, c:c + 10])
+        assert np.array_equal(got, want[r:r + 8, c:c + 10]), (r, c)
+        shapes.append(table._values.shape)
+    assert len(set(shapes)) > 2 and shapes[-1] == (41, 41)
+    assert np.array_equal(table._values[1:, 1:], want)
+    assert np.isnan(table._values[0]).all() and np.isnan(table._values[:, 0]).all()
+
+
+def test_four_threads_grow_one_store():
+    law = erlang2(exact_sf=True)
+    idx = np.arange(1, 25)
+    want = np.array([[min_moment(law, m, k) for k in idx] for m in idx])
+    tiles = [(r, c) for r in range(0, 24, 6) for c in range(0, 24, 8)]
+    table = GammaTable(law)
+    got = [{} for _ in range(4)]
+
+    def work(w):
+        # Each thread walks the tiles in its own order, so the store grows
+        # under all of them at once.
+        for r, c in random.Random(w).sample(tiles, len(tiles)):
+            got[w][(r, c)] = table.gammas(idx[r:r + 6, None],
+                                          idx[None, c:c + 8])
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(w,)) for w in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(t.is_alive() for t in threads)
+    for g in got:
+        assert len(g) == len(tiles)
+        for (r, c), block in g.items():
+            assert np.array_equal(block, want[r:r + 6, c:c + 8]), (r, c)
+    assert np.array_equal(table._values[1:, 1:], want)
+
+
+def test_a_failed_entry_raises_its_stored_error_without_quadrature(monkeypatch):
+    table = GammaTable(pareto())
+    with pytest.raises(DivergentMomentError) as first:
+        table.gammas(np.arange(1, 4)[:, None], 1)
+    batches = []
+    batch = distributions._min_moments
+
+    def counted(d, pairs, memo):
+        batches.append(pairs)
+        return batch(d, pairs, memo)
+
+    monkeypatch.setattr(distributions, "_min_moments", counted)
+    for read in (lambda: table.gamma(2, 1), lambda: table.gammas([2, 3], 1),
+                 lambda: table.ratios(2, [1, 2])):
+        with pytest.raises(DivergentMomentError) as again:
+            read()
+        assert str(again.value) == str(first.value)
+    # ratios read (2, 2), which no earlier block held; nothing else ran.
+    assert batches == [[(2, 2)]]
+    assert np.isnan(table._values[2, 1]) and table._values[1, 1] > 0.0
+
+
+@pytest.mark.parametrize("b", [1e-3, 1e-2])
+def test_a_law_below_the_first_nodes_gets_its_min_moments(b):
+    # Every Gauss-Kronrod node of the [0, 1] octave lies past uniform(0,
+    # 1e-3), and y^(m-1) underflows at those inside uniform(0, 1e-2) from
+    # m = 123 on; both once read 0.0.
+    law = numpy_uniform(b, exact_sf=True)
+    table = GammaTable(law)
+    pairs = ([(m, k) for m in range(1, 9) for k in range(1, 9)] if b == 1e-3
+             else [(m, 1) for m in range(123, 151)])
+    for m, k in pairs:
+        assert table.gamma(m, k) == pytest.approx(uniform_gamma(b, m, k),
+                                                  rel=1e-10), (m, k)
+        assert min_moment(law, m, k) == table.gamma(m, k)
+    # Past double range the entry is refused, not read as 0.0.
+    with pytest.raises(DivergentMomentError, match="reads 0.0"):
+        table.gamma(170, 1)
 
 
 def test_divergent_and_stuck_tails_still_raise():

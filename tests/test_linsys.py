@@ -1,9 +1,12 @@
 """Truncated-system machinery: assembly, solving, dominance, the ladder."""
 
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gatedq import linsys, mgqueue
 from gatedq.distributions import ServiceDistribution
@@ -261,6 +264,35 @@ def test_converge_stops_before_a_rung_it_cannot_assemble():
         converge(oracle, 16, 32, 1e-10, stop_on=(Uncomputable,))
     with pytest.raises(Uncomputable):
         converge(oracle, 4, 32, 1e-10)
+
+
+class _Uncomputable(ValueError):
+    pass
+
+
+@settings(max_examples=40, deadline=None)
+@given(n_start=st.integers(min_value=2, max_value=12),
+       rungs=st.integers(min_value=1, max_value=4),
+       reach=st.integers(min_value=0, max_value=3))
+def test_a_stopped_ladder_writes_standard_json(n_start, rungs, reach):
+    # Rows past the last rung that solves cannot be computed; reach moves
+    # the failure inside the next rung, which holds rows last+1..2*last.
+    last = n_start * 2 ** (rungs - 1)
+    limit = last + reach % last
+
+    def a(i, j):
+        if np.any(np.asarray(i) > limit):
+            raise _Uncomputable(f"row {limit + 1} cannot be computed")
+        return np.where(i == j, 1.0, np.where(j == i + 1, 0.5, 0.0))
+
+    conv = converge(CoefficientOracle(a=a, b=lambda i: 1.0), n_start,
+                    8 * last, 1e-300, stop_on=(_Uncomputable,))
+    assert conv.stopped and conv.rungs[-1] == last
+    out = json.loads(json.dumps(conv.to_dict(), allow_nan=False))
+    if rungs == 1:
+        assert conv.max_gap == math.inf and out["max_gap"] is None
+    else:
+        assert out["max_gap"] == conv.max_gap
 
 
 def test_converge_argument_validation():

@@ -68,8 +68,8 @@ def hyperexponential(exact_sf):
         sf=sf if exact_sf else None)
 
 
-def uniform_law(b):
-    """Uniform(0, b) as numpy expressions, without an exact tail."""
+def uniform_law(b, exact_sf=False):
+    """Uniform(0, b) as numpy expressions, by default without an exact tail."""
 
     def pdf(y):
         y = np.asarray(y, dtype=float)
@@ -78,7 +78,11 @@ def uniform_law(b):
     def cdf(y):
         return np.clip(np.asarray(y, dtype=float) / b, 0.0, 1.0)
 
-    return ServiceDistribution.from_callables(pdf, cdf, name=f"uniform({b})")
+    def sf(y):
+        return np.clip(1.0 - np.asarray(y, dtype=float) / b, 0.0, 1.0)
+
+    return ServiceDistribution.from_callables(
+        pdf, cdf, name=f"uniform({b})", sf=sf if exact_sf else None)
 
 
 # ---------------------------------------------------------------- kernel ----
@@ -280,7 +284,7 @@ def test_gamma_table_evaluates_each_tail_node_once():
     oracle = mgqueue.moment_oracle(
         mgqueue.MgModel(lam=0.25, service=table.dist), table=table)
     linsys.dominance_report(oracle, order=8)
-    assert len(table._cache) > 100
+    assert np.count_nonzero(~np.isnan(table._values)) > 100
     assert len(nodes) == len(set(nodes)) == len(table._tails)
 
 
@@ -301,15 +305,20 @@ def test_general_oracle_computes_each_block_in_one_batch(monkeypatch):
     assert batches == [20, 52, 9, 48, 192, 192]
 
 
+@dataclasses.dataclass
 class Uncached(GammaTable):
     """A table whose entries each come from the memo-free min_moment, so
-    each one calls the cdf at all its nodes; no tail is memoized."""
+    each one calls the cdf at all its nodes; no tail is memoized.  The
+    entries go in a dict of its own, computed, and the store stays empty."""
 
-    def _entries(self, pairs):
+    computed: dict = dataclasses.field(default_factory=dict)
+
+    def _entries(self, m, k):
+        pairs = list(zip(m.ravel().tolist(), k.ravel().tolist()))
         for p in pairs:
-            if p not in self._cache:
-                self._cache[p] = min_moment(self.dist, *p)
-        return self._cache
+            if p not in self.computed:
+                self.computed[p] = min_moment(self.dist, *p)
+        return np.reshape([self.computed[p] for p in pairs], m.shape)
 
 
 def test_tail_memo_leaves_the_general_solve_unchanged():
@@ -327,7 +336,7 @@ def test_tail_memo_leaves_the_general_solve_unchanged():
         ks, conv.values.tolist(), g1k))
     dom = linsys.dominance_report(oracle, order=min(conv.n_used, 64))
     assert table is not law.gamma_table and not table._tails
-    assert len(table._cache) > 100
+    assert np.isnan(table._values).all() and len(table.computed) > 100
     assert conv.rungs == sol.convergence.rungs
     assert np.array_equal(conv.values, sol.convergence.values)
     assert beta1 == sol.beta1
@@ -384,6 +393,23 @@ def test_lognormal_ladder_stops_at_the_last_rung_that_solves():
     assert pinned.convergence.max_gap < 1e-6 and not pinned.notes
     with pytest.raises(DivergentMomentError, match="m=16, k=1"):
         mgqueue.solve_stage_moments(m, order=16)
+
+
+def test_a_law_below_the_first_nodes_solves_like_its_rescaled_self():
+    # uniform(0, 1e-3) lies below every Gauss-Kronrod node of [0, 1]; its
+    # gamma_{1,1} once read 0.0 and the solve ended in ZeroDivisionError.
+    # Scaling time by 1/b maps it to uniform(0, 1) at lam * b, whose stage
+    # lengths are those of the original divided by b.
+    b, lam = 1e-3, 0.5
+    sol = mgqueue.solve_stage_moments(
+        mgqueue.MgModel(lam, uniform_law(b, exact_sf=True)), order=8)
+    ref = mgqueue.solve_stage_moments(
+        mgqueue.MgModel(lam * b, uniform_law(1.0, exact_sf=True)), order=8)
+    assert sol.converged and sol.n_used == ref.n_used
+    assert sol.beta1 == pytest.approx(b * ref.beta1, rel=1e-12)
+    assert sol.s == pytest.approx(ref.s, rel=1e-12)
+    for k, yk in ref.y.items():
+        assert sol.y[k] == pytest.approx(yk, rel=1e-12), k
 
 
 # Loads fixed before the first run; each sweep visits them in both orders.

@@ -16,7 +16,8 @@ how many pairs the change won, and the interquartile range of the parent's
 runs.  A metric with a bound in BENCHMARK.json also gets a verdict:
 "unresolved" when the parent's relative interquartile range exceeds the
 bound, "worse than bound" when the change median is worse than the parent
-median by more than the bound, else "within bound".  --claim W:METRIC
+median by more than the bound, "better than bound" when it is better by
+more than the bound, else "within bound".  --claim W:METRIC
 checks a claimed gain: the change must win at least nine pairs in ten and
 beat the parent median by more than the parent's interquartile range.
 """
@@ -101,6 +102,7 @@ def summarize(runs: list, workload: str, spec: dict) -> dict:
             row["verdict"] = (
                 "unresolved" if (row["parent_relative_iqr"] or 0.0) > bound
                 else "worse than bound" if worse > bound
+                else "better than bound" if -worse > bound
                 else "within bound")
         out[name] = row
     return out
