@@ -717,10 +717,6 @@ def min_moment(d: ServiceDistribution, m: int, k: int) -> float:
     return val
 
 
-def _empty_store() -> np.ndarray:
-    return np.full((1, 1), np.nan)
-
-
 @dataclass
 class GammaTable:
     """Memoized gamma_{m,k} entries for one service law, and the clamped
@@ -747,7 +743,8 @@ class GammaTable:
     """
 
     dist: ServiceDistribution
-    _values: np.ndarray = field(default_factory=_empty_store, repr=False)
+    _values: np.ndarray = field(
+        default_factory=lambda: np.full((1, 1), np.nan), repr=False)
     _failed: dict = field(default_factory=dict, repr=False)
     _tails: dict = field(default_factory=dict, repr=False)
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
@@ -772,7 +769,7 @@ class GammaTable:
         pairs = list(zip(m.tolist(), k.tolist()))
         with self._lock:
             todo = [p for p in dict.fromkeys(pairs)
-                    if p not in self._failed and not self._holds(p)]
+                    if p not in self._failed and p not in self]
         found = _min_moments(self.dist, todo, self._tails) if todo else {}
         with self._lock:
             # Failed pairs widen the store too, so the gather below stays
@@ -788,12 +785,13 @@ class GammaTable:
                 rows, cols = np.array(done).T
                 self._values[rows, cols] = [found[p] for p in done]
         vals = self._values[m, k]
-        for at in np.flatnonzero(np.isnan(vals)).tolist():
-            raise self._failed[pairs[at]].with_traceback(None)
+        failed = np.flatnonzero(np.isnan(vals))
+        if len(failed):
+            raise self._failed[pairs[failed[0]]].with_traceback(None)
         return vals.reshape(shape)
 
-    def _holds(self, p: tuple) -> bool:
-        """Whether the store holds entry p = (m, k)."""
+    def __contains__(self, p) -> bool:
+        """Whether the table holds entry p = (m, k)."""
         m, k = p
         rows, cols = self._values.shape
         return 0 < m < rows and 0 < k < cols and not math.isnan(
@@ -808,10 +806,10 @@ class GammaTable:
             self._values = store
 
     @property
-    def _cache(self) -> "_Computed":
-        # The (m, k) pairs whose entries are computed, for bench/spans.py's
-        # hit counter, which asks `(m, k) in table._cache`.
-        return _Computed(self)
+    def _cache(self) -> "GammaTable":
+        # bench/spans.py's hit counter asks `(m, k) in table._cache`; the
+        # table itself answers.
+        return self
 
     def gamma(self, m: int, k: int) -> float:
         return float(self._entries(np.asarray(m), np.asarray(k)))
@@ -844,16 +842,6 @@ class GammaTable:
         if not both[..., 1].all():
             raise ZeroDivisionError("float division by zero")
         return both[..., 0] / both[..., 1]
-
-
-@dataclass(frozen=True)
-class _Computed:
-    """The pairs (m, k) whose entries a GammaTable holds, as a container."""
-
-    table: GammaTable
-
-    def __contains__(self, p) -> bool:
-        return self.table._holds(p)
 
 
 @dataclass
