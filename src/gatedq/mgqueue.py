@@ -197,10 +197,11 @@ def _general_oracle(model: MgModel, table: GammaTable) -> linsys.CoefficientOrac
     Off-diagonal entries tend to a constant along each row, so no finite
     analytic tail bound exists; dominance probes of this oracle are honest
     lower estimates and never certify convergence.  Each block of entries
-    reads the gamma table once, which computes the entries it lacks in one
-    batched quadrature.  The table is the law's own unless a caller passes
-    another, so an oracle at a new lam computes only the entries that no
-    earlier solve of the law has read.
+    reads its ratios from the gamma table in one gather, which computes the
+    entries the table lacks in one batched quadrature, and the diagonal's
+    gamma_{i,1} in a second gather that computes nothing.  The table is the
+    law's own unless a caller passes another, so an oracle at a new lam
+    computes only the entries that no earlier solve of the law has read.
     """
     lam = model.lam
 
