@@ -750,22 +750,23 @@ class GammaTable:
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
     def _entries(self, m: np.ndarray, k: np.ndarray) -> np.ndarray:
-        """gamma_{m,k} at every index pair of the integer arrays m, k, which
-        have one shape.
+        """gamma_{m,k} at every index pair of the broadcast integer arrays
+        m, k.
 
         The missing entries are computed in one batch.  If any pair fails,
         the entries that succeeded are stored first, and then the first
-        failing pair in the C order of m, k raises its exception.
+        failing pair in the C order of the broadcast raises its exception.
         """
+        store = self._values
+        if (m.size and k.size and min(m.min(), k.min()) >= 1
+                and m.max() < store.shape[0] and k.max() < store.shape[1]):
+            vals = store[m, k]
+            if not np.isnan(vals).any():
+                return vals
+        m, k = np.broadcast_arrays(m, k)
         shape, m, k = m.shape, m.ravel(), k.ravel()
         if not m.size:
             return np.empty(shape)
-        store = self._values
-        if (min(m.min(), k.min()) >= 1 and m.max() < store.shape[0]
-                and k.max() < store.shape[1]):
-            vals = store[m, k]
-            if not np.isnan(vals).any():
-                return vals.reshape(shape)
         pairs = list(zip(m.tolist(), k.tolist()))
         with self._lock:
             todo = [p for p in dict.fromkeys(pairs)
@@ -816,7 +817,7 @@ class GammaTable:
 
     def gammas(self, ms, ks) -> np.ndarray:
         """gamma_{m,k} at every index pair of the broadcast arrays ms, ks."""
-        return self._entries(*np.broadcast_arrays(ms, ks))
+        return self._entries(np.asarray(ms), np.asarray(ks))
 
     def ratio(self, m: int, k: int) -> float:
         return float(self.ratios(m, k))
@@ -829,15 +830,16 @@ class GammaTable:
         long after the two moments themselves overflow.  A gamma_{m,1} of
         0.0 raises ZeroDivisionError, as a float division does.
         """
-        m, k = np.broadcast_arrays(ms, ks)
+        m, k = np.asarray(ms), np.asarray(ks)
         if self.dist.mu is not None:
             # Python's float power, not numpy's: the two differ in the last
             # bit for some (m, k).
+            m, k = np.broadcast_arrays(m, k)
             return np.reshape([float(q) ** -p for p, q in zip(
                 m.ravel().tolist(), k.ravel().tolist())], m.shape)
         # Each (m, k) is read beside its (m, 1), so a failure raises in the
         # order the pairs come in.
-        both = self._entries(np.stack((m, m), axis=-1),
+        both = self._entries(m[..., None],
                              np.stack((k, np.ones_like(k)), axis=-1))
         if not both[..., 1].all():
             raise ZeroDivisionError("float division by zero")

@@ -214,13 +214,13 @@ def _general_oracle(model: MgModel, table: GammaTable) -> linsys.CoefficientOrac
             return math.inf
 
     def a(mi, mj):
-        i, j = np.broadcast_arrays(np.asarray(mi) + 1, np.asarray(mj) + 1)
+        i, j = np.asarray(mi) + 1, np.asarray(mj) + 1
         ratio = table.ratios(i, j)
         # ratios has read gamma_{i,1} for every i here, so this gather
         # computes nothing.
         on = i == j
-        rows = i[on]
-        diag = np.zeros(i.shape)
+        rows = np.broadcast_to(i, on.shape)[on]
+        diag = np.zeros(on.shape)
         diag[on] = [lead(p, g) for p, g in zip(
             rows.tolist(), table.gammas(rows, 1).tolist())]
         return diag - (-1.0) ** j * (1.0 - ratio)

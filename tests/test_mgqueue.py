@@ -314,6 +314,7 @@ class Uncached(GammaTable):
     computed: dict = dataclasses.field(default_factory=dict)
 
     def _entries(self, m, k):
+        m, k = np.broadcast_arrays(m, k)
         pairs = list(zip(m.ravel().tolist(), k.ravel().tolist()))
         for p in pairs:
             if p not in self.computed:
