@@ -769,8 +769,13 @@ class GammaTable:
             return np.empty(shape)
         pairs = list(zip(m.tolist(), k.tolist()))
         with self._lock:
-            todo = [p for p in dict.fromkeys(pairs)
-                    if p not in self._failed and p not in self]
+            rows, cols = self._values.shape
+            inside = (m >= 1) & (m < rows) & (k >= 1) & (k < cols)
+            held = np.zeros(m.shape, bool)
+            held[inside] = ~np.isnan(self._values[m[inside], k[inside]])
+            todo = [p for p in dict.fromkeys(
+                        map(pairs.__getitem__, np.flatnonzero(~held).tolist()))
+                    if p not in self._failed]
         found = _min_moments(self.dist, todo, self._tails) if todo else {}
         with self._lock:
             # Failed pairs widen the store too, so the gather below stays
