@@ -308,8 +308,8 @@ def test_general_oracle_computes_each_block_in_one_batch(monkeypatch):
 @dataclasses.dataclass
 class Uncached(GammaTable):
     """A table whose entries each come from the memo-free min_moment, so
-    each one calls the cdf at all its nodes; no tail is memoized.  The
-    entries go in a dict of its own, computed, and the store stays empty."""
+    each one calls the cdf at all its nodes; no tail is memoized.  Its
+    entries go in a dict of its own, computed; the store stays empty."""
 
     computed: dict = dataclasses.field(default_factory=dict)
 
