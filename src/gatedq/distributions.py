@@ -783,6 +783,10 @@ class GammaTable:
             self._grow(int(m.max()), int(k.max()))
             done = []
             for p, val in found.items():
+                if not isinstance(val, Exception) and math.isnan(val):
+                    # NaN marks a missing entry, so it cannot be stored.
+                    val = DivergentMomentError(
+                        f"min moment for m={p[0]}, k={p[1]} is NaN")
                 if isinstance(val, Exception):
                     self._failed[p] = val
                 else:

@@ -537,6 +537,14 @@ def test_a_failing_block_raises_its_first_failure_and_caches_the_rest():
     assert counter["cdf"] == calls
 
 
+def test_a_nan_entry_is_refused_and_not_stored():
+    table = GammaTable(ServiceDistribution.exponential(math.nan))
+    for _ in range(2):
+        with pytest.raises(DivergentMomentError, match="m=1, k=1 is NaN"):
+            table.gammas([1, 2], 1)
+    assert (1, 1) not in table and table._failed.keys() == {(1, 1), (2, 1)}
+
+
 def uniform_gamma(b, m, k):
     return b ** m * math.factorial(m) * math.factorial(k) / math.factorial(m + k)
 
