@@ -40,6 +40,12 @@ combinations of geometric laws:
 
     pi_i = sum_k x_k (-1)^{k-1} (1 - bhat_k) bhat_k^{i-1},
     phi(z) = z sum_k x_k (-1)^{k-1} (1 - bhat_k) / (1 - bhat_k z).
+
+The dominance report is a diagnostic of the truncation, not part of the
+moments, so a solve does not probe it: a solution computes its report on
+first read and caches it.  It keeps its coefficient oracle for that, and
+so, for a general arrival law, the model and its memoized bhat_k, alive
+until it is dropped.
 """
 
 from __future__ import annotations
@@ -107,6 +113,10 @@ class GiMomentSolution:
 
     defect records |sum_m (-1)^m x_m + 1|, the residual of the structural
     identity phi(0) = 0; it is reported, never re-imposed on the solution.
+    oracle is the coefficient oracle the ladder solved; the solution keeps it,
+    and with it the model of a general arrival law, alive until it is
+    dropped.  dominance probes the oracle on first read and caches the
+    report.
     """
 
     x: dict
@@ -114,8 +124,15 @@ class GiMomentSolution:
     converged: bool
     defect: float
     convergence: linsys.ConvergedSolution
-    dominance: linsys.DominanceReport
+    oracle: linsys.CoefficientOracle = field(repr=False, compare=False)
     notes: list = field(default_factory=list)
+
+    @functools.cached_property
+    def dominance(self) -> linsys.DominanceReport:
+        # Looked up on the module at read time, so a wrapper around
+        # linsys.dominance_report sees the call.
+        return linsys.dominance_report(self.oracle,
+                                       order=min(self.n_used, 64))
 
     def to_dict(self) -> dict:
         return {
@@ -309,13 +326,12 @@ def solve_factorial_moments(model: GiModel, order: int = 25, tol: float = 1e-8,
 
     x = {m: float(conv.values[m - 1]) / m for m in range(1, conv.n_used + 1)}
     defect = abs(math.fsum((-1.0) ** m * xm for m, xm in x.items()) + 1.0)
-    dom = linsys.dominance_report(oracle, order=min(conv.n_used, 64))
     notes = []
     neg = [m for m, xm in x.items() if xm <= 0]
     if neg:
         notes.append(f"nonpositive factorial moments at indices {neg}")
     return GiMomentSolution(x=x, n_used=conv.n_used, converged=conv.converged,
-                            defect=defect, convergence=conv, dominance=dom,
+                            defect=defect, convergence=conv, oracle=oracle,
                             notes=notes)
 
 

@@ -25,8 +25,9 @@ system is transformed (unknown x_1 = s := y_2 - y_3 + ..., x_i = y_i, rows
 scaled by rho^{-i/2}) into a strictly diagonally dominant form whose
 truncations provably converge for rho below about 0.779; truncations are
 observed to converge for any rho < 1.  For general service no closed-form
-dominance certificate exists and solutions are flagged as heuristic whenever
-the probed report comes back unsatisfied.
+dominance certificate exists: the general system has no analytic row tail,
+every sigma_i of the infinite system is infinite, and its solutions are
+always flagged as heuristic.
 
 The first moment is not determined by the system itself and is recovered
 afterwards from
@@ -38,10 +39,16 @@ beta_1 = (1/mu) (1 + sum_{k>=2} (-1)^k y_k (k-1)/k).
 
 A fixed-point iteration of the kernel on a quadrature grid provides an
 independent numeric route to f for cross-checking the series.
+
+The dominance report is a diagnostic of the truncation, not part of the
+moments, so a solve does not probe it: a solution computes its report on
+first read and caches it.  It keeps its coefficient oracle for that, and so
+its service law and the law's gamma table, alive until it is dropped.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -88,7 +95,12 @@ class MgMomentSolution:
     beta[i] = E[Y^i] for i = 2..n_used (an index whose beta_i leaves double
     range is left out, and a note names it), y[i] = lam^i beta[i]/i!, s is the
     alternating sum y_2 - y_3 + ..., and beta1 the separately recovered mean.
-    heuristic marks general-service solves whose dominance probe failed.
+    oracle is the coefficient oracle the ladder solved; the solution keeps it,
+    and with it the service law and its gamma table, alive until it is
+    dropped.  dominance probes the oracle on first read and caches the report.
+    heuristic is true when the oracle has no analytic row tail (the general
+    assembly), which is known without probing, and otherwise when the probe
+    is not satisfied.
     """
 
     lam: float
@@ -100,9 +112,21 @@ class MgMomentSolution:
     converged: bool
     assembly: str
     convergence: linsys.ConvergedSolution
-    dominance: linsys.DominanceReport
-    heuristic: bool
+    oracle: linsys.CoefficientOracle = field(repr=False, compare=False)
     notes: list = field(default_factory=list)
+
+    @functools.cached_property
+    def dominance(self) -> linsys.DominanceReport:
+        # Looked up on the module at read time, so a wrapper around
+        # linsys.dominance_report sees the call.
+        return linsys.dominance_report(self.oracle,
+                                       order=min(self.n_used, 64))
+
+    @property
+    def heuristic(self) -> bool:
+        if self.oracle.tail_row_bound is None:
+            return True
+        return not self.dominance.satisfied
 
     def to_dict(self) -> dict:
         return {
@@ -195,11 +219,12 @@ def _general_oracle(model: MgModel, table: GammaTable) -> linsys.CoefficientOrac
         (i!/(lam^i gamma_{i,1})) y_i - sum_{j>=2} (-1)^j (1 - gamma_{i,j}/gamma_{i,1}) y_j = 1.
 
     Off-diagonal entries tend to a constant along each row, so no finite
-    analytic tail bound exists; dominance probes of this oracle are honest
-    lower estimates and never certify convergence.  Each block of entries
-    reads its ratios from the gamma table in one gather, which computes the
-    entries the table lacks in one batched quadrature, and the diagonal's
-    gamma_{i,1} in a second gather that computes nothing.  The table is the
+    analytic tail bound exists and every sigma_i of the infinite system is
+    infinite; a dominance probe of this oracle gives lower estimates that may
+    pass on the probed columns, and a solve on it is always heuristic.  Each
+    block of entries reads its ratios from the gamma table in one gather,
+    which computes the entries the table lacks in one batched quadrature, and
+    the diagonal's gamma_{i,1} in a second gather that computes nothing.  The table is the
     law's own unless a caller passes another, so an oracle at a new lam
     computes only the entries that no earlier solve of the law has read.
     """
@@ -317,8 +342,6 @@ def solve_stage_moments(model: MgModel, order: int = 10, tol: float = 1e-8,
     beta1 = g11 + math.fsum(
         (-1.0) ** k * y[k] * (g11 - g) for k, g in zip(ks, g1k))
 
-    dom = linsys.dominance_report(oracle, order=min(conv.n_used, 64))
-    heuristic = not dom.satisfied
     notes = [f"ladder stopped at n = {conv.n_used}: {conv.stopped}"
              ] if conv.stopped else []
     neg = [i for i, yi in y.items() if yi <= 0]
@@ -331,7 +354,7 @@ def solve_stage_moments(model: MgModel, order: int = 10, tol: float = 1e-8,
     return MgMomentSolution(
         lam=lam, beta=beta, y=y, s=s, beta1=beta1, n_used=conv.n_used,
         converged=conv.converged, assembly=assembly, convergence=conv,
-        dominance=dom, heuristic=heuristic, notes=notes)
+        oracle=oracle, notes=notes)
 
 
 def _series_cutoff(y: dict) -> list:

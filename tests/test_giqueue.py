@@ -1,6 +1,7 @@
 """Customers-per-stage analytics for the synchronized gated GI/M/infinity queue."""
 
 import dataclasses
+import json
 import math
 from fractions import Fraction
 
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from gatedq import giqueue
+from gatedq import giqueue, linsys
 from gatedq.distributions import ArrivalDistribution
 from gatedq.errors import OutOfRegimeError, UnconvergedError
 from gatedq.linsys import truncate
@@ -317,6 +318,50 @@ def test_ladder_exhaustion_is_reported_not_raised():
         poisson_model(0.9), order=4, n_max=8, tol=1e-13)
     assert not sol.converged
     assert sol.convergence.rungs == [4, 8]
+
+
+# ---------------------------------------------------- dominance on demand ----
+
+def deterministic_model(spacing=2.0, mu=1.0):
+    return giqueue.GiModel(ArrivalDistribution.deterministic(spacing), mu)
+
+
+def test_a_solve_does_not_probe_and_a_read_probes_once(monkeypatch):
+    probes = []
+    report = linsys.dominance_report
+
+    def counted(oracle, order, tail_cutoff=None):
+        probes.append(order)
+        return report(oracle, order, tail_cutoff)
+
+    monkeypatch.setattr(linsys, "dominance_report", counted)
+    sol = giqueue.solve_factorial_moments(poisson_model(0.3))
+    assert probes == []
+    first = sol.dominance
+    assert sol.dominance is first and probes == [sol.n_used]
+    sol.to_dict()
+    copy = dataclasses.replace(sol, converged=False)
+    assert copy.dominance is not first
+    assert probes == [sol.n_used, sol.n_used]
+
+
+@pytest.mark.parametrize("make_model", [lambda: poisson_model(0.3),
+                                        deterministic_model],
+                         ids=["poisson", "deterministic"])
+def test_to_dict_on_demand_equals_an_eager_probe(make_model):
+    fresh = make_model()
+    eager = giqueue.solve_factorial_moments(fresh)
+    report = linsys.dominance_report(giqueue.factorial_oracle(fresh),
+                                     order=min(eager.n_used, 64))
+    want = {**eager.to_dict(), "dominance": report.to_dict()}
+
+    # The same solve on another model, read only after its pmf and pgf.
+    m = make_model()
+    sol = giqueue.solve_factorial_moments(m)
+    [giqueue.stationary_pmf(sol, m, i) for i in range(1, 20)]
+    giqueue.pgf(sol, m, 0.5)
+    got = sol.to_dict()
+    assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
 
 
 # ------------------------------------------------------------- zeta region ----

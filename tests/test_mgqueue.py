@@ -2,6 +2,7 @@
 
 import dataclasses
 import gc
+import json
 import math
 import sys
 import threading
@@ -15,7 +16,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from gatedq import distributions, linsys, mgqueue
+from gatedq import cli, distributions, linsys, mgqueue
 from gatedq.distributions import (
     DivergentMomentError,
     GammaTable,
@@ -276,6 +277,146 @@ def test_user_law_ladder_flags_are_honest():
     # probe cannot certify the result.
     assert sol.heuristic
     assert any("diagonal probe ended" in n for n in sol.dominance.notes)
+
+
+def erlang2_exact_sf(rate=10.0):
+    return ServiceDistribution.from_callables(
+        pdf=lambda y: rate * rate * y * np.exp(-rate * y),
+        cdf=lambda y: 1.0 - (1.0 + rate * y) * np.exp(-rate * y),
+        sf=lambda y: (1.0 + rate * y) * np.exp(-rate * y), name="erlang2")
+
+
+@pytest.mark.parametrize("lam", [0.05, 0.25])
+def test_general_solve_is_heuristic_where_the_lower_estimate_passes(
+        lam, monkeypatch):
+    probes = count_probes(monkeypatch)
+    sol = mgqueue.solve_stage_moments(
+        mgqueue.MgModel(lam, erlang2_exact_sf()), order=4)
+    # Without an analytic row tail the flag is known before any probe.
+    assert sol.heuristic and probes == []
+    # The probe's sigma is a lower estimate from 4 * order columns; it
+    # passes here although every sigma_i of the infinite system is infinite.
+    assert sol.dominance.satisfied and sol.dominance.max_sigma < 0.06
+    assert not sol.dominance.tail_is_analytic
+    assert sol.to_dict()["heuristic"] is True
+
+
+def test_general_assembly_writes_a_heuristic_analyze_mg(tmp_path):
+    assert cli.main(["analyze-mg", "--lambda", "0.1", "--mu", "2.5",
+                     "--assembly", "general", "--order", "8",
+                     "--out", str(tmp_path)]) == 0
+    data = json.loads((tmp_path / "analyze-mg.json").read_text())
+    assert data["assembly"] == "general"
+    assert data["heuristic"] is True
+    assert data["dominance"]["satisfied"] is True
+
+
+# ------------------------------------------------- dominance on demand ----
+
+def count_probes(monkeypatch):
+    """Wrap linsys.dominance_report; returns the list of orders probed."""
+    probes = []
+    report = linsys.dominance_report
+
+    def counted(oracle, order, tail_cutoff=None):
+        probes.append(order)
+        return report(oracle, order, tail_cutoff)
+
+    monkeypatch.setattr(linsys, "dominance_report", counted)
+    return probes
+
+
+def test_a_solve_does_not_probe_and_a_read_probes_once(monkeypatch):
+    probes = count_probes(monkeypatch)
+    sol = mgqueue.solve_stage_moments(model(), order=10)
+    general = mgqueue.solve_stage_moments(model(), order=8, n_max=8,
+                                          assembly="general")
+    assert probes == []
+    first = sol.dominance
+    assert sol.dominance is first and probes == [sol.n_used]
+    assert not sol.heuristic and probes == [sol.n_used]
+    assert general.heuristic and probes == [sol.n_used]
+    general.to_dict()
+    general.to_dict()
+    assert probes == [sol.n_used, 8]
+
+
+def test_a_general_solve_alone_runs_only_its_rungs_and_beta1(monkeypatch):
+    batches = []
+    batch = distributions._min_moments
+
+    def counted(d, pairs, memo):
+        batches.append(len(pairs))
+        return batch(d, pairs, memo)
+
+    monkeypatch.setattr(distributions, "_min_moments", counted)
+    sol = mgqueue.solve_stage_moments(mgqueue.MgModel(0.25, erlang2()), order=4)
+    sol.heuristic
+    # The two rungs, then beta_1's gamma_{1,k}; no probe block.
+    assert batches == [20, 52, 9]
+
+
+def eager_dict(sol, m):
+    """sol.to_dict() with the dominance report and the heuristic flag taken
+    from a probe run at once on a fresh oracle of the model."""
+    report = linsys.dominance_report(
+        mgqueue.moment_oracle(m, assembly=sol.assembly),
+        order=min(sol.n_used, 64))
+    heuristic = sol.assembly == "general" or not report.satisfied
+    return {**sol.to_dict(), "dominance": report.to_dict(),
+            "heuristic": heuristic}
+
+
+@pytest.mark.parametrize("make_law,lam,order,assembly,other_lam", [
+    (lambda: ServiceDistribution.exponential(1.0), 0.3, 10, "auto", 0.6),
+    (lambda: ServiceDistribution.exponential(1.0), 0.3, 8, "general", 0.6),
+    (erlang2, 0.25, 4, "auto", 0.4),
+    (lambda: uniform_law(0.5), 0.5, 4, "auto", 1.0),
+], ids=["exponential", "exponential-general", "erlang2", "uniform"])
+def test_to_dict_on_demand_equals_an_eager_probe(make_law, lam, order,
+                                                 assembly, other_lam):
+    fresh = mgqueue.MgModel(lam, make_law())
+    eager = mgqueue.solve_stage_moments(fresh, order=order, assembly=assembly)
+    want = eager_dict(eager, fresh)
+
+    # The same solve on another law, whose table grows by another solve and
+    # a density before the report is first read.
+    law = make_law()
+    m = mgqueue.MgModel(lam, law)
+    sol = mgqueue.solve_stage_moments(m, order=order, assembly=assembly)
+    mgqueue.solve_stage_moments(mgqueue.MgModel(other_lam, law), order=order,
+                                assembly=assembly)
+    mgqueue.stationary_density(sol, m, np.linspace(0.0, 1.0, 11))
+    got = sol.to_dict()
+    assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze-mg", "--lambda", "1.0", "--mu", "2.5"],
+    ["analyze-gi", "--rho", "0.3"],
+], ids=["mg", "gi"])
+def test_a_probe_that_raises_still_stops_analyze_before_writing(
+        argv, tmp_path, monkeypatch, capsys):
+    def broken(oracle, order, tail_cutoff=None):
+        raise linsys.AssemblyError(f"{oracle.name}: probe refused")
+
+    monkeypatch.setattr(linsys, "dominance_report", broken)
+    mgqueue.solve_stage_moments(model(), order=10)
+    assert cli.main(argv + ["--out", str(tmp_path)]) == 2
+    assert "probe refused" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_replaced_solution_probes_on_its_own_read(monkeypatch):
+    probes = count_probes(monkeypatch)
+    sol = mgqueue.solve_stage_moments(model(), order=10)
+    sol.dominance
+    copy = dataclasses.replace(sol, converged=False)
+    assert copy.oracle is sol.oracle and probes == [sol.n_used]
+    assert copy.dominance is not sol.dominance
+    copy.dominance
+    assert probes == [sol.n_used, sol.n_used]
+    assert copy.to_dict()["dominance"] == sol.to_dict()["dominance"]
 
 
 def test_gamma_table_evaluates_each_tail_node_once():
