@@ -44,17 +44,21 @@ def wrapped_exponential(mu=MU):
         name="wrapped-exp")
 
 
-def erlang2(rate=10.0, nodes=None):
-    """Erlang-2 law on y >= 0 as numpy expressions; nodes records cdf calls."""
+def erlang2(rate=10.0, nodes=None, exact_sf=False):
+    """Erlang-2 law on y >= 0 as numpy expressions; nodes records cdf calls.
+    By default the tail is 1 - cdf."""
 
     def cdf(y):
         if nodes is not None:
             nodes.extend(np.ravel(y).tolist())
         return 1.0 - (1.0 + rate * y) * np.exp(-rate * y)
 
+    def sf(y):
+        return (1.0 + rate * y) * np.exp(-rate * y)
+
     return ServiceDistribution.from_callables(
         pdf=lambda y: rate * rate * y * np.exp(-rate * y), cdf=cdf,
-        name="erlang2")
+        name="erlang2", sf=sf if exact_sf else None)
 
 
 def hyperexponential(exact_sf):
@@ -279,19 +283,12 @@ def test_user_law_ladder_flags_are_honest():
     assert any("diagonal probe ended" in n for n in sol.dominance.notes)
 
 
-def erlang2_exact_sf(rate=10.0):
-    return ServiceDistribution.from_callables(
-        pdf=lambda y: rate * rate * y * np.exp(-rate * y),
-        cdf=lambda y: 1.0 - (1.0 + rate * y) * np.exp(-rate * y),
-        sf=lambda y: (1.0 + rate * y) * np.exp(-rate * y), name="erlang2")
-
-
 @pytest.mark.parametrize("lam", [0.05, 0.25])
 def test_general_solve_is_heuristic_where_the_lower_estimate_passes(
         lam, monkeypatch):
     probes = count_probes(monkeypatch)
     sol = mgqueue.solve_stage_moments(
-        mgqueue.MgModel(lam, erlang2_exact_sf()), order=4)
+        mgqueue.MgModel(lam, erlang2(exact_sf=True)), order=4)
     # Without an analytic row tail the flag is known before any probe.
     assert sol.heuristic and probes == []
     # The probe's sigma is a lower estimate from 4 * order columns; it
