@@ -16,7 +16,7 @@ time is, so this resolves shifts of a few percent that alternating
 bench/run.py pairs cannot.  It is no substitute for them: it leaves out
 interpreter start, imports and peak memory.
 
-The summary printed (and written to --out) holds, per round, each side's
+The JSON summary printed to stdout holds, per round, each side's
 median op time in ms and their ratio change / parent, and over all rounds
 the median of each side's round medians, their ratio, the range of the
 per-round ratios and how many rounds the change won.
@@ -104,7 +104,6 @@ def main(argv=None) -> None:
     p.add_argument("--rounds", type=int, default=6)
     p.add_argument("--ops", type=int, default=100)
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--out", type=pathlib.Path, default=None)
     args = p.parse_args(argv)
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
 
@@ -124,10 +123,7 @@ def main(argv=None) -> None:
 
     record = {"workload": args.workload, "seed": args.seed, "ops": args.ops,
               **summarize(samples)}
-    text = json.dumps(record, indent=1) + "\n"
-    if args.out is not None:
-        args.out.write_text(text)
-    print(text, end="")
+    print(json.dumps(record, indent=1))
 
 
 if __name__ == "__main__":
