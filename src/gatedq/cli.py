@@ -421,8 +421,12 @@ def _run_dominance(args) -> int:
                                           override=args.override)
     report = linsys.dominance_report(oracle, order=args.order,
                                      tail_cutoff=args.tail_cutoff)
-    path = write_json(os.path.join(_outdir(args), "dominance.json"),
-                      report.to_dict())
+    data = report.to_dict()
+    if not (report.tail_is_analytic and report.satisfied):
+        # A probe without an analytic tail certifies nothing, whatever its
+        # lower estimates show; a failed probe certifies nothing either.
+        data["heuristic"] = True
+    path = write_json(os.path.join(_outdir(args), "dominance.json"), data)
     print(path)
     print(f"satisfied={report.satisfied} marginal={report.marginal} "
           f"max_sigma={report.max_sigma!r} worst_row={report.worst_row}")

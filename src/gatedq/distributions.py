@@ -757,12 +757,9 @@ class GammaTable:
         the entries that succeeded are stored first, and then the first
         failing pair in the C order of the broadcast raises its exception.
         """
-        store = self._values
-        if (m.size and k.size and min(m.min(), k.min()) >= 1
-                and m.max() < store.shape[0] and k.max() < store.shape[1]):
-            vals = store[m, k]
-            if not np.isnan(vals).any():
-                return vals
+        vals = self.held(m, k)
+        if vals is not None:
+            return vals
         m, k = np.broadcast_arrays(m, k)
         shape, m, k = m.shape, m.ravel(), k.ravel()
         if not m.size:
@@ -799,6 +796,21 @@ class GammaTable:
         if len(failed):
             raise self._failed[pairs[failed[0]]].with_traceback(None)
         return vals.reshape(shape)
+
+    def held(self, ms, ks) -> Optional[np.ndarray]:
+        """gamma_{m,k} at every index pair of the broadcast integer arrays
+        ms, ks when the table holds all of them, else None; computes
+        nothing."""
+        m, k = np.asarray(ms), np.asarray(ks)
+        try:
+            vals = self._values[m, k]
+        except IndexError:  # past the store
+            return None
+        # Row and column 0 hold NaN, but a negative index wraps around.
+        if (vals.size and not np.isnan(vals).any()
+                and min(m.min(), k.min()) >= 1):
+            return vals
+        return None
 
     def __contains__(self, p) -> bool:
         """Whether the table holds entry p = (m, k)."""

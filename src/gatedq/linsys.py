@@ -17,10 +17,12 @@ generic pieces of that scheme:
 
 Coefficients come from a CoefficientOracle whose functions take broadcastable
 integer index arrays and return arrays, so a truncation is one call to a and
-one to b, and each dominance probe reads one block.  An entry an oracle
-cannot compute raises ValueError or ArithmeticError for the whole block;
-truncate and the row probe pass that on, while the diagonal and column probes
-stop before the first row that raises and say so in a note.
+one to b, and each dominance probe reads one block.  Each rung of the ladder
+is the leading block of the next, so a ladder keeps one growing system and
+requests each coefficient once.  An entry an oracle cannot compute raises
+ValueError or ArithmeticError for the whole block; truncate, the ladder and
+the row probe pass that on, while the diagonal and column probes stop before
+the first row that raises and say so in a note.
 
 A finite machine can only probe the infinite conditions, so the report
 distinguishes "probed" facts (finite sums up to a cutoff, geometric-ratio
@@ -150,8 +152,9 @@ class ConvergedSolution:
     ran out of orders; an exhausted ladder is reported, not raised.  stopped
     says why a ladder ended before its last order, when it did (see
     converge); a ladder stopped after one rung has no gaps and max_gap inf.
+    rconds holds each rung's reciprocal condition number (SolveResult.rcond).
     to_dict writes a max_gap that is not finite as None (JSON null), so its
-    dict is standard JSON.
+    dict is standard JSON, and leaves rconds out.
     """
 
     values: np.ndarray
@@ -163,6 +166,7 @@ class ConvergedSolution:
     rungs: list
     residuals: list
     stopped: Optional[str] = None
+    rconds: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
         return {
@@ -178,24 +182,59 @@ class ConvergedSolution:
 
 def _block(f, *index) -> np.ndarray:
     """f(*index) as a float array of the broadcast index shape."""
-    shape = np.broadcast_shapes(*(np.shape(i) for i in index))
-    return np.array(np.broadcast_to(np.asarray(f(*index), dtype=float), shape))
+    shape = np.broadcast(*index).shape
+    x = np.asarray(f(*index), dtype=float)
+    return np.array(x if x.shape == shape else np.broadcast_to(x, shape))
+
+
+def _check_finite(name: str, a: np.ndarray, b: np.ndarray) -> None:
+    """Raise AssemblyError naming the first non-finite entry of a, in
+    row-major order, and then of b."""
+    for what, x in (("coefficient a", a), ("rhs b", b)):
+        if not np.isfinite(x).all():
+            bad = np.argwhere(~np.isfinite(x))[0]
+            at = ",".join(str(k + 1) for k in bad)
+            raise AssemblyError(f"{name}: non-finite {what}({at}) = "
+                                f"{x[tuple(bad)]}")
+
+
+# The system before its first entry: no matrix and no right-hand side.
+_EMPTY = (np.empty((0, 0)), np.empty(0))
 
 
 def truncate(oracle: CoefficientOracle, n: int) -> TruncatedSystem:
     """Materialize the leading n x n block A[i][j] = a(i,j), b[i] = b(i)."""
     if n < 1:
         raise ValueError(f"truncation order must be >= 1, got {n}")
-    idx = np.arange(1, n + 1)
-    a = _block(oracle.a, idx[:, None], idx[None, :])
-    b = _block(oracle.b, idx)
-    for what, x in (("coefficient a", a), ("rhs b", b)):
-        bad = np.argwhere(~np.isfinite(x))
-        if len(bad):
-            at = ",".join(str(k + 1) for k in bad[0])
-            raise AssemblyError(f"{oracle.name}: non-finite {what}({at}) = "
-                                f"{x[tuple(bad[0])]}")
+    a, b = _grow(oracle, *_EMPTY, n)
+    _check_finite(oracle.name, a, b)
     return TruncatedSystem(n=n, a=a, b=b)
+
+
+def _grow(oracle: CoefficientOracle, a: np.ndarray, b: np.ndarray,
+          n: int) -> tuple:
+    """The leading n x n block and n-vector of the system whose leading
+    blocks a and b already hold, requesting only the entries they lack.
+
+    From nothing that is one call per array for the whole block.  Otherwise
+    the missing entries of the block go to the oracle in one call, in
+    row-major order, so an oracle that cannot compute some of them raises
+    for the first of them, as a call for the whole block would.
+    """
+    have = len(b)
+    idx = np.arange(1, n + 1)
+    if not have:
+        return (_block(oracle.a, idx[:, None], idx[None, :]),
+                _block(oracle.b, idx))
+    lacking = (idx[:, None] > have) | (idx[None, :] > have)
+    rows, cols = np.nonzero(lacking)
+    grown = np.empty((n, n))
+    grown[:have, :have] = a
+    grown[lacking] = _block(oracle.a, rows + 1, cols + 1)
+    rhs = np.empty(n)
+    rhs[:have] = b
+    rhs[have:] = _block(oracle.b, idx[have:])
+    return grown, rhs
 
 
 def solve(sys: TruncatedSystem) -> SolveResult:
@@ -211,7 +250,7 @@ def solve(sys: TruncatedSystem) -> SolveResult:
     if sys.a.shape[0] != sys.a.shape[1]:
         raise ValueError("system matrix must be square")
     row_scale = np.abs(sys.a).max(axis=1)
-    if np.any(row_scale == 0.0):
+    if not row_scale.all():
         raise SingularSystemError(
             f"numerically singular truncation (order {sys.n}): zero row")
     a_eq = np.asarray_chkfinite(sys.a / row_scale[:, None])
@@ -368,7 +407,11 @@ def converge(oracle: CoefficientOracle, n_start: int, n_max: int,
     An exception of a type in stop_on that the oracle raises while a rung
     after the first is assembled ends the ladder at the last rung that
     solved, unconverged, and stopped names the rung and the exception; on
-    the first rung it propagates, as every other exception does.
+    the first rung it propagates, as every other exception does.  An
+    exception is raised on reaching the rung whose block holds its entry,
+    and is the one truncate would raise for that rung, although the first
+    two rungs are requested in one call and a later rung requests only the
+    entries the rung before it lacks.
     """
     if n_max == n_start:
         n_start = max(2, n_start // 2)
@@ -379,25 +422,37 @@ def converge(oracle: CoefficientOracle, n_start: int, n_max: int,
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
 
-    rungs, residuals = [], []
+    rungs, residuals, rconds = [], [], []
     prev = None
     gaps = np.array([])
     max_gap = math.inf
     converged = False
     stopped = None
+    # One growing system serves every rung: rung n solves its leading n x n
+    # block, and a later rung requests only the entries it lacks.  The first
+    # two rungs come in one call; when that call raises, they are requested
+    # again rung by rung, so each raises what its own block raises.
+    a, b = _EMPTY
+    try:
+        a, b = _grow(oracle, a, b, 2 * n_start)
+    except Exception:
+        pass
     n = n_start
     while True:
         try:
-            system = truncate(oracle, n)
+            if n > len(b):
+                a, b = _grow(oracle, a, b, n)
+            _check_finite(oracle.name, a[:n, :n], b[:n])
         except stop_on as exc:
             if prev is None:
                 raise
             stopped = f"rung {n} could not be assembled: {exc}"
             n_used = rungs[-1]
             break
-        res = solve(system)
+        res = solve(TruncatedSystem(n=n, a=a[:n, :n], b=b[:n]))
         rungs.append(n)
         residuals.append(res.residual)
+        rconds.append(res.rcond)
         if prev is not None:
             shared = min(len(prev), len(res.x))
             gaps = np.abs(res.x[:shared] - prev[:shared])
@@ -414,4 +469,5 @@ def converge(oracle: CoefficientOracle, n_start: int, n_max: int,
         n = min(2 * n, n_max)
     return ConvergedSolution(values=prev, n_used=n_used, gaps=gaps,
                              max_gap=max_gap, converged=converged, tol=tol,
-                             rungs=rungs, residuals=residuals, stopped=stopped)
+                             rungs=rungs, residuals=residuals, stopped=stopped,
+                             rconds=rconds)

@@ -221,12 +221,14 @@ def _general_oracle(model: MgModel, table: GammaTable) -> linsys.CoefficientOrac
     Off-diagonal entries tend to a constant along each row, so no finite
     analytic tail bound exists and every sigma_i of the infinite system is
     infinite; a dominance probe of this oracle gives lower estimates that may
-    pass on the probed columns, and a solve on it is always heuristic.  Each
-    block of entries reads its ratios from the gamma table in one gather,
-    which computes the entries the table lacks in one batched quadrature, and
-    the diagonal's gamma_{i,1} in a second gather that computes nothing.  The table is the
-    law's own unless a caller passes another, so an oracle at a new lam
-    computes only the entries that no earlier solve of the law has read.
+    pass on the probed columns, and a solve on it is always heuristic.  A
+    block the table lacks entries of reads its ratios in one gather, which
+    computes those entries in one batched quadrature, and the diagonal's
+    gamma_{i,1} in a second gather that computes nothing.  A block the table
+    holds reads gamma_{i,j} and the gamma_{i,1} column once each and shares
+    the column between the ratios and the diagonal.  The table is the law's
+    own unless a caller passes another, so an oracle at a new lam computes
+    only the entries that no earlier solve of the law has read.
     """
     lam = model.lam
 
@@ -238,16 +240,29 @@ def _general_oracle(model: MgModel, table: GammaTable) -> linsys.CoefficientOrac
         except (OverflowError, ZeroDivisionError):
             return math.inf
 
+    # Exponential ratios are exact powers of k, not quotients of entries.
+    quotients = table.dist.mu is None
+
     def a(mi, mj):
         i, j = np.asarray(mi) + 1, np.asarray(mj) + 1
-        ratio = table.ratios(i, j)
-        # ratios has read gamma_{i,1} for every i here, so this gather
-        # computes nothing.
         on = i == j
         rows = np.broadcast_to(i, on.shape)[on]
+        gamma = table.held(i, j) if quotients else None
+        first = table.held(i, 1) if gamma is not None else None
+        if first is not None and first.all():
+            # The table holds the block: gamma_{i,j} and the gamma_{i,1}
+            # column are read once each, and the column serves both the
+            # ratios and the diagonal.
+            ratio = gamma / first
+            firsts = np.broadcast_to(first, on.shape)[on]
+        else:
+            ratio = table.ratios(i, j)
+            # ratios has read gamma_{i,1} for every i here, so this gather
+            # computes nothing.
+            firsts = table.gammas(rows, 1)
         diag = np.zeros(on.shape)
-        diag[on] = [lead(p, g) for p, g in zip(
-            rows.tolist(), table.gammas(rows, 1).tolist())]
+        diag[on] = [lead(p, g) for p, g in zip(rows.tolist(),
+                                               firsts.tolist())]
         return diag - (-1.0) ** j * (1.0 - ratio)
 
     def b(_i):

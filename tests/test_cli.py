@@ -129,6 +129,25 @@ def test_dominance_reports(tmp_path):
     assert data["satisfied"] is False
 
 
+def test_a_dominance_report_that_certifies_nothing_is_flagged(tmp_path):
+    # The general M/G system has no analytic row tail: its probed rows may
+    # all pass, and the report is still no certificate.
+    out = str(tmp_path)
+    assert main(["dominance", "--system", "mg", "--lambda", "0.1", "--mu",
+                 "2.5", "--assembly", "general", "--order", "8",
+                 "--out", out]) == 0
+    data = read_json(os.path.join(out, "dominance.json"))
+    assert data["satisfied"] is True and data["tail_is_analytic"] is False
+    assert data["heuristic"] is True
+    # A failed probe is flagged too; a certified one carries no flag.
+    assert main(["dominance", "--system", "gi", "--rho", "0.45",
+                 "--order", "12", "--out", out]) == 0
+    assert read_json(os.path.join(out, "dominance.json"))["heuristic"] is True
+    assert main(["dominance", "--system", "mg", "--lambda", "0.5", "--mu",
+                 "1.0", "--order", "12", "--out", out]) == 0
+    assert "heuristic" not in read_json(os.path.join(out, "dominance.json"))
+
+
 def test_dominance_prints_one_line_with_the_worst_row(tmp_path, capsys):
     out = str(tmp_path)
     assert main(["dominance", "--system", "gi", "--rho", "0.45",

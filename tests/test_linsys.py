@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gatedq import linsys, mgqueue
-from gatedq.distributions import ServiceDistribution
+from gatedq import giqueue, linsys, mgqueue
+from gatedq.distributions import ArrivalDistribution, ServiceDistribution
 from gatedq.linsys import (
     AssemblyError,
     CoefficientOracle,
@@ -303,3 +303,166 @@ def test_converge_argument_validation():
         converge(oracle, n_start=4, n_max=7, tol=1e-8)
     with pytest.raises(ValueError):
         converge(oracle, n_start=4, n_max=8, tol=0.0)
+
+
+def counting(oracle, log):
+    """oracle whose a and b append every index they are asked for to log."""
+
+    def a(i, j):
+        i, j = np.broadcast_arrays(i, j)
+        log.append(("a", len(log)))
+        log.extend(zip(i.ravel().tolist(), j.ravel().tolist()))
+        return oracle.a(i, j)
+
+    def b(i):
+        log.extend((k,) for k in np.ravel(i).tolist())
+        return oracle.b(i)
+
+    return CoefficientOracle(a=a, b=b, name=oracle.name)
+
+
+BIDIAGONAL = CoefficientOracle(
+    a=lambda i, j: np.where(i == j, 1.0, np.where(j == i + 1, 0.5, 0.0)),
+    b=lambda i: 1.0)
+
+
+@pytest.mark.parametrize("n_start,n_max,rungs", [
+    (2, 10, [2, 4, 8, 10]),   # the last rung capped at n_max
+    (3, 48, [3, 6, 12, 24, 48]),
+    (8, 8, [4, 8]),           # pinned
+])
+def test_a_ladder_requests_each_coefficient_once(n_start, n_max, rungs):
+    log = []
+    conv = converge(counting(BIDIAGONAL, log), n_start, n_max, 1e-300)
+    assert conv.rungs == rungs
+    calls = [e for e in log if e[0] == "a"]
+    entries = [e for e in log if e[0] != "a"]
+    n = rungs[-1]
+    assert sorted(p for p in entries if len(p) == 2) == [
+        (i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
+    assert sorted(p for p in entries if len(p) == 1) == [
+        (i,) for i in range(1, n + 1)]
+    # The first two rungs share one call; each later rung makes one more.
+    assert len(calls) == len(rungs) - 1
+
+
+def erlang2_law(rate=10.0):
+    def pdf(y):
+        y = np.asarray(y, dtype=float)
+        return np.where(y < 0, 0.0, rate * rate * y * np.exp(-rate * y))
+
+    def cdf(y):
+        y = np.asarray(y, dtype=float)
+        return np.where(y < 0, 0.0, 1.0 - (1.0 + rate * y) * np.exp(-rate * y))
+
+    return ServiceDistribution.from_callables(pdf, cdf, name="erlang2")
+
+
+def reference_ladder(oracle, n_start, n_max, tol):
+    """The doubling ladder with every rung assembled on its own by truncate:
+    (rungs, last solution, residuals, reciprocal condition numbers)."""
+    if n_max == n_start:
+        n_start = max(2, n_start // 2)
+    rungs, residuals, rconds, x = [], [], [], None
+    n = n_start
+    while True:
+        res = solve(truncate(oracle, n))
+        rungs.append(n)
+        residuals.append(res.residual)
+        rconds.append(res.rcond)
+        done = x is not None and np.abs(res.x[:len(x)] - x).max() <= tol
+        x = res.x
+        if done or n >= n_max:
+            return rungs, x, residuals, rconds
+        n = min(2 * n, n_max)
+
+
+def mg_general(lam=0.25):
+    return mgqueue.moment_oracle(mgqueue.MgModel(lam, erlang2_law()),
+                                 assembly="general")
+
+
+LADDER_ORACLES = {
+    "mg-transformed": lambda: mgqueue.moment_oracle(mgqueue.MgModel(
+        0.7, ServiceDistribution.exponential(1.0))),
+    "mg-general": mg_general,
+    "gi-poisson": lambda: giqueue.factorial_oracle(giqueue.GiModel(
+        ArrivalDistribution.poisson(0.6), 1.0)),
+    "gi-general": lambda: giqueue.factorial_oracle(giqueue.GiModel(
+        ArrivalDistribution.deterministic(2.0), 1.0)),
+}
+
+
+@pytest.mark.parametrize("make", LADDER_ORACLES.values(),
+                         ids=list(LADDER_ORACLES))
+@pytest.mark.parametrize("n_start,n_max,tol", [
+    (4, 32, 1e-12), (4, 12, 1e-300), (8, 8, 1e-8), (5, 40, 1e-8)])
+def test_the_growing_ladder_gives_the_floats_of_rung_by_rung_truncation(
+        make, n_start, n_max, tol):
+    # Each side gets oracles of its own, so a memoized gamma table is cold
+    # for the ladder once and warm for it once.
+    ref = reference_ladder(make(), n_start, n_max, tol)
+    cold = converge(make(), n_start, n_max, tol)
+    oracle = make()
+    converge(oracle, n_start, n_max, tol)
+    warm = converge(oracle, n_start, n_max, tol)
+    for conv in (cold, warm):
+        assert conv.rungs == ref[0]
+        assert np.array_equal(conv.values, ref[1])
+        assert np.array_equal(conv.residuals, ref[2])
+        assert np.array_equal(conv.rconds, ref[3])
+
+
+def test_a_ladder_keeps_each_rungs_condition_number_out_of_its_dict():
+    conv = converge(BIDIAGONAL, 4, 16, 1e-300)
+    assert conv.rconds == [solve(truncate(BIDIAGONAL, n)).rcond
+                           for n in conv.rungs]
+    assert len(conv.rconds) == 3 and all(0.0 < r <= 1.0 for r in conv.rconds)
+    assert "rconds" not in conv.to_dict()
+
+
+def with_bad_entry(at):
+    """BIDIAGONAL with a NaN at index pair at."""
+    return CoefficientOracle(
+        a=lambda i, j: np.where((i == at[0]) & (j == at[1]), math.nan,
+                                BIDIAGONAL.a(i, j)),
+        b=BIDIAGONAL.b, name="bad")
+
+
+def test_a_bad_entry_of_the_first_rung_raises_what_truncate_raises():
+    # Rung 1 holds (3, 2) and (2, 4) is its first bad entry in row-major
+    # order; (1, 7) lies only in rung 2 and comes first in the 8 x 8 block.
+    oracle = CoefficientOracle(
+        a=lambda i, j: np.where(((i == 3) & (j == 2)) | ((i == 2) & (j == 4))
+                                | ((i == 1) & (j == 7)), math.inf,
+                                BIDIAGONAL.a(i, j)),
+        b=BIDIAGONAL.b, name="bad")
+    with pytest.raises(AssemblyError) as want:
+        truncate(oracle, 4)
+    assert "a(2,4)" in str(want.value)
+    with pytest.raises(AssemblyError) as got:
+        converge(oracle, 4, 32, 1e-8, stop_on=(AssemblyError,))
+    assert str(got.value) == str(want.value)
+
+
+def test_a_bad_entry_of_a_later_rung_waits_for_its_rung():
+    oracle = with_bad_entry((3, 11))
+    conv = converge(oracle, 4, 32, 1e-300, stop_on=(AssemblyError,))
+    assert conv.rungs == [4, 8] and not conv.converged
+    with pytest.raises(AssemblyError) as want:
+        truncate(oracle, 16)
+    assert conv.stopped == f"rung 16 could not be assembled: {want.value}"
+    with pytest.raises(AssemblyError, match=r"a\(3,11\)"):
+        converge(oracle, 4, 32, 1e-300)
+
+
+def test_a_singular_first_rung_raises_before_a_bad_second_rung():
+    # Rows 1 and 2 of rung 1 are equal; rung 2 cannot be assembled.
+    def a(i, j):
+        if np.any(np.asarray(i) > 2):
+            raise _Uncomputable("row 3 cannot be computed")
+        return np.ones(np.broadcast(i, j).shape)
+
+    oracle = CoefficientOracle(a=a, b=lambda i: 1.0)
+    with pytest.raises(SingularSystemError):
+        converge(oracle, 2, 8, 1e-8, stop_on=(_Uncomputable,))

@@ -349,8 +349,8 @@ def test_a_general_solve_alone_runs_only_its_rungs_and_beta1(monkeypatch):
     monkeypatch.setattr(distributions, "_min_moments", counted)
     sol = mgqueue.solve_stage_moments(mgqueue.MgModel(0.25, erlang2()), order=4)
     sol.heuristic
-    # The two rungs, then beta_1's gamma_{1,k}; no probe block.
-    assert batches == [20, 52, 9]
+    # Rungs 4 and 8 in one block, then beta_1's gamma_{1,k}; no probe block.
+    assert batches == [72, 9] and sum(batches) == 81
 
 
 def eager_dict(sol, m):
@@ -437,10 +437,10 @@ def test_general_oracle_computes_each_block_in_one_batch(monkeypatch):
     monkeypatch.setattr(distributions, "_min_moments", counted)
     sol = mgqueue.solve_stage_moments(mgqueue.MgModel(0.25, erlang2()), order=4)
     assert sol.convergence.rungs == [4, 8] and sol.dominance.order == 8
-    # Each batch holds the block's entries not yet cached: the two rungs,
-    # beta_1's gamma_{1,k}, then the diagonal, row and column blocks of the
-    # dominance probe, 513 entries in all.
-    assert batches == [20, 52, 9, 48, 192, 192]
+    # Each batch holds the block's entries not yet cached: rungs 4 and 8 in
+    # one block, beta_1's gamma_{1,k}, then the diagonal, row and column
+    # blocks of the dominance probe, 513 entries in all.
+    assert batches == [72, 9, 48, 192, 192] and sum(batches) == 513
 
 
 @dataclasses.dataclass

@@ -6,10 +6,11 @@ comparison of two checkouts.
 imports gatedq from CHECKOUT/src and runs, in this one process, every
 `gatedq ...` line of CHECKOUT's README "Command line" section followed by a
 fixed list of edge cases: an unconverged ladder, beta_i past double range,
-out-of-regime and unrepresentable models, a numerically singular
-truncation, both dominance systems, short simulate runs, simulate runs whose
-draws cross a chunk, every compare figure and extreme GI rates.  Each command runs in its own empty directory OUTDIR/NN (the
-working directory, so the paths it prints are relative).
+capped, pinned and short ladders, out-of-regime and unrepresentable models,
+a numerically singular truncation, both dominance systems, short simulate
+runs, simulate runs whose draws cross a chunk, every compare figure and
+extreme GI rates.  Each command runs in its own empty directory OUTDIR/NN
+(the working directory, so the paths it prints are relative).
 OUTDIR/manifest.json holds, per command, its exit code, stdout, stderr and
 the sha256 of each file it wrote.  An exception that escapes cli.main is
 recorded as exit 1 with its last traceback line, which names no path.
@@ -44,6 +45,11 @@ EDGES = [
     "gatedq compare --figure moments --lambda 0.99 --mu 1.0 --order 4",
     # beta_i past double range on a long ladder.
     "gatedq analyze-mg --lambda 0.8 --mu 1.0 --order 22",
+    # Ladder shapes: a last rung capped at n_max, a pinned ladder and a
+    # short GI ladder.
+    "gatedq analyze-mg --lambda 0.7 --mu 1.0 --order 4 --n-max 12",
+    "gatedq analyze-mg --lambda 0.5 --mu 1.0 --order 8 --n-max 8",
+    "gatedq analyze-gi --deterministic 2.0 --mu 1.0 --order 6 --n-max 12",
     # Refusals: outside light traffic, unrepresentable, numerically singular.
     "gatedq analyze-mg --lambda 3.0 --mu 2.5",
     "gatedq analyze-gi --deterministic 0.5 --mu 1.0",
