@@ -217,20 +217,22 @@ def _grow(oracle: CoefficientOracle, a: np.ndarray, b: np.ndarray,
     blocks a and b already hold, requesting only the entries they lack.
 
     From nothing that is one call per array for the whole block.  Otherwise
-    the missing entries of the block go to the oracle in one call, in
-    row-major order, so an oracle that cannot compute some of them raises
-    for the first of them, as a call for the whole block would.
+    the matrix takes two calls, for the new columns of the old rows and then
+    for the new rows: the same entries in the same row-major order, so an
+    oracle that cannot compute some of them raises for the first of them,
+    as a call for the whole block would.  Both calls index rows by a column
+    and columns by a row, as a whole block does, so an oracle's per-row
+    work stays per row.
     """
     have = len(b)
     idx = np.arange(1, n + 1)
     if not have:
         return (_block(oracle.a, idx[:, None], idx[None, :]),
                 _block(oracle.b, idx))
-    lacking = (idx[:, None] > have) | (idx[None, :] > have)
-    rows, cols = np.nonzero(lacking)
     grown = np.empty((n, n))
     grown[:have, :have] = a
-    grown[lacking] = _block(oracle.a, rows + 1, cols + 1)
+    grown[:have, have:] = _block(oracle.a, idx[:have, None], idx[None, have:])
+    grown[have:] = _block(oracle.a, idx[have:, None], idx[None, :])
     rhs = np.empty(n)
     rhs[:have] = b
     rhs[have:] = _block(oracle.b, idx[have:])
@@ -410,7 +412,7 @@ def converge(oracle: CoefficientOracle, n_start: int, n_max: int,
     the first rung it propagates, as every other exception does.  An
     exception is raised on reaching the rung whose block holds its entry,
     and is the one truncate would raise for that rung, although the first
-    two rungs are requested in one call and a later rung requests only the
+    two rungs are requested together and a later rung requests only the
     entries the rung before it lacks.
     """
     if n_max == n_start:

@@ -342,8 +342,9 @@ def test_a_ladder_requests_each_coefficient_once(n_start, n_max, rungs):
         (i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
     assert sorted(p for p in entries if len(p) == 1) == [
         (i,) for i in range(1, n + 1)]
-    # The first two rungs share one call; each later rung makes one more.
-    assert len(calls) == len(rungs) - 1
+    # The first two rungs share one call; each later rung makes two more,
+    # for the new columns of the old rows and for the new rows.
+    assert len(calls) == 1 + 2 * (len(rungs) - 2)
 
 
 def erlang2_law(rate=10.0):
@@ -421,14 +422,6 @@ def test_a_ladder_keeps_each_rungs_condition_number_out_of_its_dict():
     assert "rconds" not in conv.to_dict()
 
 
-def with_bad_entry(at):
-    """BIDIAGONAL with a NaN at index pair at."""
-    return CoefficientOracle(
-        a=lambda i, j: np.where((i == at[0]) & (j == at[1]), math.nan,
-                                BIDIAGONAL.a(i, j)),
-        b=BIDIAGONAL.b, name="bad")
-
-
 def test_a_bad_entry_of_the_first_rung_raises_what_truncate_raises():
     # Rung 1 holds (3, 2) and (2, 4) is its first bad entry in row-major
     # order; (1, 7) lies only in rung 2 and comes first in the 8 x 8 block.
@@ -446,7 +439,10 @@ def test_a_bad_entry_of_the_first_rung_raises_what_truncate_raises():
 
 
 def test_a_bad_entry_of_a_later_rung_waits_for_its_rung():
-    oracle = with_bad_entry((3, 11))
+    oracle = CoefficientOracle(
+        a=lambda i, j: np.where((i == 3) & (j == 11), math.nan,
+                                BIDIAGONAL.a(i, j)),
+        b=BIDIAGONAL.b, name="bad")
     conv = converge(oracle, 4, 32, 1e-300, stop_on=(AssemblyError,))
     assert conv.rungs == [4, 8] and not conv.converged
     with pytest.raises(AssemblyError) as want:
@@ -466,3 +462,23 @@ def test_a_singular_first_rung_raises_before_a_bad_second_rung():
     oracle = CoefficientOracle(a=a, b=lambda i: 1.0)
     with pytest.raises(SingularSystemError):
         converge(oracle, 2, 8, 1e-8, stop_on=(_Uncomputable,))
+
+
+def test_a_later_rung_stops_on_its_first_uncomputable_entry():
+    # (3, 6) is a new column of an old row, (5, 1) lies in a new row; in
+    # row-major order of rung 8, (3, 6) comes first.
+    bad = {(3, 6), (5, 1)}
+
+    def a(i, j):
+        i, j = np.broadcast_arrays(i, j)
+        for p in zip(i.ravel().tolist(), j.ravel().tolist()):
+            if p in bad:
+                raise _Uncomputable(f"entry {p} cannot be computed")
+        return BIDIAGONAL.a(i, j)
+
+    oracle = CoefficientOracle(a=a, b=BIDIAGONAL.b)
+    with pytest.raises(_Uncomputable, match=r"\(3, 6\)") as want:
+        truncate(oracle, 8)
+    conv = converge(oracle, 2, 8, 1e-300, stop_on=(_Uncomputable,))
+    assert conv.rungs == [2, 4]
+    assert conv.stopped == f"rung 8 could not be assembled: {want.value}"
