@@ -422,9 +422,7 @@ def _run_dominance(args) -> int:
     report = linsys.dominance_report(oracle, order=args.order,
                                      tail_cutoff=args.tail_cutoff)
     data = report.to_dict()
-    if not (report.tail_is_analytic and report.satisfied):
-        # A probe without an analytic tail certifies nothing, whatever its
-        # lower estimates show; a failed probe certifies nothing either.
+    if not report.certifies:
         data["heuristic"] = True
     path = write_json(os.path.join(_outdir(args), "dominance.json"), data)
     print(path)

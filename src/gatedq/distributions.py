@@ -125,8 +125,7 @@ class ServiceDistribution:
         if mu <= 0:
             raise ValueError(f"exponential rate must be positive, got {mu}")
         return cls(*_exponential_law(mu),
-                   lambda m: math.factorial(m) / mu ** m,
-                   lambda rng, size: rng.exponential(1.0 / mu, size),
+                   _sampler=lambda rng, size: rng.exponential(1.0 / mu, size),
                    mu=mu, name=f"exponential(mu={mu})")
 
     @classmethod
@@ -487,10 +486,12 @@ def _overflow_error() -> OverflowError:
 
 
 def _exponential_min_moment(mu: float, m: int, k: int) -> float:
+    """m!/(k mu)^m, the exponential law's closed form of gamma_{m,k}."""
     try:
         return math.factorial(m) / (k * mu) ** m
-    except OverflowError:
-        # Out of double range; finish in log space, saturating at inf.
+    except (OverflowError, ZeroDivisionError):
+        # m! or (k mu)^m is out of double range (a power that underflows
+        # reads 0.0); finish in log space, saturating at inf.
         log_val = math.lgamma(m + 1) - m * math.log(k * mu)
         return math.exp(log_val) if log_val < 709.0 else math.inf
 

@@ -40,12 +40,6 @@ combinations of geometric laws:
 
     pi_i = sum_k x_k (-1)^{k-1} (1 - bhat_k) bhat_k^{i-1},
     phi(z) = z sum_k x_k (-1)^{k-1} (1 - bhat_k) / (1 - bhat_k z).
-
-The dominance report is a diagnostic of the truncation, not part of the
-moments, so a solve does not probe it: a solution computes its report on
-first read and caches it.  It keeps its coefficient oracle for that, and
-so, for a general arrival law, the model and its memoized bhat_k, alive
-until it is dropped.
 """
 
 from __future__ import annotations
@@ -108,42 +102,24 @@ class GiModel:
 
 
 @dataclass
-class GiMomentSolution:
+class GiMomentSolution(linsys.LadderSolution):
     """Scaled factorial moments x_m with solve diagnostics.
 
     defect records |sum_m (-1)^m x_m + 1|, the residual of the structural
     identity phi(0) = 0; it is reported, never re-imposed on the solution.
-    oracle is the coefficient oracle the ladder solved; the solution keeps it,
-    and with it the model of a general arrival law, alive until it is
-    dropped.  dominance probes the oracle on first read and caches the
-    report.
+    For a general arrival law the oracle keeps the model and its memoized
+    bhat_k alive (see linsys.LadderSolution).
     """
 
     x: dict
-    n_used: int
-    converged: bool
     defect: float
-    convergence: linsys.ConvergedSolution
-    oracle: linsys.CoefficientOracle = field(repr=False, compare=False)
-    notes: list = field(default_factory=list)
-
-    @functools.cached_property
-    def dominance(self) -> linsys.DominanceReport:
-        # Looked up on the module at read time, so a wrapper around
-        # linsys.dominance_report sees the call.
-        return linsys.dominance_report(self.oracle,
-                                       order=min(self.n_used, 64))
 
     def to_dict(self) -> dict:
         return {
             "x": {str(m): float(v) for m, v in sorted(self.x.items())},
             "EK": float(self.x[1]),
-            "n_used": self.n_used,
-            "converged": self.converged,
             "defect": float(self.defect),
-            "convergence": self.convergence.to_dict(),
-            "dominance": self.dominance.to_dict(),
-            "notes": list(self.notes),
+            **self._ladder_dict(),
         }
 
 

@@ -13,7 +13,9 @@ generic pieces of that scheme:
   side conditions (summable inverse diagonals, uniformly bounded off-row
   sums, finite column sums) that the truncation-convergence argument needs,
 * converge: solve truncations along a doubling ladder until successive
-  solutions agree on shared indices to a requested tolerance.
+  solutions agree on shared indices to a requested tolerance,
+* LadderSolution: the base of the queue modules' solutions, which keeps a
+  ladder's outcome and oracle and probes dominance on first read.
 
 Coefficients come from a CoefficientOracle whose functions take broadcastable
 integer index arrays and return arrays, so a truncation is one call to a and
@@ -33,6 +35,7 @@ no tail bound, sigma_i is a lower estimate and the report says so.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -123,6 +126,12 @@ class DominanceReport:
     def max_sigma(self) -> float:
         return float(self.sigma[self.worst_row - 1])
 
+    @property
+    def certifies(self) -> bool:
+        """Only a satisfied probe with an analytic row tail certifies; the
+        lower estimates of a probe without one prove nothing."""
+        return self.tail_is_analytic and self.satisfied
+
     def to_dict(self) -> dict:
         return {
             "order": self.order,
@@ -177,6 +186,47 @@ class ConvergedSolution:
             "tol": self.tol,
             "rungs": list(self.rungs),
             "residuals": [float(r) for r in self.residuals],
+        }
+
+
+@dataclass(kw_only=True)
+class LadderSolution:
+    """The ladder's part of a solution: n_used, converged, convergence and
+    the oracle it solved, which the solution keeps alive with all it reads.
+
+    The report is a diagnostic, not part of the solution, so a solve does not
+    probe: dominance probes the first min(n_used, 64) rows on first read and
+    caches the report, and a dataclasses.replace copy probes on its own.
+    heuristic is true without probing when the oracle has no analytic row
+    tail, and otherwise when the report does not certify.
+    """
+
+    n_used: int
+    converged: bool
+    convergence: ConvergedSolution
+    oracle: CoefficientOracle = field(repr=False, compare=False)
+    notes: list = field(default_factory=list)
+
+    @functools.cached_property
+    def dominance(self) -> DominanceReport:
+        # Looked up at read time: a wrapper set as linsys.dominance_report
+        # sees the call.
+        return dominance_report(self.oracle, order=min(self.n_used, 64))
+
+    @property
+    def heuristic(self) -> bool:
+        if self.oracle.tail_row_bound is None:
+            return True
+        return not self.dominance.certifies
+
+    def _ladder_dict(self) -> dict:
+        """The to_dict entries every solution writes; reading them probes."""
+        return {
+            "n_used": self.n_used,
+            "converged": self.converged,
+            "convergence": self.convergence.to_dict(),
+            "dominance": self.dominance.to_dict(),
+            "notes": list(self.notes),
         }
 
 

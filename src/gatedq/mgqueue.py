@@ -39,18 +39,12 @@ beta_1 = (1/mu) (1 + sum_{k>=2} (-1)^k y_k (k-1)/k).
 
 A fixed-point iteration of the kernel on a quadrature grid provides an
 independent numeric route to f for cross-checking the series.
-
-The dominance report is a diagnostic of the truncation, not part of the
-moments, so a solve does not probe it: a solution computes its report on
-first read and caches it.  It keeps its coefficient oracle for that, and so
-its service law and the law's gamma table, alive until it is dropped.
 """
 
 from __future__ import annotations
 
-import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -89,18 +83,15 @@ class MgModel:
 
 
 @dataclass
-class MgMomentSolution:
+class MgMomentSolution(linsys.LadderSolution):
     """Converged (or honestly non-converged) stage-length moments.
 
     beta[i] = E[Y^i] for i = 2..n_used (an index whose beta_i leaves double
     range is left out, and a note names it), y[i] = lam^i beta[i]/i!, s is the
     alternating sum y_2 - y_3 + ..., and beta1 the separately recovered mean.
-    oracle is the coefficient oracle the ladder solved; the solution keeps it,
-    and with it the service law and its gamma table, alive until it is
-    dropped.  dominance probes the oracle on first read and caches the report.
-    heuristic is true when the oracle has no analytic row tail (the general
-    assembly), which is known without probing, and otherwise when the probe
-    is not satisfied.
+    The oracle keeps the service law and its gamma table alive; the general
+    assembly has no analytic row tail, so its solutions are always heuristic
+    (see linsys.LadderSolution).
     """
 
     lam: float
@@ -108,25 +99,7 @@ class MgMomentSolution:
     y: dict
     s: float
     beta1: float
-    n_used: int
-    converged: bool
     assembly: str
-    convergence: linsys.ConvergedSolution
-    oracle: linsys.CoefficientOracle = field(repr=False, compare=False)
-    notes: list = field(default_factory=list)
-
-    @functools.cached_property
-    def dominance(self) -> linsys.DominanceReport:
-        # Looked up on the module at read time, so a wrapper around
-        # linsys.dominance_report sees the call.
-        return linsys.dominance_report(self.oracle,
-                                       order=min(self.n_used, 64))
-
-    @property
-    def heuristic(self) -> bool:
-        if self.oracle.tail_row_bound is None:
-            return True
-        return not self.dominance.satisfied
 
     def to_dict(self) -> dict:
         return {
@@ -136,13 +109,9 @@ class MgMomentSolution:
             "s": float(self.s),
             "beta1": float(self.beta1),
             "EK": 1.0 + float(self.s),
-            "n_used": self.n_used,
-            "converged": self.converged,
             "assembly": self.assembly,
             "heuristic": self.heuristic,
-            "convergence": self.convergence.to_dict(),
-            "dominance": self.dominance.to_dict(),
-            "notes": list(self.notes),
+            **self._ladder_dict(),
         }
 
 

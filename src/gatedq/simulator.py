@@ -81,10 +81,6 @@ class StageTrace:
     def __len__(self) -> int:
         return len(self.y)
 
-    @property
-    def n_stages(self) -> int:
-        return len(self.y)
-
     def record(self, i: int) -> StageRecord:
         return StageRecord(n=i, y=float(self.y[i]), m=float(self.m[i]),
                            k=int(self.k[i]), waiting_phase=bool(self.waiting[i]))

@@ -67,6 +67,16 @@ def test_analyze_gi_writes_report_and_pmf(tmp_path):
     assert len(rows) >= 10
 
 
+def test_analyze_gi_writes_no_heuristic_flag(tmp_path):
+    # Only the M/G report and dominance.json carry the flag.
+    out = str(tmp_path)
+    for argv in (["--rho", "0.2"], ["--rho", "0.45"],
+                 ["--deterministic", "2.0", "--mu", "1.0"]):
+        assert main(["analyze-gi", *argv, "--out", out]) == 0
+        assert "heuristic" not in read_json(os.path.join(out,
+                                                         "analyze-gi.json"))
+
+
 def test_analyze_gi_pmf_stops_at_the_solution_mass(tmp_path):
     """A solution whose mass misses 1 by its defect must not pad the CSV.
 
@@ -146,6 +156,26 @@ def test_a_dominance_report_that_certifies_nothing_is_flagged(tmp_path):
     assert main(["dominance", "--system", "mg", "--lambda", "0.5", "--mu",
                  "1.0", "--order", "12", "--out", out]) == 0
     assert "heuristic" not in read_json(os.path.join(out, "dominance.json"))
+
+
+def test_exponential_min_moments_below_double_range_refuse_the_model(
+        tmp_path, capsys):
+    # (k mu)^m underflows to 0.0 from some entry of rung 120 on; the entry
+    # reads inf and the model is refused rather than crashing.
+    out = str(tmp_path)
+    assert main(["analyze-mg", "--lambda", "0.0005", "--mu", "0.001",
+                 "--assembly", "general", "--order", "120", "--n-max", "120",
+                 "--out", out]) == 2
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["code"] == "out_of_regime" and "a(98,98)" in err["message"]
+    assert os.listdir(out) == []
+    # The diagonal probe of the same system reads every row.
+    assert main(["dominance", "--system", "mg", "--lambda", "0.0005", "--mu",
+                 "0.001", "--assembly", "general", "--order", "60",
+                 "--out", out]) == 0
+    data = read_json(os.path.join(out, "dominance.json"))
+    assert data["heuristic"] is True
+    assert not any("diagonal probe ended" in n for n in data["notes"])
 
 
 def test_dominance_prints_one_line_with_the_worst_row(tmp_path, capsys):

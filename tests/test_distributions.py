@@ -158,6 +158,32 @@ def test_exponential_raw_moments():
     assert d.moment(3) == pytest.approx(6.0 / MU ** 3, rel=1e-15)
 
 
+def test_exponential_raw_moments_keep_their_closed_form_bits():
+    for mu in (1e-3, 0.37, MU, 1e3):
+        d = ServiceDistribution.exponential(mu)
+        for m in (1, 2, 7, 40, 99):
+            assert d.moment(m) == math.factorial(m) / mu ** m, (mu, m)
+
+
+def test_exponential_raw_moments_past_double_range():
+    # 171! and 2^200 leave double range, but the moment of rate 1e3 does not.
+    want = math.exp(math.lgamma(172) - 171 * math.log(1e3))
+    assert ServiceDistribution.exponential(1e3).moment(171) == pytest.approx(
+        want, rel=1e-12)
+    assert ServiceDistribution.exponential(2.0).moment(200) == math.inf
+    assert ServiceDistribution.exponential(1e-3).moment(120) == math.inf
+
+
+@pytest.mark.parametrize("mu,m,k,expected", [
+    (100.0, 171, 1, math.exp(math.lgamma(172) - 171 * math.log(100.0))),
+    (2.0, 200, 1, math.inf),     # 200! overflows, and so does the moment
+    (1e-3, 120, 1, math.inf),    # (k mu)^m underflows to 0.0
+])
+def test_exponential_min_moment_finishes_in_log_space(mu, m, k, expected):
+    got = distributions._exponential_min_moment(mu, m, k)
+    assert got == pytest.approx(expected, rel=1e-12)
+
+
 def test_moment_callable_override_wins():
     d = ServiceDistribution.from_callables(
         pdf=lambda y: 0.0, cdf=lambda y: 0.0, moment=lambda m: 99.0)

@@ -482,3 +482,71 @@ def test_a_later_rung_stops_on_its_first_uncomputable_entry():
     conv = converge(oracle, 2, 8, 1e-300, stop_on=(_Uncomputable,))
     assert conv.rungs == [2, 4]
     assert conv.stopped == f"rung 8 could not be assembled: {want.value}"
+
+
+# --------------------------------------------- certificates and solutions ----
+
+@pytest.mark.parametrize("make,certifies", [
+    (LADDER_ORACLES["mg-transformed"], True),
+    (LADDER_ORACLES["mg-general"], False),
+    (lambda: giqueue.factorial_oracle(giqueue.GiModel(
+        ArrivalDistribution.poisson(0.2), 1.0)), True),
+    (LADDER_ORACLES["gi-poisson"], False),
+    (LADDER_ORACLES["gi-general"], False),
+], ids=["mg-transformed", "mg-general", "gi-poisson", "gi-poisson-failed",
+        "gi-general"])
+def test_a_report_certifies_only_with_an_analytic_tail_and_a_passed_probe(
+        make, certifies):
+    rep = dominance_report(make(), order=8)
+    assert rep.certifies is certifies
+    assert rep.certifies == (rep.tail_is_analytic and rep.satisfied)
+    # The general M/G probe passes on its lower estimates and still
+    # certifies nothing.
+    if rep.satisfied and not certifies:
+        assert not rep.tail_is_analytic
+    assert "certifies" not in rep.to_dict()
+
+
+def mg_solve(lam, assembly="auto"):
+    return mgqueue.solve_stage_moments(
+        mgqueue.MgModel(lam, ServiceDistribution.exponential(1.0)), order=8,
+        assembly=assembly)
+
+
+def gi_solve(rho):
+    return giqueue.solve_factorial_moments(
+        giqueue.GiModel(ArrivalDistribution.poisson(rho), 1.0), order=8)
+
+
+@pytest.mark.parametrize("solve_", [
+    lambda: mg_solve(0.5), lambda: mg_solve(0.8), lambda: mg_solve(0.95),
+    lambda: gi_solve(0.2), lambda: gi_solve(0.45),
+], ids=["mg-0.5", "mg-0.8", "mg-0.95", "gi-0.2", "gi-0.45"])
+def test_a_solution_with_a_row_tail_is_heuristic_unless_it_certifies(solve_):
+    sol = solve_()
+    assert isinstance(sol, linsys.LadderSolution)
+    assert sol.oracle.tail_row_bound is not None
+    assert sol.heuristic == (not sol.dominance.certifies)
+
+
+def test_a_solution_without_a_row_tail_is_heuristic_without_probing(
+        monkeypatch):
+    probes = []
+    monkeypatch.setattr(linsys, "dominance_report",
+                        lambda *args, **kwargs: probes.append(args))
+    sols = [mg_solve(0.3, assembly="general"), giqueue.solve_factorial_moments(
+        giqueue.GiModel(ArrivalDistribution.deterministic(2.0), 1.0),
+        order=8)]
+    assert all(s.heuristic for s in sols) and probes == []
+
+
+def test_a_ladder_solution_takes_its_fields_by_keyword_only():
+    conv = converge(BIDIAGONAL, 4, 8, 1e-300)
+    with pytest.raises(TypeError):
+        linsys.LadderSolution(conv.n_used, conv.converged, conv, BIDIAGONAL)
+    sol = linsys.LadderSolution(n_used=conv.n_used, converged=conv.converged,
+                                convergence=conv, oracle=BIDIAGONAL)
+    # The report probes min(n_used, 64) rows; BIDIAGONAL has no row tail.
+    assert sol.notes == [] and sol.heuristic
+    assert sol.dominance.order == 8 and not sol.dominance.certifies
+    assert "oracle" not in repr(sol)

@@ -101,6 +101,11 @@ EDGES = [
     # Rows with an infinite off-diagonal sum over a finite diagonal.
     "gatedq dominance --system gi --deterministic 1e-10 --mu 1.0 --override "
     "--order 100",
+    # Exponential min moments m!/(k mu)^m whose power underflows to 0.0.
+    "gatedq analyze-mg --lambda 0.0005 --mu 0.001 --assembly general "
+    "--order 120 --n-max 120",
+    "gatedq dominance --system mg --lambda 0.0005 --mu 0.001 --assembly "
+    "general --order 60",
 ]
 
 
