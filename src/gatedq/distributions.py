@@ -758,7 +758,7 @@ class GammaTable:
         the entries that succeeded are stored first, and then the first
         failing pair in the C order of the broadcast raises its exception.
         """
-        vals = self.held(m, k)
+        vals = self._held(m, k)
         if vals is not None:
             return vals
         m, k = np.broadcast_arrays(m, k)
@@ -798,7 +798,7 @@ class GammaTable:
             raise self._failed[pairs[failed[0]]].with_traceback(None)
         return vals.reshape(shape)
 
-    def held(self, ms, ks) -> Optional[np.ndarray]:
+    def _held(self, ms, ks) -> Optional[np.ndarray]:
         """gamma_{m,k} at every index pair of the broadcast integer arrays
         ms, ks when the table holds all of them, else None; computes
         nothing."""
@@ -846,11 +846,13 @@ class GammaTable:
 
     def ratios(self, ms, ks) -> np.ndarray:
         """gamma_{m,k} / gamma_{m,1}, always in [0, 1], at every index pair
-        of the broadcast arrays ms, ks, from one batch of entries.
+        of the broadcast arrays ms, ks.
 
         For exponential laws this is k^-m exactly, which stays representable
-        long after the two moments themselves overflow.  A gamma_{m,1} of
-        0.0 raises ZeroDivisionError, as a float division does.
+        long after the two moments themselves overflow.  A block the table
+        holds is read as two plain gathers, of gamma_{m,k} and gamma_{m,1};
+        any other block is filled in one batch.  A gamma_{m,1} of 0.0 raises
+        ZeroDivisionError, as a float division does.
         """
         m, k = np.asarray(ms), np.asarray(ks)
         if self.dist.mu is not None:
@@ -859,13 +861,16 @@ class GammaTable:
             m, k = np.broadcast_arrays(m, k)
             return np.reshape([float(q) ** -p for p, q in zip(
                 m.ravel().tolist(), k.ravel().tolist())], m.shape)
-        # Each (m, k) is read beside its (m, 1), so a failure raises in the
-        # order the pairs come in.
-        both = self._entries(m[..., None],
-                             np.stack((k, np.ones_like(k)), axis=-1))
-        if not both[..., 1].all():
+        gamma = self._held(m, k)
+        first = self._held(m, 1) if gamma is not None else None
+        if first is None:
+            # Each (m, k) is read beside its (m, 1): failures raise in order.
+            both = self._entries(m[..., None],
+                                 np.stack((k, np.ones_like(k)), axis=-1))
+            gamma, first = both[..., 0], both[..., 1]
+        if not first.all():
             raise ZeroDivisionError("float division by zero")
-        return both[..., 0] / both[..., 1]
+        return gamma / first
 
 
 @dataclass

@@ -71,12 +71,14 @@ class GiModel:
 
     rho = 1 / (mu E[tau]) is the offered load; b0 = E[tau^2]/(E[tau])^2 is
     the Lorden constant bounding the overshoot of the renewal process past
-    the end of the active phase.
+    the end of the active phase.  bhats fills one list of bhat_k = Bhat(k mu)
+    in order, indexed by k from bhat_0 = 1, so each Bhat(k mu) runs once.
     """
 
     arrivals: ArrivalDistribution
     mu: float
-    _bhat_cache: dict = field(default_factory=dict, repr=False, compare=False)
+    _bhat: list = field(default_factory=lambda: [1.0], init=False,
+                        repr=False, compare=False)
 
     def __post_init__(self):
         if self.mu <= 0:
@@ -94,11 +96,14 @@ class GiModel:
 
     def bhat(self, k: int) -> float:
         """bhat_k = Bhat(k mu), memoized."""
-        hit = self._bhat_cache.get(k)
-        if hit is None:
-            hit = self.arrivals.laplace(k * self.mu)
-            self._bhat_cache[k] = hit
-        return hit
+        return self.bhats(k)[k]
+
+    def bhats(self, n: int) -> list:
+        """The model's own list of bhat_k by k, filled to k = n at least."""
+        for k in range(len(self._bhat), n + 1):
+            # A slice store leaves index k right if a thread stored it first.
+            self._bhat[k:k + 1] = [self.arrivals.laplace(k * self.mu)]
+        return self._bhat
 
 
 @dataclass
@@ -174,16 +179,12 @@ def _binomial_sum(i: int, ops: int, weights) -> float:
     return math.fsum(terms)
 
 
-def _bhats(model: GiModel, i: int) -> list:
-    return [model.bhat(k) for k in range(1, i + 1)]
-
-
 def transition_probability(model: GiModel, i: int, j: int) -> float:
     """P(K_next = j | K = i) for the customers-per-stage chain."""
     if i < 1 or j < 1:
         raise ValueError(f"states start at 1, got i={i}, j={j}")
     return _binomial_sum(i, i + j + 2, [bk ** (j - 1) * (bk - 1.0)
-                                        for bk in _bhats(model, i)])
+                                        for bk in model.bhats(i)[1:i + 1]])
 
 
 def transition_row_mass(model: GiModel, i: int, head: int = 0) -> float:
@@ -196,8 +197,8 @@ def transition_row_mass(model: GiModel, i: int, head: int = 0) -> float:
         raise ValueError(f"states start at 1, got i={i}")
     total = math.fsum(transition_probability(model, i, j)
                       for j in range(1, head + 1))
-    return total + _binomial_sum(i, i + head + 1,
-                                 [-bk ** head for bk in _bhats(model, i)])
+    return total + _binomial_sum(i, i + head + 1, [
+        -bk ** head for bk in model.bhats(i)[1:i + 1]])
 
 
 def _poisson_oracle(model: GiModel) -> linsys.CoefficientOracle:
@@ -250,7 +251,7 @@ def _general_oracle(model: GiModel) -> linsys.CoefficientOracle:
 
     def a(i, j):
         i, j = np.asarray(i), np.asarray(j)
-        bj = np.array(_bhats(model, j.max(initial=0)))[j - 1]
+        bj = np.array(model.bhats(j.max(initial=0)))[j]
         # a_ij = bj^(i-1) / (1 - bj)^i is inf once the denominator underflows.
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             row1 = np.where(j == 1, -(1.0 - 2.0 * bj) / (1.0 - bj),
@@ -322,9 +323,10 @@ def stationary_pmf(sol: GiMomentSolution, model: GiModel, i: int) -> float:
         raise ValueError(f"pmf support starts at 1, got i={i}")
     if not sol.converged:
         raise UnconvergedError("stationary_pmf needs a converged solution")
+    bhat = model.bhats(max(sol.x))
     terms = []
     for k in sorted(sol.x):
-        bk = model.bhat(k)
+        bk = bhat[k]
         mag = abs(sol.x[k]) * (1.0 - bk) * bk ** (i - 1)
         if mag < _PMF_TERM_TOL:
             break
@@ -350,7 +352,7 @@ def pgf(sol: GiMomentSolution, model: GiModel, z: float) -> float:
         raise ValueError(f"pgf argument must lie in [0, 1], got {z}")
     if not sol.converged:
         raise UnconvergedError("pgf needs a converged solution")
+    bhat = model.bhats(max(sol.x))
     return z * math.fsum(
-        sol.x[k] * (-1.0) ** (k - 1) * (1.0 - model.bhat(k))
-        / (1.0 - model.bhat(k) * z)
+        sol.x[k] * (-1.0) ** (k - 1) * (1.0 - bhat[k]) / (1.0 - bhat[k] * z)
         for k in sorted(sol.x))
