@@ -74,6 +74,9 @@ import numpy as np
 # it installs; no quadrature uses it.  It goes when the tracer does.
 integrate = None
 
+# Bisection steps of the inversion sampler for a law without a sampler.
+_INVERSION_STEPS = 60
+
 
 class DivergentMomentError(ValueError):
     """Raised when a requested moment integral fails to converge."""
@@ -162,7 +165,7 @@ class ServiceDistribution:
             return self._sampler(rng, size)
         return self._sample_by_inversion(rng, size)
 
-    def _sample_by_inversion(self, rng, size, iters: int = 60):
+    def _sample_by_inversion(self, rng, size):
         # Bisection on the cdf; adequate for smoke tests of user laws.  The
         # cdf sees the whole array of draws at each bisection step when it
         # maps arrays to arrays, and one draw at a time otherwise.
@@ -174,7 +177,7 @@ class ServiceDistribution:
                 break
             hi = np.where(need, hi * 2.0, hi)
         lo = np.zeros(size)
-        for _ in range(iters):
+        for _ in range(_INVERSION_STEPS):
             mid = 0.5 * (lo + hi)
             below = _on_nodes(self.cdf, mid) < u
             lo = np.where(below, mid, lo)

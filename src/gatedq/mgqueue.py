@@ -57,6 +57,8 @@ from .errors import OutOfRegimeError, UnconvergedError
 
 _SERIES_TERM_TOL = 1e-12
 _GRID_TAIL_EPS = 1e-10
+_FIXED_POINT_TOL = 1e-10
+_FIXED_POINT_MAX_ITER = 500
 
 
 @dataclass(frozen=True)
@@ -282,7 +284,9 @@ def solve_stage_moments(model: MgModel, order: int = 10, tol: float = 1e-8,
     reproduced.  A min moment that cannot be computed (DivergentMomentError)
     on a rung after the first ends the ladder at the last rung that solved:
     the solution comes back unconverged, with a note naming the entry.  On
-    the first rung it raises.
+    the first rung it raises.  A ladder that converges to s < 0 or to
+    beta_1 < gamma_{1,1} comes back unconverged too, with a note giving
+    both numbers; its convergence.converged stays the ladder's own verdict.
     """
     if order < 4:
         raise ValueError(f"order must be >= 4, got {order}")
@@ -318,10 +322,18 @@ def solve_stage_moments(model: MgModel, order: int = 10, tol: float = 1e-8,
     if lost:
         notes.append(f"beta_i outside double range, left out of beta, at "
                      f"indices {lost}")
+    # Every stage serves at least one customer and lasts at least one
+    # service time, so E[K] = 1 + s >= 1 and beta_1 >= gamma_{1,1}.
+    junk = conv.converged and (s < 0 or beta1 < g11)
+    if junk:
+        notes.append(f"converged ladder rejected: a stage serves at least one "
+                     f"customer and lasts at least one service time, but "
+                     f"s = {s!r} and beta_1 = {beta1!r} against "
+                     f"gamma_{{1,1}} = {g11!r}")
     return MgMomentSolution(
         lam=lam, beta=beta, y=y, s=s, beta1=beta1, n_used=conv.n_used,
-        converged=conv.converged, assembly=assembly, convergence=conv,
-        oracle=oracle, notes=notes)
+        converged=conv.converged and not junk, assembly=assembly,
+        convergence=conv, oracle=oracle, notes=notes)
 
 
 def _series_cutoff(y: dict) -> list:
@@ -471,14 +483,13 @@ class FixedPointDensity:
 
 
 def fixed_point_density(model: MgModel, n_points: int = 2048,
-                        y_max: Optional[float] = None, tol: float = 1e-10,
-                        max_iter: int = 500) -> FixedPointDensity:
+                        y_max: Optional[float] = None) -> FixedPointDensity:
     """Iterate f <- integral f(x) q(x, .) dx on a trapezoid grid from f0 = g.
 
     The mass is renormalized to one after each sweep (the kernel rows already
-    integrate to one, so this only removes quadrature error).  Exceeding
-    max_iter returns converged=False with the last sup-norm change; it does
-    not raise.
+    integrate to one, so this only removes quadrature error).  It stops once
+    a sweep changes f by less than 1e-10 in sup norm; after 500 sweeps it
+    returns converged=False with the last change, and does not raise.
     """
     if y_max is None:
         y_max = tail_support(model.service, _GRID_TAIL_EPS)
@@ -497,12 +508,12 @@ def fixed_point_density(model: MgModel, n_points: int = 2048,
     last_change = math.inf
     converged = False
     it = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, _FIXED_POINT_MAX_ITER + 1):
         nxt = (f * w) @ q
         nxt = nxt / float(nxt @ w)
         last_change = float(np.abs(nxt - f).max())
         f = nxt
-        if last_change < tol:
+        if last_change < _FIXED_POINT_TOL:
             converged = True
             break
     return FixedPointDensity(y=grid, f=f, iterations=it,

@@ -185,12 +185,12 @@ def simulate_gi(arrivals: ArrivalDistribution, mu: float, n_stages: int,
                       model=f"gi(arrivals={arrivals.name}, mu={mu})")
 
 
-def _batch_se(values: np.ndarray, n_batches: int = _N_BATCHES) -> float:
+def _batch_se(values: np.ndarray) -> float:
     """Batch-means standard error of the mean for serially correlated data."""
-    usable = len(values) - len(values) % n_batches
-    batches = values[:usable].reshape(n_batches, -1)
+    usable = len(values) - len(values) % _N_BATCHES
+    batches = values[:usable].reshape(_N_BATCHES, -1)
     means = batches.mean(axis=1)
-    return float(means.std(ddof=1) / math.sqrt(n_batches))
+    return float(means.std(ddof=1) / math.sqrt(_N_BATCHES))
 
 
 # Post-burn-in stages a trace needs before empirical_stats summarizes it.

@@ -327,6 +327,29 @@ def test_gamma_table_memoizes():
     assert counter["cdf"] == calls_after_first
 
 
+def test_a_held_block_reads_without_quadrature_and_equals_a_cold_read(
+        monkeypatch):
+    law = ServiceDistribution.from_callables(
+        pdf=lambda y: 100.0 * y * np.exp(-10.0 * y),
+        cdf=numpy_erlang2(10.0), name="erlang2")
+    m, k = np.arange(2, 10)[:, None], np.arange(1, 12)
+    warm = GammaTable(law)
+    warm.ratios(np.arange(1, 12)[:, None], np.arange(1, 14))
+    cold = GammaTable(law).ratios(m, k)
+    calls = []
+    batch = distributions._min_moments
+
+    def counted(d, pairs, memo):
+        calls.append(len(pairs))
+        return batch(d, pairs, memo)
+
+    monkeypatch.setattr(distributions, "_min_moments", counted)
+    got = warm.ratios(m, k)
+    assert calls == []
+    assert got.tobytes() == cold.tobytes()
+    assert np.array_equal(got, warm.gammas(m, k) / warm.gammas(m, 1))
+
+
 # ------------------------------------------------- batched quadrature ----
 
 def quadpack_min_moment(d, m, k, memo):

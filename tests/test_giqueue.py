@@ -401,3 +401,32 @@ def test_analytic_region_is_unchanged_on_a_dense_grid():
         region = giqueue.factorial_oracle(poisson_model(rho)).analytic_region
         assert region() == _region_with_scipy_zeta(rho), rho
     assert _region_with_scipy_zeta(lo) and not _region_with_scipy_zeta(hi)
+
+
+# ---------------------------------------------------------- bhat memo ----
+
+def test_each_laplace_point_runs_once_across_every_reader():
+    calls = []
+
+    def laplace(s):
+        calls.append(s)
+        return (1.0 / (1.0 + s)) ** 2
+
+    model = giqueue.GiModel(ArrivalDistribution.from_callables(
+        sampler=lambda rng, size: rng.gamma(2.0, 1.0, size),
+        laplace=laplace, mean=2.0, second_moment=6.0,
+        name="erlang2"), 2.0)
+    assert model.bhat(3) == (1.0 / 7.0) ** 2
+    assert model.bhats(5)[1:6] == [model.bhat(k) for k in range(1, 6)]
+    block = giqueue.factorial_oracle(model).a(np.arange(1, 9)[:, None],
+                                              np.arange(1, 13))
+    assert np.isfinite(block).all()
+    giqueue.transition_probability(model, 6, 2)
+    giqueue.transition_row_mass(model, 7, head=3)
+    sol = giqueue.solve_factorial_moments(model, order=8)
+    assert sol.converged
+    giqueue.stationary_pmf(sol, model, 2)
+    giqueue.pgf(sol, model, 0.5)
+    n = len(model.bhats(0)) - 1
+    assert n >= max(sol.x)
+    assert calls == [k * 2.0 for k in range(1, n + 1)]

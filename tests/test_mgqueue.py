@@ -443,6 +443,58 @@ def test_general_oracle_computes_each_block_in_one_batch(monkeypatch):
     assert batches == [72, 9, 48, 192, 192] and sum(batches) == 513
 
 
+def count_batches(monkeypatch):
+    """Record the size of each batch of min moments the tables compute."""
+    batches = []
+    batch = distributions._min_moments
+
+    def counted(d, pairs, memo):
+        batches.append(len(pairs))
+        return batch(d, pairs, memo)
+
+    monkeypatch.setattr(distributions, "_min_moments", counted)
+    return batches
+
+
+def test_a_general_block_on_a_warm_table_is_formed_from_its_gammas(
+        monkeypatch):
+    lam, law = 0.25, erlang2()
+    table = GammaTable(law)
+    table.gammas(np.arange(1, 13)[:, None], np.arange(1, 13))
+    oracle = mgqueue.moment_oracle(mgqueue.MgModel(lam, law), table=table)
+    batches = count_batches(monkeypatch)
+    mi, mj = np.arange(1, 11)[:, None], np.arange(1, 12)
+    got = oracle.a(mi, mj)
+    assert batches == []
+    want = np.empty(got.shape)
+    for i in range(2, 12):
+        first = float(table.gammas(i, 1))
+        for j in range(2, 13):
+            lead = math.factorial(i) / (lam ** i * first) if i == j else 0.0
+            want[i - 2, j - 2] = lead - (-1.0) ** j * (
+                1.0 - float(table.gammas(i, j)) / first)
+    assert np.array_equal(got, want)
+
+
+def test_a_converged_ladder_below_one_customer_per_stage_is_flagged():
+    # Erlang-2 on a time scale of 1e-4: the min moments come out as junk,
+    # and the ladder converges to s = -3e-36 where the true s is about 0.0996.
+    c = 1e-4
+    sol = mgqueue.solve_stage_moments(
+        mgqueue.MgModel(2.0 / c, erlang2(rate=10.0 / c, exact_sf=True)),
+        order=8)
+    assert sol.convergence.converged and not sol.converged
+    assert sol.s < 0
+    assert any(f"s = {sol.s!r}" in note and f"beta_1 = {sol.beta1!r}" in note
+               for note in sol.notes)
+    with pytest.raises(UnconvergedError):
+        mgqueue.mean_customers_per_stage(sol)
+    sane = mgqueue.solve_stage_moments(
+        mgqueue.MgModel(2.0, erlang2(rate=10.0, exact_sf=True)), order=8)
+    assert sane.converged and sane.notes == []
+    assert sane.s == pytest.approx(0.0996, abs=1e-4)
+
+
 @dataclasses.dataclass
 class Uncached(GammaTable):
     """A table whose entries each come from the memo-free min_moment, so

@@ -83,6 +83,8 @@ EDGES = [
     "--stages 2000",
     "gatedq compare --figure pmf --rho 0.3 --stages 3000",
     "gatedq compare --figure pmf --deterministic 1.0 --mu 1.0 --stages 3000",
+    # The GI pmf of a non-Poisson law, which reads bhat_k from the model.
+    "gatedq compare --figure pmf --deterministic 1.25 --mu 1.0 --stages 2000",
     # Draws that cross a 65 536-draw chunk in both simulators.
     "gatedq simulate --model mg --lambda 1.2 --mu 2.0 --stages 70000",
     "gatedq simulate --model gi --rho 0.6 --stages 70000",
