@@ -96,6 +96,8 @@ class GiModel:
 
     def bhat(self, k: int) -> float:
         """bhat_k = Bhat(k mu), memoized."""
+        if k < 0:
+            raise ValueError(f"bhat needs k >= 0, got {k}")
         return self.bhats(k)[k]
 
     def bhats(self, n: int) -> list:

@@ -430,3 +430,5 @@ def test_each_laplace_point_runs_once_across_every_reader():
     n = len(model.bhats(0)) - 1
     assert n >= max(sol.x)
     assert calls == [k * 2.0 for k in range(1, n + 1)]
+    with pytest.raises(ValueError):
+        model.bhat(-1)
