@@ -30,10 +30,14 @@ For Poisson arrivals (bhat_k = rho/(rho+k)) the system in unknowns
 w_i = i x_i, with rows i >= 2 scaled by rho^{-i/2}, is strictly diagonally
 dominant for small rho; a closed-form sufficient region is rho < 6/pi^2
 (row 1) together with i rho^{i-1} (zeta(i) + rho zeta(i+1)) < 1 for all
-i >= 2, which binds at i = 2 and holds for rho below about 0.256.  Probed
-dominance of the truncated rows actually extends to rho around 0.34; beyond
-that the truncations still converge in practice and the report says honestly
-that dominance failed.
+i >= 2, which binds at i = 2 and holds for rho below about 0.256.  The
+off-diagonal row sums have closed forms over every column, rho (zeta(2) - 1)
+for row 1 and rho^{i/2-1} (zeta(i) + rho zeta(i+1) - (1 + rho/i) i^{-i}) for
+row i >= 2, so the dominance report's sigma_i is exact for this system.  The
+plain rows stay dominant up to rho about 0.3404 (row 2 binds); beyond that
+the truncations still converge in practice and the report says honestly
+that dominance failed.  Any other arrival law has its rows probed, and its
+sigma_i is a lower estimate.
 
 From a solved x-vector the stationary pmf and pgf come out as alternating
 combinations of geometric laws:
@@ -63,6 +67,9 @@ _NEGATIVE_CLAMP = -1e-10
 _BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6,
               -3617 / 510)
 _ZETA_HEAD = 10
+# A power whose log2 lies below this rounds to 0.0 whatever the error of
+# the estimate: the smallest subnormal is 2^-1074.
+_UNDERFLOW_LOG2 = -1100.0
 
 
 @dataclass(frozen=True)
@@ -146,8 +153,8 @@ def _zeta(s: int) -> float:
     """Riemann zeta(s) for an integer s >= 2, memoized.
 
     Sums n^-s for n < 10 and adds the Euler-Maclaurin tail at N = 10 with
-    Bernoulli terms through B_16, all in one math.fsum.  For s = 2..65 the
-    result is the correctly rounded double.
+    Bernoulli terms through B_16, all in one math.fsum.  For s = 2..401 the
+    result is the correctly rounded double (1.0 from s = 54 on).
     """
     n = _ZETA_HEAD
     terms = [k ** -s for k in range(1, n)]
@@ -229,6 +236,19 @@ def _poisson_oracle(model: GiModel) -> linsys.CoefficientOracle:
                     * (1.0 * cutoff) ** (1 - i) / (i - 1))
         return np.where(i == 1, rho / cutoff, rows)
 
+    def exact_row_sums(i):
+        # Row 1: rho (zeta(2) - 1); row i >= 2: rho^{i/2-1} times
+        # sum_{j != i} (1 + rho/j) j^{-i} = zeta(i) + rho zeta(i+1)
+        # - (1 + rho/i) i^{-i}.
+        i = np.asarray(i)
+        s = np.maximum(i, 2).tolist()
+        zeta = np.array([_zeta(k) for k in s])
+        zeta_next = np.array([_zeta(k + 1) for k in s])
+        with np.errstate(over="ignore"):
+            rows = rho ** (i / 2.0 - 1.0) * (
+                zeta + rho * zeta_next - (1.0 + rho / i) * (1.0 * i) ** -i)
+        return np.where(i == 1, rho * (_zeta(2) - 1.0), rows), rho < 1.0
+
     def analytic_region() -> bool:
         if not rho < 6.0 / math.pi ** 2:
             return False
@@ -238,8 +258,21 @@ def _poisson_oracle(model: GiModel) -> linsys.CoefficientOracle:
 
     return linsys.CoefficientOracle(
         a=a, b=b, tail_row_bound=tail_row_bound,
-        analytic_region=analytic_region,
+        analytic_region=analytic_region, exact_row_sums=exact_row_sums,
         name=f"gi-poisson(rho={rho})")
+
+
+def _power(base, exponent) -> np.ndarray:
+    """base ** exponent, bit for bit, for float bases and integer exponents
+    that broadcast against each other.
+
+    An entry with a positive base whose exponent * log2(base) lies below
+    -1100 is 0.0, and is written as 0.0 without calling pow: libm's pow
+    takes a slow path for results that underflow.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        skip = (base > 0.0) & (exponent * np.log2(base) < _UNDERFLOW_LOG2)
+    return np.power(base, exponent, out=np.zeros(skip.shape), where=~skip)
 
 
 def _general_oracle(model: GiModel) -> linsys.CoefficientOracle:
@@ -259,7 +292,7 @@ def _general_oracle(model: GiModel) -> linsys.CoefficientOracle:
             row1 = np.where(j == 1, -(1.0 - 2.0 * bj) / (1.0 - bj),
                             (-1.0) ** (j - 1) * bj / (j * (1.0 - bj)))
             den = (1.0 - bj) ** i
-            a_ij = np.where(den == 0.0, np.inf, bj ** (i - 1) / den)
+            a_ij = np.where(den == 0.0, np.inf, _power(bj, i - 1) / den)
             return np.where(i == 1, row1, np.where(
                 j == i, ((-1.0) ** (i - 1) * a_ij - 1.0) / i,
                 (-1.0) ** (j - 1) * a_ij / j))
@@ -275,9 +308,9 @@ def factorial_oracle(model: GiModel, override: bool = False) -> linsys.Coefficie
 
     Refuses models with bhat_1 >= 1/2 (outside light traffic) unless the
     caller overrides.  Poisson arrivals (a law that carries a rate lam) get
-    the rho^{-i/2}-scaled rows with analytic tails and the closed-form
-    sufficient region; any other arrival law gets the raw assembly with
-    probed dominance only.
+    the rho^{-i/2}-scaled rows with exact off-diagonal row sums, analytic
+    tails and the closed-form sufficient region; any other arrival law gets
+    the raw assembly with probed dominance only.
     """
     lt = light_traffic_ok(model)
     if not lt.ok and not override:

@@ -9,9 +9,10 @@ generic pieces of that scheme:
 * truncate: materialize the leading N x N block and right-hand side,
 * solve: dense LU solve (numpy's LAPACK gesv) with a condition guard and
   residual reporting,
-* dominance_report: probe the strict-dominance ratios sigma_i and the three
-  side conditions (summable inverse diagonals, uniformly bounded off-row
-  sums, finite column sums) that the truncation-convergence argument needs,
+* dominance_report: the strict-dominance ratios sigma_i and the three side
+  conditions (summable inverse diagonals, uniformly bounded off-row sums,
+  finite column sums) that the truncation-convergence argument needs, exact
+  where the oracle gives its row sums in closed form and probed otherwise,
 * converge: solve truncations along a doubling ladder until successive
   solutions agree on shared indices to a requested tolerance,
 * LadderSolution: the base of the queue modules' solutions, which keeps a
@@ -28,9 +29,11 @@ the first row that raises and say so in a note.
 
 A finite machine can only probe the infinite conditions, so the report
 distinguishes "probed" facts (finite sums up to a cutoff, geometric-ratio
-checks) from analytic facts the oracle supplies in closed form (row tail
-bounds, a sufficient parameter condition for dominance).  When an oracle has
-no tail bound, sigma_i is a lower estimate and the report says so.
+checks) from analytic facts the oracle supplies in closed form (exact row
+sums and side conditions, row tail bounds, a sufficient parameter condition
+for dominance).  With exact row sums sigma_i is exact and the report reads
+only the diagonal; without them it probes, and when the oracle has no tail
+bound either, sigma_i is a lower estimate and the report says so.
 """
 
 from __future__ import annotations
@@ -69,13 +72,17 @@ class CoefficientOracle:
     cutoff J and returns analytic upper bounds on sum_{j>J} |a(i,j)|.
     analytic_region, when present, reports whether the model parameters lie
     in a closed-form region where strict dominance is proven for every row,
-    not just the probed ones.
+    not just the probed ones.  exact_row_sums(i), when present, takes a 1-D
+    array of rows and returns (sums, side): the exact sum_{j != i} |a(i,j)|
+    over every column j of each row, and whether the infinite system's
+    1/|a_ii| are summable and its column sums all finite.
     """
 
     a: Callable[[np.ndarray, np.ndarray], np.ndarray]
     b: Callable[[np.ndarray], np.ndarray]
     tail_row_bound: Optional[Callable[[np.ndarray, int], np.ndarray]] = None
     analytic_region: Optional[Callable[[], bool]] = None
+    exact_row_sums: Optional[Callable[[np.ndarray], tuple]] = None
     name: str = "oracle"
 
 
@@ -98,14 +105,16 @@ class SolveResult:
 
 @dataclass
 class DominanceReport:
-    """Probe of strict diagonal dominance and the three side conditions.
+    """Strict diagonal dominance and the three side conditions.
 
-    sigma[i-1] = (sum_{j <= tail_cutoff, j != i} |a_ij| + analytic tail) / |a_ii|
-    for rows i = 1..order.  satisfied requires every probed sigma_i < 1 plus
-    all three side conditions.  analytic_region_ok mirrors the oracle's
-    closed-form sufficient condition when it has one (None otherwise), and
-    marginal flags the honest in-between: every probe passes but the
-    parameters sit outside the analytically certified region.
+    sigma[i-1] = sum_{j != i} |a_ij| / |a_ii| for rows i = 1..order, exact
+    when the oracle gives exact row sums; otherwise the probe's
+    (sum_{j <= tail_cutoff, j != i} |a_ij| + analytic tail) / |a_ii|, a
+    lower estimate when the oracle has no tail bound.  satisfied requires
+    every sigma_i < 1 plus all three side conditions.  analytic_region_ok
+    mirrors the oracle's closed-form sufficient condition when it has one
+    (None otherwise), and marginal flags the honest in-between: the rows
+    are dominant but the parameters sit outside that sufficient region.
     """
 
     order: int
@@ -195,8 +204,9 @@ class LadderSolution:
     the oracle it solved, which the solution keeps alive with all it reads.
 
     The report is a diagnostic, not part of the solution, so a solve does not
-    probe: dominance probes the first min(n_used, 64) rows on first read and
-    caches the report, and a dataclasses.replace copy probes on its own.
+    compute it: dominance reports on the first min(n_used, 64) rows on first
+    read and caches the report, and a dataclasses.replace copy reports on
+    its own.
     heuristic is true without probing when the oracle has no analytic row
     tail, and otherwise when the report does not certify.
     """
@@ -342,6 +352,13 @@ def _rows_before_failure(block, rows: np.ndarray) -> np.ndarray:
         raise
 
 
+def _refuse_zero_diagonal(oracle: CoefficientOracle, diag: np.ndarray) -> None:
+    zero = np.flatnonzero(diag == 0.0)
+    if len(zero):
+        raise ZeroDiagonalError(
+            f"{oracle.name}: zero diagonal at row {zero[0] + 1}")
+
+
 def _probe_diag_summability(oracle: CoefficientOracle, upto: int) -> tuple:
     """Cauchy probe of sum_i 1/|a_ii|: geometric decay of late increments.
 
@@ -354,10 +371,7 @@ def _probe_diag_summability(oracle: CoefficientOracle, upto: int) -> tuple:
     diag = np.abs(_rows_before_failure(
         lambda i: _block(oracle.a, i, i), np.arange(1, upto + 1)))
     reached = len(diag)
-    zero = np.flatnonzero(diag == 0.0)
-    if len(zero):
-        raise ZeroDiagonalError(
-            f"{oracle.name}: zero diagonal at row {zero[0] + 1}")
+    _refuse_zero_diagonal(oracle, diag)
     if reached < 4:
         return False, math.nan, reached
     half = max(2, reached // 2)
@@ -368,27 +382,38 @@ def _probe_diag_summability(oracle: CoefficientOracle, upto: int) -> tuple:
     return (ratio < 0.99 and last <= first), ratio, reached
 
 
-def dominance_report(oracle: CoefficientOracle, order: int,
-                     tail_cutoff: Optional[int] = None) -> DominanceReport:
-    """Probe strict diagonal dominance of the first `order` rows.
+def _sigma(oracle: CoefficientOracle, offdiag_sums: np.ndarray,
+           diag: np.ndarray) -> np.ndarray:
+    """offdiag_sums / diag, refused with AssemblyError where not finite."""
+    with np.errstate(invalid="ignore"):
+        sigma = offdiag_sums / diag
+    unbounded = np.flatnonzero(~np.isfinite(sigma))
+    if len(unbounded):
+        i = unbounded[0]
+        raise AssemblyError(
+            f"{oracle.name}: row {i + 1} has no finite dominance ratio: "
+            f"off-diagonal sum {offdiag_sums[i]} over diagonal {diag[i]}")
+    return sigma
 
-    Row sums run to tail_cutoff (default 4*order) and are completed by the
-    oracle's analytic tail bound when it has one; otherwise sigma_i is a
-    lower estimate and a note says so.  The three side conditions are probed:
-    summability of 1/|a_ii| by geometric-ratio, boundedness of off-row sums
-    by every probed sigma_i being finite, and column sums by finiteness up to
-    the cutoff.  The probes read three blocks: rows 1..order by columns
-    1..cutoff, columns 1..order by rows 1..cutoff, and the diagonal to
-    4*order.  A probed row whose sigma_i is not finite (an infinite
-    off-diagonal sum, or a NaN entry) raises AssemblyError, so a report holds
-    only finite numbers and row_sums_bounded is always true.
-    """
-    if order < 1:
-        raise ValueError(f"order must be >= 1, got {order}")
-    cutoff = tail_cutoff if tail_cutoff is not None else 4 * order
-    if cutoff < order:
-        raise ValueError(f"tail_cutoff {cutoff} must be >= order {order}")
-    notes = []
+
+def _exact_rows(oracle: CoefficientOracle, order: int) -> tuple:
+    """(sigma, row sums, diag_ok, col_ok) from the oracle's exact row sums
+    and the diagonal of rows 1..order, the one block it reads.
+
+    The side conditions are the oracle's closed form, and the column sums
+    are not finite where one of those diagonal entries is not."""
+    rows = np.arange(1, order + 1)
+    diag = np.abs(_block(oracle.a, rows, rows))
+    _refuse_zero_diagonal(oracle, diag)
+    sums, side = oracle.exact_row_sums(rows)
+    sigma = _sigma(oracle, sums, diag)
+    return sigma, sums, side, side and bool(np.isfinite(diag).all())
+
+
+def _probed_rows(oracle: CoefficientOracle, order: int, cutoff: int,
+                 notes: list) -> tuple:
+    """(sigma, row sums, diag_ok, col_ok) from three probed blocks; see
+    dominance_report.  Appends its notes to notes."""
     has_tail = oracle.tail_row_bound is not None
     if not has_tail:
         notes.append(
@@ -413,15 +438,7 @@ def dominance_report(oracle: CoefficientOracle, order: int,
     tail = (_block(lambda i: oracle.tail_row_bound(i, cutoff), rows)
             if has_tail else 0.0)
     offdiag_sums = head + tail
-    with np.errstate(invalid="ignore"):
-        sigma = offdiag_sums / diag
-    unbounded = np.flatnonzero(~np.isfinite(sigma))
-    if len(unbounded):
-        i = unbounded[0]
-        raise AssemblyError(
-            f"{oracle.name}: row {i + 1} has no finite dominance ratio: "
-            f"off-diagonal sum {offdiag_sums[i]} over diagonal {diag[i]}")
-    max_row = float(offdiag_sums.max())
+    sigma = _sigma(oracle, offdiag_sums, diag)
     columns = _rows_before_failure(
         lambda i: _block(oracle.a, i[:, None], rows[None, :]), cols)
     col_reached = len(columns)
@@ -430,6 +447,41 @@ def dominance_report(oracle: CoefficientOracle, order: int,
         notes.append(
             f"column sums probed to row {col_reached} of {cutoff}: "
             f"later entries are not computable")
+    return sigma, offdiag_sums, diag_ok, col_ok
+
+
+def dominance_report(oracle: CoefficientOracle, order: int,
+                     tail_cutoff: Optional[int] = None) -> DominanceReport:
+    """Strict diagonal dominance of the first `order` rows.
+
+    An oracle with exact row sums gives sigma_i exactly: the report reads
+    only the diagonal of rows 1..order, and takes summability of 1/|a_ii|
+    and finite column sums from the oracle's closed form, the column sums
+    failing also where one of those diagonal entries is not finite.
+
+    Any other oracle is probed.  Row sums run to tail_cutoff (default
+    4*order) and are completed by the oracle's analytic tail bound when it
+    has one; otherwise sigma_i is a lower estimate and a note says so.  The
+    three side conditions are probed: summability of 1/|a_ii| by
+    geometric-ratio, boundedness of off-row sums by every probed sigma_i
+    being finite, and column sums by finiteness up to the cutoff.  The
+    probes read three blocks: rows 1..order by columns 1..cutoff, columns
+    1..order by rows 1..cutoff, and the diagonal to 4*order.
+
+    Either way a row whose sigma_i is not finite (an infinite off-diagonal
+    sum, or a NaN entry) raises AssemblyError, so a report holds only finite
+    numbers and row_sums_bounded is always true.
+    """
+    if order < 1:
+        raise ValueError(f"order must be >= 1, got {order}")
+    cutoff = tail_cutoff if tail_cutoff is not None else 4 * order
+    if cutoff < order:
+        raise ValueError(f"tail_cutoff {cutoff} must be >= order {order}")
+    notes = []
+    exact = oracle.exact_row_sums is not None
+    sigma, offdiag_sums, diag_ok, col_ok = (
+        _exact_rows(oracle, order) if exact
+        else _probed_rows(oracle, order, cutoff, notes))
 
     worst = int(np.argmax(sigma)) + 1
     satisfied = bool(np.all(sigma < 1.0)) and diag_ok and col_ok
@@ -442,8 +494,9 @@ def dominance_report(oracle: CoefficientOracle, order: int,
         order=order, tail_cutoff=cutoff, sigma=sigma, worst_row=worst,
         diag_sums_summable=diag_ok, row_sums_bounded=True,
         col_sums_finite=col_ok, satisfied=satisfied,
-        tail_is_analytic=has_tail, analytic_region_ok=region,
-        marginal=marginal, max_offdiag_row_sum=max_row, notes=notes)
+        tail_is_analytic=exact or oracle.tail_row_bound is not None,
+        analytic_region_ok=region, marginal=marginal,
+        max_offdiag_row_sum=float(offdiag_sums.max()), notes=notes)
 
 
 def converge(oracle: CoefficientOracle, n_start: int, n_max: int,

@@ -23,11 +23,15 @@ beta_i = E[Y^i]:
 and the y_i solve an infinite linear system.  For exponential service the
 system is transformed (unknown x_1 = s := y_2 - y_3 + ..., x_i = y_i, rows
 scaled by rho^{-i/2}) into a strictly diagonally dominant form whose
-truncations provably converge for rho below about 0.779; truncations are
-observed to converge for any rho < 1.  For general service no closed-form
-dominance certificate exists: the general system has no analytic row tail,
-every sigma_i of the infinite system is infinite, and its solutions are
-always flagged as heuristic.
+truncations provably converge for rho below about 0.779 (the closed-form
+sufficient region, sqrt(6)/pi); truncations are observed to converge for any
+rho < 1.  Its off-diagonal row sums are zeta sums over every column, so the
+dominance report's sigma_i is exact for this system, and the plain rows stay
+dominant up to rho about 0.9346 (row 2 binds).  For general service no
+closed-form dominance certificate exists: the general system has no analytic
+row tail, every sigma_i of the infinite system is infinite, its rows are
+probed for a lower estimate, and its solutions are always flagged as
+heuristic.
 
 The first moment is not determined by the system itself and is recovered
 afterwards from
@@ -54,11 +58,15 @@ from .distributions import (DivergentMomentError, GammaTable,
                             ServiceDistribution, _on_nodes, piecewise_integral,
                             support_end, tail_support)
 from .errors import OutOfRegimeError, UnconvergedError
+from .giqueue import _BERNOULLI, _zeta
 
 _SERIES_TERM_TOL = 1e-12
 _GRID_TAIL_EPS = 1e-10
 _FIXED_POINT_TOL = 1e-10
 _FIXED_POINT_MAX_ITER = 500
+# psi(2 + rho) - psi(2) sums its first terms and starts the asymptotic
+# series of psi at 12.
+_DIGAMMA_HEAD = 12
 
 
 @dataclass(frozen=True)
@@ -133,12 +141,32 @@ def kernel_density(model: MgModel, x, y):
     return q if np.ndim(q) else float(q)
 
 
+def _digamma_shift(rho: float) -> float:
+    """psi(2 + rho) - psi(2) for rho >= 0.
+
+    Sums rho/(j(j+rho)) for j = 2..11 and adds psi(12 + rho) - psi(12) from
+    the asymptotic series of psi with Bernoulli terms through B_16, each
+    difference formed without cancellation, all in one math.fsum.
+    """
+    m = _DIGAMMA_HEAD
+    t = rho / m
+    terms = [rho / (j * (j + rho)) for j in range(2, m)]
+    terms += [math.log1p(t), rho / (2.0 * m * (m + rho))]
+    for k, b in enumerate(_BERNOULLI, start=1):
+        # -B_2k / (2k) ((m + rho)^-2k - m^-2k)
+        terms.append(-b / (2 * k) * m ** (-2 * k)
+                     * math.expm1(-2 * k * math.log1p(t)))
+    return math.fsum(terms)
+
+
 def _transformed_oracle(model: MgModel) -> linsys.CoefficientOracle:
     """Dominant transformed system for exponential service.
 
     Unknown 1 is s, unknown i >= 2 is y_i.  Row 1 carries the alternating-sum
     identity; rows i >= 2 are the moment equations scaled by rho^{-i/2}.
-    Analytic row tails: sum_{j>J} rho^2/(j(j+rho)) < rho^2/J for row 1 and
+    Exact off-diagonal row sums: rho (psi(2+rho) - psi(2)) for row 1 and
+    rho^{i/2} (zeta(i) - i^{-i}) for rows i >= 2.  Analytic row tails:
+    sum_{j>J} rho^2/(j(j+rho)) < rho^2/J for row 1 and
     sum_{j>J} (sqrt(rho)/j)^i < rho^{i/2} J^{1-i}/(i-1) for rows i >= 2.
     The closed-form sufficient region is rho < sqrt(6)/pi (about 0.78)
     together with the row-1 inequality rho^2(pi^2/6 - 1) < (1+rho-rho^2)/(1+rho).
@@ -169,6 +197,14 @@ def _transformed_oracle(model: MgModel) -> linsys.CoefficientOracle:
             rows = rho ** (i / 2.0) * (1.0 * cutoff) ** (1 - i) / (i - 1)
         return np.where(i == 1, rho * rho / cutoff, rows)
 
+    def exact_row_sums(i):
+        # Row 1: rho^2 sum_{j>=2} 1/(j(j+rho)) = rho (psi(2+rho) - psi(2));
+        # row i >= 2: rho^{i/2} (1 + sum_{j>=2, j != i} j^{-i}).
+        i = np.asarray(i)
+        zeta = np.array([_zeta(k) for k in np.maximum(i, 2).tolist()])
+        rows = rho ** (i / 2.0) * (zeta - (1.0 * i) ** -i)
+        return np.where(i == 1, rho * _digamma_shift(rho), rows), rho < 1.0
+
     def analytic_region() -> bool:
         row1 = rho * rho * (math.pi ** 2 / 6.0 - 1.0) < (1.0 + rho - rho * rho) / (1.0 + rho)
         rows = rho < math.sqrt(6.0) / math.pi
@@ -176,7 +212,7 @@ def _transformed_oracle(model: MgModel) -> linsys.CoefficientOracle:
 
     return linsys.CoefficientOracle(
         a=a, b=b, tail_row_bound=tail_row_bound,
-        analytic_region=analytic_region,
+        analytic_region=analytic_region, exact_row_sums=exact_row_sums,
         name=f"mg-transformed(rho={rho})")
 
 

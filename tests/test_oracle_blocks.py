@@ -8,6 +8,7 @@ they are compared at rtol = 1e-13 with the same infinite entries; the
 quadrature-backed oracle does the same arithmetic and must match exactly.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -228,17 +229,26 @@ def test_an_empty_row_range_gives_an_empty_block(make_oracle):
 
 def reference_dominance_dict(oracle, order):
     """dominance_report(oracle, order).to_dict() with the off-diagonal row
-    sums taken by math.fsum over the rows' np.float64 entries."""
+    sums taken by math.fsum over the rows' np.float64 entries, or, for an
+    oracle with exact row sums, taken from those over the diagonal entries
+    with the oracle's closed-form side conditions."""
     report = dominance_report(oracle, order=order).to_dict()
     rows = np.arange(1, order + 1)
-    cols = np.arange(1, report["tail_cutoff"] + 1)
-    block = np.abs(linsys._block(oracle.a, rows[:, None], cols[None, :]))
-    diag = np.diag(block).copy()
-    np.fill_diagonal(block, 0.0)
-    sums = np.array([math.fsum(r) for r in block])
-    if oracle.tail_row_bound is not None:
-        sums = sums + linsys._block(
-            lambda i: oracle.tail_row_bound(i, report["tail_cutoff"]), rows)
+    if oracle.exact_row_sums is not None:
+        sums, side = oracle.exact_row_sums(rows)
+        diag = np.abs(linsys._block(oracle.a, rows, rows))
+        report.update(diag_sums_summable=side,
+                      col_sums_finite=side and bool(np.isfinite(diag).all()))
+    else:
+        cols = np.arange(1, report["tail_cutoff"] + 1)
+        block = np.abs(linsys._block(oracle.a, rows[:, None], cols[None, :]))
+        diag = np.diag(block).copy()
+        np.fill_diagonal(block, 0.0)
+        sums = np.array([math.fsum(r) for r in block])
+        if oracle.tail_row_bound is not None:
+            sums = sums + linsys._block(
+                lambda i: oracle.tail_row_bound(i, report["tail_cutoff"]),
+                rows)
     sigma = sums / diag
     worst = int(np.argmax(sigma)) + 1
     max_row = float(sums.max())
@@ -263,3 +273,99 @@ def test_dominance_report_sums_rows_bit_for_bit(make_oracle, order):
     oracle = make_oracle()
     assert (dominance_report(oracle, order=order).to_dict()
             == reference_dominance_dict(oracle, order))
+
+
+# ------------------------------------------------- exact row sums of the closed forms
+
+EXACT = {
+    "mg-transformed": lambda rho: mgqueue.moment_oracle(mg_model(rho)),
+    "gi-poisson": lambda rho: giqueue.factorial_oracle(gi_poisson_model(rho)),
+}
+EXACT_RHO = (1e-3, 0.05, 0.25, 0.5, 0.75, 0.95)
+
+
+def scipy_row_sums(kind, rho, rows):
+    from scipy.special import psi, zeta
+
+    i = rows.astype(float)
+    if kind == "mg-transformed":
+        return np.where(rows == 1, rho * (psi(2.0 + rho) - psi(2.0)),
+                        rho ** (i / 2.0) * (zeta(i) - i ** -i))
+    return np.where(rows == 1, rho * (zeta(2.0) - 1.0),
+                    rho ** (i / 2.0 - 1.0) * (zeta(i) + rho * zeta(i + 1.0)
+                                              - (1.0 + rho / i) * i ** -i))
+
+
+@pytest.mark.parametrize("kind", sorted(EXACT))
+def test_exact_row_sums_match_scipy_zeta_and_psi(kind):
+    rows = np.arange(1, 65)
+    for rho in EXACT_RHO:
+        sums, side = EXACT[kind](rho).exact_row_sums(rows)
+        assert side is True
+        np.testing.assert_allclose(sums, scipy_row_sums(kind, rho, rows),
+                                   rtol=1e-13, atol=0.0,
+                                   err_msg=f"{kind} at rho={rho}")
+
+
+@pytest.mark.parametrize("kind", sorted(EXACT))
+@pytest.mark.parametrize("order", [4, 12, 32, 64])
+def test_exact_sigma_lies_between_the_probe_bounds(kind, order):
+    """The probe's head sum is a lower bound and head plus tail bound an
+    upper one.  Where the tail is below an ulp of the head both bounds round
+    to one float, and the probe's rounded entries and the closed form can
+    land an ulp or two apart, so each bound carries 4 eps of slack."""
+    rows = np.arange(1, order + 1)
+    slack = 4.0 * np.finfo(float).eps
+    for rho in EXACT_RHO:
+        oracle = EXACT[kind](rho)
+        exact = dominance_report(oracle, order=order).sigma
+        probe = dominance_report(dataclasses.replace(
+            oracle, exact_row_sums=None), order=order).sigma
+        tail = (oracle.tail_row_bound(rows, 4 * order)
+                / np.abs(oracle.a(rows, rows)))
+        assert np.all((probe - tail) * (1.0 - slack) <= exact), (kind, rho)
+        assert np.all(exact <= probe * (1.0 + slack)), (kind, rho)
+
+
+@pytest.mark.parametrize("kind", sorted(EXACT))
+def test_an_exact_report_reads_only_the_diagonal(kind):
+    oracle = EXACT[kind](0.3)
+    shapes = []
+
+    def a(i, j):
+        shapes.append(np.broadcast(i, j).shape)
+        np.testing.assert_array_equal(i, j)
+        return oracle.a(i, j)
+
+    report = dominance_report(dataclasses.replace(oracle, a=a), order=40)
+    assert shapes == [(40,)]
+    assert report.to_dict() == dominance_report(oracle, order=40).to_dict()
+
+
+def test_an_exact_sigma_that_is_not_finite_is_refused():
+    oracle = linsys.CoefficientOracle(
+        a=lambda i, j: np.where(i == j, 2.0, 0.0), b=lambda i: 1.0,
+        exact_row_sums=lambda i: (np.where(i == 3, np.inf, 0.5), True),
+        name="inf-row")
+    with pytest.raises(linsys.AssemblyError,
+                       match="row 3 has no finite dominance ratio"):
+        dominance_report(oracle, order=5)
+
+
+# ------------------------------------------ the general GI oracle's power
+
+def test_gi_power_equals_pow_bit_for_bit_at_the_underflow_edge():
+    exponents = np.arange(0, 401)
+    k = exponents[1:].astype(float)
+    # Bases whose power lands at 2^-1074, at the rounding edge 2^-1075, and
+    # at the -1100 cut, with their neighbours on either side.
+    edge = np.concatenate([2.0 ** (-1074.0 / k), 2.0 ** (-1075.0 / k),
+                           2.0 ** (-1100.0 / k)])
+    bases = np.concatenate([
+        [0.0, -0.0, 1.0, 5e-324, np.nextafter(1.0, 0.0), 0.5],
+        edge, np.nextafter(edge, 0.0), np.nextafter(edge, 1.0)])
+    b, e = bases[None, :], exponents[:, None]
+    got = giqueue._power(b, e)
+    want = b ** e
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))

@@ -68,6 +68,11 @@ EDGES = [
     "gatedq dominance --system gi --deterministic 1.0 --mu 1.0 --order 12",
     # Poisson rows that leave double range on purpose from row 309.
     "gatedq dominance --system gi --rho 0.01 --order 400",
+    # Both closed-form systems just below where their plain rows stop being
+    # dominant, and a general GI probe whose powers underflow.
+    "gatedq dominance --system mg --lambda 0.93 --mu 1.0",
+    "gatedq dominance --system gi --rho 0.34",
+    "gatedq dominance --system gi --deterministic 2.0 --mu 1.0 --order 64",
     # Short simulations of both queues and all arrival laws.
     "gatedq simulate --model mg --lambda 1.0 --mu 2.5 --stages 2000 --seed 3",
     "gatedq simulate --model mg --lambda 0.5 --mu 1.0 --stages 2000 "
