@@ -173,7 +173,9 @@ def _build_parser() -> _Parser:
     dom.add_argument("--lambda", dest="lam", type=float, help="M/G arrival rate")
     arrival_flags(dom)
     dom.add_argument("--order", type=int, default=25)
-    dom.add_argument("--tail-cutoff", type=int, default=None)
+    dom.add_argument("--tail-cutoff", type=int, default=None,
+                     help="columns a probed row sum reads (default 4 x "
+                     "order); probed systems only")
     dom.add_argument("--assembly", choices=["auto", "transformed", "general"],
                      default="auto")
     dom.add_argument("--override", action="store_true")
@@ -545,10 +547,10 @@ def main(argv=None) -> int:
         _emit_error("config", str(exc))
         return 1
     except (OutOfRegimeError, linsys.AssemblyError,
-            linsys.SingularSystemError) as exc:
-        # A coefficient that leaves floating-point range, or a truncation
-        # that is numerically singular, puts the model outside what the
-        # system can represent.
+            linsys.SingularSystemError, linsys.ZeroDiagonalError) as exc:
+        # A coefficient that leaves floating-point range, a zero diagonal
+        # entry or a truncation that is numerically singular puts the model
+        # outside what the system can represent.
         _emit_error("out_of_regime", str(exc))
         return 2
     except UnconvergedError as exc:

@@ -229,13 +229,6 @@ def _poisson_oracle(model: GiModel) -> linsys.CoefficientOracle:
     def b(i):
         return np.where(np.asarray(i) == 1, -1.0, 0.0)
 
-    def tail_row_bound(i, cutoff: int):
-        i = np.asarray(i)
-        with np.errstate(divide="ignore"):  # row 1 takes the other branch
-            rows = ((1.0 + rho / (cutoff + 1)) * rho ** (i / 2.0 - 1.0)
-                    * (1.0 * cutoff) ** (1 - i) / (i - 1))
-        return np.where(i == 1, rho / cutoff, rows)
-
     def exact_row_sums(i):
         # Row 1: rho (zeta(2) - 1); row i >= 2: rho^{i/2-1} times
         # sum_{j != i} (1 + rho/j) j^{-i} = zeta(i) + rho zeta(i+1)
@@ -257,9 +250,8 @@ def _poisson_oracle(model: GiModel) -> linsys.CoefficientOracle:
         return bool(worst < 1.0)
 
     return linsys.CoefficientOracle(
-        a=a, b=b, tail_row_bound=tail_row_bound,
-        analytic_region=analytic_region, exact_row_sums=exact_row_sums,
-        name=f"gi-poisson(rho={rho})")
+        a=a, b=b, analytic_region=analytic_region,
+        exact_row_sums=exact_row_sums, name=f"gi-poisson(rho={rho})")
 
 
 def _power(base, exponent) -> np.ndarray:
@@ -280,8 +272,8 @@ def _general_oracle(model: GiModel) -> linsys.CoefficientOracle:
 
     Unknowns are w_k = k x_k.  Row 1 is the structural identity written with
     the m = 1 equation folded in; rows m >= 2 keep the raw a_mk coefficients.
-    No closed-form tail bound is supplied, so dominance probes of this
-    oracle are lower estimates.
+    It has no exact row sums, so dominance probes of this oracle are lower
+    estimates.
     """
 
     def a(i, j):
@@ -308,9 +300,9 @@ def factorial_oracle(model: GiModel, override: bool = False) -> linsys.Coefficie
 
     Refuses models with bhat_1 >= 1/2 (outside light traffic) unless the
     caller overrides.  Poisson arrivals (a law that carries a rate lam) get
-    the rho^{-i/2}-scaled rows with exact off-diagonal row sums, analytic
-    tails and the closed-form sufficient region; any other arrival law gets
-    the raw assembly with probed dominance only.
+    the rho^{-i/2}-scaled rows with exact off-diagonal row sums and the
+    closed-form sufficient region; any other arrival law gets the raw
+    assembly with probed dominance only.
     """
     lt = light_traffic_ok(model)
     if not lt.ok and not override:

@@ -27,13 +27,12 @@ ValueError or ArithmeticError for the whole block; truncate, the ladder and
 the row probe pass that on, while the diagonal and column probes stop before
 the first row that raises and say so in a note.
 
-A finite machine can only probe the infinite conditions, so the report
-distinguishes "probed" facts (finite sums up to a cutoff, geometric-ratio
-checks) from analytic facts the oracle supplies in closed form (exact row
-sums and side conditions, row tail bounds, a sufficient parameter condition
-for dominance).  With exact row sums sigma_i is exact and the report reads
-only the diagonal; without them it probes, and when the oracle has no tail
-bound either, sigma_i is a lower estimate and the report says so.
+A finite machine can only probe the infinite conditions, so a report is
+one of two kinds.  An oracle that gives its row sums and side conditions in
+closed form gets an exact report, which reads only the diagonal.  Any other
+oracle is probed (finite sums up to a cutoff, geometric-ratio checks), and
+its sigma_i is a lower estimate, as the report says.  Either kind can also
+carry the oracle's closed-form sufficient condition for dominance.
 """
 
 from __future__ import annotations
@@ -68,8 +67,6 @@ class CoefficientOracle:
     must be deterministic.  An entry that cannot be computed (a quadrature
     that fails, say) raises ValueError or ArithmeticError for the whole call;
     one that leaves floating-point range comes back as inf.
-    tail_row_bound(i, J), when present, takes an array of rows and an integer
-    cutoff J and returns analytic upper bounds on sum_{j>J} |a(i,j)|.
     analytic_region, when present, reports whether the model parameters lie
     in a closed-form region where strict dominance is proven for every row,
     not just the probed ones.  exact_row_sums(i), when present, takes a 1-D
@@ -80,7 +77,6 @@ class CoefficientOracle:
 
     a: Callable[[np.ndarray, np.ndarray], np.ndarray]
     b: Callable[[np.ndarray], np.ndarray]
-    tail_row_bound: Optional[Callable[[np.ndarray, int], np.ndarray]] = None
     analytic_region: Optional[Callable[[], bool]] = None
     exact_row_sums: Optional[Callable[[np.ndarray], tuple]] = None
     name: str = "oracle"
@@ -108,22 +104,22 @@ class DominanceReport:
     """Strict diagonal dominance and the three side conditions.
 
     sigma[i-1] = sum_{j != i} |a_ij| / |a_ii| for rows i = 1..order, exact
-    when the oracle gives exact row sums; otherwise the probe's
-    (sum_{j <= tail_cutoff, j != i} |a_ij| + analytic tail) / |a_ii|, a
-    lower estimate when the oracle has no tail bound.  satisfied requires
-    every sigma_i < 1 plus all three side conditions.  analytic_region_ok
+    (tail_is_analytic, and tail_cutoff None) when the oracle gives exact row
+    sums; otherwise the lower estimate
+    sum_{j <= tail_cutoff, j != i} |a_ij| / |a_ii|.  satisfied requires
+    every sigma_i < 1 plus all three side conditions; the off-row sums are
+    always bounded, as a report holds only finite sigma.  analytic_region_ok
     mirrors the oracle's closed-form sufficient condition when it has one
     (None otherwise), and marginal flags the honest in-between: the rows
     are dominant but the parameters sit outside that sufficient region.
     """
 
     order: int
-    tail_cutoff: int
+    tail_cutoff: Optional[int]
     sigma: np.ndarray
     worst_row: int
     diag_sums_summable: bool      # partial sums of 1/|a_ii| look Cauchy
-    row_sums_bounded: bool        # off-diagonal row sums stay finite
-    col_sums_finite: bool         # column sums up to the cutoff are finite
+    col_sums_finite: bool         # finite column sums (probed to the cutoff)
     satisfied: bool
     tail_is_analytic: bool
     analytic_region_ok: Optional[bool]
@@ -137,8 +133,8 @@ class DominanceReport:
 
     @property
     def certifies(self) -> bool:
-        """Only a satisfied probe with an analytic row tail certifies; the
-        lower estimates of a probe without one prove nothing."""
+        """Only a satisfied exact report certifies; the lower estimates of a
+        probe prove nothing."""
         return self.tail_is_analytic and self.satisfied
 
     def to_dict(self) -> dict:
@@ -149,7 +145,7 @@ class DominanceReport:
             "worst_row": self.worst_row,
             "max_sigma": self.max_sigma,
             "diag_sums_summable": self.diag_sums_summable,
-            "row_sums_bounded": self.row_sums_bounded,
+            "row_sums_bounded": True,
             "col_sums_finite": self.col_sums_finite,
             "satisfied": self.satisfied,
             "tail_is_analytic": self.tail_is_analytic,
@@ -207,8 +203,8 @@ class LadderSolution:
     compute it: dominance reports on the first min(n_used, 64) rows on first
     read and caches the report, and a dataclasses.replace copy reports on
     its own.
-    heuristic is true without probing when the oracle has no analytic row
-    tail, and otherwise when the report does not certify.
+    heuristic is true without probing when the oracle has no exact row
+    sums, and otherwise when the report does not certify.
     """
 
     n_used: int
@@ -225,7 +221,7 @@ class LadderSolution:
 
     @property
     def heuristic(self) -> bool:
-        if self.oracle.tail_row_bound is None:
+        if self.oracle.exact_row_sums is None:
             return True
         return not self.dominance.certifies
 
@@ -366,20 +362,20 @@ def _probe_diag_summability(oracle: CoefficientOracle, upto: int) -> tuple:
     probe range; a ratio below 0.99 (and shrinking increments) is taken as
     evidence the series converges.  This is a probe, never a proof.  Entries
     that stop being computable (quadrature-backed oracles run out of floating
-    point range eventually) end the probe early; returns (ok, ratio, reached).
+    point range eventually) end the probe early; returns (ok, reached).
     """
     diag = np.abs(_rows_before_failure(
         lambda i: _block(oracle.a, i, i), np.arange(1, upto + 1)))
     reached = len(diag)
     _refuse_zero_diagonal(oracle, diag)
     if reached < 4:
-        return False, math.nan, reached
+        return False, reached
     half = max(2, reached // 2)
     first, last = 1.0 / float(diag[half - 1]), 1.0 / float(diag[-1])
     if last == 0.0:
-        return True, 0.0, reached
+        return True, reached
     ratio = (last / first) ** (1.0 / max(1, reached - half))
-    return (ratio < 0.99 and last <= first), ratio, reached
+    return ratio < 0.99 and last <= first, reached
 
 
 def _sigma(oracle: CoefficientOracle, offdiag_sums: np.ndarray,
@@ -414,13 +410,10 @@ def _probed_rows(oracle: CoefficientOracle, order: int, cutoff: int,
                  notes: list) -> tuple:
     """(sigma, row sums, diag_ok, col_ok) from three probed blocks; see
     dominance_report.  Appends its notes to notes."""
-    has_tail = oracle.tail_row_bound is not None
-    if not has_tail:
-        notes.append(
-            f"no analytic tail bound: sigma is a lower estimate from the "
-            f"first {cutoff} columns")
-
-    diag_ok, _ratio, diag_reached = _probe_diag_summability(oracle, 4 * order)
+    notes.append(
+        f"no analytic tail bound: sigma is a lower estimate from the "
+        f"first {cutoff} columns")
+    diag_ok, diag_reached = _probe_diag_summability(oracle, 4 * order)
     if diag_reached < 4 * order:
         notes.append(
             f"diagonal probe ended at row {diag_reached} of {4 * order}: "
@@ -434,10 +427,7 @@ def _probed_rows(oracle: CoefficientOracle, order: int, cutoff: int,
     # fsum is correctly rounded, so summing a row's Python floats gives the
     # same sum as summing its np.float64 entries, without boxing each one;
     # one row at a time keeps the list of floats small.
-    head = np.array([math.fsum(r.tolist()) for r in block])
-    tail = (_block(lambda i: oracle.tail_row_bound(i, cutoff), rows)
-            if has_tail else 0.0)
-    offdiag_sums = head + tail
+    offdiag_sums = np.array([math.fsum(r.tolist()) for r in block])
     sigma = _sigma(oracle, offdiag_sums, diag)
     columns = _rows_before_failure(
         lambda i: _block(oracle.a, i[:, None], rows[None, :]), cols)
@@ -455,13 +445,13 @@ def dominance_report(oracle: CoefficientOracle, order: int,
     """Strict diagonal dominance of the first `order` rows.
 
     An oracle with exact row sums gives sigma_i exactly: the report reads
-    only the diagonal of rows 1..order, and takes summability of 1/|a_ii|
-    and finite column sums from the oracle's closed form, the column sums
-    failing also where one of those diagonal entries is not finite.
+    only the diagonal of rows 1..order and no cutoff (its tail_cutoff is
+    None), and takes summability of 1/|a_ii| and finite column sums from
+    the oracle's closed form, the column sums failing also where one of
+    those diagonal entries is not finite.
 
     Any other oracle is probed.  Row sums run to tail_cutoff (default
-    4*order) and are completed by the oracle's analytic tail bound when it
-    has one; otherwise sigma_i is a lower estimate and a note says so.  The
+    4*order), so sigma_i is a lower estimate and a note says so.  The
     three side conditions are probed: summability of 1/|a_ii| by
     geometric-ratio, boundedness of off-row sums by every probed sigma_i
     being finite, and column sums by finiteness up to the cutoff.  The
@@ -470,7 +460,7 @@ def dominance_report(oracle: CoefficientOracle, order: int,
 
     Either way a row whose sigma_i is not finite (an infinite off-diagonal
     sum, or a NaN entry) raises AssemblyError, so a report holds only finite
-    numbers and row_sums_bounded is always true.
+    numbers.
     """
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
@@ -488,13 +478,13 @@ def dominance_report(oracle: CoefficientOracle, order: int,
     region = bool(oracle.analytic_region()) if oracle.analytic_region else None
     marginal = satisfied and region is False
     if marginal:
-        notes.append("probed rows are dominant but the parameters lie "
+        rows = f"rows 1..{order}" if exact else "probed rows"
+        notes.append(f"{rows} are dominant but the parameters lie "
                      "outside the closed-form sufficient region")
     return DominanceReport(
-        order=order, tail_cutoff=cutoff, sigma=sigma, worst_row=worst,
-        diag_sums_summable=diag_ok, row_sums_bounded=True,
-        col_sums_finite=col_ok, satisfied=satisfied,
-        tail_is_analytic=exact or oracle.tail_row_bound is not None,
+        order=order, tail_cutoff=None if exact else cutoff, sigma=sigma,
+        worst_row=worst, diag_sums_summable=diag_ok, col_sums_finite=col_ok,
+        satisfied=satisfied, tail_is_analytic=exact,
         analytic_region_ok=region, marginal=marginal,
         max_offdiag_row_sum=float(offdiag_sums.max()), notes=notes)
 

@@ -28,8 +28,8 @@ sufficient region, sqrt(6)/pi); truncations are observed to converge for any
 rho < 1.  Its off-diagonal row sums are zeta sums over every column, so the
 dominance report's sigma_i is exact for this system, and the plain rows stay
 dominant up to rho about 0.9346 (row 2 binds).  For general service no
-closed-form dominance certificate exists: the general system has no analytic
-row tail, every sigma_i of the infinite system is infinite, its rows are
+closed-form dominance certificate exists: the general system has no exact
+row sums, every sigma_i of the infinite system is infinite, its rows are
 probed for a lower estimate, and its solutions are always flagged as
 heuristic.
 
@@ -100,7 +100,7 @@ class MgMomentSolution(linsys.LadderSolution):
     range is left out, and a note names it), y[i] = lam^i beta[i]/i!, s is the
     alternating sum y_2 - y_3 + ..., and beta1 the separately recovered mean.
     The oracle keeps the service law and its gamma table alive; the general
-    assembly has no analytic row tail, so its solutions are always heuristic
+    assembly has no exact row sums, so its solutions are always heuristic
     (see linsys.LadderSolution).
     """
 
@@ -165,11 +165,9 @@ def _transformed_oracle(model: MgModel) -> linsys.CoefficientOracle:
     Unknown 1 is s, unknown i >= 2 is y_i.  Row 1 carries the alternating-sum
     identity; rows i >= 2 are the moment equations scaled by rho^{-i/2}.
     Exact off-diagonal row sums: rho (psi(2+rho) - psi(2)) for row 1 and
-    rho^{i/2} (zeta(i) - i^{-i}) for rows i >= 2.  Analytic row tails:
-    sum_{j>J} rho^2/(j(j+rho)) < rho^2/J for row 1 and
-    sum_{j>J} (sqrt(rho)/j)^i < rho^{i/2} J^{1-i}/(i-1) for rows i >= 2.
-    The closed-form sufficient region is rho < sqrt(6)/pi (about 0.78)
-    together with the row-1 inequality rho^2(pi^2/6 - 1) < (1+rho-rho^2)/(1+rho).
+    rho^{i/2} (zeta(i) - i^{-i}) for rows i >= 2.  The closed-form
+    sufficient region is rho < sqrt(6)/pi (about 0.78) together with the
+    row-1 inequality rho^2(pi^2/6 - 1) < (1+rho-rho^2)/(1+rho).
     """
     rho = model.rho
 
@@ -191,12 +189,6 @@ def _transformed_oracle(model: MgModel) -> linsys.CoefficientOracle:
         i = np.asarray(i)
         return np.where(i == 1, rho * rho / (1.0 + rho), rho ** (i / 2.0))
 
-    def tail_row_bound(i, cutoff: int):
-        i = np.asarray(i)
-        with np.errstate(divide="ignore"):  # row 1 takes the other branch
-            rows = rho ** (i / 2.0) * (1.0 * cutoff) ** (1 - i) / (i - 1)
-        return np.where(i == 1, rho * rho / cutoff, rows)
-
     def exact_row_sums(i):
         # Row 1: rho^2 sum_{j>=2} 1/(j(j+rho)) = rho (psi(2+rho) - psi(2));
         # row i >= 2: rho^{i/2} (1 + sum_{j>=2, j != i} j^{-i}).
@@ -211,9 +203,8 @@ def _transformed_oracle(model: MgModel) -> linsys.CoefficientOracle:
         return row1 and rows
 
     return linsys.CoefficientOracle(
-        a=a, b=b, tail_row_bound=tail_row_bound,
-        analytic_region=analytic_region, exact_row_sums=exact_row_sums,
-        name=f"mg-transformed(rho={rho})")
+        a=a, b=b, analytic_region=analytic_region,
+        exact_row_sums=exact_row_sums, name=f"mg-transformed(rho={rho})")
 
 
 def _general_oracle(model: MgModel, table: GammaTable) -> linsys.CoefficientOracle:
@@ -225,15 +216,14 @@ def _general_oracle(model: MgModel, table: GammaTable) -> linsys.CoefficientOrac
 
         (i!/(lam^i gamma_{i,1})) y_i - sum_{j>=2} (-1)^j (1 - gamma_{i,j}/gamma_{i,1}) y_j = 1.
 
-    Off-diagonal entries tend to a constant along each row, so no finite
-    analytic tail bound exists and every sigma_i of the infinite system is
-    infinite; a dominance probe of this oracle gives lower estimates that may
-    pass on the probed columns, and a solve on it is always heuristic.  A
-    block reads its ratios from the table, and the diagonal's gamma_{i,1}
-    in a second gather, which for a law without a rate computes nothing
-    the ratios have not read.  The table is the law's own unless a caller
-    passes another, so an oracle at a new lam computes only the entries
-    that no earlier solve of the law has read.
+    Off-diagonal entries tend to a constant along each row, so every
+    sigma_i of the infinite system is infinite; a dominance probe of this
+    oracle gives lower estimates that may pass on the probed columns, and a
+    solve on it is always heuristic.  A block reads its ratios from the
+    table, and the diagonal's gamma_{i,1} in a second gather, which for a
+    law without a rate computes nothing the ratios have not read.  The table
+    is the law's own unless a caller passes another, so an oracle at a new
+    lam computes only the entries that no earlier solve of the law has read.
     """
     lam = model.lam
 

@@ -140,7 +140,7 @@ def test_dominance_reports(tmp_path):
 
 
 def test_a_dominance_report_that_certifies_nothing_is_flagged(tmp_path):
-    # The general M/G system has no analytic row tail: its probed rows may
+    # The general M/G system has no exact row sums: its probed rows may
     # all pass, and the report is still no certificate.
     out = str(tmp_path)
     assert main(["dominance", "--system", "mg", "--lambda", "0.1", "--mu",
@@ -380,6 +380,17 @@ def test_singular_truncation_exits_2_without_writing(tmp_path, capsys):
     assert main(["analyze-gi", "--deterministic", "0.5", "--mu", "1.0",
                  "--override", "--out", out]) == 2
     assert stderr_code(capsys) == "out_of_regime"
+    assert not os.listdir(out)
+
+
+def test_zero_diagonal_exits_2_without_writing(tmp_path, capsys):
+    # At rho = 1 row 1's diagonal -(1 - rho) of the Poisson system is 0.
+    out = str(tmp_path)
+    assert main(["dominance", "--system", "gi", "--rho", "1.0", "--override",
+                 "--out", out]) == 2
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["code"] == "out_of_regime"
+    assert "zero diagonal at row 1" in err["message"]
     assert not os.listdir(out)
 
 

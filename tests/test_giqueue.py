@@ -160,8 +160,8 @@ def test_general_system_entry_for_deterministic_arrivals():
     m = giqueue.GiModel(ArrivalDistribution.deterministic(1.0), 1.0)
     oracle = giqueue.factorial_oracle(m)
     assert oracle.a(1, 1) == pytest.approx(-0.41802329313067366, rel=1e-13)
-    # No closed-form tail bound exists for a generic transform.
-    assert oracle.tail_row_bound is None
+    # A generic transform has no exact row sums, so its rows are probed.
+    assert oracle.exact_row_sums is None
 
 
 def test_light_traffic_boundary_cases():

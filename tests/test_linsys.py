@@ -144,16 +144,6 @@ def test_dominance_satisfied_with_growing_diagonal():
     assert rep.to_dict()["max_sigma"] == 0.0
 
 
-def test_dominance_uses_analytic_tail_bound():
-    oracle = CoefficientOracle(
-        a=lambda i, j: np.where(i == j, 2.0 ** i, 0.0), b=lambda i: 0.0,
-        tail_row_bound=lambda i, cutoff: 1.0)
-    rep = dominance_report(oracle, order=4)
-    assert rep.tail_is_analytic
-    assert rep.sigma[0] == 0.5
-    assert not any("lower estimate" in n for n in rep.notes)
-
-
 def test_dominance_marginal_flag():
     outside = CoefficientOracle(
         a=lambda i, j: np.where(i == j, 2.0 ** i, 0.0), b=lambda i: 0.0,
@@ -167,6 +157,26 @@ def test_dominance_marginal_flag():
     rep = dominance_report(inside, order=4)
     assert rep.satisfied and not rep.marginal
     assert rep.analytic_region_ok is True
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["probed", "exact"])
+def test_a_report_is_either_exact_or_a_probed_lower_estimate(exact):
+    oracle = CoefficientOracle(
+        a=lambda i, j: np.where(i == j, 2.0 ** i, 0.0), b=lambda i: 0.0,
+        analytic_region=lambda: False,
+        exact_row_sums=(lambda i: (np.zeros(len(i)), True)) if exact else None)
+    rep = dominance_report(oracle, order=4, tail_cutoff=6)
+    assert rep.satisfied and rep.marginal
+    assert rep.tail_is_analytic is exact and rep.certifies is exact
+    data = rep.to_dict()
+    assert data["row_sums_bounded"] is True
+    # An exact report reads no cutoff and names the rows it covers.
+    assert data["tail_cutoff"] == (None if exact else 6)
+    rows = "rows 1..4" if exact else "probed rows"
+    assert data["notes"][-1] == (f"{rows} are dominant but the parameters "
+                                 "lie outside the closed-form sufficient "
+                                 "region")
+    assert any("lower estimate" in n for n in data["notes"]) is not exact
 
 
 def test_dominance_rejects_zero_diagonal():
@@ -525,7 +535,7 @@ def gi_solve(rho):
 def test_a_solution_with_a_row_tail_is_heuristic_unless_it_certifies(solve_):
     sol = solve_()
     assert isinstance(sol, linsys.LadderSolution)
-    assert sol.oracle.tail_row_bound is not None
+    assert sol.oracle.exact_row_sums is not None
     assert sol.heuristic == (not sol.dominance.certifies)
 
 
@@ -546,7 +556,8 @@ def test_a_ladder_solution_takes_its_fields_by_keyword_only():
         linsys.LadderSolution(conv.n_used, conv.converged, conv, BIDIAGONAL)
     sol = linsys.LadderSolution(n_used=conv.n_used, converged=conv.converged,
                                 convergence=conv, oracle=BIDIAGONAL)
-    # The report probes min(n_used, 64) rows; BIDIAGONAL has no row tail.
+    # The report probes min(n_used, 64) rows; BIDIAGONAL has no exact row
+    # sums.
     assert sol.notes == [] and sol.heuristic
     assert sol.dominance.order == 8 and not sol.dominance.certifies
     assert "oracle" not in repr(sol)

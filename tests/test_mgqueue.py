@@ -277,8 +277,8 @@ def test_user_law_ladder_flags_are_honest():
     m = mgqueue.MgModel(lam=0.5, service=wrapped_exponential())
     sol = mgqueue.solve_stage_moments(m, order=8)
     assert sol.converged and sol.n_used == 16
-    # No analytic tail bound exists for a generic kernel, so the dominance
-    # probe cannot certify the result.
+    # A generic kernel has no exact row sums, so the dominance probe cannot
+    # certify the result.
     assert sol.heuristic
     assert any("diagonal probe ended" in n for n in sol.dominance.notes)
 
@@ -289,7 +289,7 @@ def test_general_solve_is_heuristic_where_the_lower_estimate_passes(
     probes = count_probes(monkeypatch)
     sol = mgqueue.solve_stage_moments(
         mgqueue.MgModel(lam, erlang2(exact_sf=True)), order=4)
-    # Without an analytic row tail the flag is known before any probe.
+    # Without exact row sums the flag is known before any probe.
     assert sol.heuristic and probes == []
     # The probe's sigma is a lower estimate from 4 * order columns; it
     # passes here although every sigma_i of the infinite system is infinite.

@@ -229,26 +229,24 @@ def test_an_empty_row_range_gives_an_empty_block(make_oracle):
 
 def reference_dominance_dict(oracle, order):
     """dominance_report(oracle, order).to_dict() with the off-diagonal row
-    sums taken by math.fsum over the rows' np.float64 entries, or, for an
-    oracle with exact row sums, taken from those over the diagonal entries
-    with the oracle's closed-form side conditions."""
+    sums taken by math.fsum over the first 4 * order columns of the rows'
+    np.float64 entries, or, for an oracle with exact row sums, taken from
+    those over the diagonal entries with the oracle's closed-form side
+    conditions and no cutoff."""
     report = dominance_report(oracle, order=order).to_dict()
     rows = np.arange(1, order + 1)
     if oracle.exact_row_sums is not None:
         sums, side = oracle.exact_row_sums(rows)
         diag = np.abs(linsys._block(oracle.a, rows, rows))
-        report.update(diag_sums_summable=side,
+        report.update(tail_cutoff=None, diag_sums_summable=side,
                       col_sums_finite=side and bool(np.isfinite(diag).all()))
     else:
-        cols = np.arange(1, report["tail_cutoff"] + 1)
+        report.update(tail_cutoff=4 * order)
+        cols = np.arange(1, 4 * order + 1)
         block = np.abs(linsys._block(oracle.a, rows[:, None], cols[None, :]))
         diag = np.diag(block).copy()
         np.fill_diagonal(block, 0.0)
         sums = np.array([math.fsum(r) for r in block])
-        if oracle.tail_row_bound is not None:
-            sums = sums + linsys._block(
-                lambda i: oracle.tail_row_bound(i, report["tail_cutoff"]),
-                rows)
     sigma = sums / diag
     worst = int(np.argmax(sigma)) + 1
     max_row = float(sums.max())
@@ -307,13 +305,33 @@ def test_exact_row_sums_match_scipy_zeta_and_psi(kind):
                                    err_msg=f"{kind} at rho={rho}")
 
 
+def analytic_row_tail(kind, rho, rows, cutoff):
+    """Upper bounds on sum_{j > cutoff} |a_ij| for the closed-form systems.
+
+    M/G: rho^2 sum_{j>J} 1/(j(j+rho)) < rho^2/J for row 1 and
+    sum_{j>J} (sqrt(rho)/j)^i < rho^{i/2} J^{1-i}/(i-1) for rows i >= 2.
+    GI: rho sum_{j>J} 1/j^2 < rho/J for row 1 and
+    rho^{i/2-1} sum_{j>J} (1 + rho/j) j^{-i}
+    < (1 + rho/(J+1)) rho^{i/2-1} J^{1-i}/(i-1) for rows i >= 2.
+    """
+    i = rows.astype(float)
+    with np.errstate(divide="ignore"):  # row 1 takes the other branch
+        if kind == "mg-transformed":
+            return np.where(rows == 1, rho * rho / cutoff,
+                            rho ** (i / 2.0) * (1.0 * cutoff) ** (1.0 - i)
+                            / (i - 1.0))
+        return np.where(rows == 1, rho / cutoff,
+                        (1.0 + rho / (cutoff + 1)) * rho ** (i / 2.0 - 1.0)
+                        * (1.0 * cutoff) ** (1.0 - i) / (i - 1.0))
+
+
 @pytest.mark.parametrize("kind", sorted(EXACT))
 @pytest.mark.parametrize("order", [4, 12, 32, 64])
 def test_exact_sigma_lies_between_the_probe_bounds(kind, order):
-    """The probe's head sum is a lower bound and head plus tail bound an
-    upper one.  Where the tail is below an ulp of the head both bounds round
-    to one float, and the probe's rounded entries and the closed form can
-    land an ulp or two apart, so each bound carries 4 eps of slack."""
+    """The probe's head sum is a lower bound and head plus the analytic tail
+    an upper one.  Where the tail is below an ulp of the head both bounds
+    round to one float, and the probe's rounded entries and the closed form
+    can land an ulp or two apart, so each bound carries 4 eps of slack."""
     rows = np.arange(1, order + 1)
     slack = 4.0 * np.finfo(float).eps
     for rho in EXACT_RHO:
@@ -321,10 +339,10 @@ def test_exact_sigma_lies_between_the_probe_bounds(kind, order):
         exact = dominance_report(oracle, order=order).sigma
         probe = dominance_report(dataclasses.replace(
             oracle, exact_row_sums=None), order=order).sigma
-        tail = (oracle.tail_row_bound(rows, 4 * order)
+        tail = (analytic_row_tail(kind, rho, rows, 4 * order)
                 / np.abs(oracle.a(rows, rows)))
-        assert np.all((probe - tail) * (1.0 - slack) <= exact), (kind, rho)
-        assert np.all(exact <= probe * (1.0 + slack)), (kind, rho)
+        assert np.all(probe * (1.0 - slack) <= exact), (kind, rho)
+        assert np.all(exact <= (probe + tail) * (1.0 + slack)), (kind, rho)
 
 
 @pytest.mark.parametrize("kind", sorted(EXACT))

@@ -7,10 +7,10 @@ imports gatedq from CHECKOUT/src and runs, in this one process, every
 `gatedq ...` line of CHECKOUT's README "Command line" section followed by a
 fixed list of edge cases: an unconverged ladder, beta_i past double range,
 capped, pinned and short ladders, out-of-regime and unrepresentable models,
-a numerically singular truncation, both dominance systems, short simulate
-runs, simulate runs whose draws cross a chunk, every compare figure and
-extreme GI rates.  Each command runs in its own empty directory OUTDIR/NN
-(the working directory, so the paths it prints are relative).
+a numerically singular truncation, a zero diagonal, both dominance systems,
+short simulate runs, simulate runs whose draws cross a chunk, every compare
+figure and extreme GI rates.  Each command runs in its own empty directory
+OUTDIR/NN (the working directory, so the paths it prints are relative).
 OUTDIR/manifest.json holds, per command, its exit code, stdout, stderr and
 the sha256 of each file it wrote.  An exception that escapes cli.main is
 recorded as exit 1 with its last traceback line, which names no path.
@@ -105,6 +105,8 @@ EDGES = [
     "gatedq simulate --model gi --deterministic 1e300 --mu 1.0 --stages 2000",
     "gatedq analyze-gi --deterministic 1e-300 --mu 1.0 --override",
     "gatedq dominance --system gi --deterministic 1e-300 --mu 1.0 --override",
+    # A zero diagonal entry: row 1 of the Poisson system at rho = 1.
+    "gatedq dominance --system gi --rho 1.0 --override",
     # Rows with an infinite off-diagonal sum over a finite diagonal.
     "gatedq dominance --system gi --deterministic 1e-10 --mu 1.0 --override "
     "--order 100",
