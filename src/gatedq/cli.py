@@ -173,9 +173,6 @@ def _build_parser() -> _Parser:
     dom.add_argument("--lambda", dest="lam", type=float, help="M/G arrival rate")
     arrival_flags(dom)
     dom.add_argument("--order", type=int, default=25)
-    dom.add_argument("--tail-cutoff", type=int, default=None,
-                     help="columns a probed row sum reads (default 4 x "
-                     "order); probed systems only")
     dom.add_argument("--assembly", choices=["auto", "transformed", "general"],
                      default="auto")
     dom.add_argument("--override", action="store_true")
@@ -272,11 +269,10 @@ _LIMITS = (
 def validate_config(args) -> None:
     """Rates positive and finite, order >= 4, tol in (0, 1), stages >= 1,
     burn-in >= 0, bins >= 1, n-max either order (a pinned truncation) or at
-    least 2 * order, tail-cutoff >= order, and for simulate and compare,
-    whose artifacts summarize their simulations, stages (for compare the
-    figure's default when not given) leaving at least
-    simulator.MIN_RECORDS stages after burn-in, so that nothing is
-    simulated or written for too short a run."""
+    least 2 * order, and for simulate and compare, whose artifacts
+    summarize their simulations, stages (for compare the figure's default
+    when not given) leaving at least simulator.MIN_RECORDS stages after
+    burn-in, so that nothing is simulated or written for too short a run."""
     for attr, rejects, requirement in _LIMITS:
         v = getattr(args, attr, None)
         if v is not None and rejects(v):
@@ -286,10 +282,6 @@ def validate_config(args) -> None:
     if n_max is not None and n_max != args.order and n_max < 2 * args.order:
         raise ConfigError(f"n-max must equal order ({args.order}) or be >= "
                           f"2 * order ({2 * args.order}), got {n_max}")
-    cutoff = getattr(args, "tail_cutoff", None)
-    if cutoff is not None and cutoff < args.order:
-        raise ConfigError(f"tail-cutoff must be >= order ({args.order}), "
-                          f"got {cutoff}")
     if args.subcommand in ("simulate", "compare"):
         # simulate always has stages; compare may leave them to its figure.
         stages = args.stages or _FIGURES[args.figure][2]
@@ -421,8 +413,7 @@ def _run_dominance(args) -> int:
     else:
         oracle = giqueue.factorial_oracle(_gi_model(args),
                                           override=args.override)
-    report = linsys.dominance_report(oracle, order=args.order,
-                                     tail_cutoff=args.tail_cutoff)
+    report = linsys.dominance_report(oracle, order=args.order)
     data = report.to_dict()
     if not report.certifies:
         data["heuristic"] = True

@@ -12,11 +12,11 @@ generic pieces of that scheme:
 * dominance_report: the strict-dominance ratios sigma_i and the three side
   conditions (summable inverse diagonals, uniformly bounded off-row sums,
   finite column sums) that the truncation-convergence argument needs, exact
-  where the oracle gives its row sums in closed form and probed otherwise,
+  where the oracle states its row sums in closed form and probed otherwise,
 * converge: solve truncations along a doubling ladder until successive
   solutions agree on shared indices to a requested tolerance,
 * LadderSolution: the base of the queue modules' solutions, which keeps a
-  ladder's outcome and oracle and probes dominance on first read.
+  ladder's outcome and oracle and reports on dominance on first read.
 
 Coefficients come from a CoefficientOracle whose functions take broadcastable
 integer index arrays and return arrays, so a truncation is one call to a and
@@ -28,11 +28,11 @@ the row probe pass that on, while the diagonal and column probes stop before
 the first row that raises and say so in a note.
 
 A finite machine can only probe the infinite conditions, so a report is
-one of two kinds.  An oracle that gives its row sums and side conditions in
-closed form gets an exact report, which reads only the diagonal.  Any other
-oracle is probed (finite sums up to a cutoff, geometric-ratio checks), and
-its sigma_i is a lower estimate, as the report says.  Either kind can also
-carry the oracle's closed-form sufficient condition for dominance.
+one of two kinds.  An oracle that states its row sums (+inf where one
+diverges) and side conditions in closed form gets an exact report, which
+reads only the diagonal.  Any other oracle is probed, and its sigma_i is a
+lower estimate, as the report says.  Either kind can also carry the
+oracle's closed-form sufficient condition for dominance.
 """
 
 from __future__ import annotations
@@ -71,8 +71,8 @@ class CoefficientOracle:
     in a closed-form region where strict dominance is proven for every row,
     not just the probed ones.  exact_row_sums(i), when present, takes a 1-D
     array of rows and returns (sums, side): the exact sum_{j != i} |a(i,j)|
-    over every column j of each row, and whether the infinite system's
-    1/|a_ii| are summable and its column sums all finite.
+    over every column j of each row (+inf where it diverges), and whether
+    the infinite system's 1/|a_ii| are summable and its column sums finite.
     """
 
     a: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -99,23 +99,27 @@ class SolveResult:
     rcond: float
 
 
+def _finite_or_none(x: float) -> Optional[float]:
+    """x as a float, or None (JSON null) where it is not finite."""
+    return float(x) if math.isfinite(x) else None
+
+
 @dataclass
 class DominanceReport:
     """Strict diagonal dominance and the three side conditions.
 
     sigma[i-1] = sum_{j != i} |a_ij| / |a_ii| for rows i = 1..order, exact
     (tail_is_analytic, and tail_cutoff None) when the oracle gives exact row
-    sums; otherwise the lower estimate
-    sum_{j <= tail_cutoff, j != i} |a_ij| / |a_ii|.  satisfied requires
-    every sigma_i < 1 plus all three side conditions; the off-row sums are
-    always bounded, as a report holds only finite sigma.  analytic_region_ok
-    mirrors the oracle's closed-form sufficient condition when it has one
-    (None otherwise), and marginal flags the honest in-between: the rows
-    are dominant but the parameters sit outside that sufficient region.
+    sums, +inf where one is unbounded; otherwise the lower estimate
+    sum_{j <= tail_cutoff, j != i} |a_ij| / |a_ii|, tail_cutoff = 4 * order.
+    satisfied requires every sigma_i < 1 plus all three side conditions.
+    analytic_region_ok mirrors the oracle's closed-form sufficient condition
+    when it has one (None otherwise), and marginal flags the honest
+    in-between: the rows are dominant but the parameters sit outside that
+    sufficient region.  to_dict writes a number that is not finite as None.
     """
 
     order: int
-    tail_cutoff: Optional[int]
     sigma: np.ndarray
     worst_row: int
     diag_sums_summable: bool      # partial sums of 1/|a_ii| look Cauchy
@@ -126,6 +130,10 @@ class DominanceReport:
     marginal: bool
     max_offdiag_row_sum: float
     notes: list = field(default_factory=list)
+
+    @property
+    def tail_cutoff(self) -> Optional[int]:
+        return None if self.tail_is_analytic else 4 * self.order
 
     @property
     def max_sigma(self) -> float:
@@ -141,17 +149,17 @@ class DominanceReport:
         return {
             "order": self.order,
             "tail_cutoff": self.tail_cutoff,
-            "sigma": [float(s) for s in self.sigma],
+            "sigma": [_finite_or_none(s) for s in self.sigma.tolist()],
             "worst_row": self.worst_row,
-            "max_sigma": self.max_sigma,
+            "max_sigma": _finite_or_none(self.max_sigma),
             "diag_sums_summable": self.diag_sums_summable,
-            "row_sums_bounded": True,
+            "row_sums_bounded": math.isfinite(self.max_offdiag_row_sum),
             "col_sums_finite": self.col_sums_finite,
             "satisfied": self.satisfied,
             "tail_is_analytic": self.tail_is_analytic,
             "analytic_region_ok": self.analytic_region_ok,
             "marginal": self.marginal,
-            "max_offdiag_row_sum": self.max_offdiag_row_sum,
+            "max_offdiag_row_sum": _finite_or_none(self.max_offdiag_row_sum),
             "notes": list(self.notes),
         }
 
@@ -185,8 +193,7 @@ class ConvergedSolution:
     def to_dict(self) -> dict:
         return {
             "n_used": self.n_used,
-            "max_gap": (float(self.max_gap) if math.isfinite(self.max_gap)
-                        else None),
+            "max_gap": _finite_or_none(self.max_gap),
             "converged": self.converged,
             "tol": self.tol,
             "rungs": list(self.rungs),
@@ -202,9 +209,7 @@ class LadderSolution:
     The report is a diagnostic, not part of the solution, so a solve does not
     compute it: dominance reports on the first min(n_used, 64) rows on first
     read and caches the report, and a dataclasses.replace copy reports on
-    its own.
-    heuristic is true without probing when the oracle has no exact row
-    sums, and otherwise when the report does not certify.
+    its own.  heuristic is true when that report does not certify.
     """
 
     n_used: int
@@ -221,12 +226,10 @@ class LadderSolution:
 
     @property
     def heuristic(self) -> bool:
-        if self.oracle.exact_row_sums is None:
-            return True
         return not self.dominance.certifies
 
     def _ladder_dict(self) -> dict:
-        """The to_dict entries every solution writes; reading them probes."""
+        """The to_dict entries every solution writes, the report included."""
         return {
             "n_used": self.n_used,
             "converged": self.converged,
@@ -392,7 +395,7 @@ def _sigma(oracle: CoefficientOracle, offdiag_sums: np.ndarray,
     return sigma
 
 
-def _exact_rows(oracle: CoefficientOracle, order: int) -> tuple:
+def _exact_rows(oracle: CoefficientOracle, order: int, notes: list) -> tuple:
     """(sigma, row sums, diag_ok, col_ok) from the oracle's exact row sums
     and the diagonal of rows 1..order, the one block it reads.
 
@@ -402,14 +405,19 @@ def _exact_rows(oracle: CoefficientOracle, order: int) -> tuple:
     diag = np.abs(_block(oracle.a, rows, rows))
     _refuse_zero_diagonal(oracle, diag)
     sums, side = oracle.exact_row_sums(rows)
-    sigma = _sigma(oracle, sums, diag)
+    unbounded = np.isposinf(sums)
+    sigma = np.where(unbounded, math.inf, _sigma(
+        oracle, np.where(unbounded, 0.0, sums), diag))
+    if unbounded.any():
+        notes.append(f"{np.count_nonzero(unbounded)} of {order} rows have "
+                     "unbounded off-diagonal sums: their sigma is infinite")
     return sigma, sums, side, side and bool(np.isfinite(diag).all())
 
 
-def _probed_rows(oracle: CoefficientOracle, order: int, cutoff: int,
-                 notes: list) -> tuple:
+def _probed_rows(oracle: CoefficientOracle, order: int, notes: list) -> tuple:
     """(sigma, row sums, diag_ok, col_ok) from three probed blocks; see
     dominance_report.  Appends its notes to notes."""
+    cutoff = 4 * order
     notes.append(
         f"no analytic tail bound: sigma is a lower estimate from the "
         f"first {cutoff} columns")
@@ -440,38 +448,34 @@ def _probed_rows(oracle: CoefficientOracle, order: int, cutoff: int,
     return sigma, offdiag_sums, diag_ok, col_ok
 
 
-def dominance_report(oracle: CoefficientOracle, order: int,
-                     tail_cutoff: Optional[int] = None) -> DominanceReport:
+def dominance_report(oracle: CoefficientOracle, order: int) -> DominanceReport:
     """Strict diagonal dominance of the first `order` rows.
 
     An oracle with exact row sums gives sigma_i exactly: the report reads
     only the diagonal of rows 1..order and no cutoff (its tail_cutoff is
     None), and takes summability of 1/|a_ii| and finite column sums from
     the oracle's closed form, the column sums failing also where one of
-    those diagonal entries is not finite.
+    those diagonal entries is not finite.  A row sum stated as +inf gives
+    an unbounded sigma_i, and the report cannot be satisfied.
 
-    Any other oracle is probed.  Row sums run to tail_cutoff (default
-    4*order), so sigma_i is a lower estimate and a note says so.  The
+    Any other oracle is probed.  Row sums run to the first 4*order columns
+    (tail_cutoff), so sigma_i is a lower estimate and a note says so.  The
     three side conditions are probed: summability of 1/|a_ii| by
     geometric-ratio, boundedness of off-row sums by every probed sigma_i
     being finite, and column sums by finiteness up to the cutoff.  The
-    probes read three blocks: rows 1..order by columns 1..cutoff, columns
-    1..order by rows 1..cutoff, and the diagonal to 4*order.
+    probes read three blocks: rows 1..order by columns 1..4*order, columns
+    1..order by rows 1..4*order, and the diagonal to 4*order.
 
-    Either way a row whose sigma_i is not finite (an infinite off-diagonal
-    sum, or a NaN entry) raises AssemblyError, so a report holds only finite
-    numbers.
+    Any other sigma_i that is not finite (an infinite probed off-diagonal
+    sum, a NaN entry or a NaN exact sum) raises AssemblyError.
     """
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
-    cutoff = tail_cutoff if tail_cutoff is not None else 4 * order
-    if cutoff < order:
-        raise ValueError(f"tail_cutoff {cutoff} must be >= order {order}")
     notes = []
     exact = oracle.exact_row_sums is not None
     sigma, offdiag_sums, diag_ok, col_ok = (
-        _exact_rows(oracle, order) if exact
-        else _probed_rows(oracle, order, cutoff, notes))
+        _exact_rows(oracle, order, notes) if exact
+        else _probed_rows(oracle, order, notes))
 
     worst = int(np.argmax(sigma)) + 1
     satisfied = bool(np.all(sigma < 1.0)) and diag_ok and col_ok
@@ -482,9 +486,8 @@ def dominance_report(oracle: CoefficientOracle, order: int,
         notes.append(f"{rows} are dominant but the parameters lie "
                      "outside the closed-form sufficient region")
     return DominanceReport(
-        order=order, tail_cutoff=None if exact else cutoff, sigma=sigma,
-        worst_row=worst, diag_sums_summable=diag_ok, col_sums_finite=col_ok,
-        satisfied=satisfied, tail_is_analytic=exact,
+        order=order, sigma=sigma, worst_row=worst, diag_sums_summable=diag_ok,
+        col_sums_finite=col_ok, satisfied=satisfied, tail_is_analytic=exact,
         analytic_region_ok=region, marginal=marginal,
         max_offdiag_row_sum=float(offdiag_sums.max()), notes=notes)
 

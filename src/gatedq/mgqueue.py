@@ -28,10 +28,10 @@ sufficient region, sqrt(6)/pi); truncations are observed to converge for any
 rho < 1.  Its off-diagonal row sums are zeta sums over every column, so the
 dominance report's sigma_i is exact for this system, and the plain rows stay
 dominant up to rho about 0.9346 (row 2 binds).  For general service no
-closed-form dominance certificate exists: the general system has no exact
-row sums, every sigma_i of the infinite system is infinite, its rows are
-probed for a lower estimate, and its solutions are always flagged as
-heuristic.
+dominance certificate exists: every off-diagonal row and column sum of the
+general system is infinite, its oracle states them so, its report holds
+every sigma_i as unbounded without probing, and its solutions are always
+flagged as heuristic.
 
 The first moment is not determined by the system itself and is recovered
 afterwards from
@@ -100,8 +100,8 @@ class MgMomentSolution(linsys.LadderSolution):
     range is left out, and a note names it), y[i] = lam^i beta[i]/i!, s is the
     alternating sum y_2 - y_3 + ..., and beta1 the separately recovered mean.
     The oracle keeps the service law and its gamma table alive; the general
-    assembly has no exact row sums, so its solutions are always heuristic
-    (see linsys.LadderSolution).
+    assembly states every row sum unbounded, so its report never certifies
+    and its solutions are always heuristic (see linsys.LadderSolution).
     """
 
     lam: float
@@ -216,24 +216,38 @@ def _general_oracle(model: MgModel, table: GammaTable) -> linsys.CoefficientOrac
 
         (i!/(lam^i gamma_{i,1})) y_i - sum_{j>=2} (-1)^j (1 - gamma_{i,j}/gamma_{i,1}) y_j = 1.
 
-    Off-diagonal entries tend to a constant along each row, so every
-    sigma_i of the infinite system is infinite; a dominance probe of this
-    oracle gives lower estimates that may pass on the probed columns, and a
-    solve on it is always heuristic.  A block reads its ratios from the
-    table, and the diagonal's gamma_{i,1} in a second gather, which for a
-    law without a rate computes nothing the ratios have not read.  The table
-    is the law's own unless a caller passes another, so an oracle at a new
-    lam computes only the entries that no earlier solve of the law has read.
+    Along each row |a_ij| -> 1 - lim_j gamma_{i,j}/gamma_{i,1} > 0 (a law
+    with a density is no point mass), and so down each column: exact_row_sums
+    states every row sum unbounded and the side conditions false, and a
+    solve on this oracle is always heuristic.  A block reads its ratios from
+    the table, and the diagonal's gamma_{i,1} in a second gather, which for
+    a law without a rate computes nothing the ratios have not read.  The
+    table is the law's own unless a caller passes another, so an oracle at a
+    new lam computes only the entries that no earlier solve of the law has
+    read.  The lead i!/(lam^i gamma_{i,1}) is that quotient where it is
+    finite and positive; else (mu/lam)^i for an exponential law, whose
+    gamma_{i,1} saturates at inf, else the quotient in log space.
     """
-    lam = model.lam
+    lam, mu = model.lam, model.mu
 
     def lead(i: int, gamma: float) -> float:
         # Python floats: lam ** i is libm's pow, which numpy's power does
         # not always match in the last bit.
         try:
-            return math.factorial(i) / (lam ** i * gamma)
+            q = math.factorial(i) / (lam ** i * gamma)
         except (OverflowError, ZeroDivisionError):
+            q = math.inf
+        try:
+            if 0.0 < q < math.inf:
+                return q
+            if mu:
+                return (mu / lam) ** i
+            if 0.0 < gamma < math.inf:
+                return math.exp(math.lgamma(i + 1.0) - i * math.log(lam)
+                                - math.log(gamma))
+        except OverflowError:
             return math.inf
+        return q
 
     def a(mi, mj):
         i, j = np.asarray(mi) + 1, np.asarray(mj) + 1
@@ -248,7 +262,11 @@ def _general_oracle(model: MgModel, table: GammaTable) -> linsys.CoefficientOrac
     def b(_i):
         return 1.0
 
-    return linsys.CoefficientOracle(a=a, b=b, name=f"mg-general(lam={lam})")
+    def exact_row_sums(i):
+        return np.full(np.shape(i), math.inf), False
+
+    return linsys.CoefficientOracle(a=a, b=b, exact_row_sums=exact_row_sums,
+                                    name=f"mg-general(lam={lam})")
 
 
 def moment_oracle(model: MgModel, assembly: str = "auto",

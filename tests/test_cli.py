@@ -140,14 +140,14 @@ def test_dominance_reports(tmp_path):
 
 
 def test_a_dominance_report_that_certifies_nothing_is_flagged(tmp_path):
-    # The general M/G system has no exact row sums: its probed rows may
-    # all pass, and the report is still no certificate.
+    # The general M/G system states every row sum unbounded: its exact
+    # report is not satisfied, and is no certificate.
     out = str(tmp_path)
     assert main(["dominance", "--system", "mg", "--lambda", "0.1", "--mu",
                  "2.5", "--assembly", "general", "--order", "8",
                  "--out", out]) == 0
     data = read_json(os.path.join(out, "dominance.json"))
-    assert data["satisfied"] is True and data["tail_is_analytic"] is False
+    assert data["satisfied"] is False and data["tail_is_analytic"] is True
     assert data["heuristic"] is True
     # A failed probe is flagged too; a certified one carries no flag.
     assert main(["dominance", "--system", "gi", "--rho", "0.45",
@@ -158,24 +158,58 @@ def test_a_dominance_report_that_certifies_nothing_is_flagged(tmp_path):
     assert "heuristic" not in read_json(os.path.join(out, "dominance.json"))
 
 
-def test_exponential_min_moments_below_double_range_refuse_the_model(
-        tmp_path, capsys):
-    # (k mu)^m underflows to 0.0 from some entry of rung 120 on; the entry
-    # reads inf and the model is refused rather than crashing.
+@pytest.mark.parametrize("order", ["80", "120"])
+def test_exponential_min_moments_below_double_range_keep_the_general_lead(
+        order, tmp_path):
+    # gamma_{i,1} = i!/mu^i overflows to inf from i = 70 and lam^i
+    # underflows to 0.0 from i = 99, but the general assembly's lead
+    # i!/(lam^i gamma_{i,1}) = (mu/lam)^i stays finite, so the pinned
+    # ladder converges to the transformed system's E[K].
+    ek = {}
+    for assembly in ("general", "transformed"):
+        out = str(tmp_path / assembly)
+        assert main(["analyze-mg", "--lambda", "0.0005", "--mu", "0.001",
+                     "--assembly", assembly, "--order", order, "--n-max",
+                     order, "--out", out]) == 0
+        data = read_json(os.path.join(out, "analyze-mg.json"))
+        assert data["converged"] is True
+        ek[assembly] = data["EK"]
+    assert ek["general"] == pytest.approx(ek["transformed"], rel=1e-12)
+    # The report of the same system reads the diagonal of every row.
     out = str(tmp_path)
-    assert main(["analyze-mg", "--lambda", "0.0005", "--mu", "0.001",
-                 "--assembly", "general", "--order", "120", "--n-max", "120",
-                 "--out", out]) == 2
-    err = json.loads(capsys.readouterr().err)["error"]
-    assert err["code"] == "out_of_regime" and "a(98,98)" in err["message"]
-    assert os.listdir(out) == []
-    # The diagonal probe of the same system reads every row.
     assert main(["dominance", "--system", "mg", "--lambda", "0.0005", "--mu",
                  "0.001", "--assembly", "general", "--order", "60",
                  "--out", out]) == 0
     data = read_json(os.path.join(out, "dominance.json"))
-    assert data["heuristic"] is True
-    assert not any("diagonal probe ended" in n for n in data["notes"])
+    assert data["heuristic"] is True and data["sigma"] == [None] * 60
+
+
+def refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_general_mg_dominance_is_stated_unbounded_in_plain_json(
+        tmp_path, capsys):
+    out = str(tmp_path)
+    assert main(["dominance", "--system", "mg", "--lambda", "0.5", "--mu",
+                 "1.0", "--order", "8", "--assembly", "general",
+                 "--out", out]) == 0
+    path = os.path.join(out, "dominance.json")
+    assert capsys.readouterr().out.splitlines() == [
+        path, "satisfied=False marginal=False max_sigma=inf worst_row=1"]
+    with open(path) as fh:
+        data = json.loads(fh.read(), parse_constant=refuse_constant)
+    assert data["sigma"] == [None] * 8 and data["heuristic"] is True
+    assert data["max_sigma"] is None and data["max_offdiag_row_sum"] is None
+    assert data["tail_is_analytic"] is True and data["tail_cutoff"] is None
+    assert data["satisfied"] is False and data["row_sums_bounded"] is False
+    # The analyze-mg report of a general solve nests the same kind of report.
+    assert main(["analyze-mg", "--lambda", "1.0", "--mu", "2.5", "--assembly",
+                 "general", "--order", "8", "--out", out]) == 0
+    with open(os.path.join(out, "analyze-mg.json")) as fh:
+        nested = json.loads(fh.read(), parse_constant=refuse_constant)
+    assert nested["heuristic"] is True
+    assert set(nested["dominance"]["sigma"]) == {None}
 
 
 def test_dominance_prints_one_line_with_the_worst_row(tmp_path, capsys):

@@ -330,9 +330,9 @@ def test_a_solve_does_not_probe_and_a_read_probes_once(monkeypatch):
     probes = []
     report = linsys.dominance_report
 
-    def counted(oracle, order, tail_cutoff=None):
+    def counted(oracle, order):
         probes.append(order)
-        return report(oracle, order, tail_cutoff)
+        return report(oracle, order)
 
     monkeypatch.setattr(linsys, "dominance_report", counted)
     sol = giqueue.solve_factorial_moments(poisson_model(0.3))

@@ -165,13 +165,14 @@ def test_a_report_is_either_exact_or_a_probed_lower_estimate(exact):
         a=lambda i, j: np.where(i == j, 2.0 ** i, 0.0), b=lambda i: 0.0,
         analytic_region=lambda: False,
         exact_row_sums=(lambda i: (np.zeros(len(i)), True)) if exact else None)
-    rep = dominance_report(oracle, order=4, tail_cutoff=6)
+    rep = dominance_report(oracle, order=4)
     assert rep.satisfied and rep.marginal
     assert rep.tail_is_analytic is exact and rep.certifies is exact
     data = rep.to_dict()
     assert data["row_sums_bounded"] is True
-    # An exact report reads no cutoff and names the rows it covers.
-    assert data["tail_cutoff"] == (None if exact else 6)
+    # An exact report reads no cutoff and names the rows it covers; a probe
+    # reads 4 * order columns.
+    assert data["tail_cutoff"] == rep.tail_cutoff == (None if exact else 16)
     rows = "rows 1..4" if exact else "probed rows"
     assert data["notes"][-1] == (f"{rows} are dominant but the parameters "
                                  "lie outside the closed-form sufficient "
@@ -191,8 +192,6 @@ def test_dominance_argument_validation():
     oracle = diag_oracle(lambda i: 2.0 ** i)
     with pytest.raises(ValueError):
         dominance_report(oracle, order=0)
-    with pytest.raises(ValueError):
-        dominance_report(oracle, order=5, tail_cutoff=3)
 
 
 def test_dominance_survives_uncomputable_deep_entries():
@@ -510,8 +509,7 @@ def test_a_report_certifies_only_with_an_analytic_tail_and_a_passed_probe(
     rep = dominance_report(make(), order=8)
     assert rep.certifies is certifies
     assert rep.certifies == (rep.tail_is_analytic and rep.satisfied)
-    # The general M/G probe passes on its lower estimates and still
-    # certifies nothing.
+    # A probe that passes on its lower estimates still certifies nothing.
     if rep.satisfied and not certifies:
         assert not rep.tail_is_analytic
     assert "certifies" not in rep.to_dict()
@@ -539,15 +537,23 @@ def test_a_solution_with_a_row_tail_is_heuristic_unless_it_certifies(solve_):
     assert sol.heuristic == (not sol.dominance.certifies)
 
 
-def test_a_solution_without_a_row_tail_is_heuristic_without_probing(
+def test_a_solution_that_cannot_certify_is_heuristic_after_one_report(
         monkeypatch):
     probes = []
-    monkeypatch.setattr(linsys, "dominance_report",
-                        lambda *args, **kwargs: probes.append(args))
+    report = linsys.dominance_report
+
+    def counted(oracle, order):
+        probes.append(oracle.exact_row_sums is not None)
+        return report(oracle, order)
+
+    monkeypatch.setattr(linsys, "dominance_report", counted)
+    # The general M/G rows are stated unbounded, the general GI rows probed.
     sols = [mg_solve(0.3, assembly="general"), giqueue.solve_factorial_moments(
         giqueue.GiModel(ArrivalDistribution.deterministic(2.0), 1.0),
         order=8)]
-    assert all(s.heuristic for s in sols) and probes == []
+    for _ in range(2):  # the second read takes the cached report
+        assert [s.heuristic for s in sols] == [True, True]
+    assert probes == [True, False]
 
 
 def test_a_ladder_solution_takes_its_fields_by_keyword_only():

@@ -277,25 +277,32 @@ def test_user_law_ladder_flags_are_honest():
     m = mgqueue.MgModel(lam=0.5, service=wrapped_exponential())
     sol = mgqueue.solve_stage_moments(m, order=8)
     assert sol.converged and sol.n_used == 16
-    # A generic kernel has no exact row sums, so the dominance probe cannot
-    # certify the result.
+    # The general rows are stated unbounded, so the report, read from the
+    # diagonal alone, cannot certify the result.
     assert sol.heuristic
-    assert any("diagonal probe ended" in n for n in sol.dominance.notes)
+    dom = sol.dominance
+    assert dom.tail_is_analytic and not dom.satisfied
+    assert np.isposinf(dom.sigma).all() and len(dom.sigma) == 16
+    assert not any("probe" in n for n in dom.notes)
 
 
 @pytest.mark.parametrize("lam", [0.05, 0.25])
-def test_general_solve_is_heuristic_where_the_lower_estimate_passes(
+def test_general_solve_is_heuristic_with_every_sigma_unbounded(
         lam, monkeypatch):
     probes = count_probes(monkeypatch)
     sol = mgqueue.solve_stage_moments(
         mgqueue.MgModel(lam, erlang2(exact_sf=True)), order=4)
-    # Without exact row sums the flag is known before any probe.
-    assert sol.heuristic and probes == []
-    # The probe's sigma is a lower estimate from 4 * order columns; it
-    # passes here although every sigma_i of the infinite system is infinite.
-    assert sol.dominance.satisfied and sol.dominance.max_sigma < 0.06
-    assert not sol.dominance.tail_is_analytic
-    assert sol.to_dict()["heuristic"] is True
+    assert probes == []
+    # The flag reads one exact report: every sigma_i of the infinite system
+    # is infinite, where a probe of 4 * order columns used to pass.
+    assert sol.heuristic and probes == [sol.n_used]
+    dom = sol.dominance
+    assert dom.tail_is_analytic and dom.tail_cutoff is None
+    assert not dom.satisfied and dom.max_sigma == math.inf
+    data = sol.to_dict()
+    assert data["heuristic"] is True and probes == [sol.n_used]
+    assert data["dominance"]["sigma"] == [None] * sol.n_used
+    assert data["dominance"]["max_sigma"] is None
 
 
 def test_general_assembly_writes_a_heuristic_analyze_mg(tmp_path):
@@ -305,7 +312,9 @@ def test_general_assembly_writes_a_heuristic_analyze_mg(tmp_path):
     data = json.loads((tmp_path / "analyze-mg.json").read_text())
     assert data["assembly"] == "general"
     assert data["heuristic"] is True
-    assert data["dominance"]["satisfied"] is True
+    assert data["dominance"]["satisfied"] is False
+    assert data["dominance"]["tail_is_analytic"] is True
+    assert data["dominance"]["max_offdiag_row_sum"] is None
 
 
 # ------------------------------------------------- dominance on demand ----
@@ -315,9 +324,9 @@ def count_probes(monkeypatch):
     probes = []
     report = linsys.dominance_report
 
-    def counted(oracle, order, tail_cutoff=None):
+    def counted(oracle, order):
         probes.append(order)
-        return report(oracle, order, tail_cutoff)
+        return report(oracle, order)
 
     monkeypatch.setattr(linsys, "dominance_report", counted)
     return probes
@@ -332,7 +341,7 @@ def test_a_solve_does_not_probe_and_a_read_probes_once(monkeypatch):
     first = sol.dominance
     assert sol.dominance is first and probes == [sol.n_used]
     assert not sol.heuristic and probes == [sol.n_used]
-    assert general.heuristic and probes == [sol.n_used]
+    assert general.heuristic and probes == [sol.n_used, 8]
     general.to_dict()
     general.to_dict()
     assert probes == [sol.n_used, 8]
@@ -351,6 +360,18 @@ def test_a_general_solve_alone_runs_only_its_rungs_and_beta1(monkeypatch):
     sol.heuristic
     # Rungs 4 and 8 in one block, then beta_1's gamma_{1,k}; no probe block.
     assert batches == [72, 9] and sum(batches) == 81
+
+
+def test_a_cold_general_to_dict_computes_no_min_moment(monkeypatch):
+    batches = count_batches(monkeypatch)
+    sol = mgqueue.solve_stage_moments(
+        mgqueue.MgModel(2.0, erlang2(exact_sf=True)), order=4)
+    solved = list(batches)
+    data = sol.to_dict()
+    # The report reads only diagonal entries the rungs computed.
+    assert solved and batches == solved
+    assert data["heuristic"] is True
+    assert data["dominance"]["tail_is_analytic"] is True
 
 
 def eager_dict(sol, m):
@@ -421,9 +442,49 @@ def test_gamma_table_evaluates_each_tail_node_once():
     table = GammaTable(erlang2(nodes=nodes))
     oracle = mgqueue.moment_oracle(
         mgqueue.MgModel(lam=0.25, service=table.dist), table=table)
-    linsys.dominance_report(oracle, order=8)
+    read_probe_blocks(oracle, order=8)
     assert np.count_nonzero(~np.isnan(table._values)) > 100
     assert len(nodes) == len(set(nodes)) == len(table._tails)
+
+
+class ExponentialMoments:
+    """The min moments gamma_{m,k} = m!/(k mu)^m of an exponential law,
+    from lgamma, as a table that holds every entry."""
+
+    def __init__(self, mu):
+        self.mu = mu
+
+    def gammas(self, ms, ks):
+        m, k = np.broadcast_arrays(ms, ks)
+        return np.reshape([math.exp(math.lgamma(p + 1.0) - p * math.log(
+            q * self.mu)) for p, q in zip(m.ravel().tolist(),
+                                          k.ravel().tolist())], m.shape)
+
+    def ratios(self, ms, ks):
+        m, k = np.broadcast_arrays(ms, ks)
+        return k ** -m.astype(float)
+
+
+@pytest.mark.parametrize("lam,mu,rate", [(0.0005, 0.001, True),
+                                         (900.0, 1000.0, False)],
+                         ids=["exponential", "log-space"])
+def test_the_general_lead_stays_in_range_where_its_factors_do_not(lam, mu,
+                                                                 rate):
+    # Exponential: gamma_{m,1} = m!/mu^m overflows from m = 70 and lam^m
+    # underflows from m = 99, and the lead is (mu/lam)^m = 2^m.  Without a
+    # rate: lam^m overflows from m = 105 and m! from m = 171, while
+    # gamma_{m,1} stays finite, and the lead (10/9)^m is taken in log space.
+    idx = np.arange(1, 241)
+    m = idx + 1.0
+    if rate:
+        oracle = mgqueue.moment_oracle(mgqueue.MgModel(
+            lam, ServiceDistribution.exponential(mu)), assembly="general")
+    else:
+        oracle = mgqueue._general_oracle(mgqueue.MgModel(
+            lam, wrapped_exponential(mu)), ExponentialMoments(mu))
+    want = (mu / lam) ** m - (-1.0) ** m * (1.0 - m ** -m)
+    np.testing.assert_allclose(oracle.a(idx, idx), want,
+                               rtol=1e-13 if rate else 1e-11)
 
 
 def test_general_oracle_computes_each_block_in_one_batch(monkeypatch):
@@ -438,9 +499,18 @@ def test_general_oracle_computes_each_block_in_one_batch(monkeypatch):
     sol = mgqueue.solve_stage_moments(mgqueue.MgModel(0.25, erlang2()), order=4)
     assert sol.convergence.rungs == [4, 8] and sol.dominance.order == 8
     # Each batch holds the block's entries not yet cached: rungs 4 and 8 in
-    # one block, beta_1's gamma_{1,k}, then the diagonal, row and column
-    # blocks of the dominance probe, 513 entries in all.
-    assert batches == [72, 9, 48, 192, 192] and sum(batches) == 513
+    # one block, then beta_1's gamma_{1,k}.  The report reads only the
+    # diagonal of rows 1..8, which the rungs hold.
+    assert batches == [72, 9] and sum(batches) == 81
+
+
+def read_probe_blocks(oracle, order):
+    """Read through oracle.a the blocks a dominance probe of `order` rows
+    would read: rows 1..order by columns 1..4*order, the transposed block
+    and the diagonal to 4*order."""
+    rows, cols = np.arange(1, order + 1), np.arange(1, 4 * order + 1)
+    return [oracle.a(rows[:, None], cols[None, :]),
+            oracle.a(cols[:, None], rows[None, :]), oracle.a(cols, cols)]
 
 
 def count_batches(monkeypatch):
@@ -525,13 +595,15 @@ def test_tail_memo_leaves_the_general_solve_unchanged():
     g11, *g1k = table.gammas(1, [1] + ks).tolist()
     beta1 = g11 + math.fsum((-1.0) ** k * y * (g11 - g) for k, y, g in zip(
         ks, conv.values.tolist(), g1k))
-    dom = linsys.dominance_report(oracle, order=min(conv.n_used, 64))
+    order = min(conv.n_used, 64)
+    blocks = read_probe_blocks(oracle, order)
     assert table is not law.gamma_table and not table._tails
     assert np.isnan(table._values).all() and len(table.computed) > 100
     assert conv.rungs == sol.convergence.rungs
     assert np.array_equal(conv.values, sol.convergence.values)
     assert beta1 == sol.beta1
-    assert np.array_equal(dom.sigma, sol.dominance.sigma)
+    for got, want in zip(read_probe_blocks(sol.oracle, order), blocks):
+        assert np.array_equal(got, want)
 
 
 def test_exact_sf_lets_a_hyperexponential_law_solve():

@@ -9,6 +9,7 @@ quadrature-backed oracle does the same arithmetic and must match exactly.
 """
 
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -361,13 +362,27 @@ def test_an_exact_report_reads_only_the_diagonal(kind):
 
 
 def test_an_exact_sigma_that_is_not_finite_is_refused():
-    oracle = linsys.CoefficientOracle(
-        a=lambda i, j: np.where(i == j, 2.0, 0.0), b=lambda i: 1.0,
-        exact_row_sums=lambda i: (np.where(i == 3, np.inf, 0.5), True),
-        name="inf-row")
+    def oracle(diag, bad):
+        return linsys.CoefficientOracle(
+            a=lambda i, j: np.where(i == j, diag, 0.0), b=lambda i: 1.0,
+            exact_row_sums=lambda i: (np.where(i == 3, bad, 0.5), True),
+            name="bad-row")
+
     with pytest.raises(linsys.AssemblyError,
                        match="row 3 has no finite dominance ratio"):
-        dominance_report(oracle, order=5)
+        dominance_report(oracle(2.0, np.nan), order=5)
+    # A row stated unbounded has sigma inf, whatever its diagonal, written
+    # as null, and the report is not satisfied.
+    for diag in (2.0, np.inf):
+        report = dominance_report(oracle(diag, np.inf), order=5)
+        assert report.worst_row == 3 and report.max_sigma == math.inf
+        assert not report.satisfied and not report.certifies
+        data = report.to_dict()
+        assert data["sigma"] == [0.5 / diag] * 2 + [None] + [0.5 / diag] * 2
+        assert data["max_sigma"] is None
+        assert data["max_offdiag_row_sum"] is None
+        assert data["row_sums_bounded"] is False
+        json.dumps(data, allow_nan=False)
 
 
 # ------------------------------------------ the general GI oracle's power

@@ -110,7 +110,10 @@ EDGES = [
     # Rows with an infinite off-diagonal sum over a finite diagonal.
     "gatedq dominance --system gi --deterministic 1e-10 --mu 1.0 --override "
     "--order 100",
-    # Exponential min moments m!/(k mu)^m whose power underflows to 0.0.
+    # Exponential min moments m!/(k mu)^m that overflow to inf, and powers
+    # lam^m that underflow to 0.0, around the general assembly's lead.
+    "gatedq analyze-mg --lambda 0.0005 --mu 0.001 --assembly general "
+    "--order 80 --n-max 80",
     "gatedq analyze-mg --lambda 0.0005 --mu 0.001 --assembly general "
     "--order 120 --n-max 120",
     "gatedq dominance --system mg --lambda 0.0005 --mu 0.001 --assembly "
