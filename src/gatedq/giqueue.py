@@ -216,8 +216,9 @@ def _poisson_oracle(model: GiModel) -> linsys.CoefficientOracle:
     def a(i, j):
         i, j = np.asarray(i), np.asarray(j)
         # Deep probe rows leave double range: rho^{-i/2}, i^i and j^i
-        # overflow to inf, and the terms divided by them go to zero.
-        with np.errstate(over="ignore"):
+        # overflow to inf, and the terms divided by them go to zero, or to
+        # nan where the scale overflows too (rho > 1).
+        with np.errstate(over="ignore", invalid="ignore"):
             row1 = np.where(j == 1, -(1.0 - rho),
                             (-1.0) ** (j - 1) * rho / (j * j))
             scale = rho ** (i / 2.0 - 1.0)

@@ -384,7 +384,7 @@ def _probe_diag_summability(oracle: CoefficientOracle, upto: int) -> tuple:
 def _sigma(oracle: CoefficientOracle, offdiag_sums: np.ndarray,
            diag: np.ndarray) -> np.ndarray:
     """offdiag_sums / diag, refused with AssemblyError where not finite."""
-    with np.errstate(invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         sigma = offdiag_sums / diag
     unbounded = np.flatnonzero(~np.isfinite(sigma))
     if len(unbounded):

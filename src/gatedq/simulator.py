@@ -15,11 +15,14 @@ Both simulators run the stage recursion literally, stage by stage:
 Randomness comes from a counter-based generator (Philox) with independent
 substreams for arrivals and services, keyed by (seed, stream index), so
 traces are bit-identical for a given seed and replications with different
-seeds are independent without shared state.  Each law's draws come as a
-stream: a generator that draws _CHUNK values at a time from its substream
-and yields them as Python floats, so the stage loop does scalar arithmetic
-without a numpy scalar per draw and takes the k draws of a stage with
-islice.
+seeds are independent without shared state.  Each law draws _CHUNK values
+at a time from its substream.  The stage loops read those draws by index
+from a list of Python floats, so they do scalar arithmetic without a numpy
+scalar per draw; a chunk is converted to Python floats a block at a time,
+only as far as the loops read it.  The rare refill of a list is the one
+slow path (_refill).  The loops store each stage in reusable lists of
+_BLOCK stages, which are copied into the trace's numpy columns when full,
+so a run never holds more than _BLOCK stages as Python objects.
 
 Stage lengths are recorded twice per record: m is the active phase (the
 service maximum) and y is the full span including any waiting phase.  The
@@ -32,7 +35,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
 from typing import Iterator, Optional
 
 import numpy as np
@@ -42,6 +44,10 @@ from .errors import InsufficientDataError
 from .giqueue import GiModel
 
 _CHUNK = 1 << 16
+# Draws converted to Python floats at a time, so a run that reads part of a
+# chunk converts little more than that part; also the stages held in lists
+# between copies into a trace's columns.
+_BLOCK = 1 << 12
 _N_BATCHES = 20
 
 
@@ -95,14 +101,39 @@ def _substream(seed: int, stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _draws(rng: np.random.Generator, law) -> Iterator[float]:
-    """The draws of law.sample(rng, _CHUNK) as Python floats, one chunk
-    after another; _CHUNK is read at each refill."""
+def _blocks(rng: np.random.Generator, law) -> Iterator[list]:
+    """The draws of law.sample(rng, _CHUNK), one chunk after another, as
+    lists of at most _BLOCK Python floats; _CHUNK is read at each refill."""
     while True:
-        chunk = np.asarray(law.sample(rng, _CHUNK), dtype=float).tolist()
-        if not chunk:
+        chunk = np.asarray(law.sample(rng, _CHUNK), dtype=float)
+        if not len(chunk):
             raise ValueError(f"the sampler of {law.name!r} returned no draws")
-        yield from chunk
+        for lo in range(0, len(chunk), _BLOCK):
+            yield chunk[lo:lo + _BLOCK].tolist()
+
+
+def _refill(blocks: Iterator[list], buf: list, pos: int, need: int) -> list:
+    """buf[pos:] followed by the next draws of blocks, at least need in all."""
+    buf = buf[pos:]
+    while len(buf) < need:
+        buf += next(blocks)
+    return buf
+
+
+def _buffers(n: int) -> tuple:
+    """The empty y, m, k and waiting columns of an n-stage trace, and lists
+    that hold those values for _BLOCK stages at a time."""
+    columns = (np.empty(n), np.empty(n), np.empty(n, dtype=np.int64),
+               np.zeros(n, dtype=bool))
+    segments = ([0.0] * _BLOCK, [0.0] * _BLOCK, [0] * _BLOCK,
+                [False] * _BLOCK)
+    return columns, segments
+
+
+def _flush(lo: int, n: int, columns: tuple, segments: tuple) -> None:
+    """Copy the first n values of each segment into its column from lo on."""
+    for column, segment in zip(columns, segments):
+        column[lo:lo + n] = segment[:n]
 
 
 def simulate_mg(lam: float, service: ServiceDistribution, n_stages: int,
@@ -122,26 +153,35 @@ def simulate_mg(lam: float, service: ServiceDistribution, n_stages: int,
         raise ValueError(f"burn_in must be >= 0, got {burn_in}")
     arr_rng = _substream(seed, 0)
     poisson, exponential = arr_rng.poisson, arr_rng.exponential
-    services = _draws(_substream(seed, 1), service)
+    services = _blocks(_substream(seed, 1), service)
     wait_scale = 1.0 / lam
 
-    y = np.empty(n_stages)
-    m = np.empty(n_stages)
-    k = np.empty(n_stages, dtype=np.int64)
-    waiting = np.zeros(n_stages, dtype=bool)
+    columns, segments = _buffers(n_stages)
+    y_seg, m_seg, k_seg, w_seg = segments
+    svc, pos, n_svc = [], 0, 0
     k_cur = 1
-    for t in range(n_stages):
-        m_t = max(islice(services, k_cur))
-        a = poisson(lam * m_t)
-        m[t] = m_t
-        k[t] = k_cur
-        if a == 0:
-            y[t] = m_t + exponential(wait_scale)
-            waiting[t] = True
-            k_cur = 1
-        else:
-            y[t] = m_t
-            k_cur = a
+    for lo in range(0, n_stages, _BLOCK):
+        n = min(_BLOCK, n_stages - lo)
+        for i in range(n):
+            end = pos + k_cur
+            if end > n_svc:
+                svc = _refill(services, svc, pos, k_cur)
+                pos, end, n_svc = 0, k_cur, len(svc)
+            m_t = svc[pos] if k_cur == 1 else max(svc[pos:end])
+            pos = end
+            a = poisson(lam * m_t)
+            m_seg[i] = m_t
+            k_seg[i] = k_cur
+            if a == 0:
+                y_seg[i] = m_t + exponential(wait_scale)
+                w_seg[i] = True
+                k_cur = 1
+            else:
+                y_seg[i] = m_t
+                w_seg[i] = False
+                k_cur = a
+        _flush(lo, n, columns, segments)
+    y, m, k, waiting = columns
     return StageTrace(y=y, m=m, k=k, waiting=waiting, seed=seed,
                       burn_in=burn_in, kind="mg",
                       model=f"mg(lam={lam}, service={service.name})")
@@ -161,25 +201,46 @@ def simulate_gi(arrivals: ArrivalDistribution, mu: float, n_stages: int,
         raise ValueError(f"n_stages must be >= 1, got {n_stages}")
     if burn_in < 0:
         raise ValueError(f"burn_in must be >= 0, got {burn_in}")
-    gap = _draws(_substream(seed, 0), arrivals).__next__
-    services = _draws(_substream(seed, 1), ServiceDistribution.exponential(mu))
+    gaps = _blocks(_substream(seed, 0), arrivals)
+    services = _blocks(_substream(seed, 1),
+                       ServiceDistribution.exponential(mu))
 
-    y = np.empty(n_stages)
-    m = np.empty(n_stages)
-    k = np.empty(n_stages, dtype=np.int64)
-    waiting = np.zeros(n_stages, dtype=bool)
+    columns, segments = _buffers(n_stages)
+    y_seg, m_seg, k_seg, _ = segments
+    svc, pos, n_svc = [], 0, 0
+    gap, g = [], 0
     k_cur = 1
-    for t in range(n_stages):
-        m_t = max(islice(services, k_cur))
-        s = gap()
-        count = 1
-        while s <= m_t:
-            s += gap()
-            count += 1
-        y[t] = s
-        m[t] = m_t
-        k[t] = k_cur
-        k_cur = count
+    for lo in range(0, n_stages, _BLOCK):
+        n = min(_BLOCK, n_stages - lo)
+        for i in range(n):
+            end = pos + k_cur
+            if end > n_svc:
+                svc = _refill(services, svc, pos, k_cur)
+                pos, end, n_svc = 0, k_cur, len(svc)
+            m_t = svc[pos] if k_cur == 1 else max(svc[pos:end])
+            pos = end
+            # Walk the gaps from g until the epoch passes m_t; a walk that
+            # runs off the list starts again from g once _refill has added
+            # gaps.
+            while True:
+                try:
+                    s = gap[g]
+                    j = g + 1
+                    while s <= m_t:
+                        s += gap[j]
+                        j += 1
+                    break
+                except IndexError:
+                    pass
+                gap = _refill(gaps, gap, g, len(gap) - g + 1)
+                g = 0
+            y_seg[i] = s
+            m_seg[i] = m_t
+            k_seg[i] = k_cur
+            k_cur = j - g
+            g = j
+        _flush(lo, n, columns, segments)
+    y, m, k, waiting = columns
     return StageTrace(y=y, m=m, k=k, waiting=waiting, seed=seed,
                       burn_in=burn_in, kind="gi",
                       model=f"gi(arrivals={arrivals.name}, mu={mu})")

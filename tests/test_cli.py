@@ -428,6 +428,30 @@ def test_zero_diagonal_exits_2_without_writing(tmp_path, capsys):
     assert not os.listdir(out)
 
 
+@pytest.mark.parametrize("command", [
+    # Deep rows whose sigma = off-diagonal sum / diagonal overflows.
+    "dominance --system gi --rho 2.0 --override --order 2000",
+    # ... and rows whose oracle terms divide inf by inf.
+    "dominance --system gi --rho 40 --override --order 500",
+])
+def test_a_refused_report_writes_only_its_json_error_to_stderr(command,
+                                                                tmp_path):
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env.pop("PYTHONWARNINGS", None)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(src)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    done = subprocess.run(
+        [sys.executable, "-m", "gatedq.cli"] + command.split()
+        + ["--out", str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 2
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1, done.stderr
+    assert json.loads(lines[0])["error"]["code"] == "out_of_regime"
+    assert not os.listdir(tmp_path)
+
+
 def _reject_constant(name):
     raise ValueError(f"non-finite JSON constant {name}")
 

@@ -1,7 +1,6 @@
 """Discrete-event oracle: determinism, structure, and statistical checks."""
 
 import math
-from itertools import islice
 
 import numpy as np
 import pytest
@@ -14,7 +13,8 @@ from gatedq.errors import InsufficientDataError
 from gatedq.simulator import (
     _CHUNK,
     StageTrace,
-    _draws,
+    _blocks,
+    _refill,
     _substream,
     simulate_gi,
     simulate_mg,
@@ -201,13 +201,21 @@ class _Uniform:
 
 def test_draw_stream_crosses_chunk_boundaries(monkeypatch):
     monkeypatch.setattr(simulator, "_CHUNK", 8)
-    a = _draws(np.random.default_rng(123), _Uniform)
-    parts = [list(islice(a, n)) for n in (5, 5, 20)]
+    blocks = _blocks(np.random.default_rng(123), _Uniform)
+    buf, parts = [], []
+    for n in (5, 5, 20):
+        buf = _refill(blocks, buf, 0, n)
+        parts.append(buf[:n])
+        buf = buf[n:]
     got = np.concatenate(parts)
     assert got.size == 30
-    b = _draws(np.random.default_rng(123), _Uniform)
-    singles = np.array([next(b) for _ in range(30)])
+    blocks = _blocks(np.random.default_rng(123), _Uniform)
+    singles, buf = [], []
+    for pos in range(30):
+        buf = _refill(blocks, buf, 0, pos + 1)
+        singles.append(buf[pos])
     np.testing.assert_array_equal(got, singles)
+    np.testing.assert_array_equal(got, np.random.default_rng(123).random(30))
     assert np.all((got >= 0.0) & (got < 1.0))
 
 
@@ -279,11 +287,13 @@ def reference_simulate_mg(lam: float, service: ServiceDistribution,
 
 
 def reference_simulate_gi(arrivals: ArrivalDistribution, mu: float,
-                          n_stages: int, seed: int,
-                          burn_in: int = 1000) -> StageTrace:
-    gaps = _ReferenceChunkedSampler(_substream(seed, 0), arrivals.sample)
+                          n_stages: int, seed: int, burn_in: int = 1000,
+                          chunk: int = _CHUNK) -> StageTrace:
+    gaps = _ReferenceChunkedSampler(_substream(seed, 0), arrivals.sample,
+                                    chunk)
     svc = _ReferenceChunkedSampler(_substream(seed, 1),
-                                   ServiceDistribution.exponential(mu).sample)
+                                   ServiceDistribution.exponential(mu).sample,
+                                   chunk)
 
     y = np.empty(n_stages)
     m = np.empty(n_stages)
@@ -360,6 +370,49 @@ def test_mg_engine_matches_the_reference_when_a_stage_takes_several_chunks(
                                                 chunk=8))
     # Some stages take more than two chunks of draws at once.
     assert tr.k.max() > 2 * 8
+
+
+def test_gi_engine_matches_the_reference_when_a_walk_takes_several_chunks(
+        monkeypatch):
+    monkeypatch.setattr(simulator, "_CHUNK", 8)
+    arrivals = ArrivalDistribution.poisson(3.0)
+    tr = simulate_gi(arrivals, 1.0, 2000, seed=54)
+    assert_same_trace(tr, reference_simulate_gi(arrivals, 1.0, 2000, seed=54,
+                                                chunk=8))
+    # k[t + 1] gaps close stage t: some stage walks gaps from more than two
+    # 8-draw chunks, so its walk runs off the list of gaps at least twice.
+    assert tr.k[1:].max() > 2 * 8
+
+
+def _first_chunk_only(draw):
+    """A sampler that returns draw(rng, size) on its first call and no draws
+    on its second; a third call fails the test instead of hanging it."""
+    calls = []
+
+    def sample(rng, size):
+        calls.append(size)
+        assert len(calls) <= 2, "sampled again after an empty chunk"
+        return draw(rng, size) if len(calls) == 1 else np.empty(0)
+
+    return sample
+
+
+def test_a_sampler_that_runs_dry_on_a_later_refill_is_refused(monkeypatch):
+    monkeypatch.setattr(simulator, "_CHUNK", 8)
+    def exponential(rng, size):
+        return rng.exponential(1.0, size)
+
+    service = ServiceDistribution.from_callables(
+        pdf=lambda y: 0.0, cdf=lambda y: 0.0, name="dry-service",
+        sampler=_first_chunk_only(exponential))
+    with pytest.raises(ValueError, match="dry-service"):
+        simulate_mg(1.0, service, 200, seed=1, burn_in=0)
+    arrivals = ArrivalDistribution.from_callables(
+        sampler=_first_chunk_only(exponential),
+        laplace=lambda s: 1.0 / (1.0 + s), mean=1.0, second_moment=2.0,
+        name="dry-gaps")
+    with pytest.raises(ValueError, match="dry-gaps"):
+        simulate_gi(arrivals, 1.0, 200, seed=1, burn_in=0)
 
 
 def test_a_sampler_with_no_draws_is_refused():

@@ -8,8 +8,9 @@ imports gatedq from CHECKOUT/src and runs, in this one process, every
 fixed list of edge cases: an unconverged ladder, beta_i past double range,
 capped, pinned and short ladders, out-of-regime and unrepresentable models,
 a numerically singular truncation, a zero diagonal, both dominance systems,
-short simulate runs, simulate runs whose draws cross a chunk, every compare
-figure and extreme GI rates.  Each command runs in its own empty directory
+short simulate runs, simulate runs whose draws cross a chunk, heavy-load
+simulate runs whose stages take many draws, every compare figure and
+extreme GI rates.  Each command runs in its own empty directory
 OUTDIR/NN (the working directory, so the paths it prints are relative).
 OUTDIR/manifest.json holds, per command, its exit code, stdout, stderr and
 the sha256 of each file it wrote.  An exception that escapes cli.main is
@@ -93,6 +94,9 @@ EDGES = [
     # Draws that cross a 65 536-draw chunk in both simulators.
     "gatedq simulate --model mg --lambda 1.2 --mu 2.0 --stages 70000",
     "gatedq simulate --model gi --rho 0.6 --stages 70000",
+    # Heavy loads: stages take many draws and lists refill mid-stage.
+    "gatedq simulate --model mg --lambda 8.0 --mu 1.0 --stages 20000",
+    "gatedq simulate --model gi --rho 3.0 --stages 30000",
     # Extreme GI rates: a Poisson rate or a deterministic spacing whose
     # square leaves double range, and a bhat(mu) that rounds to 1.
     "gatedq analyze-gi --rho 1e-200",
