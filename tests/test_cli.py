@@ -375,15 +375,20 @@ def test_parser_reuse_leaves_no_state_between_calls(tmp_path, capsys):
     assert cli._build_parser() is parser
 
 
-def test_importing_the_cli_builds_no_parser():
+def _src_env() -> dict:
+    """The environment with this checkout's src/ first on PYTHONPATH."""
     src = pathlib.Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(src)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return env
+
+
+def test_importing_the_cli_builds_no_parser():
     done = subprocess.run(
         [sys.executable, "-c", "import gatedq.cli as c; "
          "print(c._build_parser.cache_info().currsize)"],
-        env=env, capture_output=True, text=True, timeout=60)
+        env=_src_env(), capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "0"
 
@@ -436,11 +441,8 @@ def test_zero_diagonal_exits_2_without_writing(tmp_path, capsys):
 ])
 def test_a_refused_report_writes_only_its_json_error_to_stderr(command,
                                                                 tmp_path):
-    src = pathlib.Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ)
+    env = _src_env()
     env.pop("PYTHONWARNINGS", None)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(src)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     done = subprocess.run(
         [sys.executable, "-m", "gatedq.cli"] + command.split()
         + ["--out", str(tmp_path)],
