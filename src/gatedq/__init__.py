@@ -60,7 +60,6 @@ from .giqueue import (
 from .simulator import (
     DriftReport,
     EmpiricalStats,
-    StageRecord,
     StageTrace,
     drift_check,
     empirical_stats,
@@ -76,7 +75,7 @@ __all__ = [
     "DriftReport", "EmpiricalStats", "FixedPointDensity", "GammaTable",
     "GiModel", "GiMomentSolution", "InsufficientDataError", "LightTraffic",
     "MgModel", "MgMomentSolution", "OutOfRegimeError", "ServiceDistribution",
-    "SingularSystemError", "StageRecord", "StageTrace", "TruncatedSystem",
+    "SingularSystemError", "StageTrace", "TruncatedSystem",
     "UnconvergedError", "converge", "dominance_report", "drift_check",
     "empirical_stats", "factorial_oracle", "fixed_point_density",
     "kernel_density", "light_traffic_ok", "mean_customers_per_stage",

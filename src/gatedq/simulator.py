@@ -16,15 +16,17 @@ Randomness comes from a counter-based generator (Philox) with independent
 substreams for arrivals and services, keyed by (seed, stream index), so
 traces are bit-identical for a given seed and replications with different
 seeds are independent without shared state.  Each law draws _CHUNK values
-at a time from its substream.  The stage loops read those draws by index
-from a list of Python floats, so they do scalar arithmetic without a numpy
-scalar per draw; a chunk is converted to Python floats a block at a time,
-only as far as the loops read it.  The rare refill of a list is the one
-slow path (_refill).  The loops store each stage in reusable lists of
-_BLOCK stages, which are copied into the trace's numpy columns when full,
-so a run never holds more than _BLOCK stages as Python objects.
+at a time, which _blocks hands out as lists of _BLOCK Python floats, each
+converted when the loops reach it.  A stream is one such block and a
+position in it, never grown: a stage reads its draws by index, and the rare
+stage that runs past its block folds its service maximum (_max_on) or its
+sum of gaps (_walk_on) on into the next blocks, in the order of the draws.
+A stage that needs more than _MAX_DRAWS draws of one stream, or a Poisson
+mean numpy refuses, raises OutOfRegimeError.  The loops store each stage in
+reusable lists of _BLOCK stages, copied into the trace's numpy columns when
+full, so a run never holds more than _BLOCK stages as Python objects.
 
-Stage lengths are recorded twice per record: m is the active phase (the
+Stage lengths are recorded twice per stage: m is the active phase (the
 service maximum) and y is the full span including any waiting phase.  The
 stationary density computed analytically describes the active phase, so
 empirical_stats defaults to column="active"; pass column="total" for the
@@ -40,7 +42,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .distributions import ArrivalDistribution, ServiceDistribution
-from .errors import InsufficientDataError
+from .errors import InsufficientDataError, OutOfRegimeError
 from .giqueue import GiModel
 
 _CHUNK = 1 << 16
@@ -48,31 +50,19 @@ _CHUNK = 1 << 16
 # chunk converts little more than that part; also the stages held in lists
 # between copies into a trace's columns.
 _BLOCK = 1 << 12
+# The most draws of one stream a single stage may take.
+_MAX_DRAWS = 1 << 24
 _N_BATCHES = 20
-
-
-@dataclass(frozen=True)
-class StageRecord:
-    """One stage: index, full length y, active length m, serve count k.
-
-    Invariants: k >= 1; y >= m, with y = m exactly when waiting_phase is
-    false (M/G model); waiting_phase is always False for GI traces, where
-    the stage by construction ends strictly after the active phase.
-    """
-
-    n: int
-    y: float
-    m: float
-    k: int
-    waiting_phase: bool
 
 
 @dataclass
 class StageTrace:
-    """Columnar trace of a simulation run.
+    """Columnar trace of a simulation run, one entry per stage.
 
-    The first burn_in records are kept (the trace is the full history) but
-    excluded by the statistics layer.
+    Invariants: k >= 1; y >= m, with y = m exactly where waiting is false
+    (M/G model); waiting is all false in GI traces, where a stage ends
+    strictly after its active phase.  The first burn_in stages are kept
+    but excluded by the statistics layer.
     """
 
     y: np.ndarray
@@ -86,14 +76,6 @@ class StageTrace:
 
     def __len__(self) -> int:
         return len(self.y)
-
-    def record(self, i: int) -> StageRecord:
-        return StageRecord(n=i, y=float(self.y[i]), m=float(self.m[i]),
-                           k=int(self.k[i]), waiting_phase=bool(self.waiting[i]))
-
-    def records(self) -> Iterator[StageRecord]:
-        for i in range(len(self.y)):
-            yield self.record(i)
 
 
 def _substream(seed: int, stream: int) -> np.random.Generator:
@@ -112,12 +94,55 @@ def _blocks(rng: np.random.Generator, law) -> Iterator[list]:
             yield chunk[lo:lo + _BLOCK].tolist()
 
 
-def _refill(blocks: Iterator[list], buf: list, pos: int, need: int) -> list:
-    """buf[pos:] followed by the next draws of blocks, at least need in all."""
-    buf = buf[pos:]
-    while len(buf) < need:
-        buf += next(blocks)
-    return buf
+def _too_many_draws(what: str) -> OutOfRegimeError:
+    return OutOfRegimeError(
+        f"a stage needs more than {_MAX_DRAWS} {what}, the most the "
+        f"simulator draws for one stage; the load is too heavy to simulate")
+
+
+def _max_on(blocks: Iterator[list], block: list, pos: int, k: int) -> tuple:
+    """The largest of the k draws from block[pos] on, which run past block,
+    with the block they end in and the position after them."""
+    if k > _MAX_DRAWS:
+        raise _too_many_draws("service times")
+    tops = block[pos:]
+    k -= len(tops)
+    while k > 0:
+        block = next(blocks)
+        tops.append(max(block[:k]))
+        k -= len(block)
+    return max(tops), block, k + len(block)
+
+
+def _walk_on(blocks: Iterator[list], s: float, taken: int,
+             m_t: float) -> tuple:
+    """Carry a walk of gaps that ran off its block, whose first taken gaps
+    sum to s, on until the sum passes m_t: the sum, the gaps taken, and the
+    block and position after them."""
+    while True:
+        if taken >= _MAX_DRAWS:
+            raise _too_many_draws("interarrival gaps")
+        gap = next(blocks)
+        s, j = (s, 0) if taken else (gap[0], 1)
+        try:
+            while s <= m_t:
+                s += gap[j]
+                j += 1
+        except IndexError:
+            taken += j
+            continue
+        if taken + j > _MAX_DRAWS:
+            raise _too_many_draws("interarrival gaps")
+        return s, taken + j, gap, j
+
+
+def _check_run(rate: float, what: str, n_stages: int, burn_in: int) -> None:
+    if not rate > 0:
+        raise ValueError(f"{what} rate must be positive, got {rate}")
+    if n_stages < 1:
+        raise ValueError(f"n_stages must be >= 1, got {n_stages}")
+    if burn_in < 0:
+        raise ValueError(f"burn_in must be >= 0, got {burn_in}")
 
 
 def _buffers(n: int) -> tuple:
@@ -145,12 +170,7 @@ def simulate_mg(lam: float, service: ServiceDistribution, n_stages: int,
     If a = 0 the stage is extended by an Exp(lam) wait and the next stage
     serves the single customer whose arrival ended it.  k_0 = 1.
     """
-    if lam <= 0:
-        raise ValueError(f"arrival rate must be positive, got {lam}")
-    if n_stages < 1:
-        raise ValueError(f"n_stages must be >= 1, got {n_stages}")
-    if burn_in < 0:
-        raise ValueError(f"burn_in must be >= 0, got {burn_in}")
+    _check_run(lam, "arrival", n_stages, burn_in)
     arr_rng = _substream(seed, 0)
     poisson, exponential = arr_rng.poisson, arr_rng.exponential
     services = _blocks(_substream(seed, 1), service)
@@ -164,12 +184,18 @@ def simulate_mg(lam: float, service: ServiceDistribution, n_stages: int,
         n = min(_BLOCK, n_stages - lo)
         for i in range(n):
             end = pos + k_cur
-            if end > n_svc:
-                svc = _refill(services, svc, pos, k_cur)
-                pos, end, n_svc = 0, k_cur, len(svc)
-            m_t = svc[pos] if k_cur == 1 else max(svc[pos:end])
-            pos = end
-            a = poisson(lam * m_t)
+            if end <= n_svc:
+                m_t = svc[pos] if k_cur == 1 else max(svc[pos:end])
+                pos = end
+            else:
+                m_t, svc, pos = _max_on(services, svc, pos, k_cur)
+                n_svc = len(svc)
+            try:
+                a = poisson(lam * m_t)
+            except ValueError as exc:
+                raise OutOfRegimeError(
+                    f"numpy cannot draw a stage's Poisson arrivals of mean "
+                    f"{lam * m_t!r}: {exc}") from exc
             m_seg[i] = m_t
             k_seg[i] = k_cur
             if a == 0:
@@ -195,12 +221,7 @@ def simulate_gi(arrivals: ArrivalDistribution, mu: float, n_stages: int,
     strictly after the active phase; the count for the next stage includes
     that closing arrival.  k_0 = 1.
     """
-    if mu <= 0:
-        raise ValueError(f"service rate must be positive, got {mu}")
-    if n_stages < 1:
-        raise ValueError(f"n_stages must be >= 1, got {n_stages}")
-    if burn_in < 0:
-        raise ValueError(f"burn_in must be >= 0, got {burn_in}")
+    _check_run(mu, "service", n_stages, burn_in)
     gaps = _blocks(_substream(seed, 0), arrivals)
     services = _blocks(_substream(seed, 1),
                        ServiceDistribution.exponential(mu))
@@ -208,36 +229,34 @@ def simulate_gi(arrivals: ArrivalDistribution, mu: float, n_stages: int,
     columns, segments = _buffers(n_stages)
     y_seg, m_seg, k_seg, _ = segments
     svc, pos, n_svc = [], 0, 0
-    gap, g = [], 0
+    gap, g, s = [], 0, 0.0
     k_cur = 1
     for lo in range(0, n_stages, _BLOCK):
         n = min(_BLOCK, n_stages - lo)
         for i in range(n):
             end = pos + k_cur
-            if end > n_svc:
-                svc = _refill(services, svc, pos, k_cur)
-                pos, end, n_svc = 0, k_cur, len(svc)
-            m_t = svc[pos] if k_cur == 1 else max(svc[pos:end])
-            pos = end
+            if end <= n_svc:
+                m_t = svc[pos] if k_cur == 1 else max(svc[pos:end])
+                pos = end
+            else:
+                m_t, svc, pos = _max_on(services, svc, pos, k_cur)
+                n_svc = len(svc)
             # Walk the gaps from g until the epoch passes m_t; a walk that
-            # runs off the list starts again from g once _refill has added
-            # gaps.
-            while True:
-                try:
-                    s = gap[g]
-                    j = g + 1
-                    while s <= m_t:
-                        s += gap[j]
-                        j += 1
-                    break
-                except IndexError:
-                    pass
-                gap = _refill(gaps, gap, g, len(gap) - g + 1)
-                g = 0
+            # runs off its block goes on in the next ones.
+            try:
+                s = gap[g]
+                j = g + 1
+                while s <= m_t:
+                    s += gap[j]
+                    j += 1
+                taken = j - g
+            except IndexError:
+                s, taken, gap, j = _walk_on(
+                    gaps, s, j - g if g < len(gap) else 0, m_t)
             y_seg[i] = s
             m_seg[i] = m_t
             k_seg[i] = k_cur
-            k_cur = j - g
+            k_cur = taken
             g = j
         _flush(lo, n, columns, segments)
     y, m, k, waiting = columns

@@ -438,6 +438,13 @@ def test_zero_diagonal_exits_2_without_writing(tmp_path, capsys):
     "dominance --system gi --rho 2.0 --override --order 2000",
     # ... and rows whose oracle terms divide inf by inf.
     "dominance --system gi --rho 40 --override --order 500",
+    # Loads too heavy to simulate: numpy refuses the Poisson mean of the
+    # first stage's arrivals; a stage of about 1e12 customers needs too many
+    # service times; a walk of 1e-300 gaps would need about 1e300 of them to
+    # pass one service time.
+    "simulate --model mg --lambda 1e30 --mu 1.0 --stages 2000",
+    "simulate --model mg --lambda 1e12 --mu 1.0 --stages 2000",
+    "simulate --model gi --deterministic 1e-300 --mu 1.0 --stages 2000",
 ])
 def test_a_refused_report_writes_only_its_json_error_to_stderr(command,
                                                                 tmp_path):

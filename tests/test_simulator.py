@@ -1,6 +1,7 @@
 """Discrete-event oracle: determinism, structure, and statistical checks."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,12 +10,12 @@ from hypothesis import strategies as st
 
 from gatedq import giqueue, mgqueue, simulator
 from gatedq.distributions import ArrivalDistribution, ServiceDistribution
-from gatedq.errors import InsufficientDataError
+from gatedq.errors import InsufficientDataError, OutOfRegimeError
 from gatedq.simulator import (
     _CHUNK,
     StageTrace,
     _blocks,
-    _refill,
+    _max_on,
     _substream,
     simulate_gi,
     simulate_mg,
@@ -72,16 +73,6 @@ def test_gi_structural_invariants():
     assert not tr.waiting.any()
 
 
-def test_records_round_trip():
-    tr = simulate_mg(LAM, SERVICE, 300, seed=3)
-    rec = tr.record(17)
-    assert rec.n == 17
-    assert rec.y == tr.y[17] and rec.k == tr.k[17]
-    assert sum(1 for _ in tr.records()) == 300
-    first = next(iter(tr.records()))
-    assert first.n == 0
-
-
 def test_burn_in_is_kept_in_the_trace():
     tr = simulate_mg(LAM, SERVICE, 1200, seed=5, burn_in=200)
     assert len(tr) == 1200
@@ -99,6 +90,10 @@ def test_input_validation():
         simulate_mg(LAM, SERVICE, 100, seed=1, burn_in=-1)
     with pytest.raises(ValueError):
         simulate_gi(GI_ARRIVALS, 0.0, 100, seed=1)
+    with pytest.raises(ValueError, match="rate must be positive, got nan"):
+        simulate_mg(math.nan, SERVICE, 100, seed=1)
+    with pytest.raises(ValueError, match="rate must be positive, got nan"):
+        simulate_gi(GI_ARRIVALS, math.nan, 100, seed=1)
 
 
 def test_mean_stage_length_matches_the_analytic_value():
@@ -199,24 +194,74 @@ class _Uniform:
         return rng.random(size)
 
 
-def test_draw_stream_crosses_chunk_boundaries(monkeypatch):
+@pytest.mark.parametrize("block", [3, 4096])
+def test_draw_stream_crosses_chunk_boundaries(block, monkeypatch):
+    """_blocks serves the sampler's draws in order, and _max_on folds the
+    largest of k draws that run past a block across chunks (8 draws) and
+    blocks (3 draws, or the whole chunk) from where the last read ended."""
     monkeypatch.setattr(simulator, "_CHUNK", 8)
+    monkeypatch.setattr(simulator, "_BLOCK", block)
+    flat = np.random.default_rng(123).random(64)
     blocks = _blocks(np.random.default_rng(123), _Uniform)
-    buf, parts = [], []
-    for n in (5, 5, 20):
-        buf = _refill(blocks, buf, 0, n)
-        parts.append(buf[:n])
-        buf = buf[n:]
-    got = np.concatenate(parts)
-    assert got.size == 30
+    drawn = []
+    while len(drawn) < len(flat):
+        drawn += next(blocks)
+    np.testing.assert_array_equal(drawn, flat)
+    assert np.all((flat >= 0.0) & (flat < 1.0))
     blocks = _blocks(np.random.default_rng(123), _Uniform)
-    singles, buf = [], []
-    for pos in range(30):
-        buf = _refill(blocks, buf, 0, pos + 1)
-        singles.append(buf[pos])
-    np.testing.assert_array_equal(got, singles)
-    np.testing.assert_array_equal(got, np.random.default_rng(123).random(30))
-    assert np.all((got >= 0.0) & (got < 1.0))
+    buf, pos, start = [], 0, 0
+    for k in (5, 5, 20, 1, 8, 3):
+        if pos + k <= len(buf):
+            pos += k
+        else:
+            top, buf, pos = _max_on(blocks, buf, pos, k)
+            assert top == flat[start:start + k].max()
+            assert buf[pos - 1] == flat[start + k - 1]
+        start += k
+    assert start == 42
+
+
+@pytest.mark.parametrize("run", [
+    lambda: simulate_mg(1e4, ServiceDistribution.exponential(1.0), 10,
+                        seed=61, burn_in=0),
+    lambda: simulate_gi(ArrivalDistribution.poisson(3000.0), 1.0, 10,
+                        seed=62, burn_in=0),
+], ids=["mg", "gi"])
+def test_memory_stays_bounded_when_stages_span_many_blocks(run):
+    """Stages of 10^4 to 10^5 customers take their draws from dozens of
+    blocks.  A stream is held one block at a time, so the peak of traced
+    memory stays under 3 MB however many draws a stage takes."""
+    tracemalloc.start()
+    try:
+        tr = run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert tr.k.max() > 8 * simulator._BLOCK
+    assert peak < 3 * 2 ** 20
+
+
+def test_a_stage_that_needs_too_many_draws_is_refused(monkeypatch):
+    monkeypatch.setattr(simulator, "_MAX_DRAWS", 1000)
+    with pytest.raises(OutOfRegimeError, match="service times"):
+        simulate_mg(1e4, ServiceDistribution.exponential(1.0), 40, seed=1,
+                    burn_in=0)
+    with pytest.raises(OutOfRegimeError, match="interarrival gaps"):
+        simulate_gi(ArrivalDistribution.poisson(3000.0), 1.0, 40, seed=1,
+                    burn_in=0)
+
+
+@pytest.mark.parametrize("run", [
+    lambda: simulate_mg(1e30, ServiceDistribution.exponential(1.0), 200,
+                        seed=1),
+    lambda: simulate_gi(ArrivalDistribution.deterministic(0.0), 1.0, 200,
+                        seed=1),
+], ids=["poisson-mean", "zero-gaps"])
+def test_impossible_loads_are_refused(run):
+    """numpy refuses a Poisson mean of about 1e30; gaps of length 0 never
+    pass a service time, so the walk stops at the draw limit."""
+    with pytest.raises(OutOfRegimeError):
+        run()
 
 
 # ------------------------------------------------- literal reference engine ----

@@ -9,9 +9,10 @@ fixed list of edge cases: an unconverged ladder, beta_i past double range,
 capped, pinned and short ladders, out-of-regime and unrepresentable models,
 a numerically singular truncation, a zero diagonal, both dominance systems,
 short simulate runs, simulate runs whose draws cross a chunk, heavy-load
-simulate runs whose stages take many draws, every compare figure and
-extreme GI rates.  Each command runs in its own empty directory
-OUTDIR/NN (the working directory, so the paths it prints are relative).
+simulate runs whose stages take many draws, loads too heavy to simulate,
+every compare figure and extreme GI rates.  Each command runs in its own
+empty directory OUTDIR/NN (the working directory, so the paths it prints
+are relative).
 OUTDIR/manifest.json holds, per command, its exit code, stdout, stderr and
 the sha256 of each file it wrote.  An exception that escapes cli.main is
 recorded as exit 1 with its last traceback line, which names no path.
@@ -97,6 +98,15 @@ EDGES = [
     # Heavy loads: stages take many draws and lists refill mid-stage.
     "gatedq simulate --model mg --lambda 8.0 --mu 1.0 --stages 20000",
     "gatedq simulate --model gi --rho 3.0 --stages 30000",
+    # Heavier loads whose stages span dozens of 4 096-draw blocks.
+    "gatedq simulate --model mg --lambda 1e4 --mu 1.0 --stages 300 "
+    "--burn-in 100",
+    "gatedq simulate --model gi --rho 3000 --stages 200 --burn-in 100",
+    # Loads too heavy to simulate: a Poisson mean numpy refuses, and stages
+    # that need more service times or gaps than the simulator draws.
+    "gatedq simulate --model mg --lambda 1e30 --mu 1.0 --stages 2000",
+    "gatedq simulate --model mg --lambda 1e12 --mu 1.0 --stages 2000",
+    "gatedq simulate --model gi --deterministic 1e-300 --mu 1.0 --stages 2000",
     # Extreme GI rates: a Poisson rate or a deterministic spacing whose
     # square leaves double range, and a bhat(mu) that rounds to 1.
     "gatedq analyze-gi --rho 1e-200",
