@@ -205,10 +205,10 @@ class ArrivalDistribution:
     b0 = E[tau^2] / (E[tau])^2, its Laplace transform s -> E[exp(-s tau)]
     and its sampler (rng, size) -> ndarray.
 
-    lam is set for Poisson arrivals only, and the closed forms downstream
-    are picked by it.  poisson(), deterministic() and from_callables() fill
-    in the same fields; the named laws carry b0 exactly (2 and 1), so no
-    rate or spacing is squared.
+    lam is set for Poisson arrivals only and spacing for deterministic ones
+    only, and the closed forms downstream are picked by them.  poisson(),
+    deterministic() and from_callables() fill in the same fields; the named
+    laws carry b0 exactly (2 and 1), so no rate or spacing is squared.
     """
 
     mean: float
@@ -216,6 +216,7 @@ class ArrivalDistribution:
     _laplace: Callable
     _sampler: Callable
     lam: Optional[float] = None
+    spacing: Optional[float] = None
     name: str = ""
 
     @classmethod
@@ -231,7 +232,7 @@ class ArrivalDistribution:
         # c = 0 is representable so that validate() can flag it.
         return cls(c, 1.0, lambda s: math.exp(-s * c),
                    lambda rng, size: np.full(size, float(c)),
-                   name=f"deterministic(c={c})")
+                   spacing=c, name=f"deterministic(c={c})")
 
     @classmethod
     def from_callables(cls, sampler, laplace, mean, second_moment,

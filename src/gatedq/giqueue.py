@@ -36,8 +36,16 @@ for row 1 and rho^{i/2-1} (zeta(i) + rho zeta(i+1) - (1 + rho/i) i^{-i}) for
 row i >= 2, so the dominance report's sigma_i is exact for this system.  The
 plain rows stay dominant up to rho about 0.3404 (row 2 binds); beyond that
 the truncations still converge in practice and the report says honestly
-that dominance failed.  Any other arrival law has its rows probed, and its
-sigma_i is a lower estimate.
+that dominance failed.
+
+Deterministic arrivals with spacing c have bhat_k = q^k, q = exp(-mu c), so
+the entries of each row fall geometrically, and in light traffic (q < 1/2)
+a finite head of columns plus a geometric bound on the rest gives every
+off-diagonal row sum exactly to rounding: sigma_i is exact there too.  Those
+rows have finite column sums, but i |a_ii| -> 1, so their inverse diagonals
+are not summable and the report is never satisfied.  An arrival law given
+by callables, and a deterministic load past light traffic assembled by
+override, has its rows probed, and its sigma_i is a lower estimate.
 
 From a solved x-vector the stationary pmf and pgf come out as alternating
 combinations of geometric laws:
@@ -241,7 +249,8 @@ def _poisson_oracle(model: GiModel) -> linsys.CoefficientOracle:
         with np.errstate(over="ignore"):
             rows = rho ** (i / 2.0 - 1.0) * (
                 zeta + rho * zeta_next - (1.0 + rho / i) * (1.0 * i) ** -i)
-        return np.where(i == 1, rho * (_zeta(2) - 1.0), rows), rho < 1.0
+        return (np.where(i == 1, rho * (_zeta(2) - 1.0), rows),
+                rho < 1.0, rho < 1.0)
 
     def analytic_region() -> bool:
         if not rho < 6.0 / math.pi ** 2:
@@ -268,24 +277,30 @@ def _power(base, exponent) -> np.ndarray:
     return np.power(base, exponent, out=np.zeros(skip.shape), where=~skip)
 
 
+def _raw_a(bj, i) -> np.ndarray:
+    """a_ij = bj^(i-1) / (1 - bj)^i, inf once the denominator underflows;
+    the caller silences numpy's floating-point warnings."""
+    den = (1.0 - bj) ** i
+    return np.where(den == 0.0, np.inf, _power(bj, i - 1) / den)
+
+
 def _general_oracle(model: GiModel) -> linsys.CoefficientOracle:
     """Factorial-moment system for a general interarrival transform.
 
     Unknowns are w_k = k x_k.  Row 1 is the structural identity written with
     the m = 1 equation folded in; rows m >= 2 keep the raw a_mk coefficients.
-    It has no exact row sums, so dominance probes of this oracle are lower
-    estimates.
+    Deterministic arrivals in light traffic get exact row sums (see
+    _spacing_row_sums); for any other law, and for a deterministic load
+    with bhat_1 >= 1/2, dominance probes of this oracle are lower estimates.
     """
 
     def a(i, j):
         i, j = np.asarray(i), np.asarray(j)
         bj = np.array(model.bhats(j.max(initial=0)))[j]
-        # a_ij = bj^(i-1) / (1 - bj)^i is inf once the denominator underflows.
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             row1 = np.where(j == 1, -(1.0 - 2.0 * bj) / (1.0 - bj),
                             (-1.0) ** (j - 1) * bj / (j * (1.0 - bj)))
-            den = (1.0 - bj) ** i
-            a_ij = np.where(den == 0.0, np.inf, _power(bj, i - 1) / den)
+            a_ij = _raw_a(bj, i)
             return np.where(i == 1, row1, np.where(
                 j == i, ((-1.0) ** (i - 1) * a_ij - 1.0) / i,
                 (-1.0) ** (j - 1) * a_ij / j))
@@ -293,7 +308,65 @@ def _general_oracle(model: GiModel) -> linsys.CoefficientOracle:
     def b(i):
         return np.where(np.asarray(i) == 1, -1.0, 0.0)
 
-    return linsys.CoefficientOracle(a=a, b=b, name="gi-general")
+    exact = None
+    if model.arrivals.spacing is not None and model.bhat(1) < 0.5:
+        exact = functools.partial(_spacing_row_sums, model)
+    return linsys.CoefficientOracle(a=a, b=b, exact_row_sums=exact,
+                                    name="gi-general")
+
+
+def _spacing_row_sums(model: GiModel, i) -> tuple:
+    """Exact off-diagonal row sums of the general rows for deterministic
+    arrivals with q = bhat_1 < 1/2, in the linsys contract.
+
+    Here bhat_j = q^j, so |a_ij| = bhat_j^(i-1) / (j (1 - bhat_j)^i) falls
+    from column j to j + 1 by a factor below r = q^max(i-1, 1), and the
+    columns past J sum to less than |a_iJ| r / (1 - r).  The entries come
+    from the model's own bhat_j with the arithmetic of a(i, j).  A row's
+    head of columns j != i ends at the first J where that bound is at most
+    a quarter ulp of the head, or later if adding the bound would still
+    move the head's math.fsum: the sum is the correctly rounded sum of
+    every column's entry.  A row with an entry that leaves double range
+    (a(i, 1) is inf once (1 - q)^i underflows, from row 1075 at the
+    earliest) has no computable sum, stated as NaN, which the report
+    refuses.
+
+    The column sums are finite, since bhat_j <= q < 1/2, but
+    i |a_ii| -> 1, so the 1/|a_ii| are never summable.
+    """
+    i = np.asarray(i)[:, None]
+    q = model.bhat(1)
+    r = q ** np.maximum(i - 1, 1)
+    # Enough columns for rows 1 and 2, whose entries fall slowest: q^n
+    # below 2^-56 (q = 0 takes two columns and no log).
+    n = 2 + (math.ceil(-56.0 / math.log2(q)) if q > 0.0 else 0)
+    while True:
+        j = np.arange(1, n + 1)
+        bj = np.array(model.bhats(n))[j]
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            terms = np.where(i == 1, bj / (j * (1.0 - bj)), _raw_a(bj, i) / j)
+            bound = terms * (r / (1.0 - r))
+            terms[i == j] = 0.0
+            heads = np.cumsum(terms, axis=1)
+            early = (bound <= np.spacing(heads) / 4.0) | ~np.isfinite(heads)
+        if early.any(axis=1).all():
+            sums = list(map(_settled_sum, terms.tolist(), bound.tolist(),
+                            early.argmax(axis=1).tolist()))
+            if None not in sums:
+                sums = np.array(sums)
+                return np.where(np.isfinite(sums), sums, np.nan), False, True
+        n *= 2
+
+
+def _settled_sum(terms: list, bound: list, start: int) -> Optional[float]:
+    """math.fsum of the shortest head terms[:k] with k > start that adding
+    bound[k-1] leaves unchanged; None when no head in terms qualifies."""
+    for k in range(start + 1, len(terms) + 1):
+        head = math.fsum(terms[:k])
+        if not math.isfinite(head) or math.fsum(
+                terms[:k] + bound[k - 1:k]) == head:
+            return head
+    return None
 
 
 def factorial_oracle(model: GiModel, override: bool = False) -> linsys.CoefficientOracle:
@@ -303,7 +376,8 @@ def factorial_oracle(model: GiModel, override: bool = False) -> linsys.Coefficie
     caller overrides.  Poisson arrivals (a law that carries a rate lam) get
     the rho^{-i/2}-scaled rows with exact off-diagonal row sums and the
     closed-form sufficient region; any other arrival law gets the raw
-    assembly with probed dominance only.
+    assembly, with exact row sums for deterministic arrivals (a law that
+    carries a spacing) in light traffic and probed dominance otherwise.
     """
     lt = light_traffic_ok(model)
     if not lt.ok and not override:

@@ -29,10 +29,10 @@ the first row that raises and say so in a note.
 
 A finite machine can only probe the infinite conditions, so a report is
 one of two kinds.  An oracle that states its row sums (+inf where one
-diverges) and side conditions in closed form gets an exact report, which
-reads only the diagonal.  Any other oracle is probed, and its sigma_i is a
-lower estimate, as the report says.  Either kind can also carry the
-oracle's closed-form sufficient condition for dominance.
+diverges), exact at least to rounding, and its side conditions gets an
+exact report, which reads only the diagonal.  Any other oracle is probed,
+and its sigma_i is a lower estimate, as the report says.  Either kind can
+also carry the oracle's closed-form sufficient condition for dominance.
 """
 
 from __future__ import annotations
@@ -70,9 +70,10 @@ class CoefficientOracle:
     analytic_region, when present, reports whether the model parameters lie
     in a closed-form region where strict dominance is proven for every row,
     not just the probed ones.  exact_row_sums(i), when present, takes a 1-D
-    array of rows and returns (sums, side): the exact sum_{j != i} |a(i,j)|
-    over every column j of each row (+inf where it diverges), and whether
-    the infinite system's 1/|a_ii| are summable and its column sums finite.
+    array of rows and returns (sums, diag_summable, cols_finite): the exact
+    sum_{j != i} |a(i,j)| over every column j of each row (+inf where it
+    diverges), exact at least to rounding, and whether the infinite
+    system's 1/|a_ii| are summable and whether its column sums are finite.
     """
 
     a: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -122,8 +123,8 @@ class DominanceReport:
     order: int
     sigma: np.ndarray
     worst_row: int
-    diag_sums_summable: bool      # partial sums of 1/|a_ii| look Cauchy
-    col_sums_finite: bool         # finite column sums (probed to the cutoff)
+    diag_sums_summable: bool      # sum of 1/|a_ii| finite (exact or probed)
+    col_sums_finite: bool         # every column sum finite (exact or probed)
     satisfied: bool
     tail_is_analytic: bool
     analytic_region_ok: Optional[bool]
@@ -399,19 +400,19 @@ def _exact_rows(oracle: CoefficientOracle, order: int, notes: list) -> tuple:
     """(sigma, row sums, diag_ok, col_ok) from the oracle's exact row sums
     and the diagonal of rows 1..order, the one block it reads.
 
-    The side conditions are the oracle's closed form, and the column sums
-    are not finite where one of those diagonal entries is not."""
+    The side conditions are the oracle's own, and the column sums are not
+    finite where one of those diagonal entries is not."""
     rows = np.arange(1, order + 1)
     diag = np.abs(_block(oracle.a, rows, rows))
     _refuse_zero_diagonal(oracle, diag)
-    sums, side = oracle.exact_row_sums(rows)
+    sums, diag_ok, cols_ok = oracle.exact_row_sums(rows)
     unbounded = np.isposinf(sums)
     sigma = np.where(unbounded, math.inf, _sigma(
         oracle, np.where(unbounded, 0.0, sums), diag))
     if unbounded.any():
         notes.append(f"{np.count_nonzero(unbounded)} of {order} rows have "
                      "unbounded off-diagonal sums: their sigma is infinite")
-    return sigma, sums, side, side and bool(np.isfinite(diag).all())
+    return sigma, sums, diag_ok, cols_ok and bool(np.isfinite(diag).all())
 
 
 def _probed_rows(oracle: CoefficientOracle, order: int, notes: list) -> tuple:
@@ -454,9 +455,9 @@ def dominance_report(oracle: CoefficientOracle, order: int) -> DominanceReport:
     An oracle with exact row sums gives sigma_i exactly: the report reads
     only the diagonal of rows 1..order and no cutoff (its tail_cutoff is
     None), and takes summability of 1/|a_ii| and finite column sums from
-    the oracle's closed form, the column sums failing also where one of
-    those diagonal entries is not finite.  A row sum stated as +inf gives
-    an unbounded sigma_i, and the report cannot be satisfied.
+    the oracle, the column sums failing also where one of those diagonal
+    entries is not finite.  A row sum stated as +inf gives an unbounded
+    sigma_i, and the report cannot be satisfied.
 
     Any other oracle is probed.  Row sums run to the first 4*order columns
     (tail_cutoff), so sigma_i is a lower estimate and a note says so.  The

@@ -195,7 +195,8 @@ def _transformed_oracle(model: MgModel) -> linsys.CoefficientOracle:
         i = np.asarray(i)
         zeta = np.array([_zeta(k) for k in np.maximum(i, 2).tolist()])
         rows = rho ** (i / 2.0) * (zeta - (1.0 * i) ** -i)
-        return np.where(i == 1, rho * _digamma_shift(rho), rows), rho < 1.0
+        return (np.where(i == 1, rho * _digamma_shift(rho), rows),
+                rho < 1.0, rho < 1.0)
 
     def analytic_region() -> bool:
         row1 = rho * rho * (math.pi ** 2 / 6.0 - 1.0) < (1.0 + rho - rho * rho) / (1.0 + rho)
@@ -263,7 +264,7 @@ def _general_oracle(model: MgModel, table: GammaTable) -> linsys.CoefficientOrac
         return 1.0
 
     def exact_row_sums(i):
-        return np.full(np.shape(i), math.inf), False
+        return np.full(np.shape(i), math.inf), False, False
 
     return linsys.CoefficientOracle(a=a, b=b, exact_row_sums=exact_row_sums,
                                     name=f"mg-general(lam={lam})")

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gatedq import cli, giqueue, mgqueue, simulator
+from gatedq import cli, giqueue, linsys, mgqueue, simulator
 from gatedq.cli import main, write_csv
 from gatedq.distributions import ArrivalDistribution, ServiceDistribution
 
@@ -221,6 +221,35 @@ def test_dominance_prints_one_line_with_the_worst_row(tmp_path, capsys):
         os.path.join(out, "dominance.json"),
         f"satisfied=False marginal=False max_sigma={data['max_sigma']!r} "
         f"worst_row={data['worst_row']}"]
+
+
+def test_light_traffic_deterministic_reports_read_no_probe(monkeypatch,
+                                                           tmp_path):
+    def refuse(*args):
+        raise AssertionError("a light-traffic deterministic report probed")
+
+    monkeypatch.setattr(linsys, "_probed_rows", refuse)
+    for spacing, mu in (("2.0", "1.0"), ("1.3888", "1.2"), ("0.7", "1.0")):
+        law = ["--deterministic", spacing, "--mu", mu, "--out", str(tmp_path)]
+        assert main(["analyze-gi", *law]) == 0
+        assert main(["dominance", "--system", "gi", *law]) == 0
+        data = read_json(os.path.join(tmp_path, "dominance.json"))
+        assert data["tail_is_analytic"] is True and data["heuristic"] is True
+        assert data["col_sums_finite"] is True
+        assert data["diag_sums_summable"] is False
+
+
+def test_a_deterministic_report_with_bhat_zero_has_zero_sigma(tmp_path,
+                                                             capsys):
+    # Spacing 1e300 rounds every bhat_k = exp(-k mu c) to 0, so each
+    # off-diagonal row sum is exactly 0; no warning may escape on the way.
+    out = str(tmp_path)
+    assert main(["dominance", "--system", "gi", "--deterministic", "1e300",
+                 "--mu", "1.0", "--out", out]) == 0
+    assert capsys.readouterr().err == ""
+    data = read_json(os.path.join(out, "dominance.json"))
+    assert data["sigma"] == [0.0] * 25 and data["max_offdiag_row_sum"] == 0.0
+    assert data["tail_is_analytic"] is True
 
 
 @pytest.mark.parametrize("argv,kept", [
@@ -522,6 +551,9 @@ def test_dominance_reports_rows_past_double_range(tmp_path):
     # Rows 31-36 have an infinite off-diagonal sum over a finite diagonal;
     # this report used to carry Infinity and NaN.
     ("1e-10", "100", 31),
+    # A light-traffic load whose exact row sums leave double range: from
+    # row 1086 on (1 - bhat_1)^i underflows and a(i, 1) is inf.
+    ("0.7", "1100", 1086),
 ])
 def test_dominance_with_an_infinite_sigma_exits_2(spacing, order, row,
                                                   tmp_path, capsys):

@@ -160,8 +160,21 @@ def test_general_system_entry_for_deterministic_arrivals():
     m = giqueue.GiModel(ArrivalDistribution.deterministic(1.0), 1.0)
     oracle = giqueue.factorial_oracle(m)
     assert oracle.a(1, 1) == pytest.approx(-0.41802329313067366, rel=1e-13)
-    # A generic transform has no exact row sums, so its rows are probed.
-    assert oracle.exact_row_sums is None
+    # Deterministic spacing in light traffic has exact row sums, with
+    # finite column sums but inverse diagonals that are not summable.
+    sums, diag_summable, cols_finite = oracle.exact_row_sums(np.arange(1, 5))
+    assert sums.shape == (4,) and np.all(sums > 0.0)
+    assert diag_summable is False and cols_finite is True
+    # The same law given by callables, and a spacing past light traffic
+    # forced through override, have their rows probed.
+    law = ArrivalDistribution.deterministic(1.0)
+    as_callables = ArrivalDistribution.from_callables(
+        law.sample, law.laplace, 1.0, 1.0)
+    for model, override in ((giqueue.GiModel(as_callables, 1.0), False),
+                            (giqueue.GiModel(ArrivalDistribution.deterministic(
+                                0.5), 1.0), True)):
+        oracle = giqueue.factorial_oracle(model, override=override)
+        assert oracle.name == "gi-general" and oracle.exact_row_sums is None
 
 
 def test_light_traffic_boundary_cases():
@@ -224,7 +237,9 @@ def test_deterministic_arrivals_frozen_solution():
     assert sol.converged
     assert sol.x[1] == pytest.approx(1.9196112256133855, rel=1e-12)
     assert abs(giqueue.pmf_total_mass(sol, m) - 1.0) < 1e-9
-    assert not sol.dominance.tail_is_analytic
+    # The report is exact, and not satisfied: the inverse diagonals of the
+    # general rows are not summable.
+    assert sol.dominance.tail_is_analytic and sol.heuristic
 
 
 @pytest.mark.parametrize("rho", [0.1, 0.2, 0.3])

@@ -164,7 +164,8 @@ def test_a_report_is_either_exact_or_a_probed_lower_estimate(exact):
     oracle = CoefficientOracle(
         a=lambda i, j: np.where(i == j, 2.0 ** i, 0.0), b=lambda i: 0.0,
         analytic_region=lambda: False,
-        exact_row_sums=(lambda i: (np.zeros(len(i)), True)) if exact else None)
+        exact_row_sums=(lambda i: (np.zeros(len(i)), True, True)) if exact
+        else None)
     rep = dominance_report(oracle, order=4)
     assert rep.satisfied and rep.marginal
     assert rep.tail_is_analytic is exact and rep.certifies is exact
@@ -547,13 +548,19 @@ def test_a_solution_that_cannot_certify_is_heuristic_after_one_report(
         return report(oracle, order)
 
     monkeypatch.setattr(linsys, "dominance_report", counted)
-    # The general M/G rows are stated unbounded, the general GI rows probed.
-    sols = [mg_solve(0.3, assembly="general"), giqueue.solve_factorial_moments(
-        giqueue.GiModel(ArrivalDistribution.deterministic(2.0), 1.0),
-        order=8)]
+    # The general M/G rows are stated unbounded; the general GI rows of
+    # deterministic arrivals are exact but their inverse diagonals are not
+    # summable, and those of the same law given by callables are probed.
+    law = ArrivalDistribution.deterministic(2.0)
+    as_callables = ArrivalDistribution.from_callables(
+        law.sample, law.laplace, 2.0, 4.0)
+    sols = [mg_solve(0.3, assembly="general")] + [
+        giqueue.solve_factorial_moments(giqueue.GiModel(arrivals, 1.0),
+                                        order=8)
+        for arrivals in (law, as_callables)]
     for _ in range(2):  # the second read takes the cached report
-        assert [s.heuristic for s in sols] == [True, True]
-    assert probes == [True, False]
+        assert [s.heuristic for s in sols] == [True, True, True]
+    assert probes == [True, True, False]
 
 
 def test_a_ladder_solution_takes_its_fields_by_keyword_only():

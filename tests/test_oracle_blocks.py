@@ -237,10 +237,10 @@ def reference_dominance_dict(oracle, order):
     report = dominance_report(oracle, order=order).to_dict()
     rows = np.arange(1, order + 1)
     if oracle.exact_row_sums is not None:
-        sums, side = oracle.exact_row_sums(rows)
+        sums, diag_ok, cols_ok = oracle.exact_row_sums(rows)
         diag = np.abs(linsys._block(oracle.a, rows, rows))
-        report.update(tail_cutoff=None, diag_sums_summable=side,
-                      col_sums_finite=side and bool(np.isfinite(diag).all()))
+        report.update(tail_cutoff=None, diag_sums_summable=diag_ok,
+                      col_sums_finite=cols_ok and bool(np.isfinite(diag).all()))
     else:
         report.update(tail_cutoff=4 * order)
         cols = np.arange(1, 4 * order + 1)
@@ -267,6 +267,8 @@ def reference_dominance_dict(oracle, order):
     (lambda: giqueue.factorial_oracle(gi_poisson_model(0.45)), 25),
     (lambda: giqueue.factorial_oracle(gi_deterministic_model(0.4)), 64),
     (lambda: giqueue._general_oracle(gi_erlang2_model(0.3)), 50),
+    (lambda: dataclasses.replace(giqueue.factorial_oracle(
+        gi_deterministic_model(0.4)), exact_row_sums=None), 64),
 ])
 def test_dominance_report_sums_rows_bit_for_bit(make_oracle, order):
     oracle = make_oracle()
@@ -279,8 +281,12 @@ def test_dominance_report_sums_rows_bit_for_bit(make_oracle, order):
 EXACT = {
     "mg-transformed": lambda rho: mgqueue.moment_oracle(mg_model(rho)),
     "gi-poisson": lambda rho: giqueue.factorial_oracle(gi_poisson_model(rho)),
+    # q = exp(-1/rho) runs from 0 (rho = 1e-3) to 0.349.
+    "gi-deterministic": lambda rho: giqueue.factorial_oracle(
+        gi_deterministic_model(rho)),
 }
 EXACT_RHO = (1e-3, 0.05, 0.25, 0.5, 0.75, 0.95)
+ZETA_FORMS = ("gi-poisson", "mg-transformed")
 
 
 def scipy_row_sums(kind, rho, rows):
@@ -295,15 +301,80 @@ def scipy_row_sums(kind, rho, rows):
                                               - (1.0 + rho / i) * i ** -i))
 
 
-@pytest.mark.parametrize("kind", sorted(EXACT))
+@pytest.mark.parametrize("kind", ZETA_FORMS)
 def test_exact_row_sums_match_scipy_zeta_and_psi(kind):
     rows = np.arange(1, 65)
     for rho in EXACT_RHO:
-        sums, side = EXACT[kind](rho).exact_row_sums(rows)
-        assert side is True
+        sums, diag_summable, cols_finite = EXACT[kind](rho).exact_row_sums(rows)
+        assert diag_summable is True and cols_finite is True
         np.testing.assert_allclose(sums, scipy_row_sums(kind, rho, rows),
                                    rtol=1e-13, atol=0.0,
                                    err_msg=f"{kind} at rho={rho}")
+
+
+def mpmath_row_sums(bhat, rows):
+    """sum_{j != i} bhat_j^(i-1) / (j (1 - bhat_j)^i), and
+    sum_{j >= 2} bhat_j / (j (1 - bhat_j)) for row 1, at 40 digits on the
+    given doubles bhat_j, rounded to doubles.  The terms fall with j, so a
+    row stops once a term drops below 1e-36 of its sum."""
+    import mpmath
+
+    sums = []
+    with mpmath.workdps(40):
+        b = [mpmath.mpf(x) for x in bhat]
+        for i in rows.tolist():
+            total = mpmath.mpf(0)
+            for j in range(1, len(b)):
+                if j == i:
+                    continue
+                term = (b[j] / (j * (1 - b[j])) if i == 1
+                        else b[j] ** (i - 1) / (j * (1 - b[j]) ** i))
+                total += term
+                if term < total * mpmath.mpf("1e-36"):
+                    break
+            sums.append(float(total))
+    return np.array(sums)
+
+
+@pytest.mark.parametrize("q", [1e-9, 1e-4, 0.01, 0.1, 0.25, 0.4, 0.4966,
+                               0.4998])
+def test_deterministic_row_sums_match_an_mpmath_reference(q):
+    """Exact row sums of deterministic spacing -log(q) at mu = 1, against
+    the same sums at 40 digits on the model's own doubles bhat_j.
+
+    Each entry carries at most (i/2 + 3) eps of relative rounding (1 - bhat_j
+    and its i-th power, a pow, two divisions), and the sum one more rounding,
+    so rows 1..64 must agree to (i + 8) eps relative; a sum in the subnormal
+    range (rows from 36 at q = 1e-9) gets 16 units of 2^-1074 besides."""
+    model = giqueue.GiModel(ArrivalDistribution.deterministic(-math.log(q)),
+                            1.0)
+    rows = np.arange(1, 65)
+    sums, diag_summable, cols_finite = giqueue.factorial_oracle(
+        model).exact_row_sums(rows)
+    assert diag_summable is False and cols_finite is True
+    want = mpmath_row_sums(model.bhats(200), rows)
+    tol = (rows + 8) * np.finfo(float).eps * want + 16 * 2.0 ** -1074
+    assert np.all(np.abs(sums - want) <= tol), np.abs(sums - want) / tol
+
+
+@settings(max_examples=25, deadline=None)
+@given(rho=st.floats(min_value=0.05, max_value=0.65),
+       mu=st.floats(min_value=0.5, max_value=2.0))
+def test_exact_deterministic_reports_keep_the_probe_bits(rho, mu):
+    """The benchmark's deterministic loads (q = exp(-1/rho) <= 0.22) at
+    order 50: the probe's 200 columns reach far past every entry that can
+    move a correctly rounded sum, so both reports read the same bits."""
+    oracle = giqueue.factorial_oracle(giqueue.GiModel(
+        ArrivalDistribution.deterministic(1.0 / (rho * mu)), mu))
+    exact = dominance_report(oracle, order=50)
+    probe = dominance_report(dataclasses.replace(oracle, exact_row_sums=None),
+                             order=50)
+    assert exact.tail_is_analytic and not probe.tail_is_analytic
+    np.testing.assert_array_equal(exact.sigma, probe.sigma)
+    for key in ("worst_row", "max_sigma", "max_offdiag_row_sum",
+                "diag_sums_summable", "col_sums_finite", "satisfied",
+                "certifies"):
+        assert getattr(exact, key) == getattr(probe, key), key
 
 
 def analytic_row_tail(kind, rho, rows, cutoff):
@@ -314,8 +385,18 @@ def analytic_row_tail(kind, rho, rows, cutoff):
     GI: rho sum_{j>J} 1/j^2 < rho/J for row 1 and
     rho^{i/2-1} sum_{j>J} (1 + rho/j) j^{-i}
     < (1 + rho/(J+1)) rho^{i/2-1} J^{1-i}/(i-1) for rows i >= 2.
+    Deterministic GI, q = exp(-1/rho): the entries t_j = q^(j(i-1)) /
+    (j (1 - q^j)^i) (q^j / (j (1 - q^j)) in row 1) fall by a factor below
+    r = q^max(i-1, 1) per column, so sum_{j>J} t_j < t_J r / (1 - r).
     """
     i = rows.astype(float)
+    if kind == "gi-deterministic":
+        q = math.exp(-1.0 / rho)
+        qj = q ** cutoff
+        r = q ** np.maximum(i - 1.0, 1.0)
+        last = np.where(rows == 1, qj / (1.0 - qj),
+                        qj ** (i - 1.0) / (1.0 - qj) ** i) / cutoff
+        return last * r / (1.0 - r)
     with np.errstate(divide="ignore"):  # row 1 takes the other branch
         if kind == "mg-transformed":
             return np.where(rows == 1, rho * rho / cutoff,
@@ -365,7 +446,7 @@ def test_an_exact_sigma_that_is_not_finite_is_refused():
     def oracle(diag, bad):
         return linsys.CoefficientOracle(
             a=lambda i, j: np.where(i == j, diag, 0.0), b=lambda i: 1.0,
-            exact_row_sums=lambda i: (np.where(i == 3, bad, 0.5), True),
+            exact_row_sums=lambda i: (np.where(i == 3, bad, 0.5), True, True),
             name="bad-row")
 
     with pytest.raises(linsys.AssemblyError,

@@ -68,6 +68,8 @@ EDGES = [
     "--assembly general",
     "gatedq dominance --system gi --rho 0.45 --order 12",
     "gatedq dominance --system gi --deterministic 1.0 --mu 1.0 --order 12",
+    # Exact deterministic rows with the longest head: bhat_1 = 0.4966.
+    "gatedq dominance --system gi --deterministic 0.7 --mu 1.0 --order 12",
     # Poisson rows that leave double range on purpose from row 309.
     "gatedq dominance --system gi --rho 0.01 --order 400",
     # Both closed-form systems just below where their plain rows stop being
