@@ -40,8 +40,9 @@ that dominance failed.
 
 Deterministic arrivals with spacing c have bhat_k = q^k, q = exp(-mu c), so
 the entries of each row fall geometrically, and in light traffic (q < 1/2)
-a finite head of columns plus a geometric bound on the rest gives every
-off-diagonal row sum exactly to rounding: sigma_i is exact there too.  Those
+a row's math.fsum over a finite head of columns that adding a geometric
+bound on the rest leaves unchanged is its sum over every column, correctly
+rounded: sigma_i is exact there too, and finite however deep the row.  Those
 rows have finite column sums, but i |a_ii| -> 1, so their inverse diagonals
 are not summable and the report is never satisfied.  An arrival law given
 by callables, and a deterministic load past light traffic assembled by
@@ -78,6 +79,7 @@ _ZETA_HEAD = 10
 # A power whose log2 lies below this rounds to 0.0 whatever the error of
 # the estimate: the smallest subnormal is 2^-1074.
 _UNDERFLOW_LOG2 = -1100.0
+_TINY = float(np.finfo(float).tiny)
 
 
 @dataclass(frozen=True)
@@ -278,10 +280,28 @@ def _power(base, exponent) -> np.ndarray:
 
 
 def _raw_a(bj, i) -> np.ndarray:
-    """a_ij = bj^(i-1) / (1 - bj)^i, inf once the denominator underflows;
-    the caller silences numpy's floating-point warnings."""
-    den = (1.0 - bj) ** i
-    return np.where(den == 0.0, np.inf, _power(bj, i - 1) / den)
+    """a_ij = bj^(i-1) / (1 - bj)^i; the caller silences numpy's warnings.
+
+    A power below the normal range is a multiple of 2^-1074, so the quotient
+    gains an absolute error up to 2^-1075 / (1 - bj)^i, below eps^2 while
+    (1 - bj)^i >= tiny / eps = 2^-970.  Past that, such entries take the
+    ratio form (bj / (1 - bj))^(i-1) / (1 - bj), finite for bj < 1/2; in
+    light traffic (1 - bj)^i > 2^-i, so rows up to 970 keep their bits.
+    """
+    num, den = _power(bj, i - 1), (1.0 - bj) ** i
+    a = np.asarray(num / den)
+    deep = (np.minimum(num, den) < _TINY) & (den < _TINY / _EPS)
+    if deep.any():
+        bj, i = (np.broadcast_to(x, a.shape)[deep] for x in (bj, i))
+        a[deep] = _power(bj / (1.0 - bj), i - 1) / (1.0 - bj)
+    return a
+
+
+def _magnitudes(bj, i, j) -> tuple:
+    """(a_ij of _raw_a, m_ij): m_ij = |entry| of the general rows off the
+    diagonal, bj / (j (1 - bj)) in row 1 and a_ij / j below."""
+    a_ij = _raw_a(bj, i)
+    return a_ij, np.where(i == 1, bj / (j * (1.0 - bj)), a_ij / j)
 
 
 def _general_oracle(model: GiModel) -> linsys.CoefficientOracle:
@@ -289,6 +309,7 @@ def _general_oracle(model: GiModel) -> linsys.CoefficientOracle:
 
     Unknowns are w_k = k x_k.  Row 1 is the structural identity written with
     the m = 1 equation folded in; rows m >= 2 keep the raw a_mk coefficients.
+    Off the diagonal an entry is a sign times m_ij of _magnitudes.
     Deterministic arrivals in light traffic get exact row sums (see
     _spacing_row_sums); for any other law, and for a deterministic load
     with bhat_1 >= 1/2, dominance probes of this oracle are lower estimates.
@@ -298,12 +319,10 @@ def _general_oracle(model: GiModel) -> linsys.CoefficientOracle:
         i, j = np.asarray(i), np.asarray(j)
         bj = np.array(model.bhats(j.max(initial=0)))[j]
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            row1 = np.where(j == 1, -(1.0 - 2.0 * bj) / (1.0 - bj),
-                            (-1.0) ** (j - 1) * bj / (j * (1.0 - bj)))
-            a_ij = _raw_a(bj, i)
-            return np.where(i == 1, row1, np.where(
-                j == i, ((-1.0) ** (i - 1) * a_ij - 1.0) / i,
-                (-1.0) ** (j - 1) * a_ij / j))
+            a_ij, m_ij = _magnitudes(bj, i, j)
+            diag = np.where(i == 1, -(1.0 - 2.0 * bj) / (1.0 - bj),
+                            ((-1.0) ** (i - 1) * a_ij - 1.0) / i)
+            return np.where(j == i, diag, (-1.0) ** (j - 1) * m_ij)
 
     def b(i):
         return np.where(np.asarray(i) == 1, -1.0, 0.0)
@@ -319,17 +338,13 @@ def _spacing_row_sums(model: GiModel, i) -> tuple:
     """Exact off-diagonal row sums of the general rows for deterministic
     arrivals with q = bhat_1 < 1/2, in the linsys contract.
 
-    Here bhat_j = q^j, so |a_ij| = bhat_j^(i-1) / (j (1 - bhat_j)^i) falls
-    from column j to j + 1 by a factor below r = q^max(i-1, 1), and the
-    columns past J sum to less than |a_iJ| r / (1 - r).  The entries come
-    from the model's own bhat_j with the arithmetic of a(i, j).  A row's
-    head of columns j != i ends at the first J where that bound is at most
-    a quarter ulp of the head, or later if adding the bound would still
-    move the head's math.fsum: the sum is the correctly rounded sum of
-    every column's entry.  A row with an entry that leaves double range
-    (a(i, 1) is inf once (1 - q)^i underflows, from row 1075 at the
-    earliest) has no computable sum, stated as NaN, which the report
-    refuses.
+    Here bhat_j = q^j, so m_ij of _magnitudes falls from column j to j + 1
+    by a factor below r = q^max(i-1, 1), and the columns past J sum to less
+    than m_iJ r / (1 - r).  A row's math.fsum over its head of columns
+    j != i up to J is final when adding that bound leaves it unchanged:
+    rounding is monotone, so it is then the correctly rounded sum over
+    every column.  The head doubles until every row's sum is final.  Every
+    entry is finite (see _raw_a), and so is every sum.
 
     The column sums are finite, since bhat_j <= q < 1/2, but
     i |a_ii| -> 1, so the 1/|a_ii| are never summable.
@@ -344,29 +359,15 @@ def _spacing_row_sums(model: GiModel, i) -> tuple:
         j = np.arange(1, n + 1)
         bj = np.array(model.bhats(n))[j]
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            terms = np.where(i == 1, bj / (j * (1.0 - bj)), _raw_a(bj, i) / j)
-            bound = terms * (r / (1.0 - r))
-            terms[i == j] = 0.0
-            heads = np.cumsum(terms, axis=1)
-            early = (bound <= np.spacing(heads) / 4.0) | ~np.isfinite(heads)
-        if early.any(axis=1).all():
-            sums = list(map(_settled_sum, terms.tolist(), bound.tolist(),
-                            early.argmax(axis=1).tolist()))
-            if None not in sums:
-                sums = np.array(sums)
-                return np.where(np.isfinite(sums), sums, np.nan), False, True
+            terms = _magnitudes(bj, i, j)[1]
+        bounds = (terms[:, -1:] * (r / (1.0 - r))).ravel().tolist()
+        terms[i == j] = 0.0
+        heads = terms.tolist()
+        sums = [math.fsum(head) for head in heads]
+        if all(math.fsum(head + [bound]) == total
+               for head, bound, total in zip(heads, bounds, sums)):
+            return np.array(sums), False, True
         n *= 2
-
-
-def _settled_sum(terms: list, bound: list, start: int) -> Optional[float]:
-    """math.fsum of the shortest head terms[:k] with k > start that adding
-    bound[k-1] leaves unchanged; None when no head in terms qualifies."""
-    for k in range(start + 1, len(terms) + 1):
-        head = math.fsum(terms[:k])
-        if not math.isfinite(head) or math.fsum(
-                terms[:k] + bound[k - 1:k]) == head:
-            return head
-    return None
 
 
 def factorial_oracle(model: GiModel, override: bool = False) -> linsys.CoefficientOracle:

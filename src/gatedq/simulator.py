@@ -15,16 +15,18 @@ Both simulators run the stage recursion literally, stage by stage:
 Randomness comes from a counter-based generator (Philox) with independent
 substreams for arrivals and services, keyed by (seed, stream index), so
 traces are bit-identical for a given seed and replications with different
-seeds are independent without shared state.  Each law draws _CHUNK values
-at a time, which _blocks hands out as lists of _BLOCK Python floats, each
-converted when the loops reach it.  A stream is one such block and a
-position in it, never grown: a stage reads its draws by index, and the rare
-stage that runs past its block folds its service maximum (_max_on) or its
-sum of gaps (_walk_on) on into the next blocks, in the order of the draws.
-A stage that needs more than _MAX_DRAWS draws of one stream, or a Poisson
-mean numpy refuses, raises OutOfRegimeError.  The loops store each stage in
-reusable lists of _BLOCK stages, copied into the trace's numpy columns when
-full, so a run never holds more than _BLOCK stages as Python objects.
+seeds are independent without shared state.  Each law draws _BLOCK values
+at a time, which _blocks hands out as one list of Python floats; numpy's
+Generator methods give the same values however a run of draws is split, so
+the block size leaves a trace's bits alone.  A stream is one such block and
+a position in it, never grown: a stage reads its draws by index, and the
+rare stage that runs past its block folds its service maximum (_max_on) or
+its sum of gaps (_walk_on) on into the next blocks, in the order of the
+draws.  A stage that needs more than _MAX_DRAWS draws of one stream, or a
+Poisson mean numpy refuses, raises OutOfRegimeError.  The loops store each
+stage in reusable lists of _BLOCK stages, copied into the trace's numpy
+columns when full, so a run never holds more than _BLOCK stages as Python
+objects.
 
 Stage lengths are recorded twice per stage: m is the active phase (the
 service maximum) and y is the full span including any waiting phase.  The
@@ -45,10 +47,8 @@ from .distributions import ArrivalDistribution, ServiceDistribution
 from .errors import InsufficientDataError, OutOfRegimeError
 from .giqueue import GiModel
 
-_CHUNK = 1 << 16
-# Draws converted to Python floats at a time, so a run that reads part of a
-# chunk converts little more than that part; also the stages held in lists
-# between copies into a trace's columns.
+# Draws of one stream taken and converted to Python floats at a time; also
+# the stages held in lists between copies into a trace's columns.
 _BLOCK = 1 << 12
 # The most draws of one stream a single stage may take.
 _MAX_DRAWS = 1 << 24
@@ -84,14 +84,13 @@ def _substream(seed: int, stream: int) -> np.random.Generator:
 
 
 def _blocks(rng: np.random.Generator, law) -> Iterator[list]:
-    """The draws of law.sample(rng, _CHUNK), one chunk after another, as
-    lists of at most _BLOCK Python floats; _CHUNK is read at each refill."""
+    """The draws of law.sample(rng, _BLOCK), one block after another, as
+    lists of Python floats; _BLOCK is read at each refill."""
     while True:
-        chunk = np.asarray(law.sample(rng, _CHUNK), dtype=float)
-        if not len(chunk):
+        block = np.asarray(law.sample(rng, _BLOCK), dtype=float).tolist()
+        if not block:
             raise ValueError(f"the sampler of {law.name!r} returned no draws")
-        for lo in range(0, len(chunk), _BLOCK):
-            yield chunk[lo:lo + _BLOCK].tolist()
+        yield block
 
 
 def _too_many_draws(what: str) -> OutOfRegimeError:

@@ -551,9 +551,6 @@ def test_dominance_reports_rows_past_double_range(tmp_path):
     # Rows 31-36 have an infinite off-diagonal sum over a finite diagonal;
     # this report used to carry Infinity and NaN.
     ("1e-10", "100", 31),
-    # A light-traffic load whose exact row sums leave double range: from
-    # row 1086 on (1 - bhat_1)^i underflows and a(i, 1) is inf.
-    ("0.7", "1100", 1086),
 ])
 def test_dominance_with_an_infinite_sigma_exits_2(spacing, order, row,
                                                   tmp_path, capsys):
@@ -564,6 +561,23 @@ def test_dominance_with_an_infinite_sigma_exits_2(spacing, order, row,
     assert err["code"] == "out_of_regime"
     assert f"row {row} has no finite dominance ratio" in err["message"]
     assert not os.listdir(tmp_path)
+
+
+def test_a_light_traffic_report_is_finite_past_double_range(tmp_path,
+                                                            capsys):
+    """bhat_1 = 0.4966: from row 1086 on (1 - bhat_1)^i underflows, and
+    a(i, 1) used to read inf there, which refused the report with exit 2.
+    Every light-traffic entry is finite, and so is every sigma."""
+    assert main(["dominance", "--system", "gi", "--deterministic", "0.7",
+                 "--mu", "1.0", "--order", "1100",
+                 "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().err == ""
+    raw = (tmp_path / "dominance.json").read_text()
+    data = json.loads(raw, parse_constant=_reject_constant)
+    assert len(data["sigma"]) == 1100 and None not in data["sigma"]
+    assert data["max_sigma"] is not None and data["row_sums_bounded"] is True
+    assert data["diag_sums_summable"] is False
+    assert data["col_sums_finite"] is True
 
 
 @pytest.mark.parametrize("argv", [
@@ -635,6 +649,8 @@ def test_unconverged_compare_exits_3_before_simulating(argv, tmp_path, capsys,
     ["compare", "--figure", "mean-length", "--mu", "2.5",
      "--rho-grid", "0.5,1.5"],
     ["compare", "--figure", "mean-length", "--mu", "2.5", "--rho-grid", "0.0"],
+    ["compare", "--figure", "mean-length", "--mu", "1.0", "--rho-grid",
+     "0.1,x"],
     ["bogus-subcommand"],
     [],
     ["analyze-mg", "--lambda", "0.5", "--mu", "nan"],

@@ -852,6 +852,54 @@ def test_validate_arrival_laws_ok():
     assert validate(ArrivalDistribution.deterministic(1.0)).ok
 
 
+def _exp_pdf(y):
+    return math.exp(-y) if y >= 0 else 0.0
+
+
+def _exp_cdf(y):
+    return -math.expm1(-y) if y >= 0 else 0.0
+
+
+def _diverges(m):
+    raise DivergentMomentError(f"moment {m} diverges")
+
+
+@pytest.mark.parametrize("law,problem", [
+    (ServiceDistribution.from_callables(
+        pdf=lambda y: 0.0, cdf=lambda y: 0.5 if y > 0 else 0.0,
+        name="half"), "tail of half does not fall below"),
+    (ServiceDistribution.from_callables(
+        pdf=_exp_pdf, cdf=lambda y: 0.1 + 0.9 * _exp_cdf(y), name="atom"),
+     "G(0) = 0.1, expected 0"),
+    (ServiceDistribution.from_callables(
+        pdf=_exp_pdf, cdf=lambda y: _exp_cdf(y) - (0.3 if 1 < y < 2 else 0.0),
+        name="dip"), "cdf decreases somewhere"),
+    (ServiceDistribution.from_callables(
+        pdf=_exp_pdf, cdf=_exp_cdf, moment=lambda m: math.inf,
+        name="inf-moment"), "moment 1 is not finite"),
+    (ServiceDistribution.from_callables(
+        pdf=_exp_pdf, cdf=_exp_cdf, moment=_diverges, name="divergent"),
+     "moment 2: moment 2 diverges"),
+    (pareto(1.5), "moment 2: cannot certify tail decay"),
+    (ArrivalDistribution.from_callables(
+        sampler=None, laplace=lambda s: 0.9 * math.exp(-s), mean=1.0,
+        second_moment=1.0), "Bhat(0) = 0.9, expected 1"),
+    (ArrivalDistribution.from_callables(
+        sampler=None, mean=1.0, second_moment=1.0,
+        laplace=lambda s: math.exp(-s) + (0.1 if 5 < s < 6 else 0.0)),
+     "Bhat increases somewhere"),
+    (ArrivalDistribution.from_callables(
+        sampler=None, laplace=lambda s: 1.0 / (s - 10.0) if s else 1.0,
+        mean=1.0, second_moment=1.0), "Laplace transform probe failed"),
+], ids=["tail-never-decays", "atom-at-zero", "decreasing-cdf",
+        "infinite-moment", "divergent-moment", "pareto-second-moment",
+        "bhat-at-zero", "increasing-bhat", "laplace-raises"])
+def test_validate_reports_each_structural_problem(law, problem):
+    rep = validate(law)
+    assert not rep.ok and not rep.to_dict()["ok"]
+    assert any(problem in msg for msg in rep.to_dict()["issues"])
+
+
 def test_validate_rejects_foreign_objects():
     with pytest.raises(TypeError):
         validate(42)

@@ -66,6 +66,9 @@ def test_transition_row_refusals():
         giqueue.transition_probability(m, 1, 0)
     with pytest.raises(ValueError):
         giqueue.transition_row_mass(m, 61)
+    # C(1100, k) leaves double range: no rounding bound, so refused.
+    with pytest.raises(ValueError, match="simulation"):
+        giqueue.transition_probability(m, 1100, 1)
 
 
 TRANSITION_LAWS = [ArrivalDistribution.poisson(0.5),

@@ -209,6 +209,33 @@ def test_dominance_survives_uncomputable_deep_entries():
     assert any("column sums probed to row 6" in n for n in rep.notes)
 
 
+def test_a_block_that_fails_only_as_a_whole_is_not_cut():
+    """An oracle that refuses any call with more than one row, yet prices
+    every row alone, gives no row to cut before: the probe re-raises."""
+
+    def a(i, j):
+        if np.size(i) > 1:
+            raise ArithmeticError("whole blocks only fail")
+        return np.where(i == j, 2.0 ** i, 0.0)
+
+    with pytest.raises(ArithmeticError, match="whole blocks only fail"):
+        dominance_report(CoefficientOracle(a=a, b=lambda i: 0.0), order=2)
+
+
+def test_a_diagonal_probe_of_fewer_than_four_rows_is_not_summable():
+    """Rows past 2 cannot be priced, so the diagonal probe reaches two rows,
+    too few for a ratio: summability fails and a note says where it ended."""
+
+    def a(i, j):
+        if np.any(np.asarray(i) > 2):
+            raise ValueError("entry out of numeric range")
+        return np.where(i == j, 2.0 ** i, 0.0)
+
+    rep = dominance_report(CoefficientOracle(a=a, b=lambda i: 0.0), order=1)
+    assert rep.diag_sums_summable is False and not rep.satisfied
+    assert any("diagonal probe ended at row 2 of 4" in n for n in rep.notes)
+
+
 def test_converge_on_identity():
     oracle = CoefficientOracle(
         a=lambda i, j: np.where(i == j, 1.0, 0.0), b=lambda i: 1.0)

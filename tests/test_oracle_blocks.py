@@ -336,19 +336,24 @@ def mpmath_row_sums(bhat, rows):
     return np.array(sums)
 
 
-@pytest.mark.parametrize("q", [1e-9, 1e-4, 0.01, 0.1, 0.25, 0.4, 0.4966,
-                               0.4998])
-def test_deterministic_row_sums_match_an_mpmath_reference(q):
+@pytest.mark.parametrize("q,rows", [
+    *(pytest.param(q, np.arange(1, 65), id=str(q))
+      for q in (1e-9, 1e-4, 0.01, 0.1, 0.25, 0.4, 0.4966, 0.4998)),
+    # (1 - q)^i leaves the normal range from row 1033, and q^(i-1) from
+    # row 1014.
+    pytest.param(0.4966, np.arange(1030, 1101), id="0.4966-rows-1030-1100"),
+])
+def test_deterministic_row_sums_match_an_mpmath_reference(q, rows):
     """Exact row sums of deterministic spacing -log(q) at mu = 1, against
     the same sums at 40 digits on the model's own doubles bhat_j.
 
     Each entry carries at most (i/2 + 3) eps of relative rounding (1 - bhat_j
     and its i-th power, a pow, two divisions), and the sum one more rounding,
-    so rows 1..64 must agree to (i + 8) eps relative; a sum in the subnormal
-    range (rows from 36 at q = 1e-9) gets 16 units of 2^-1074 besides."""
+    so each row must agree to (i + 8) eps relative (the ratio form of deep
+    rows carries at most (i + 2) eps); a sum in the subnormal range (rows
+    from 36 at q = 1e-9) gets 16 units of 2^-1074 besides."""
     model = giqueue.GiModel(ArrivalDistribution.deterministic(-math.log(q)),
                             1.0)
-    rows = np.arange(1, 65)
     sums, diag_summable, cols_finite = giqueue.factorial_oracle(
         model).exact_row_sums(rows)
     assert diag_summable is False and cols_finite is True
@@ -483,3 +488,25 @@ def test_gi_power_equals_pow_bit_for_bit_at_the_underflow_edge():
     want = b ** e
     assert got.shape == want.shape
     np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("i,want", [(1050, "1.1895362e-6"),
+                                    (1085, "7.3749100e-7"),
+                                    (1086, "7.2748610e-7")])
+def test_gi_raw_a_is_finite_and_accurate_where_its_powers_leave_range(
+        i, want):
+    """Spacing 0.7 at mu = 1 (bhat_1 = 0.4966): bhat_1^(i-1) is subnormal
+    from row 1014 and (1 - bhat_1)^i from row 1033; the plain quotient read
+    a(1050, 1) 1.1e-5 low, a(1085, 1) 0.0 and a(1086, 1) inf.  Within the
+    (i + 8) eps of the row-sum reference, at 40 digits on the same bhat_1."""
+    import mpmath
+
+    model = giqueue.GiModel(ArrivalDistribution.deterministic(0.7), 1.0)
+    b1 = model.bhat(1)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        got = float(giqueue._raw_a(np.array([b1]), np.array([i]))[0])
+    with mpmath.workdps(40):
+        b = mpmath.mpf(b1)
+        exact = float(b ** (i - 1) / (1 - b) ** i)
+    assert abs(got - exact) <= (i + 8) * np.finfo(float).eps * exact
+    assert exact == pytest.approx(float(want), rel=1e-7)

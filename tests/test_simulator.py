@@ -12,11 +12,11 @@ from gatedq import giqueue, mgqueue, simulator
 from gatedq.distributions import ArrivalDistribution, ServiceDistribution
 from gatedq.errors import InsufficientDataError, OutOfRegimeError
 from gatedq.simulator import (
-    _CHUNK,
     StageTrace,
     _blocks,
     _max_on,
     _substream,
+    _walk_on,
     simulate_gi,
     simulate_mg,
 )
@@ -196,12 +196,12 @@ class _Uniform:
 
 @pytest.mark.parametrize("block", [3, 4096])
 def test_draw_stream_crosses_chunk_boundaries(block, monkeypatch):
-    """_blocks serves the sampler's draws in order, and _max_on folds the
-    largest of k draws that run past a block across chunks (8 draws) and
-    blocks (3 draws, or the whole chunk) from where the last read ended."""
-    monkeypatch.setattr(simulator, "_CHUNK", 8)
+    """_blocks serves the sampler's draws in order, _BLOCK at a time, and
+    _max_on folds the largest of k draws that run past a block across
+    blocks (of 3 draws, or one block of 4 096) from where the last read
+    ended."""
     monkeypatch.setattr(simulator, "_BLOCK", block)
-    flat = np.random.default_rng(123).random(64)
+    flat = np.random.default_rng(123).random(24 * block)
     blocks = _blocks(np.random.default_rng(123), _Uniform)
     drawn = []
     while len(drawn) < len(flat):
@@ -251,6 +251,19 @@ def test_a_stage_that_needs_too_many_draws_is_refused(monkeypatch):
                     burn_in=0)
 
 
+def test_a_walk_whose_last_block_takes_it_past_the_limit_is_refused(
+        monkeypatch):
+    """A walk that enters its last block below _MAX_DRAWS gaps but needs
+    more of that block than the limit leaves is refused too; one that ends
+    at the limit is not."""
+    monkeypatch.setattr(simulator, "_MAX_DRAWS", 10)
+    blocks = iter([[0.25] * 8])
+    # 4 gaps taken (sum 1.0); the next block's first 6 pass 2.5 at 10 gaps.
+    assert _walk_on(blocks, 1.0, 4, 2.4) == (2.5, 10, [0.25] * 8, 6)
+    with pytest.raises(OutOfRegimeError, match="interarrival gaps"):
+        _walk_on(iter([[0.25] * 8]), 1.0, 4, 2.5)
+
+
 @pytest.mark.parametrize("run", [
     lambda: simulate_mg(1e30, ServiceDistribution.exponential(1.0), 200,
                         seed=1),
@@ -272,7 +285,7 @@ def test_impossible_loads_are_refused(run):
 class _ReferenceChunkedSampler:
     """Serves draws from fn(rng, size) out of large pre-drawn chunks."""
 
-    def __init__(self, rng: np.random.Generator, fn, chunk: int = _CHUNK):
+    def __init__(self, rng: np.random.Generator, fn, chunk: int = 65536):
         self._rng = rng
         self._fn = fn
         self._chunk = chunk
@@ -305,7 +318,7 @@ class _ReferenceChunkedSampler:
 
 def reference_simulate_mg(lam: float, service: ServiceDistribution,
                           n_stages: int, seed: int, burn_in: int = 1000,
-                          chunk: int = _CHUNK) -> StageTrace:
+                          chunk: int = 65536) -> StageTrace:
     arr_rng = _substream(seed, 0)
     svc = _ReferenceChunkedSampler(_substream(seed, 1), service.sample, chunk)
 
@@ -333,7 +346,7 @@ def reference_simulate_mg(lam: float, service: ServiceDistribution,
 
 def reference_simulate_gi(arrivals: ArrivalDistribution, mu: float,
                           n_stages: int, seed: int, burn_in: int = 1000,
-                          chunk: int = _CHUNK) -> StageTrace:
+                          chunk: int = 65536) -> StageTrace:
     gaps = _ReferenceChunkedSampler(_substream(seed, 0), arrivals.sample,
                                     chunk)
     svc = _ReferenceChunkedSampler(_substream(seed, 1),
@@ -398,34 +411,34 @@ def test_gi_engine_matches_the_literal_reference(arrivals, mu, seed):
 def test_engines_match_the_reference_across_chunk_boundaries():
     tr = simulate_mg(LAM, SERVICE, 70000, seed=51)
     assert_same_trace(tr, reference_simulate_mg(LAM, SERVICE, 70000, seed=51))
-    # The services drawn span more than one 65 536-draw chunk.
-    assert tr.k.sum() > _CHUNK
+    # The services drawn span more than one 65 536-draw reference chunk.
+    assert tr.k.sum() > 65536
     tr = simulate_gi(GI_ARRIVALS, 1.0, 70000, seed=52)
     assert_same_trace(tr, reference_simulate_gi(GI_ARRIVALS, 1.0, 70000,
                                                 seed=52))
-    assert tr.k.sum() > _CHUNK
+    assert tr.k.sum() > 65536
 
 
 def test_mg_engine_matches_the_reference_when_a_stage_takes_several_chunks(
         monkeypatch):
-    monkeypatch.setattr(simulator, "_CHUNK", 8)
+    monkeypatch.setattr(simulator, "_BLOCK", 8)
     service = ServiceDistribution.exponential(1.0)
     tr = simulate_mg(8.0, service, 2000, seed=53)
     assert_same_trace(tr, reference_simulate_mg(8.0, service, 2000, seed=53,
                                                 chunk=8))
-    # Some stages take more than two chunks of draws at once.
+    # Some stages take more than two blocks of draws at once.
     assert tr.k.max() > 2 * 8
 
 
 def test_gi_engine_matches_the_reference_when_a_walk_takes_several_chunks(
         monkeypatch):
-    monkeypatch.setattr(simulator, "_CHUNK", 8)
+    monkeypatch.setattr(simulator, "_BLOCK", 8)
     arrivals = ArrivalDistribution.poisson(3.0)
     tr = simulate_gi(arrivals, 1.0, 2000, seed=54)
     assert_same_trace(tr, reference_simulate_gi(arrivals, 1.0, 2000, seed=54,
                                                 chunk=8))
     # k[t + 1] gaps close stage t: some stage walks gaps from more than two
-    # 8-draw chunks, so its walk runs off the list of gaps at least twice.
+    # 8-draw blocks, so its walk runs off the list of gaps at least twice.
     assert tr.k[1:].max() > 2 * 8
 
 
@@ -443,7 +456,7 @@ def _first_chunk_only(draw):
 
 
 def test_a_sampler_that_runs_dry_on_a_later_refill_is_refused(monkeypatch):
-    monkeypatch.setattr(simulator, "_CHUNK", 8)
+    monkeypatch.setattr(simulator, "_BLOCK", 8)
     def exponential(rng, size):
         return rng.exponential(1.0, size)
 

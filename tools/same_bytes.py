@@ -8,11 +8,11 @@ imports gatedq from CHECKOUT/src and runs, in this one process, every
 fixed list of edge cases: an unconverged ladder, beta_i past double range,
 capped, pinned and short ladders, out-of-regime and unrepresentable models,
 a numerically singular truncation, a zero diagonal, both dominance systems,
-short simulate runs, simulate runs whose draws cross a chunk, heavy-load
-simulate runs whose stages take many draws, loads too heavy to simulate,
-every compare figure and extreme GI rates.  Each command runs in its own
-empty directory OUTDIR/NN (the working directory, so the paths it prints
-are relative).
+short simulate runs, simulate runs that take more than 65 536 draws of a
+stream, heavy-load simulate runs whose stages take many draws, loads too
+heavy to simulate, every compare figure and extreme GI rates.  Each command
+runs in its own empty directory OUTDIR/NN (the working directory, so the
+paths it prints are relative).
 OUTDIR/manifest.json holds, per command, its exit code, stdout, stderr and
 the sha256 of each file it wrote.  An exception that escapes cli.main is
 recorded as exit 1 with its last traceback line, which names no path.
@@ -70,6 +70,8 @@ EDGES = [
     "gatedq dominance --system gi --deterministic 1.0 --mu 1.0 --order 12",
     # Exact deterministic rows with the longest head: bhat_1 = 0.4966.
     "gatedq dominance --system gi --deterministic 0.7 --mu 1.0 --order 12",
+    # The same rows past the normal range of (1 - bhat_1)^i, from row 1033.
+    "gatedq dominance --system gi --deterministic 0.7 --mu 1.0 --order 1100",
     # Poisson rows that leave double range on purpose from row 309.
     "gatedq dominance --system gi --rho 0.01 --order 400",
     # Both closed-form systems just below where their plain rows stop being
@@ -94,7 +96,7 @@ EDGES = [
     "gatedq compare --figure pmf --deterministic 1.0 --mu 1.0 --stages 3000",
     # The GI pmf of a non-Poisson law, which reads bhat_k from the model.
     "gatedq compare --figure pmf --deterministic 1.25 --mu 1.0 --stages 2000",
-    # Draws that cross a 65 536-draw chunk in both simulators.
+    # Runs that take more than 65 536 draws of a stream in both simulators.
     "gatedq simulate --model mg --lambda 1.2 --mu 2.0 --stages 70000",
     "gatedq simulate --model gi --rho 0.6 --stages 70000",
     # Heavy loads: stages take many draws and lists refill mid-stage.
