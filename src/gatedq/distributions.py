@@ -43,7 +43,7 @@ integrated again on the dyadic sub-octaves of [0, 1], and refused when it
 still reads 0.0 there.
 
 A GammaTable memoizes two things for one service law: the gamma_{m,k}
-entries, which system assembly and the dominance probe read more than once
+entries, which system assembly and the dominance report read more than once
 and compute a block at a time, and the clamped tail max(Gbar(y), 0) at every
 quadrature node.  The entries live in one float64 array indexed [m, k] that
 holds NaN where an entry is not computed, so a block of entries is one

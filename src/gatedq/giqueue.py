@@ -39,14 +39,16 @@ the truncations still converge in practice and the report says honestly
 that dominance failed.
 
 Deterministic arrivals with spacing c have bhat_k = q^k, q = exp(-mu c), so
-the entries of each row fall geometrically, and in light traffic (q < 1/2)
-a row's math.fsum over a finite head of columns that adding a geometric
-bound on the rest leaves unchanged is its sum over every column, correctly
-rounded: sigma_i is exact there too, and finite however deep the row.  Those
-rows have finite column sums, but i |a_ii| -> 1, so their inverse diagonals
-are not summable and the report is never satisfied.  An arrival law given
-by callables, and a deterministic load past light traffic assembled by
-override, has its rows probed, and its sigma_i is a lower estimate.
+the entries of each row fall geometrically, and for every q < 1 a row's
+math.fsum over a finite head of columns that adding a geometric bound on
+the rest leaves unchanged is its sum over every column, correctly rounded:
+sigma_i is exact there too.  In light traffic (q < 1/2) it is finite
+however deep the row, and the column sums are finite; past it, assembled
+by override, column 1's sum diverges, deep rows overflow and their report
+is refused, as is a head too long to hold.  At every q, i |a_ii| -> 1, so
+the inverse diagonals are not summable and the report is never satisfied.
+An arrival law given by callables states no row sums, so its report is
+unknown.
 
 From a solved x-vector the stationary pmf and pgf come out as alternating
 combinations of geometric laws:
@@ -80,6 +82,9 @@ _ZETA_HEAD = 10
 # the estimate: the smallest subnormal is 2^-1074.
 _UNDERFLOW_LOG2 = -1100.0
 _TINY = float(np.finfo(float).tiny)
+# The most entries a head of exact deterministic row sums may hold (8 MiB of
+# doubles).  Light-traffic heads up to order 2 000 hold at most 116 000.
+_HEAD_CAP = 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -225,7 +230,7 @@ def _poisson_oracle(model: GiModel) -> linsys.CoefficientOracle:
 
     def a(i, j):
         i, j = np.asarray(i), np.asarray(j)
-        # Deep probe rows leave double range: rho^{-i/2}, i^i and j^i
+        # Deep rows leave double range: rho^{-i/2}, i^i and j^i
         # overflow to inf, and the terms divided by them go to zero, or to
         # nan where the scale overflows too (rho > 1).
         with np.errstate(over="ignore", invalid="ignore"):
@@ -283,17 +288,27 @@ def _raw_a(bj, i) -> np.ndarray:
     """a_ij = bj^(i-1) / (1 - bj)^i; the caller silences numpy's warnings.
 
     A power below the normal range is a multiple of 2^-1074, so the quotient
-    gains an absolute error up to 2^-1075 / (1 - bj)^i, below eps^2 while
-    (1 - bj)^i >= tiny / eps = 2^-970.  Past that, such entries take the
-    ratio form (bj / (1 - bj))^(i-1) / (1 - bj), finite for bj < 1/2; in
-    light traffic (1 - bj)^i > 2^-i, so rows up to 970 keep their bits.
+    gains an absolute error up to 2^-1075 / (1 - bj)^i.  Such an entry takes
+    the ratio form (bj / (1 - bj))^(i-1) / (1 - bj), finite for bj < 1/2,
+    and good to (i + 2) eps while the ratio's power is normal, in two cases:
+    where that absolute error can pass eps^2, because (1 - bj)^i < tiny /
+    eps = 2^-970; and where the ratio's power is normal and bj^(i-1) lies
+    below tiny / (2 (i + 2)), so that the quotient's relative error
+    2^-1075 / bj^(i-1) could pass the ratio form's.  Every other entry is
+    the plain quotient.
     """
     num, den = _power(bj, i - 1), (1.0 - bj) ** i
     a = np.asarray(num / den)
-    deep = (np.minimum(num, den) < _TINY) & (den < _TINY / _EPS)
-    if deep.any():
-        bj, i = (np.broadcast_to(x, a.shape)[deep] for x in (bj, i))
-        a[deep] = _power(bj / (1.0 - bj), i - 1) / (1.0 - bj)
+    # Both cases imply den < 1 / (2 (i + 2)), so only entries with
+    # den (i + 2) < 1 are tried, a factor of 2 to spare: few in light traffic.
+    tried = (np.minimum(num, den) < _TINY) & (den * (i + 2.0) < 1.0)
+    if tried.any():
+        bj, i, num, den = (np.broadcast_to(x, a.shape)[tried]
+                           for x in (bj, i, num, den))
+        power = _power(bj / (1.0 - bj), i - 1)
+        ratio = (den < _TINY / _EPS) | (
+            (power >= _TINY) & (num < _TINY / (2.0 * (i + 2))))
+        a[tried] = np.where(ratio, power / (1.0 - bj), a[tried])
     return a
 
 
@@ -310,9 +325,9 @@ def _general_oracle(model: GiModel) -> linsys.CoefficientOracle:
     Unknowns are w_k = k x_k.  Row 1 is the structural identity written with
     the m = 1 equation folded in; rows m >= 2 keep the raw a_mk coefficients.
     Off the diagonal an entry is a sign times m_ij of _magnitudes.
-    Deterministic arrivals in light traffic get exact row sums (see
-    _spacing_row_sums); for any other law, and for a deterministic load
-    with bhat_1 >= 1/2, dominance probes of this oracle are lower estimates.
+    Deterministic arrivals (a law that carries a spacing) get exact row
+    sums (see _spacing_row_sums); any other law states none, so its
+    dominance report is unknown.
     """
 
     def a(i, j):
@@ -328,7 +343,7 @@ def _general_oracle(model: GiModel) -> linsys.CoefficientOracle:
         return np.where(np.asarray(i) == 1, -1.0, 0.0)
 
     exact = None
-    if model.arrivals.spacing is not None and model.bhat(1) < 0.5:
+    if model.arrivals.spacing is not None:
         exact = functools.partial(_spacing_row_sums, model)
     return linsys.CoefficientOracle(a=a, b=b, exact_row_sums=exact,
                                     name="gi-general")
@@ -336,26 +351,42 @@ def _general_oracle(model: GiModel) -> linsys.CoefficientOracle:
 
 def _spacing_row_sums(model: GiModel, i) -> tuple:
     """Exact off-diagonal row sums of the general rows for deterministic
-    arrivals with q = bhat_1 < 1/2, in the linsys contract.
+    arrivals with q = bhat_1 < 1, in the linsys contract.
 
     Here bhat_j = q^j, so m_ij of _magnitudes falls from column j to j + 1
     by a factor below r = q^max(i-1, 1), and the columns past J sum to less
     than m_iJ r / (1 - r).  A row's math.fsum over its head of columns
     j != i up to J is final when adding that bound leaves it unchanged:
     rounding is monotone, so it is then the correctly rounded sum over
-    every column.  The head doubles until every row's sum is final.  Every
-    entry is finite (see _raw_a), and so is every sum.
+    every column.  The head doubles until every row's sum is final.  In
+    light traffic every entry is finite (see _raw_a), and so is every sum.
+    Past it, a deep row's first entries overflow to inf, and so does its
+    sum; that sum is written as NaN, never +inf, since the row is finite but
+    not representable, and dominance_report refuses it.
 
-    The column sums are finite, since bhat_j <= q < 1/2, but
-    i |a_ii| -> 1, so the 1/|a_ii| are never summable.
+    The head starts at about 56 / -log2(q) columns.  A q that rounds to 1,
+    and a head of more than _HEAD_CAP entries, raise OutOfRegimeError
+    before that head is built.
+
+    Column j sums to a finite value exactly when bhat_j < 1/2, so every
+    column sum is finite in light traffic and column 1's is not past it.
+    And i |a_ii| -> 1, so the 1/|a_ii| are never summable.
     """
     i = np.asarray(i)[:, None]
     q = model.bhat(1)
+    if not q < 1.0:
+        raise OutOfRegimeError(
+            f"bhat(mu) = {q!r}: the deterministic rows do not fall from "
+            "column to column, so no row sum is finite")
     r = q ** np.maximum(i - 1, 1)
     # Enough columns for rows 1 and 2, whose entries fall slowest: q^n
     # below 2^-56 (q = 0 takes two columns and no log).
     n = 2 + (math.ceil(-56.0 / math.log2(q)) if q > 0.0 else 0)
     while True:
+        if len(i) * n > _HEAD_CAP:
+            raise OutOfRegimeError(
+                f"bhat(mu) = {q:.10g}: exact row sums of {len(i)} rows need "
+                f"a head of {n} columns, more than {_HEAD_CAP} entries")
         j = np.arange(1, n + 1)
         bj = np.array(model.bhats(n))[j]
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
@@ -366,7 +397,8 @@ def _spacing_row_sums(model: GiModel, i) -> tuple:
         sums = [math.fsum(head) for head in heads]
         if all(math.fsum(head + [bound]) == total
                for head, bound, total in zip(heads, bounds, sums)):
-            return np.array(sums), False, True
+            sums = np.array(sums)
+            return np.where(np.isinf(sums), math.nan, sums), False, q < 0.5
         n *= 2
 
 
@@ -378,7 +410,7 @@ def factorial_oracle(model: GiModel, override: bool = False) -> linsys.Coefficie
     the rho^{-i/2}-scaled rows with exact off-diagonal row sums and the
     closed-form sufficient region; any other arrival law gets the raw
     assembly, with exact row sums for deterministic arrivals (a law that
-    carries a spacing) in light traffic and probed dominance otherwise.
+    carries a spacing) and an unknown dominance report otherwise.
     """
     lt = light_traffic_ok(model)
     if not lt.ok and not override:

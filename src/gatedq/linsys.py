@@ -12,7 +12,7 @@ generic pieces of that scheme:
 * dominance_report: the strict-dominance ratios sigma_i and the three side
   conditions (summable inverse diagonals, uniformly bounded off-row sums,
   finite column sums) that the truncation-convergence argument needs, exact
-  where the oracle states its row sums in closed form and probed otherwise,
+  where the oracle states its row sums in closed form and unknown otherwise,
 * converge: solve truncations along a doubling ladder until successive
   solutions agree on shared indices to a requested tolerance,
 * LadderSolution: the base of the queue modules' solutions, which keeps a
@@ -20,19 +20,20 @@ generic pieces of that scheme:
 
 Coefficients come from a CoefficientOracle whose functions take broadcastable
 integer index arrays and return arrays, so a truncation is one call to a and
-one to b, and each dominance probe reads one block.  Each rung of the ladder
-is the leading block of the next, so a ladder keeps one growing system and
-requests each coefficient once.  An entry an oracle cannot compute raises
-ValueError or ArithmeticError for the whole block; truncate, the ladder and
-the row probe pass that on, while the diagonal and column probes stop before
-the first row that raises and say so in a note.
+one to b, and a dominance report reads one block, the diagonal.  Each rung
+of the ladder is the leading block of the next, so a ladder keeps one
+growing system and requests each coefficient once.  An entry an oracle
+cannot compute raises ValueError or ArithmeticError for the whole block,
+and truncate, the ladder and the report pass that on.
 
-A finite machine can only probe the infinite conditions, so a report is
-one of two kinds.  An oracle that states its row sums (+inf where one
-diverges), exact at least to rounding, and its side conditions gets an
-exact report, which reads only the diagonal.  Any other oracle is probed,
-and its sigma_i is a lower estimate, as the report says.  Either kind can
-also carry the oracle's closed-form sufficient condition for dominance.
+Row sums and the side conditions speak of every column of the infinite
+system, which no finite head of columns can bound, so a report is one of
+two kinds.  An
+oracle that states its row sums (+inf where one diverges), exact at least
+to rounding, and its side conditions gets an exact report.  Any other
+oracle gets an unknown one: its sigma_i are NaN, and it is never
+satisfied.  Either kind can also carry the oracle's closed-form sufficient
+condition for dominance.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ class SingularSystemError(ValueError):
 
 
 class ZeroDiagonalError(ValueError):
-    """A dominance probe found a zero diagonal entry."""
+    """A dominance report found a zero diagonal entry."""
 
 
 @dataclass(frozen=True)
@@ -69,7 +70,7 @@ class CoefficientOracle:
     one that leaves floating-point range comes back as inf.
     analytic_region, when present, reports whether the model parameters lie
     in a closed-form region where strict dominance is proven for every row,
-    not just the probed ones.  exact_row_sums(i), when present, takes a 1-D
+    not just the reported ones.  exact_row_sums(i), when present, takes a 1-D
     array of rows and returns (sums, diag_summable, cols_finite): the exact
     sum_{j != i} |a(i,j)| over every column j of each row (+inf where it
     diverges), exact at least to rounding, and whether the infinite
@@ -109,22 +110,24 @@ def _finite_or_none(x: float) -> Optional[float]:
 class DominanceReport:
     """Strict diagonal dominance and the three side conditions.
 
-    sigma[i-1] = sum_{j != i} |a_ij| / |a_ii| for rows i = 1..order, exact
-    (tail_is_analytic, and tail_cutoff None) when the oracle gives exact row
-    sums, +inf where one is unbounded; otherwise the lower estimate
-    sum_{j <= tail_cutoff, j != i} |a_ij| / |a_ii|, tail_cutoff = 4 * order.
+    sigma[i-1] = sum_{j != i} |a_ij| / |a_ii| for rows i = 1..order, over
+    every column j: exact (tail_is_analytic) when the oracle gives exact row
+    sums, +inf where one is unbounded.  Otherwise every sigma_i, and so
+    max_sigma and max_offdiag_row_sum, is NaN: finite, perhaps, but unknown.
+    Such a report has both side conditions false and worst_row 1.
     satisfied requires every sigma_i < 1 plus all three side conditions.
     analytic_region_ok mirrors the oracle's closed-form sufficient condition
     when it has one (None otherwise), and marginal flags the honest
     in-between: the rows are dominant but the parameters sit outside that
-    sufficient region.  to_dict writes a number that is not finite as None.
+    sufficient region.  to_dict writes a number that is not finite as None,
+    and tail_cutoff, a key kept for the artifacts' schema, as None.
     """
 
     order: int
     sigma: np.ndarray
     worst_row: int
-    diag_sums_summable: bool      # sum of 1/|a_ii| finite (exact or probed)
-    col_sums_finite: bool         # every column sum finite (exact or probed)
+    diag_sums_summable: bool      # sum of 1/|a_ii| stated finite
+    col_sums_finite: bool         # every column sum stated finite
     satisfied: bool
     tail_is_analytic: bool
     analytic_region_ok: Optional[bool]
@@ -133,23 +136,18 @@ class DominanceReport:
     notes: list = field(default_factory=list)
 
     @property
-    def tail_cutoff(self) -> Optional[int]:
-        return None if self.tail_is_analytic else 4 * self.order
-
-    @property
     def max_sigma(self) -> float:
         return float(self.sigma[self.worst_row - 1])
 
     @property
     def certifies(self) -> bool:
-        """Only a satisfied exact report certifies; the lower estimates of a
-        probe prove nothing."""
+        """Only a satisfied exact report certifies."""
         return self.tail_is_analytic and self.satisfied
 
     def to_dict(self) -> dict:
         return {
             "order": self.order,
-            "tail_cutoff": self.tail_cutoff,
+            "tail_cutoff": None,
             "sigma": [_finite_or_none(s) for s in self.sigma.tolist()],
             "worst_row": self.worst_row,
             "max_sigma": _finite_or_none(self.max_sigma),
@@ -333,158 +331,74 @@ def solve(sys: TruncatedSystem) -> SolveResult:
     return SolveResult(x=x, residual=residual, rcond=rcond)
 
 
-def _rows_before_failure(block, rows: np.ndarray) -> np.ndarray:
-    """block(rows), cut before the first row whose entries cannot be computed.
+def _exact_rows(oracle: CoefficientOracle, diag: np.ndarray,
+                notes: list) -> tuple:
+    """(sigma, row sums, diag_ok, col_ok) from the oracle's exact row sums
+    over diag, the absolute diagonal of rows 1..len(diag).
 
-    block maps an array of row indices to an array with one leading-axis
-    entry per row.  Only when the whole block raises are the rows tried one
-    at a time, to find the first that raises; quadrature-backed oracles
-    memoize their entries, so the retry recomputes none of the earlier rows.
-    """
-    try:
-        return block(rows)
-    except (ValueError, ArithmeticError):
-        for k in range(len(rows)):
-            try:
-                block(rows[k:k + 1])
-            except (ValueError, ArithmeticError):
-                return block(rows[:k])
-        raise
-
-
-def _refuse_zero_diagonal(oracle: CoefficientOracle, diag: np.ndarray) -> None:
-    zero = np.flatnonzero(diag == 0.0)
-    if len(zero):
-        raise ZeroDiagonalError(
-            f"{oracle.name}: zero diagonal at row {zero[0] + 1}")
-
-
-def _probe_diag_summability(oracle: CoefficientOracle, upto: int) -> tuple:
-    """Cauchy probe of sum_i 1/|a_ii|: geometric decay of late increments.
-
-    Uses the geometric-mean ratio of the increments over the back half of the
-    probe range; a ratio below 0.99 (and shrinking increments) is taken as
-    evidence the series converges.  This is a probe, never a proof.  Entries
-    that stop being computable (quadrature-backed oracles run out of floating
-    point range eventually) end the probe early; returns (ok, reached).
-    """
-    diag = np.abs(_rows_before_failure(
-        lambda i: _block(oracle.a, i, i), np.arange(1, upto + 1)))
-    reached = len(diag)
-    _refuse_zero_diagonal(oracle, diag)
-    if reached < 4:
-        return False, reached
-    half = max(2, reached // 2)
-    first, last = 1.0 / float(diag[half - 1]), 1.0 / float(diag[-1])
-    if last == 0.0:
-        return True, reached
-    ratio = (last / first) ** (1.0 / max(1, reached - half))
-    return ratio < 0.99 and last <= first, reached
-
-
-def _sigma(oracle: CoefficientOracle, offdiag_sums: np.ndarray,
-           diag: np.ndarray) -> np.ndarray:
-    """offdiag_sums / diag, refused with AssemblyError where not finite."""
+    A sigma_i that is not finite, other than that of a row stated
+    unbounded, is refused with AssemblyError.  The side conditions are the
+    oracle's own, and the column sums are not finite where one of those
+    diagonal entries is not."""
+    order = len(diag)
+    sums, diag_ok, cols_ok = oracle.exact_row_sums(np.arange(1, order + 1))
+    unbounded = np.isposinf(sums)
     with np.errstate(over="ignore", invalid="ignore"):
-        sigma = offdiag_sums / diag
-    unbounded = np.flatnonzero(~np.isfinite(sigma))
-    if len(unbounded):
-        i = unbounded[0]
+        sigma = np.where(unbounded, 0.0, sums) / diag
+    bad = np.flatnonzero(~np.isfinite(sigma))
+    if len(bad):
+        i = bad[0]
         raise AssemblyError(
             f"{oracle.name}: row {i + 1} has no finite dominance ratio: "
-            f"off-diagonal sum {offdiag_sums[i]} over diagonal {diag[i]}")
-    return sigma
-
-
-def _exact_rows(oracle: CoefficientOracle, order: int, notes: list) -> tuple:
-    """(sigma, row sums, diag_ok, col_ok) from the oracle's exact row sums
-    and the diagonal of rows 1..order, the one block it reads.
-
-    The side conditions are the oracle's own, and the column sums are not
-    finite where one of those diagonal entries is not."""
-    rows = np.arange(1, order + 1)
-    diag = np.abs(_block(oracle.a, rows, rows))
-    _refuse_zero_diagonal(oracle, diag)
-    sums, diag_ok, cols_ok = oracle.exact_row_sums(rows)
-    unbounded = np.isposinf(sums)
-    sigma = np.where(unbounded, math.inf, _sigma(
-        oracle, np.where(unbounded, 0.0, sums), diag))
+            f"off-diagonal sum {sums[i]} over diagonal {diag[i]}")
+    sigma[unbounded] = math.inf
     if unbounded.any():
         notes.append(f"{np.count_nonzero(unbounded)} of {order} rows have "
                      "unbounded off-diagonal sums: their sigma is infinite")
     return sigma, sums, diag_ok, cols_ok and bool(np.isfinite(diag).all())
 
 
-def _probed_rows(oracle: CoefficientOracle, order: int, notes: list) -> tuple:
-    """(sigma, row sums, diag_ok, col_ok) from three probed blocks; see
-    dominance_report.  Appends its notes to notes."""
-    cutoff = 4 * order
-    notes.append(
-        f"no analytic tail bound: sigma is a lower estimate from the "
-        f"first {cutoff} columns")
-    diag_ok, diag_reached = _probe_diag_summability(oracle, 4 * order)
-    if diag_reached < 4 * order:
-        notes.append(
-            f"diagonal probe ended at row {diag_reached} of {4 * order}: "
-            f"later entries are not computable")
-    rows = np.arange(1, order + 1)
-    cols = np.arange(1, cutoff + 1)
-    # The diagonal probe has found any zero among these diagonal entries.
-    block = np.abs(_block(oracle.a, rows[:, None], cols[None, :]))
-    diag = np.diag(block).copy()
-    np.fill_diagonal(block, 0.0)
-    # fsum is correctly rounded, so summing a row's Python floats gives the
-    # same sum as summing its np.float64 entries, without boxing each one;
-    # one row at a time keeps the list of floats small.
-    offdiag_sums = np.array([math.fsum(r.tolist()) for r in block])
-    sigma = _sigma(oracle, offdiag_sums, diag)
-    columns = _rows_before_failure(
-        lambda i: _block(oracle.a, i[:, None], rows[None, :]), cols)
-    col_reached = len(columns)
-    col_ok = bool(np.all(np.isfinite(np.abs(columns).sum(axis=0))))
-    if col_ok and col_reached < cutoff:
-        notes.append(
-            f"column sums probed to row {col_reached} of {cutoff}: "
-            f"later entries are not computable")
-    return sigma, offdiag_sums, diag_ok, col_ok
-
-
 def dominance_report(oracle: CoefficientOracle, order: int) -> DominanceReport:
     """Strict diagonal dominance of the first `order` rows.
 
-    An oracle with exact row sums gives sigma_i exactly: the report reads
-    only the diagonal of rows 1..order and no cutoff (its tail_cutoff is
-    None), and takes summability of 1/|a_ii| and finite column sums from
-    the oracle, the column sums failing also where one of those diagonal
-    entries is not finite.  A row sum stated as +inf gives an unbounded
-    sigma_i, and the report cannot be satisfied.
+    The report reads one block, the diagonal of rows 1..order, and refuses
+    a zero entry there with ZeroDiagonalError.  An oracle with exact row
+    sums gives sigma_i exactly, and the report takes summability of
+    1/|a_ii| and finite column sums from the oracle, the column sums
+    failing also where one of those diagonal entries is not finite.  A row
+    sum stated as +inf gives an unbounded sigma_i, and the report cannot
+    be satisfied; any other sigma_i that is not finite (a NaN entry or a
+    NaN or overflowing sum) raises AssemblyError.
 
-    Any other oracle is probed.  Row sums run to the first 4*order columns
-    (tail_cutoff), so sigma_i is a lower estimate and a note says so.  The
-    three side conditions are probed: summability of 1/|a_ii| by
-    geometric-ratio, boundedness of off-row sums by every probed sigma_i
-    being finite, and column sums by finiteness up to the cutoff.  The
-    probes read three blocks: rows 1..order by columns 1..4*order, columns
-    1..order by rows 1..4*order, and the diagonal to 4*order.
-
-    Any other sigma_i that is not finite (an infinite probed off-diagonal
-    sum, a NaN entry or a NaN exact sum) raises AssemblyError.
+    Any other oracle gets an unknown report: a head of columns cannot
+    bound the sum over every column, so every sigma_i and the largest
+    off-diagonal row sum are NaN, both side conditions are false, the
+    report is not satisfied, and a note says why.
     """
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
+    rows = np.arange(1, order + 1)
+    diag = np.abs(_block(oracle.a, rows, rows))
+    zero = np.flatnonzero(diag == 0.0)
+    if len(zero):
+        raise ZeroDiagonalError(
+            f"{oracle.name}: zero diagonal at row {zero[0] + 1}")
     notes = []
     exact = oracle.exact_row_sums is not None
-    sigma, offdiag_sums, diag_ok, col_ok = (
-        _exact_rows(oracle, order, notes) if exact
-        else _probed_rows(oracle, order, notes))
+    if exact:
+        sigma, offdiag_sums, diag_ok, col_ok = _exact_rows(oracle, diag, notes)
+    else:
+        sigma = offdiag_sums = np.full(order, math.nan)
+        diag_ok = col_ok = False
+        notes.append(f"{oracle.name} states no row sums: every sigma and "
+                     "the side conditions are unknown")
 
     worst = int(np.argmax(sigma)) + 1
     satisfied = bool(np.all(sigma < 1.0)) and diag_ok and col_ok
     region = bool(oracle.analytic_region()) if oracle.analytic_region else None
     marginal = satisfied and region is False
     if marginal:
-        rows = f"rows 1..{order}" if exact else "probed rows"
-        notes.append(f"{rows} are dominant but the parameters lie "
+        notes.append(f"rows 1..{order} are dominant but the parameters lie "
                      "outside the closed-form sufficient region")
     return DominanceReport(
         order=order, sigma=sigma, worst_row=worst, diag_sums_summable=diag_ok,

@@ -173,7 +173,7 @@ def _transformed_oracle(model: MgModel) -> linsys.CoefficientOracle:
 
     def a(i, j):
         i, j = np.asarray(i), np.asarray(j)
-        # Deep probe rows leave double range: rho^{-i/2} and i^i overflow to
+        # Deep rows leave double range: rho^{-i/2} and i^i overflow to
         # inf, and the term divided by i^i goes to zero.
         with np.errstate(over="ignore"):
             row1 = np.where(j == 1, (1.0 + rho - rho * rho) / (1.0 + rho),

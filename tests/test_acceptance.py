@@ -137,9 +137,11 @@ def test_criterion_5_gi_dominance_threshold():
 
     The requirement asserts the factorial-moment system with Poisson
     arrivals is diagonally dominant at rho = 0.45.  Direct evaluation of
-    the assembled rows refutes this: sigma_2 = 1.33 > 1 because row i of
-    the system scales like i * rho^{i-1} (zeta(i) + rho zeta(i+1)), which
-    crosses 1 near rho = 0.256.  The solver still converges there; only
+    the assembled rows refutes this: sigma_2 = 1.33 > 1.  The plain rows
+    stay dominant only up to rho ~ 0.3404, where sigma_2 crosses 1; the
+    closed-form sufficient region (analytic_region), where
+    i * rho^{i-1} (zeta(i) + rho zeta(i+1)) < 1 for every row i >= 2, ends
+    earlier, near rho = 0.256.  The solver still converges there; only
     the dominance certificate is unavailable.  This test is kept red on
     purpose rather than weakening the check it encodes.
     """
@@ -147,7 +149,7 @@ def test_criterion_5_gi_dominance_threshold():
         giqueue.factorial_oracle(gi_model(0.45)), order=12)
     detail = (f"factorial-moment dominance at rho=0.45: satisfied="
               f"{rep.satisfied}, sigma_2={rep.sigma[1]:.3f} (claim needs "
-              f"all sigma < 1; fails for any rho above ~0.256)")
+              f"all sigma < 1; fails for any rho above ~0.3404)")
     assert report("5-gi", rep.satisfied, detail)
 
 

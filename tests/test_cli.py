@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gatedq import cli, giqueue, linsys, mgqueue, simulator
+from gatedq import cli, giqueue, mgqueue, simulator
 from gatedq.cli import main, write_csv
 from gatedq.distributions import ArrivalDistribution, ServiceDistribution
 
@@ -223,12 +223,7 @@ def test_dominance_prints_one_line_with_the_worst_row(tmp_path, capsys):
         f"worst_row={data['worst_row']}"]
 
 
-def test_light_traffic_deterministic_reports_read_no_probe(monkeypatch,
-                                                           tmp_path):
-    def refuse(*args):
-        raise AssertionError("a light-traffic deterministic report probed")
-
-    monkeypatch.setattr(linsys, "_probed_rows", refuse)
+def test_deterministic_reports_are_exact(tmp_path):
     for spacing, mu in (("2.0", "1.0"), ("1.3888", "1.2"), ("0.7", "1.0")):
         law = ["--deterministic", spacing, "--mu", mu, "--out", str(tmp_path)]
         assert main(["analyze-gi", *law]) == 0
@@ -237,6 +232,16 @@ def test_light_traffic_deterministic_reports_read_no_probe(monkeypatch,
         assert data["tail_is_analytic"] is True and data["heuristic"] is True
         assert data["col_sums_finite"] is True
         assert data["diag_sums_summable"] is False
+        assert data["tail_cutoff"] is None and data["notes"] == []
+    # Past light traffic (bhat_1 = 0.6065), assembled by override, the rows
+    # are exact too, and column 1's sum diverges.
+    assert main(["dominance", "--system", "gi", "--deterministic", "0.5",
+                 "--mu", "1.0", "--override", "--out", str(tmp_path)]) == 0
+    data = read_json(os.path.join(tmp_path, "dominance.json"))
+    assert data["tail_is_analytic"] is True and data["heuristic"] is True
+    assert data["tail_cutoff"] is None and data["notes"] == []
+    assert data["max_sigma"] == 2058893.0955006548
+    assert data["col_sums_finite"] is False
 
 
 def test_a_deterministic_report_with_bhat_zero_has_zero_sigma(tmp_path,
@@ -545,21 +550,23 @@ def test_dominance_reports_rows_past_double_range(tmp_path):
     assert data["satisfied"] is False
 
 
-@pytest.mark.parametrize("spacing,order,row", [
-    # bhat(1) rounds to 1, so row 1 is inf on and off the diagonal.
-    ("1e-300", "25", 1),
-    # Rows 31-36 have an infinite off-diagonal sum over a finite diagonal;
-    # this report used to carry Infinity and NaN.
-    ("1e-10", "100", 31),
-])
-def test_dominance_with_an_infinite_sigma_exits_2(spacing, order, row,
-                                                  tmp_path, capsys):
+@pytest.mark.parametrize("spacing,order,message", [
+    # bhat(1) rounds to 1, so no row's entries fall from column to column.
+    ("1e-300", "25", "bhat(mu) = 1.0: the deterministic rows do not fall"),
+    # bhat(1) = 1 - 1e-10: an exact head would need ~3.9e11 columns.
+    ("1e-10", "100", "more than 1048576 entries"),
+    # bhat(1) = 0.9048: rows 313-315 have finite sums whose ratio to the
+    # diagonal overflows, and rows from 316 on have sums past double range.
+    ("0.1", "400", "row 313 has no finite dominance ratio"),
+], ids=["bhat-rounds-to-1", "head-past-the-cap", "rows-past-double-range"])
+def test_a_deterministic_report_past_its_range_exits_2(spacing, order, message,
+                                                       tmp_path, capsys):
     assert main(["dominance", "--system", "gi", "--deterministic", spacing,
                  "--mu", "1.0", "--override", "--order", order,
                  "--out", str(tmp_path)]) == 2
     err = json.loads(capsys.readouterr().err)["error"]
     assert err["code"] == "out_of_regime"
-    assert f"row {row} has no finite dominance ratio" in err["message"]
+    assert message in err["message"]
     assert not os.listdir(tmp_path)
 
 

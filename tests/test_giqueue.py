@@ -168,16 +168,19 @@ def test_general_system_entry_for_deterministic_arrivals():
     sums, diag_summable, cols_finite = oracle.exact_row_sums(np.arange(1, 5))
     assert sums.shape == (4,) and np.all(sums > 0.0)
     assert diag_summable is False and cols_finite is True
-    # The same law given by callables, and a spacing past light traffic
-    # forced through override, have their rows probed.
+    # A spacing past light traffic, forced through override, states exact
+    # sums too, and column 1's sum diverges there (bhat_1 >= 1/2).
+    heavy = giqueue.factorial_oracle(giqueue.GiModel(
+        ArrivalDistribution.deterministic(0.5), 1.0), override=True)
+    sums, diag_summable, cols_finite = heavy.exact_row_sums(np.arange(1, 5))
+    assert np.all(np.isfinite(sums)) and np.all(sums > 0.0)
+    assert diag_summable is False and cols_finite is False
+    # The same law given by callables states no row sums.
     law = ArrivalDistribution.deterministic(1.0)
     as_callables = ArrivalDistribution.from_callables(
         law.sample, law.laplace, 1.0, 1.0)
-    for model, override in ((giqueue.GiModel(as_callables, 1.0), False),
-                            (giqueue.GiModel(ArrivalDistribution.deterministic(
-                                0.5), 1.0), True)):
-        oracle = giqueue.factorial_oracle(model, override=override)
-        assert oracle.name == "gi-general" and oracle.exact_row_sums is None
+    oracle = giqueue.factorial_oracle(giqueue.GiModel(as_callables, 1.0))
+    assert oracle.name == "gi-general" and oracle.exact_row_sums is None
 
 
 def test_light_traffic_boundary_cases():

@@ -23,9 +23,10 @@ from gatedq.linsys import (
 )
 
 
-def diag_oracle(diag, b=lambda i: 0.0):
+def diag_oracle(diag, b=lambda i: 0.0, **fields):
     return CoefficientOracle(
-        a=lambda i, j: np.where(i == j, diag(i), 0.0), b=b, name="diag")
+        a=lambda i, j: np.where(i == j, diag(i), 0.0), b=b, name="diag",
+        **fields)
 
 
 def test_identity_system_solves_exactly():
@@ -123,62 +124,73 @@ def test_solve_rejects_rectangular_matrix():
         solve(TruncatedSystem(n=2, a=np.ones((2, 3)), b=np.ones(2)))
 
 
+def zero_row_sums(i):
+    """Exact row sums of a diagonal oracle with summable 1/|a_ii|."""
+    return np.zeros(len(i)), True, True
+
+
 def test_dominance_violation_is_reported():
     oracle = CoefficientOracle(
         a=lambda i, j: np.where(i == j, 1.0, np.where(j == i + 1, 2.0, 0.0)),
-        b=lambda i: 0.0)
+        b=lambda i: 0.0,
+        # Constant diagonal also breaks summability of 1/|a_ii|.
+        exact_row_sums=lambda i: (np.full(len(i), 2.0), False, True))
     rep = dominance_report(oracle, order=4)
     assert not rep.satisfied
     assert rep.sigma[0] == 2.0
-    # Constant diagonal also breaks summability of 1/|a_ii|.
     assert not rep.diag_sums_summable
 
 
 def test_dominance_satisfied_with_growing_diagonal():
-    rep = dominance_report(diag_oracle(lambda i: 2.0 ** i), order=4)
-    assert rep.satisfied
+    rep = dominance_report(diag_oracle(lambda i: 2.0 ** i,
+                                       exact_row_sums=zero_row_sums), order=4)
+    assert rep.satisfied and rep.certifies
     assert not rep.marginal
     assert rep.analytic_region_ok is None
-    assert not rep.tail_is_analytic
-    assert any("lower estimate" in n for n in rep.notes)
+    assert rep.tail_is_analytic and rep.notes == []
     assert rep.to_dict()["max_sigma"] == 0.0
 
 
 def test_dominance_marginal_flag():
-    outside = CoefficientOracle(
-        a=lambda i, j: np.where(i == j, 2.0 ** i, 0.0), b=lambda i: 0.0,
-        analytic_region=lambda: False)
-    rep = dominance_report(outside, order=4)
+    def oracle(region):
+        return diag_oracle(lambda i: 2.0 ** i, analytic_region=lambda: region,
+                           exact_row_sums=zero_row_sums)
+
+    rep = dominance_report(oracle(False), order=4)
     assert rep.satisfied and rep.marginal
     assert rep.analytic_region_ok is False
-    inside = CoefficientOracle(
-        a=lambda i, j: np.where(i == j, 2.0 ** i, 0.0), b=lambda i: 0.0,
-        analytic_region=lambda: True)
-    rep = dominance_report(inside, order=4)
+    rep = dominance_report(oracle(True), order=4)
     assert rep.satisfied and not rep.marginal
     assert rep.analytic_region_ok is True
 
 
-@pytest.mark.parametrize("exact", [False, True], ids=["probed", "exact"])
-def test_a_report_is_either_exact_or_a_probed_lower_estimate(exact):
-    oracle = CoefficientOracle(
-        a=lambda i, j: np.where(i == j, 2.0 ** i, 0.0), b=lambda i: 0.0,
-        analytic_region=lambda: False,
-        exact_row_sums=(lambda i: (np.zeros(len(i)), True, True)) if exact
-        else None)
+@pytest.mark.parametrize("exact", [False, True], ids=["unknown", "exact"])
+def test_a_report_is_either_exact_or_unknown(exact):
+    oracle = diag_oracle(lambda i: 2.0 ** i, analytic_region=lambda: False,
+                         exact_row_sums=zero_row_sums if exact else None)
     rep = dominance_report(oracle, order=4)
-    assert rep.satisfied and rep.marginal
     assert rep.tail_is_analytic is exact and rep.certifies is exact
-    data = rep.to_dict()
-    assert data["row_sums_bounded"] is True
-    # An exact report reads no cutoff and names the rows it covers; a probe
-    # reads 4 * order columns.
-    assert data["tail_cutoff"] == rep.tail_cutoff == (None if exact else 16)
-    rows = "rows 1..4" if exact else "probed rows"
-    assert data["notes"][-1] == (f"{rows} are dominant but the parameters "
+    data = json.loads(json.dumps(rep.to_dict(), allow_nan=False))
+    # Neither kind reads a cutoff; the key stays, as null.
+    assert data["tail_cutoff"] is None
+    if exact:
+        assert rep.satisfied and rep.marginal
+        assert data["row_sums_bounded"] is True
+        assert data["notes"] == ["rows 1..4 are dominant but the parameters "
                                  "lie outside the closed-form sufficient "
-                                 "region")
-    assert any("lower estimate" in n for n in data["notes"]) is not exact
+                                 "region"]
+        return
+    # Rows with no stated sums are finite, perhaps, but unknown: NaN in
+    # memory, null in JSON, and never satisfied.
+    assert np.isnan(rep.sigma).all() and math.isnan(rep.max_offdiag_row_sum)
+    assert data["sigma"] == [None] * 4 and data["max_sigma"] is None
+    assert data["max_offdiag_row_sum"] is None and data["worst_row"] == 1
+    for key in ("diag_sums_summable", "col_sums_finite", "row_sums_bounded",
+                "satisfied", "marginal"):
+        assert data[key] is False, key
+    assert data["analytic_region_ok"] is False
+    assert data["notes"] == ["diag states no row sums: every sigma and the "
+                             "side conditions are unknown"]
 
 
 def test_dominance_rejects_zero_diagonal():
@@ -195,45 +207,21 @@ def test_dominance_argument_validation():
         dominance_report(oracle, order=0)
 
 
-def test_dominance_survives_uncomputable_deep_entries():
-    """Probes stop at the first row a quadrature-style oracle cannot price."""
+def test_an_unknown_report_reads_only_rows_1_to_order():
+    """An oracle that cannot price rows past 3 still reports on rows 1..3,
+    whose diagonal is the one block read; a report on row 4 passes the
+    oracle's exception on, as truncate does."""
 
     def a(i, j):
-        if np.any(i > 6):
+        if np.any(np.asarray(i) > 3):
             raise ValueError("entry out of numeric range")
         return np.where(i == j, 2.0 ** i, 0.0)
 
-    rep = dominance_report(CoefficientOracle(a=a, b=lambda i: 0.0), order=3)
-    assert rep.satisfied
-    assert any("diagonal probe ended at row 6" in n for n in rep.notes)
-    assert any("column sums probed to row 6" in n for n in rep.notes)
-
-
-def test_a_block_that_fails_only_as_a_whole_is_not_cut():
-    """An oracle that refuses any call with more than one row, yet prices
-    every row alone, gives no row to cut before: the probe re-raises."""
-
-    def a(i, j):
-        if np.size(i) > 1:
-            raise ArithmeticError("whole blocks only fail")
-        return np.where(i == j, 2.0 ** i, 0.0)
-
-    with pytest.raises(ArithmeticError, match="whole blocks only fail"):
-        dominance_report(CoefficientOracle(a=a, b=lambda i: 0.0), order=2)
-
-
-def test_a_diagonal_probe_of_fewer_than_four_rows_is_not_summable():
-    """Rows past 2 cannot be priced, so the diagonal probe reaches two rows,
-    too few for a ratio: summability fails and a note says where it ended."""
-
-    def a(i, j):
-        if np.any(np.asarray(i) > 2):
-            raise ValueError("entry out of numeric range")
-        return np.where(i == j, 2.0 ** i, 0.0)
-
-    rep = dominance_report(CoefficientOracle(a=a, b=lambda i: 0.0), order=1)
-    assert rep.diag_sums_summable is False and not rep.satisfied
-    assert any("diagonal probe ended at row 2 of 4" in n for n in rep.notes)
+    oracle = CoefficientOracle(a=a, b=lambda i: 0.0)
+    rep = dominance_report(oracle, order=3)
+    assert len(rep.sigma) == 3 and not rep.satisfied
+    with pytest.raises(ValueError, match="entry out of numeric range"):
+        dominance_report(oracle, order=4)
 
 
 def test_converge_on_identity():
@@ -537,9 +525,9 @@ def test_a_report_certifies_only_with_an_analytic_tail_and_a_passed_probe(
     rep = dominance_report(make(), order=8)
     assert rep.certifies is certifies
     assert rep.certifies == (rep.tail_is_analytic and rep.satisfied)
-    # A probe that passes on its lower estimates still certifies nothing.
-    if rep.satisfied and not certifies:
-        assert not rep.tail_is_analytic
+    # Every one of these oracles states its row sums, so a report that is
+    # satisfied certifies.
+    assert rep.tail_is_analytic and rep.satisfied is certifies
     assert "certifies" not in rep.to_dict()
 
 
@@ -577,7 +565,7 @@ def test_a_solution_that_cannot_certify_is_heuristic_after_one_report(
     monkeypatch.setattr(linsys, "dominance_report", counted)
     # The general M/G rows are stated unbounded; the general GI rows of
     # deterministic arrivals are exact but their inverse diagonals are not
-    # summable, and those of the same law given by callables are probed.
+    # summable, and the same law given by callables states no row sums.
     law = ArrivalDistribution.deterministic(2.0)
     as_callables = ArrivalDistribution.from_callables(
         law.sample, law.laplace, 2.0, 4.0)
@@ -596,8 +584,8 @@ def test_a_ladder_solution_takes_its_fields_by_keyword_only():
         linsys.LadderSolution(conv.n_used, conv.converged, conv, BIDIAGONAL)
     sol = linsys.LadderSolution(n_used=conv.n_used, converged=conv.converged,
                                 convergence=conv, oracle=BIDIAGONAL)
-    # The report probes min(n_used, 64) rows; BIDIAGONAL has no exact row
-    # sums.
+    # The report covers min(n_used, 64) rows; BIDIAGONAL states no row
+    # sums, so its report is unknown.
     assert sol.notes == [] and sol.heuristic
     assert sol.dominance.order == 8 and not sol.dominance.certifies
     assert "oracle" not in repr(sol)

@@ -297,7 +297,7 @@ def test_general_solve_is_heuristic_with_every_sigma_unbounded(
     # is infinite, where a probe of 4 * order columns used to pass.
     assert sol.heuristic and probes == [sol.n_used]
     dom = sol.dominance
-    assert dom.tail_is_analytic and dom.tail_cutoff is None
+    assert dom.tail_is_analytic and dom.to_dict()["tail_cutoff"] is None
     assert not dom.satisfied and dom.max_sigma == math.inf
     data = sol.to_dict()
     assert data["heuristic"] is True and probes == [sol.n_used]

@@ -11,6 +11,7 @@ quadrature-backed oracle does the same arithmetic and must match exactly.
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from gatedq.distributions import (
     GammaTable,
     ServiceDistribution,
 )
+from gatedq.errors import OutOfRegimeError
 from gatedq.linsys import dominance_report, truncate
 
 N = 256
@@ -228,26 +230,42 @@ def test_an_empty_row_range_gives_an_empty_block(make_oracle):
         assert got.shape == np.broadcast_shapes(i.shape, j.shape)
 
 
-def reference_dominance_dict(oracle, order):
-    """dominance_report(oracle, order).to_dict() with the off-diagonal row
-    sums taken by math.fsum over the first 4 * order columns of the rows'
-    np.float64 entries, or, for an oracle with exact row sums, taken from
-    those over the diagonal entries with the oracle's closed-form side
-    conditions and no cutoff."""
+def probed_row_sums(oracle, order):
+    """math.fsum of |a_ij|, j != i, over the first 4 * order columns of rows
+    1..order: a lower estimate of each off-diagonal row sum."""
+    rows, cols = np.arange(1, order + 1), np.arange(1, 4 * order + 1)
+    block = np.abs(linsys._block(oracle.a, rows[:, None], cols[None, :]))
+    np.fill_diagonal(block, 0.0)
+    return np.array([math.fsum(r) for r in block.tolist()])
+
+
+def probed_sigma(oracle, order):
+    """probed_row_sums divided by |a_ii|: a lower estimate of sigma_i."""
+    rows = np.arange(1, order + 1)
+    return (probed_row_sums(oracle, order)
+            / np.abs(linsys._block(oracle.a, rows, rows)))
+
+
+def reference_dominance_dict(oracle, order, sums=None):
+    """dominance_report(oracle, order).to_dict() rebuilt from row sums over
+    the diagonal entries: the given sums, or else the oracle's exact ones,
+    with its closed-form side conditions.  An oracle with neither gets the
+    unknown report: every number null and every condition false."""
     report = dominance_report(oracle, order=order).to_dict()
     rows = np.arange(1, order + 1)
-    if oracle.exact_row_sums is not None:
-        sums, diag_ok, cols_ok = oracle.exact_row_sums(rows)
-        diag = np.abs(linsys._block(oracle.a, rows, rows))
-        report.update(tail_cutoff=None, diag_sums_summable=diag_ok,
-                      col_sums_finite=cols_ok and bool(np.isfinite(diag).all()))
-    else:
-        report.update(tail_cutoff=4 * order)
-        cols = np.arange(1, 4 * order + 1)
-        block = np.abs(linsys._block(oracle.a, rows[:, None], cols[None, :]))
-        diag = np.diag(block).copy()
-        np.fill_diagonal(block, 0.0)
-        sums = np.array([math.fsum(r) for r in block])
+    if sums is None and oracle.exact_row_sums is None:
+        report.update(sigma=[None] * order, worst_row=1, max_sigma=None,
+                      max_offdiag_row_sum=None, row_sums_bounded=False,
+                      diag_sums_summable=False, col_sums_finite=False,
+                      satisfied=False, marginal=False, tail_is_analytic=False,
+                      tail_cutoff=None)
+        return report
+    exact, diag_ok, cols_ok = oracle.exact_row_sums(rows)
+    sums = exact if sums is None else sums
+    diag = np.abs(linsys._block(oracle.a, rows, rows))
+    report.update(tail_cutoff=None, tail_is_analytic=True,
+                  diag_sums_summable=diag_ok,
+                  col_sums_finite=cols_ok and bool(np.isfinite(diag).all()))
     sigma = sums / diag
     worst = int(np.argmax(sigma)) + 1
     max_row = float(sums.max())
@@ -262,18 +280,21 @@ def reference_dominance_dict(oracle, order):
     return report
 
 
-@pytest.mark.parametrize("make_oracle,order", [
-    (lambda: mgqueue.moment_oracle(mg_model(0.75)), 12),
-    (lambda: giqueue.factorial_oracle(gi_poisson_model(0.45)), 25),
-    (lambda: giqueue.factorial_oracle(gi_deterministic_model(0.4)), 64),
-    (lambda: giqueue._general_oracle(gi_erlang2_model(0.3)), 50),
-    (lambda: dataclasses.replace(giqueue.factorial_oracle(
-        gi_deterministic_model(0.4)), exact_row_sums=None), 64),
+@pytest.mark.parametrize("make_oracle,order,probe", [
+    (lambda: mgqueue.moment_oracle(mg_model(0.75)), 12, False),
+    (lambda: giqueue.factorial_oracle(gi_poisson_model(0.45)), 25, False),
+    (lambda: giqueue.factorial_oracle(gi_deterministic_model(0.4)), 64, False),
+    # Arrivals given by callables state no row sums.
+    (lambda: giqueue._general_oracle(gi_erlang2_model(0.3)), 50, False),
+    # At q = exp(-2.5) the first 256 columns already hold every entry that
+    # can move a correctly rounded row sum.
+    (lambda: giqueue.factorial_oracle(gi_deterministic_model(0.4)), 64, True),
 ])
-def test_dominance_report_sums_rows_bit_for_bit(make_oracle, order):
+def test_dominance_report_sums_rows_bit_for_bit(make_oracle, order, probe):
     oracle = make_oracle()
+    sums = probed_row_sums(oracle, order) if probe else None
     assert (dominance_report(oracle, order=order).to_dict()
-            == reference_dominance_dict(oracle, order))
+            == reference_dominance_dict(oracle, order, sums))
 
 
 # ------------------------------------------------- exact row sums of the closed forms
@@ -342,10 +363,17 @@ def mpmath_row_sums(bhat, rows):
     # (1 - q)^i leaves the normal range from row 1033, and q^(i-1) from
     # row 1014.
     pytest.param(0.4966, np.arange(1030, 1101), id="0.4966-rows-1030-1100"),
+    # q^(i-1) leaves the normal range from row 590 and underflows to 0.0
+    # from row 620, while (q / (1 - q))^(i-1) stays normal to row 837.
+    pytest.param(0.3, np.arange(580, 701), id="0.3-rows-580-700"),
+    # Past light traffic, assembled by override.
+    *(pytest.param(q, np.arange(1, 65), id=str(q))
+      for q in (0.5, 0.6, 0.75, 0.9, 0.95, 0.99)),
 ])
 def test_deterministic_row_sums_match_an_mpmath_reference(q, rows):
     """Exact row sums of deterministic spacing -log(q) at mu = 1, against
-    the same sums at 40 digits on the model's own doubles bhat_j.
+    the same sums at 40 digits on the model's own doubles bhat_j, over at
+    least 200 columns and enough that q^j falls below e^-100.
 
     Each entry carries at most (i/2 + 3) eps of relative rounding (1 - bhat_j
     and its i-th power, a pow, two divisions), and the sum one more rounding,
@@ -355,11 +383,45 @@ def test_deterministic_row_sums_match_an_mpmath_reference(q, rows):
     model = giqueue.GiModel(ArrivalDistribution.deterministic(-math.log(q)),
                             1.0)
     sums, diag_summable, cols_finite = giqueue.factorial_oracle(
-        model).exact_row_sums(rows)
-    assert diag_summable is False and cols_finite is True
-    want = mpmath_row_sums(model.bhats(200), rows)
+        model, override=True).exact_row_sums(rows)
+    assert diag_summable is False and cols_finite is (q < 0.5)
+    want = mpmath_row_sums(
+        model.bhats(max(200, math.ceil(-100.0 / math.log(q)))), rows)
     tol = (rows + 8) * np.finfo(float).eps * want + 16 * 2.0 ** -1074
     assert np.all(np.abs(sums - want) <= tol), np.abs(sums - want) / tol
+
+
+def test_deterministic_rows_that_overflow_sum_to_nan():
+    """Spacing 0.1 at mu = 1 (q = 0.9048): a(i, 1) grows like
+    (q / (1 - q))^(i-1) and leaves double range from row 316.  Those rows
+    are finite, but not representable, so their sums are NaN, not +inf."""
+    model = giqueue.GiModel(ArrivalDistribution.deterministic(0.1), 1.0)
+    sums, diag_summable, cols_finite = giqueue._spacing_row_sums(
+        model, np.arange(1, 401))
+    assert np.isfinite(sums[:315]).all() and np.isnan(sums[315:]).all()
+    assert diag_summable is False and cols_finite is False
+
+
+@pytest.mark.parametrize("spacing,message", [
+    (1e-300, "bhat(mu) = 1.0: the deterministic rows do not fall"),
+    (1e-10, "need a head of 388162388980 columns, more than 1048576 entries"),
+], ids=["bhat-rounds-to-1", "head-past-the-cap"])
+def test_a_head_too_long_to_hold_is_refused_before_it_is_built(spacing,
+                                                               message):
+    """bhat_1 rounds to 1 at spacing 1e-300, and is 1 - 1e-10 at 1e-10,
+    whose head would need ~56 / -log2(bhat_1) columns per row."""
+    import tracemalloc
+
+    model = giqueue.GiModel(ArrivalDistribution.deterministic(spacing), 1.0)
+    rows = np.arange(1, 65)
+    tracemalloc.start()
+    try:
+        with pytest.raises(OutOfRegimeError, match=re.escape(message)):
+            giqueue._spacing_row_sums(model, rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 @settings(max_examples=25, deadline=None)
@@ -367,19 +429,18 @@ def test_deterministic_row_sums_match_an_mpmath_reference(q, rows):
        mu=st.floats(min_value=0.5, max_value=2.0))
 def test_exact_deterministic_reports_keep_the_probe_bits(rho, mu):
     """The benchmark's deterministic loads (q = exp(-1/rho) <= 0.22) at
-    order 50: the probe's 200 columns reach far past every entry that can
-    move a correctly rounded sum, so both reports read the same bits."""
+    order 50: the first 200 columns reach far past every entry that can
+    move a correctly rounded sum, so a probe of them reads the same bits."""
     oracle = giqueue.factorial_oracle(giqueue.GiModel(
         ArrivalDistribution.deterministic(1.0 / (rho * mu)), mu))
     exact = dominance_report(oracle, order=50)
-    probe = dominance_report(dataclasses.replace(oracle, exact_row_sums=None),
-                             order=50)
-    assert exact.tail_is_analytic and not probe.tail_is_analytic
-    np.testing.assert_array_equal(exact.sigma, probe.sigma)
-    for key in ("worst_row", "max_sigma", "max_offdiag_row_sum",
-                "diag_sums_summable", "col_sums_finite", "satisfied",
-                "certifies"):
-        assert getattr(exact, key) == getattr(probe, key), key
+    sums = probed_row_sums(oracle, 50)
+    sigma = probed_sigma(oracle, 50)
+    assert exact.tail_is_analytic
+    np.testing.assert_array_equal(exact.sigma, sigma)
+    assert exact.worst_row == int(np.argmax(sigma)) + 1
+    assert exact.max_sigma == sigma.max()
+    assert exact.max_offdiag_row_sum == sums.max()
 
 
 def analytic_row_tail(kind, rho, rows, cutoff):
@@ -424,17 +485,23 @@ def test_exact_sigma_lies_between_the_probe_bounds(kind, order):
     for rho in EXACT_RHO:
         oracle = EXACT[kind](rho)
         exact = dominance_report(oracle, order=order).sigma
-        probe = dominance_report(dataclasses.replace(
-            oracle, exact_row_sums=None), order=order).sigma
+        probe = probed_sigma(oracle, order)
         tail = (analytic_row_tail(kind, rho, rows, 4 * order)
                 / np.abs(oracle.a(rows, rows)))
         assert np.all(probe * (1.0 - slack) <= exact), (kind, rho)
         assert np.all(exact <= (probe + tail) * (1.0 + slack)), (kind, rho)
 
 
-@pytest.mark.parametrize("kind", sorted(EXACT))
+READ_ONLY_THE_DIAGONAL = {
+    **EXACT,
+    # States no row sums: its report is unknown, with every sigma null.
+    "gi-callables": lambda rho: giqueue.factorial_oracle(gi_erlang2_model(rho)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(READ_ONLY_THE_DIAGONAL))
 def test_an_exact_report_reads_only_the_diagonal(kind):
-    oracle = EXACT[kind](0.3)
+    oracle = READ_ONLY_THE_DIAGONAL[kind](0.3)
     shapes = []
 
     def a(i, j):
@@ -444,7 +511,13 @@ def test_an_exact_report_reads_only_the_diagonal(kind):
 
     report = dominance_report(dataclasses.replace(oracle, a=a), order=40)
     assert shapes == [(40,)]
-    assert report.to_dict() == dominance_report(oracle, order=40).to_dict()
+    data = report.to_dict()
+    assert data == dominance_report(oracle, order=40).to_dict()
+    known = oracle.exact_row_sums is not None
+    assert report.tail_is_analytic is known
+    assert (None not in data["sigma"]) is known
+    if not known:
+        assert data["sigma"] == [None] * 40 and data["max_sigma"] is None
 
 
 def test_an_exact_sigma_that_is_not_finite_is_refused():

@@ -8,11 +8,11 @@ imports gatedq from CHECKOUT/src and runs, in this one process, every
 fixed list of edge cases: an unconverged ladder, beta_i past double range,
 capped, pinned and short ladders, out-of-regime and unrepresentable models,
 a numerically singular truncation, a zero diagonal, both dominance systems,
-short simulate runs, simulate runs that take more than 65 536 draws of a
-stream, heavy-load simulate runs whose stages take many draws, loads too
-heavy to simulate, every compare figure and extreme GI rates.  Each command
-runs in its own empty directory OUTDIR/NN (the working directory, so the
-paths it prints are relative).
+deterministic dominance past light traffic, short simulate runs, simulate
+runs that take more than 65 536 draws of a stream, heavy-load simulate runs
+whose stages take many draws, loads too heavy to simulate, every compare
+figure and extreme GI rates.  Each command runs in its own empty directory
+OUTDIR/NN (the working directory, so the paths it prints are relative).
 OUTDIR/manifest.json holds, per command, its exit code, stdout, stderr and
 the sha256 of each file it wrote.  An exception that escapes cli.main is
 recorded as exit 1 with its last traceback line, which names no path.
@@ -75,7 +75,7 @@ EDGES = [
     # Poisson rows that leave double range on purpose from row 309.
     "gatedq dominance --system gi --rho 0.01 --order 400",
     # Both closed-form systems just below where their plain rows stop being
-    # dominant, and a general GI probe whose powers underflow.
+    # dominant, and exact general GI rows whose powers underflow.
     "gatedq dominance --system mg --lambda 0.93 --mu 1.0",
     "gatedq dominance --system gi --rho 0.34",
     "gatedq dominance --system gi --deterministic 2.0 --mu 1.0 --order 64",
@@ -125,9 +125,14 @@ EDGES = [
     "gatedq dominance --system gi --deterministic 1e-300 --mu 1.0 --override",
     # A zero diagonal entry: row 1 of the Poisson system at rho = 1.
     "gatedq dominance --system gi --rho 1.0 --override",
-    # Rows with an infinite off-diagonal sum over a finite diagonal.
+    # Deterministic rows past light traffic, assembled by override: exact
+    # rows, a head too long to hold (bhat(mu) = 1 - 1e-10), and rows whose
+    # sums leave double range.
+    "gatedq dominance --system gi --deterministic 0.5 --mu 1.0 --override",
     "gatedq dominance --system gi --deterministic 1e-10 --mu 1.0 --override "
     "--order 100",
+    "gatedq dominance --system gi --deterministic 0.1 --mu 1.0 --override "
+    "--order 400",
     # Exponential min moments m!/(k mu)^m that overflow to inf, and powers
     # lam^m that underflow to 0.0, around the general assembly's lead.
     "gatedq analyze-mg --lambda 0.0005 --mu 0.001 --assembly general "
