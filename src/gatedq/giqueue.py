@@ -50,17 +50,19 @@ the inverse diagonals are not summable and the report is never satisfied.
 An arrival law given by callables states no row sums, so its report is
 unknown.
 
-From a solved x-vector the stationary pmf and pgf come out as alternating
-combinations of geometric laws:
+From a solved x-vector the stationary law is a signed mixture of geometric
+laws, whose weights v_k = (-1)^{k-1} x_k every reader sums over:
 
-    pi_i = sum_k x_k (-1)^{k-1} (1 - bhat_k) bhat_k^{i-1},
-    phi(z) = z sum_k x_k (-1)^{k-1} (1 - bhat_k) / (1 - bhat_k z).
+    pi_i = sum_k v_k (1 - bhat_k) bhat_k^{i-1},
+    phi(z) = z sum_k v_k (1 - bhat_k) / (1 - bhat_k z).
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
@@ -68,7 +70,7 @@ import numpy as np
 
 from . import linsys
 from .distributions import ArrivalDistribution
-from .errors import OutOfRegimeError, UnconvergedError
+from .errors import OutOfRegimeError
 
 _EPS = float(np.finfo(float).eps)
 _ROUNDING_TOL = 1e-6
@@ -134,14 +136,22 @@ class GiModel:
 class GiMomentSolution(linsys.LadderSolution):
     """Scaled factorial moments x_m with solve diagnostics.
 
-    defect records |sum_m (-1)^m x_m + 1|, the residual of the structural
-    identity phi(0) = 0; it is reported, never re-imposed on the solution.
+    weights holds the law's mixture weights v_k = (-1)^{k-1} x_k, and
+    defect = |1 - sum_k v_k| the residual of the structural identity
+    phi(0) = 0; it is reported, never re-imposed on the solution.
     For a general arrival law the oracle keeps the model and its memoized
     bhat_k alive (see linsys.LadderSolution).
     """
 
     x: dict
-    defect: float
+
+    @functools.cached_property
+    def weights(self) -> tuple:
+        return tuple(self.x[k] * (-1.0) ** (k - 1) for k in sorted(self.x))
+
+    @property
+    def defect(self) -> float:
+        return abs(1.0 - math.fsum(self.weights))
 
     def to_dict(self) -> dict:
         return {
@@ -427,9 +437,8 @@ def solve_factorial_moments(model: GiModel, order: int = 25, tol: float = 1e-8,
                             override: bool = False) -> GiMomentSolution:
     """Solve the truncated factorial-moment system.
 
-    Runs the doubling ladder from `order` up to n_max (default 4 * order),
-    maps the solved w back to x_m = w_m / m, and records the residual of the
-    structural identity sum (-1)^m x_m = -1.
+    Runs the doubling ladder from `order` up to n_max (default 4 * order)
+    and maps the solved w back to x_m = w_m / m.
     """
     if order < 4:
         raise ValueError(f"order must be >= 4, got {order}")
@@ -437,57 +446,51 @@ def solve_factorial_moments(model: GiModel, order: int = 25, tol: float = 1e-8,
     conv = linsys.converge(oracle, order, n_max or 4 * order, tol)
 
     x = {m: float(conv.values[m - 1]) / m for m in range(1, conv.n_used + 1)}
-    defect = abs(math.fsum((-1.0) ** m * xm for m, xm in x.items()) + 1.0)
     notes = []
     neg = [m for m, xm in x.items() if xm <= 0]
     if neg:
         notes.append(f"nonpositive factorial moments at indices {neg}")
     return GiMomentSolution(x=x, n_used=conv.n_used, converged=conv.converged,
-                            defect=defect, convergence=conv, oracle=oracle,
-                            notes=notes)
+                            convergence=conv, oracle=oracle, notes=notes)
+
+
+def _state(n, what: str) -> int:
+    """n as an int >= 1; anything else (0, 2.5, nan) raises ValueError."""
+    k = operator.index(n) if hasattr(type(n), "__index__") else 0
+    if k < 1:
+        raise ValueError(f"{what} must be an integer >= 1, got {n!r}")
+    return k
 
 
 def stationary_pmf(sol: GiMomentSolution, model: GiModel, i: int) -> float:
-    """pi_i as the alternating sum of geometric terms.
+    """pi_i as the signed sum of the geometric laws at i.
 
     The k-sum is cut at the first term below 1e-14 in magnitude.  Truncation
     of an alternating series can leave harmless tiny negatives; values in
     [-1e-10, 0) are clamped to zero.
     """
-    if i < 1:
-        raise ValueError(f"pmf support starts at 1, got i={i}")
-    if not sol.converged:
-        raise UnconvergedError("stationary_pmf needs a converged solution")
-    bhat = model.bhats(max(sol.x))
-    terms = []
-    for k in sorted(sol.x):
-        bk = bhat[k]
-        mag = abs(sol.x[k]) * (1.0 - bk) * bk ** (i - 1)
-        if mag < _PMF_TERM_TOL:
-            break
-        terms.append(sol.x[k] * (-1.0) ** (k - 1) * (1.0 - bk) * bk ** (i - 1))
-    val = math.fsum(terms)
+    i = _state(i, "pmf state")
+    sol.require_converged("stationary_pmf")
+    bhat = model.bhats(len(sol.weights))
+    terms = (v * (1.0 - bk) * bk ** (i - 1)
+             for bk, v in zip(bhat[1:], sol.weights))
+    val = math.fsum(itertools.takewhile(
+        lambda term: abs(term) >= _PMF_TERM_TOL, terms))
     return 0.0 if _NEGATIVE_CLAMP <= val < 0.0 else val
 
 
 def pmf_total_mass(sol: GiMomentSolution, model: GiModel) -> float:
-    """sum_i pi_i with the geometric tails summed in closed form.
-
-    Summing the geometric series over i first gives
-    sum_i pi_i = sum_k x_k (-1)^{k-1}; the identity is exact term by term.
-    """
-    if not sol.converged:
-        raise UnconvergedError("pmf_total_mass needs a converged solution")
-    return math.fsum(sol.x[k] * (-1.0) ** (k - 1) for k in sorted(sol.x))
+    """sum_i pi_i = sum_k v_k: summing each geometric law over i first is
+    exact term by term."""
+    sol.require_converged("pmf_total_mass")
+    return math.fsum(sol.weights)
 
 
 def pgf(sol: GiMomentSolution, model: GiModel, z: float) -> float:
     """Probability generating function of the stationary customers-per-stage law."""
     if not 0.0 <= z <= 1.0:
         raise ValueError(f"pgf argument must lie in [0, 1], got {z}")
-    if not sol.converged:
-        raise UnconvergedError("pgf needs a converged solution")
-    bhat = model.bhats(max(sol.x))
-    return z * math.fsum(
-        sol.x[k] * (-1.0) ** (k - 1) * (1.0 - bhat[k]) / (1.0 - bhat[k] * z)
-        for k in sorted(sol.x))
+    sol.require_converged("pgf")
+    bhat = model.bhats(len(sol.weights))
+    return z * math.fsum(v * (1.0 - bk) / (1.0 - bk * z)
+                         for bk, v in zip(bhat[1:], sol.weights))

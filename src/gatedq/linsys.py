@@ -45,6 +45,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .errors import UnconvergedError
+
 
 class AssemblyError(ValueError):
     """An oracle produced a non-finite coefficient during truncation."""
@@ -226,6 +228,11 @@ class LadderSolution:
     @property
     def heuristic(self) -> bool:
         return not self.dominance.certifies
+
+    def require_converged(self, reader: str) -> None:
+        """Raise UnconvergedError naming reader unless the solution converged."""
+        if not self.converged:
+            raise UnconvergedError(f"{reader} needs a converged solution")
 
     def _ladder_dict(self) -> dict:
         """The to_dict entries every solution writes, the report included."""

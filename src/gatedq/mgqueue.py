@@ -20,9 +20,12 @@ beta_i = E[Y^i]:
 
     f(t) = g(t) [ 1 + sum_{k>=2} (-1)^k y_k (1 - k Gbar(t)^{k-1}) ],
 
-and the y_i solve an infinite linear system.  For exponential service the
-system is transformed (unknown x_1 = s := y_2 - y_3 + ..., x_i = y_i, rows
-scaled by rho^{-i/2}) into a strictly diagonally dominant form whose
+and the y_i solve an infinite linear system.  As a polynomial in Gbar(t),
+f(t) = g(t) sum_j j w_j Gbar(t)^{j-1} is a signed mixture of the laws of
+min(sigma_1, ..., sigma_j), whose weights every reader sums over.
+
+For exponential service the system is transformed (unknown x_1 = s :=
+y_2 - y_3 + ..., x_i = y_i, rows scaled by rho^{-i/2}) into a strictly diagonally dominant form whose
 truncations provably converge for rho below about 0.779 (the closed-form
 sufficient region, sqrt(6)/pi); truncations are observed to converge for any
 rho < 1.  Its off-diagonal row sums are zeta sums over every column, so the
@@ -47,6 +50,8 @@ independent numeric route to f for cross-checking the series.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -57,8 +62,8 @@ from . import linsys
 from .distributions import (DivergentMomentError, GammaTable,
                             ServiceDistribution, _on_nodes, piecewise_integral,
                             support_end, tail_support)
-from .errors import OutOfRegimeError, UnconvergedError
-from .giqueue import _BERNOULLI, _zeta
+from .errors import OutOfRegimeError
+from .giqueue import _BERNOULLI, _state, _zeta
 
 _SERIES_TERM_TOL = 1e-12
 _GRID_TAIL_EPS = 1e-10
@@ -111,6 +116,13 @@ class MgMomentSolution(linsys.LadderSolution):
     beta1: float
     assembly: str
 
+    @functools.cached_property
+    def weights(self) -> tuple:
+        """(w_1, ..., w_K): c_k = (-1)^k y_k over the terms k = 2..K that
+        _series_cutoff keeps, w_1 = 1 + sum_k c_k and w_k = -c_k."""
+        coef = [(-1.0) ** k * self.y[k] for k in _series_cutoff(self.y)]
+        return (1.0 + math.fsum(coef), *(-c for c in coef))
+
     def to_dict(self) -> dict:
         return {
             "lam": self.lam,
@@ -128,11 +140,11 @@ class MgMomentSolution(linsys.LadderSolution):
 def kernel_density(model: MgModel, x, y):
     """Transition kernel density q(x, y) of the stage-length chain.
 
-    Accepts scalars or arrays; negative arguments are rejected.
+    Accepts scalars or arrays; negative and NaN arguments are rejected.
     """
     x_arr = np.asarray(x, dtype=float)
     y_arr = np.asarray(y, dtype=float)
-    if np.any(x_arr < 0) or np.any(y_arr < 0):
+    if not (np.all(x_arr >= 0) and np.all(y_arr >= 0)):
         raise ValueError("kernel_density needs x >= 0 and y >= 0")
     lam = model.lam
     g = model.service.pdf(y_arr)
@@ -387,37 +399,26 @@ def _series_cutoff(y: dict) -> list:
     The bracket multiplying y_k is bounded by 1 + k, so the series is cut at
     the first k with |y_k| (1 + k) below 1e-12.
     """
-    keep = []
-    for k in sorted(y):
-        if abs(y[k]) * (1 + k) < _SERIES_TERM_TOL:
-            break
-        keep.append(k)
-    return keep
+    return list(itertools.takewhile(
+        lambda k: abs(y[k]) * (1 + k) >= _SERIES_TERM_TOL, sorted(y)))
 
 
 def _density_series(sol: MgMomentSolution, model: MgModel):
-    """The density series of one solution as a function of a float array t.
+    """The density of one solution as a function of a float array t.
 
-    The cutoff and the signed coefficients (-1)^k y_k are fixed once, so a
-    caller that evaluates f many times pays only for the terms.  pdf and sf
-    see the whole array when they map it to an array of its shape, else one
-    node at a time.  Terms are accumulated with Kahan compensation because
-    the series alternates.
+    The polynomial in Gbar(t) is evaluated by Horner's rule.  pdf and sf see
+    the whole array when they map it to an array of its shape, else one node
+    at a time.
     """
-    ks = _series_cutoff(sol.y)
-    coef = [(-1.0) ** k * sol.y[k] for k in ks]
+    coef = [j * w for j, w in enumerate(sol.weights, start=1)]
     pdf, sf = model.service.pdf, model.service.sf
 
     def density(t):
         g, gbar = _on_nodes(pdf, t), _on_nodes(sf, t)
-        total, comp = g, 0.0
-        for k, c in zip(ks, coef):
-            term = c * g * (1.0 - k * gbar ** (k - 1))
-            delta = term - comp
-            fresh = total + delta
-            comp = (fresh - total) - delta
-            total = fresh
-        return total
+        poly = coef[-1]
+        for c in reversed(coef[:-1]):
+            poly = poly * gbar + c
+        return g * poly
 
     return density
 
@@ -425,14 +426,12 @@ def _density_series(sol: MgMomentSolution, model: MgModel):
 def stationary_density(sol: MgMomentSolution, model: MgModel, y):
     """Series form of the stationary stage-length density at y.
 
-    Refuses unconverged solutions.  Returns a float for a scalar y, from the
-    same evaluation on a 1-element array, and an array otherwise.
+    Refuses unconverged solutions and negative or NaN y.  Returns a float for
+    a scalar y, from the same evaluation on a 1-element array, else an array.
     """
-    if not sol.converged:
-        raise UnconvergedError(
-            "stationary_density needs a converged moment solution")
+    sol.require_converged("stationary_density")
     t = np.asarray(y, dtype=float)
-    if np.any(t < 0):
+    if not np.all(t >= 0):
         raise ValueError("density argument must be >= 0")
     f = _density_series(sol, model)(np.atleast_1d(t))
     return f if t.ndim else float(f[0])
@@ -440,9 +439,7 @@ def stationary_density(sol: MgMomentSolution, model: MgModel, y):
 
 def mean_customers_per_stage(sol: MgMomentSolution) -> float:
     """E[K] = 1 + s: every stage serves its closing arrival plus s on average."""
-    if not sol.converged:
-        raise UnconvergedError(
-            "mean_customers_per_stage needs a converged moment solution")
+    sol.require_converged("mean_customers_per_stage")
     return 1.0 + sol.s
 
 
@@ -450,27 +447,21 @@ def _exponential_count_pmf(sol: MgMomentSolution, model: MgModel,
                            k: int) -> float:
     """P(K = k) in closed form for exponential service.
 
-    With c_j = (-1)^j y_j over the series terms and C = 1 + sum_j c_j, the
-    series density is C mu e^{-mu t} - sum_j c_j j mu e^{-j mu t}, a finite
-    sum of exponentials w_j j mu e^{-j mu t}.  Each integrates against the
-    Poisson weight in closed form, with a = lam + j mu:
+    The min of j service times has rate j mu, so the density is the sum of
+    exponentials w_j j mu e^{-j mu t}, each integrated against the Poisson
+    weight in closed form, with a = lam + j mu:
 
         k >= 2:  w_j j mu lam^k / a^(k+1),  taken in log space as
                  w_j (j mu / a) exp(-k log1p(j mu / lam)),
         k = 1:   w_j j mu (1/a + lam/a^2).
     """
     lam, mu = model.lam, model.service.mu
-    ks = _series_cutoff(sol.y)
-    coef = [(-1.0) ** j * sol.y[j] for j in ks]
-    weights = [1.0 + math.fsum(coef)] + [-c for c in coef]
     terms = []
-    for j, w in zip([1] + ks, weights):
+    for j, w in enumerate(sol.weights, start=1):
         rate = j * mu
         a = lam + rate
-        if k == 1:
-            terms.append(w * rate * (1.0 / a + lam / (a * a)))
-        else:
-            terms.append(w * rate / a * math.exp(-k * math.log1p(rate / lam)))
+        terms.append(w * rate * (1.0 / a + lam / (a * a)) if k == 1 else
+                     w * rate / a * math.exp(-k * math.log1p(rate / lam)))
     return math.fsum(terms)
 
 
@@ -487,10 +478,8 @@ def stage_count_pmf(sol: MgMomentSolution, model: MgModel, k: int) -> float:
     the weight's peak k/lam (at most 0.999 of the range), and the two pieces
     are added with math.fsum.
     """
-    if k < 1:
-        raise ValueError(f"customer count starts at 1, got k={k}")
-    if not sol.converged:
-        raise UnconvergedError("stage_count_pmf needs a converged moment solution")
+    k = _state(k, "customer count")
+    sol.require_converged("stage_count_pmf")
     if model.mu is not None:
         return _exponential_count_pmf(sol, model, k)
 

@@ -343,8 +343,13 @@ def empirical_stats(trace: StageTrace, bins: int = 64,
 
     k_max = int(ks.max())
     k_values = np.arange(1, k_max + 1)
-    k_pmf = np.array([(ks == kv).mean() for kv in k_values])
-    k_se = np.array([_batch_se((ks == kv).astype(float)) for kv in k_values])
+    k_pmf = np.bincount(ks, minlength=k_max + 1)[1:] / n
+    # _batch_se of each k's indicator: one contiguous row of batch means per k.
+    batches = ks[:n - n % _N_BATCHES].reshape(_N_BATCHES, -1)
+    slots = batches * _N_BATCHES + np.arange(_N_BATCHES)[:, None]
+    counts = np.bincount(slots.ravel(), minlength=(k_max + 1) * _N_BATCHES)
+    means = counts.reshape(k_max + 1, _N_BATCHES)[1:] / batches.shape[1]
+    k_se = means.std(axis=1, ddof=1) / math.sqrt(_N_BATCHES)
 
     return EmpiricalStats(
         column=column, n_used=n, bin_edges=edges, histogram=hist,

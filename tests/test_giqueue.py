@@ -318,8 +318,27 @@ def test_pmf_stays_nonnegative_near_the_regime_edge():
 def test_pmf_argument_validation():
     m = poisson_model(0.5)
     sol = giqueue.solve_factorial_moments(m)
-    with pytest.raises(ValueError):
-        giqueue.stationary_pmf(sol, m, 0)
+    for bad in (0, 2.5, math.nan, 2.0):
+        with pytest.raises(ValueError):
+            giqueue.stationary_pmf(sol, m, bad)
+    assert (giqueue.stationary_pmf(sol, m, np.int64(2))
+            == giqueue.stationary_pmf(sol, m, 2))
+
+
+def test_mixture_weights_are_computed_once_per_solution(monkeypatch):
+    prop = giqueue.GiMomentSolution.__dict__["weights"]
+    calls = []
+    monkeypatch.setattr(prop, "func",
+                        lambda sol, f=prop.func: calls.append(sol) or f(sol))
+    m = poisson_model(0.5)
+    sol = giqueue.solve_factorial_moments(m)
+    for i in range(1, 6):
+        giqueue.stationary_pmf(sol, m, i)
+    giqueue.pgf(sol, m, 0.5)
+    giqueue.pmf_total_mass(sol, m)
+    assert len(calls) == 1
+    assert sol.weights == tuple((-1.0) ** (k - 1) * sol.x[k]
+                                for k in range(1, len(sol.x) + 1))
 
 
 def test_unconverged_solutions_are_refused():

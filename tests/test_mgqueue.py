@@ -128,6 +128,10 @@ def test_kernel_rejects_negative_arguments():
         mgqueue.kernel_density(model(), -1.0, 0.5)
     with pytest.raises(ValueError):
         mgqueue.kernel_density(model(), 1.0, -0.5)
+    with pytest.raises(ValueError):
+        mgqueue.kernel_density(model(), 0.2, math.nan)
+    with pytest.raises(ValueError):
+        mgqueue.kernel_density(model(), math.nan, 0.5)
 
 
 # ------------------------------------------------- transformed assembly ----
@@ -817,6 +821,10 @@ def test_stationary_density_domain_and_convergence_guards():
     sol = mgqueue.solve_stage_moments(m, order=10)
     with pytest.raises(ValueError):
         mgqueue.stationary_density(sol, m, -0.1)
+    with pytest.raises(ValueError):
+        mgqueue.stationary_density(sol, m, math.nan)
+    with pytest.raises(ValueError):
+        mgqueue.stationary_density(sol, m, [0.5, math.nan])
     broken = dataclasses.replace(sol, converged=False)
     with pytest.raises(UnconvergedError):
         mgqueue.stationary_density(broken, m, 0.5)
@@ -850,6 +858,46 @@ def test_density_series_matches_the_per_node_reference(m, order):
     assert np.array_equal(mgqueue.stationary_density(sol, m, grid), scalar)
 
 
+@pytest.mark.parametrize("m,order", [(model(), 10),
+                                     (mgqueue.MgModel(0.4, erlang2()), 4)],
+                         ids=["exponential", "erlang2"])
+def test_mixture_weights_are_computed_once_per_solution(m, order, monkeypatch):
+    calls = []
+    cutoff = mgqueue._series_cutoff
+    monkeypatch.setattr(mgqueue, "_series_cutoff",
+                        lambda y: calls.append(y) or cutoff(y))
+    sol = mgqueue.solve_stage_moments(m, order=order)
+    mgqueue.stationary_density(sol, m, 0.5)
+    mgqueue.stationary_density(sol, m, np.linspace(0.0, 2.0, 9))
+    for k in (1, 2, 3):
+        mgqueue.stage_count_pmf(sol, m, k)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("law,lams", [
+    (ServiceDistribution.exponential(1.0), (0.3, 0.7)),
+    (erlang2(), (0.1, 0.4)),
+    (uniform_law(0.5), (0.1, 0.4)),
+], ids=["exponential", "erlang2", "uniform"])
+def test_mixture_mean_is_the_recovered_beta1(law, lams):
+    """The density's mixture of min-of-j laws has mean sum_j w_j gamma_{1,j},
+    which must be the separately recovered beta_1.
+
+    Both are the same sum over the solved y_k, except that the weights
+    stop at the series cutoff, where |y_k| (1 + k) < 1e-12, and each
+    dropped term is below |y_k| gamma_{1,1}; beta_1 >= gamma_{1,1}, so the
+    two agree to well within 1e-11 relative.
+    """
+    for lam in lams:
+        m = mgqueue.MgModel(lam, law)
+        sol = mgqueue.solve_stage_moments(m, order=8)
+        assert sol.converged
+        w = sol.weights
+        gamma = law.gamma_table.gammas(1, np.arange(1, len(w) + 1)).tolist()
+        mean = math.fsum(wj * gj for wj, gj in zip(w, gamma))
+        assert mean == pytest.approx(sol.beta1, rel=1e-11, abs=0.0)
+
+
 def test_unbounded_tail_raises_a_value_error():
     stuck = mgqueue.MgModel(lam=1.0, service=ServiceDistribution.from_callables(
         pdf=lambda y: 0.0, cdf=lambda y: 0.5, name="stuck"))
@@ -870,8 +918,10 @@ def test_stage_count_pmf_is_a_distribution():
     assert math.fsum(pmf) == pytest.approx(1.0, abs=1e-6)
     mean = math.fsum(k * p for k, p in enumerate(pmf, start=1))
     assert mean == pytest.approx(1.0 + sol.s, abs=1e-6)
-    with pytest.raises(ValueError):
-        mgqueue.stage_count_pmf(sol, m, 0)
+    for bad in (0, 2.5, math.nan, 2.0):
+        with pytest.raises(ValueError):
+            mgqueue.stage_count_pmf(sol, m, bad)
+    assert mgqueue.stage_count_pmf(sol, m, np.int64(2)) == pmf[1]
     broken = dataclasses.replace(sol, converged=False)
     with pytest.raises(UnconvergedError):
         mgqueue.stage_count_pmf(broken, m, 1)
