@@ -69,6 +69,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .errors import count, positive
+
 
 # bench/spans.py, the external tracer, reads and replaces this attribute when
 # it installs; no quadrature uses it.  It goes when the tracer does.
@@ -125,8 +127,7 @@ class ServiceDistribution:
 
     @classmethod
     def exponential(cls, mu: float) -> "ServiceDistribution":
-        if mu <= 0:
-            raise ValueError(f"exponential rate must be positive, got {mu}")
+        positive(mu, "exponential rate mu")
         return cls(*_exponential_law(mu),
                    _sampler=lambda rng, size: rng.exponential(1.0 / mu, size),
                    mu=mu, name=f"exponential(mu={mu})")
@@ -221,8 +222,7 @@ class ArrivalDistribution:
 
     @classmethod
     def poisson(cls, lam: float) -> "ArrivalDistribution":
-        if lam <= 0:
-            raise ValueError(f"arrival rate must be positive, got {lam}")
+        positive(lam, "arrival rate lam")
         return cls(1.0 / lam, 2.0, lambda s: lam / (lam + s),
                    lambda rng, size: rng.exponential(1.0 / lam, size),
                    lam=lam, name=f"poisson(lambda={lam})")
@@ -535,9 +535,8 @@ def _min_moments(d: ServiceDistribution, pairs: list, memo: dict) -> dict:
     also serves tail_support's probes.
     """
     for m, k in pairs:
-        if m < 1 or k < 1:
-            raise ValueError(
-                f"min_moment needs m >= 1 and k >= 1, got m={m}, k={k}")
+        count(m, "min moment order m", 1)
+        count(k, "min moment count k", 1)
     if d.mu is not None:
         return {(m, k): _exponential_min_moment(d.mu, m, k) for m, k in pairs}
     out = {}

@@ -1,4 +1,12 @@
-"""Exceptions shared across the analytic and simulation modules."""
+"""Exceptions shared across the analytic and simulation modules, and the
+argument contract every entry point checks: a count (a state, an order, a
+seed) is what operator.index accepts, an int, a numpy integer or a bool,
+and a rate or a tolerance lies in (0, inf).  count() and positive() refuse
+anything else with a ValueError that names the argument.
+"""
+
+import math
+import operator
 
 
 class OutOfRegimeError(ValueError):
@@ -11,3 +19,25 @@ class UnconvergedError(RuntimeError):
 
 class InsufficientDataError(ValueError):
     """A statistic was requested from fewer records than it needs."""
+
+
+def count(n, what: str, least=None) -> int:
+    """n as an int, refused unless it is an integer of at least least (any
+    integer when least is None)."""
+    k = operator.index(n) if hasattr(type(n), "__index__") else None
+    if k is None or least is not None and k < least:
+        bound = "" if least is None else f" >= {least}"
+        raise ValueError(f"{what} must be an integer{bound}, got {n!r}")
+    return k
+
+
+def positive(x, what: str):
+    """x unchanged, refused unless 0 < x < inf (NaN and None fail both)."""
+    try:
+        bad = ("positive" if not x > 0 else
+               "finite" if not x < math.inf else None)
+    except TypeError:  # no order against numbers
+        bad = "positive"
+    if bad:
+        raise ValueError(f"{what} must be {bad}, got {x!r}")
+    return x

@@ -62,7 +62,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
@@ -70,7 +69,7 @@ import numpy as np
 
 from . import linsys
 from .distributions import ArrivalDistribution
-from .errors import OutOfRegimeError
+from .errors import OutOfRegimeError, count, positive
 
 _EPS = float(np.finfo(float).eps)
 _ROUNDING_TOL = 1e-6
@@ -105,10 +104,8 @@ class GiModel:
                         repr=False, compare=False)
 
     def __post_init__(self):
-        if self.mu <= 0:
-            raise ValueError(f"service rate must be positive, got {self.mu}")
-        if self.arrivals.mean <= 0:
-            raise ValueError("interarrival mean must be positive")
+        positive(self.mu, "service rate mu")
+        positive(self.arrivals.mean, "interarrival mean")
 
     @property
     def rho(self) -> float:
@@ -120,13 +117,12 @@ class GiModel:
 
     def bhat(self, k: int) -> float:
         """bhat_k = Bhat(k mu), memoized."""
-        if k < 0:
-            raise ValueError(f"bhat needs k >= 0, got {k}")
+        k = count(k, "bhat index k", 0)
         return self.bhats(k)[k]
 
     def bhats(self, n: int) -> list:
         """The model's own list of bhat_k by k, filled to k = n at least."""
-        for k in range(len(self._bhat), n + 1):
+        for k in range(len(self._bhat), count(n, "bhat index n", 0) + 1):
             # A slice store leaves index k right if a thread stored it first.
             self._bhat[k:k + 1] = [self.arrivals.laplace(k * self.mu)]
         return self._bhat
@@ -215,8 +211,7 @@ def _binomial_sum(i: int, ops: int, weights) -> float:
 
 def transition_probability(model: GiModel, i: int, j: int) -> float:
     """P(K_next = j | K = i) for the customers-per-stage chain."""
-    if i < 1 or j < 1:
-        raise ValueError(f"states start at 1, got i={i}, j={j}")
+    i, j = count(i, "state i", 1), count(j, "state j", 1)
     return _binomial_sum(i, i + j + 2, [bk ** (j - 1) * (bk - 1.0)
                                         for bk in model.bhats(i)[1:i + 1]])
 
@@ -227,8 +222,7 @@ def transition_row_mass(model: GiModel, i: int, head: int = 0) -> float:
 
     head = 0 collapses to the pure closed form sum_k C(i,k)(-1)^{k+1}.
     """
-    if i < 1:
-        raise ValueError(f"states start at 1, got i={i}")
+    i, head = count(i, "state i", 1), count(head, "head", 0)
     total = math.fsum(transition_probability(model, i, j)
                       for j in range(1, head + 1))
     return total + _binomial_sum(i, i + head + 1, [
@@ -440,8 +434,7 @@ def solve_factorial_moments(model: GiModel, order: int = 25, tol: float = 1e-8,
     Runs the doubling ladder from `order` up to n_max (default 4 * order)
     and maps the solved w back to x_m = w_m / m.
     """
-    if order < 4:
-        raise ValueError(f"order must be >= 4, got {order}")
+    order = count(order, "order", 4)
     oracle = factorial_oracle(model, override=override)
     conv = linsys.converge(oracle, order, n_max or 4 * order, tol)
 
@@ -454,14 +447,6 @@ def solve_factorial_moments(model: GiModel, order: int = 25, tol: float = 1e-8,
                             convergence=conv, oracle=oracle, notes=notes)
 
 
-def _state(n, what: str) -> int:
-    """n as an int >= 1; anything else (0, 2.5, nan) raises ValueError."""
-    k = operator.index(n) if hasattr(type(n), "__index__") else 0
-    if k < 1:
-        raise ValueError(f"{what} must be an integer >= 1, got {n!r}")
-    return k
-
-
 def stationary_pmf(sol: GiMomentSolution, model: GiModel, i: int) -> float:
     """pi_i as the signed sum of the geometric laws at i.
 
@@ -469,7 +454,7 @@ def stationary_pmf(sol: GiMomentSolution, model: GiModel, i: int) -> float:
     of an alternating series can leave harmless tiny negatives; values in
     [-1e-10, 0) are clamped to zero.
     """
-    i = _state(i, "pmf state")
+    i = count(i, "state i", 1)
     sol.require_converged("stationary_pmf")
     bhat = model.bhats(len(sol.weights))
     terms = (v * (1.0 - bk) * bk ** (i - 1)

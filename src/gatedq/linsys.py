@@ -45,7 +45,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import UnconvergedError
+from .errors import UnconvergedError, count, positive
 
 
 class AssemblyError(ValueError):
@@ -269,8 +269,7 @@ _EMPTY = (np.empty((0, 0)), np.empty(0))
 
 def truncate(oracle: CoefficientOracle, n: int) -> TruncatedSystem:
     """Materialize the leading n x n block A[i][j] = a(i,j), b[i] = b(i)."""
-    if n < 1:
-        raise ValueError(f"truncation order must be >= 1, got {n}")
+    n = count(n, "truncation order n", 1)
     a, b = _grow(oracle, *_EMPTY, n)
     _check_finite(oracle.name, a, b)
     return TruncatedSystem(n=n, a=a, b=b)
@@ -382,8 +381,7 @@ def dominance_report(oracle: CoefficientOracle, order: int) -> DominanceReport:
     off-diagonal row sum are NaN, both side conditions are false, the
     report is not satisfied, and a note says why.
     """
-    if order < 1:
-        raise ValueError(f"order must be >= 1, got {order}")
+    order = count(order, "order", 1)
     rows = np.arange(1, order + 1)
     diag = np.abs(_block(oracle.a, rows, rows))
     zero = np.flatnonzero(diag == 0.0)
@@ -433,14 +431,11 @@ def converge(oracle: CoefficientOracle, n_start: int, n_max: int,
     two rungs are requested together and a later rung requests only the
     entries the rung before it lacks.
     """
+    n_start = count(n_start, "n_start", 2 if n_max != n_start else None)
     if n_max == n_start:
         n_start = max(2, n_start // 2)
-    if n_start < 2:
-        raise ValueError(f"n_start must be >= 2, got {n_start}")
-    if n_max < 2 * n_start:
-        raise ValueError(f"n_max must be >= 2*n_start, got {n_max} < {2 * n_start}")
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    n_max = count(n_max, "n_max", 2 * n_start)
+    positive(tol, "tol")
 
     rungs, residuals, rconds = [], [], []
     prev = None

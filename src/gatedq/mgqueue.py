@@ -62,8 +62,8 @@ from . import linsys
 from .distributions import (DivergentMomentError, GammaTable,
                             ServiceDistribution, _on_nodes, piecewise_integral,
                             support_end, tail_support)
-from .errors import OutOfRegimeError
-from .giqueue import _BERNOULLI, _state, _zeta
+from .errors import OutOfRegimeError, count, positive
+from .giqueue import _BERNOULLI, _zeta
 
 _SERIES_TERM_TOL = 1e-12
 _GRID_TAIL_EPS = 1e-10
@@ -82,8 +82,7 @@ class MgModel:
     service: ServiceDistribution
 
     def __post_init__(self):
-        if self.lam <= 0:
-            raise ValueError(f"arrival rate must be positive, got {self.lam}")
+        positive(self.lam, "arrival rate lam")
 
     @property
     def mu(self) -> Optional[float]:
@@ -345,8 +344,7 @@ def solve_stage_moments(model: MgModel, order: int = 10, tol: float = 1e-8,
     beta_1 < gamma_{1,1} comes back unconverged too, with a note giving
     both numbers; its convergence.converged stays the ladder's own verdict.
     """
-    if order < 4:
-        raise ValueError(f"order must be >= 4, got {order}")
+    order = count(order, "order", 4)
     if assembly == "auto":
         assembly = "transformed" if model.mu is not None else "general"
     table = model.service.gamma_table
@@ -478,7 +476,7 @@ def stage_count_pmf(sol: MgMomentSolution, model: MgModel, k: int) -> float:
     the weight's peak k/lam (at most 0.999 of the range), and the two pieces
     are added with math.fsum.
     """
-    k = _state(k, "customer count")
+    k = count(k, "customer count k", 1)
     sol.require_converged("stage_count_pmf")
     if model.mu is not None:
         return _exponential_count_pmf(sol, model, k)
@@ -525,6 +523,7 @@ def fixed_point_density(model: MgModel, n_points: int = 2048,
     a sweep changes f by less than 1e-10 in sup norm; after 500 sweeps it
     returns converged=False with the last change, and does not raise.
     """
+    n_points = count(n_points, "n_points", 2)
     if y_max is None:
         y_max = tail_support(model.service, _GRID_TAIL_EPS)
     elif float(model.service.sf(y_max)) >= _GRID_TAIL_EPS:

@@ -44,7 +44,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .distributions import ArrivalDistribution, ServiceDistribution
-from .errors import InsufficientDataError, OutOfRegimeError
+from .errors import InsufficientDataError, OutOfRegimeError, count, positive
 from .giqueue import GiModel
 
 # Draws of one stream taken and converted to Python floats at a time; also
@@ -135,13 +135,12 @@ def _walk_on(blocks: Iterator[list], s: float, taken: int,
         return s, taken + j, gap, j
 
 
-def _check_run(rate: float, what: str, n_stages: int, burn_in: int) -> None:
-    if not rate > 0:
-        raise ValueError(f"{what} rate must be positive, got {rate}")
-    if n_stages < 1:
-        raise ValueError(f"n_stages must be >= 1, got {n_stages}")
-    if burn_in < 0:
-        raise ValueError(f"burn_in must be >= 0, got {burn_in}")
+def _run_args(rate: float, what: str, n_stages: int, seed: int,
+              burn_in: int) -> tuple:
+    """n_stages, seed and burn_in as ints once the rate is checked."""
+    positive(rate, what)
+    return (count(n_stages, "n_stages", 1), count(seed, "seed"),
+            count(burn_in, "burn_in", 0))
 
 
 def _buffers(n: int) -> tuple:
@@ -169,7 +168,8 @@ def simulate_mg(lam: float, service: ServiceDistribution, n_stages: int,
     If a = 0 the stage is extended by an Exp(lam) wait and the next stage
     serves the single customer whose arrival ended it.  k_0 = 1.
     """
-    _check_run(lam, "arrival", n_stages, burn_in)
+    n_stages, seed, burn_in = _run_args(lam, "arrival rate", n_stages, seed,
+                                        burn_in)
     arr_rng = _substream(seed, 0)
     poisson, exponential = arr_rng.poisson, arr_rng.exponential
     services = _blocks(_substream(seed, 1), service)
@@ -220,7 +220,8 @@ def simulate_gi(arrivals: ArrivalDistribution, mu: float, n_stages: int,
     strictly after the active phase; the count for the next stage includes
     that closing arrival.  k_0 = 1.
     """
-    _check_run(mu, "service", n_stages, burn_in)
+    n_stages, seed, burn_in = _run_args(mu, "service rate", n_stages, seed,
+                                        burn_in)
     gaps = _blocks(_substream(seed, 0), arrivals)
     services = _blocks(_substream(seed, 1),
                        ServiceDistribution.exponential(mu))
@@ -330,12 +331,8 @@ def empirical_stats(trace: StageTrace, bins: int = 64,
         raise InsufficientDataError(
             f"only {n} stages after burn-in={trace.burn_in}; "
             f"need >= {MIN_RECORDS}")
-    if y_max is None:
-        y_max = float(data.max())
-    if y_max <= 0:
-        raise ValueError(f"y_max must be positive, got {y_max}")
-
-    edges = np.linspace(0.0, y_max, bins + 1)
+    y_max = positive(float(data.max()) if y_max is None else y_max, "y_max")
+    edges = np.linspace(0.0, y_max, count(bins, "bins", 1) + 1)
     counts, _ = np.histogram(data, bins=edges)
     width = edges[1] - edges[0]
     hist = counts / (n * width)
@@ -414,34 +411,29 @@ def drift_check(trace: StageTrace, model: GiModel,
     ks = trace.k[trace.burn_in:]
     if len(ks) < 2:
         raise InsufficientDataError("trace too short for transition pairs")
-    k_from = ks[:-1]
-    k_next = ks[1:]
-
-    uniq, counts = np.unique(k_from, return_counts=True)
-    keep = counts >= min_visits
-    states = uniq[keep]
-    visits = counts[keep]
+    k_from, k_next = ks[:-1], ks[1:]
+    # Per (state, batch) sums of K_next and visits in one bincount pass each,
+    # pair t in batch floor(20 t / n_pairs).
+    n_pairs = len(k_from)
+    slots = k_from * _N_BATCHES + np.minimum(
+        (np.arange(n_pairs) * _N_BATCHES) // n_pairs, _N_BATCHES - 1)
+    size = (int(k_from.max()) + 1) * _N_BATCHES
+    hits = np.bincount(slots, minlength=size).reshape(-1, _N_BATCHES)
+    sums = np.bincount(slots, k_next, size).reshape(-1, _N_BATCHES)
+    visits_all = hits.sum(axis=1)
+    states = np.flatnonzero(visits_all >= max(min_visits, 1))
     if len(states) == 0:
         raise InsufficientDataError(
             f"no state visited >= {min_visits} times after burn-in")
+    visits, hits, sums = visits_all[states], hits[states], sums[states]
 
-    n_pairs = len(k_from)
-    batch_idx = np.minimum((np.arange(n_pairs) * _N_BATCHES) // n_pairs,
-                           _N_BATCHES - 1)
     rho, b0 = model.rho, model.b0
-    mean_next = np.empty(len(states))
-    se = np.empty(len(states))
-    bound = np.empty(len(states))
-    for idx, i in enumerate(states):
-        mask = k_from == i
-        mean_next[idx] = k_next[mask].mean()
-        batch_means = [k_next[mask & (batch_idx == b)].mean()
-                       for b in range(_N_BATCHES)
-                       if np.any(mask & (batch_idx == b))]
-        nb = len(batch_means)
-        se[idx] = (np.std(batch_means, ddof=1) / math.sqrt(nb)
-                   if nb > 1 else float("nan"))
-        bound[idx] = rho * _harmonic(int(i)) + b0
+    mean_next = sums.sum(axis=1) / visits
+    # The batch-means SE over the batches a state visits, one state at a time.
+    se = np.array([np.std(s[h > 0] / h[h > 0], ddof=1) / math.sqrt(nb)
+                   if (nb := np.count_nonzero(h)) > 1 else math.nan
+                   for s, h in zip(sums, hits)])
+    bound = np.array([rho * _harmonic(int(i)) + b0 for i in states])
     reference = None
     if model.arrivals.lam is not None:
         reference = np.array([1.0 + rho * _harmonic(int(i)) for i in states])

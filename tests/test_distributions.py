@@ -1,5 +1,6 @@
 """Distribution layer: closed forms, min-moment quadrature, validation."""
 
+import dataclasses
 import math
 import random
 import sys
@@ -587,7 +588,9 @@ def test_a_failing_block_raises_its_first_failure_and_caches_the_rest():
 
 
 def test_a_nan_entry_is_refused_and_not_stored():
-    table = GammaTable(ServiceDistribution.exponential(math.nan))
+    # exponential() refuses a NaN rate, so the law is built around it.
+    law = dataclasses.replace(ServiceDistribution.exponential(1.0), mu=math.nan)
+    table = GammaTable(law)
     for _ in range(2):
         with pytest.raises(DivergentMomentError, match="m=1, k=1 is NaN"):
             table.gammas([1, 2], 1)

@@ -167,6 +167,41 @@ def test_drift_check_against_exact_conditional_means():
     assert rep.to_dict()["violations"] == []
 
 
+def per_state_drift(trace, min_visits):
+    """states, visits, mean_next and se of drift_check, one mask per state."""
+    ks = trace.k[trace.burn_in:]
+    k_from, k_next = ks[:-1], ks[1:]
+    uniq, counts = np.unique(k_from, return_counts=True)
+    keep = counts >= min_visits
+    states, visits = uniq[keep], counts[keep]
+    n = len(k_from)
+    batch = np.minimum((np.arange(n) * 20) // n, 19)
+    mean_next, se = np.empty(len(states)), np.empty(len(states))
+    for idx, i in enumerate(states):
+        mask = k_from == i
+        mean_next[idx] = k_next[mask].mean()
+        means = [k_next[mask & (batch == b)].mean() for b in range(20)
+                 if np.any(mask & (batch == b))]
+        se[idx] = (np.std(means, ddof=1) / math.sqrt(len(means))
+                   if len(means) > 1 else math.nan)
+    return states, visits, mean_next, se
+
+
+@pytest.mark.parametrize("n,seed,min_visits", [
+    (200000, 5, 500), (50000, 7, 500), (20000, 11, 1)])
+def test_drift_check_bincounts_equal_the_per_state_masks(n, seed, min_visits):
+    model = giqueue.GiModel(GI_ARRIVALS, 1.0)
+    tr = simulate_gi(GI_ARRIVALS, 1.0, n, seed=seed)
+    rep = simulator.drift_check(tr, model, min_visits=min_visits)
+    want = per_state_drift(tr, min_visits)
+    got = (rep.states, rep.visits, rep.mean_next, rep.se)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype
+        assert np.array_equal(g, w, equal_nan=True)
+    # min_visits = 1 keeps states visited once, whose SE is NaN.
+    assert np.isnan(rep.se).any() == (min_visits == 1)
+
+
 def test_drift_check_argument_errors():
     model = giqueue.GiModel(GI_ARRIVALS, 1.0)
     mg_trace = simulate_mg(LAM, SERVICE, 2000, seed=1)

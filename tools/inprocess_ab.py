@@ -7,19 +7,23 @@ Each round starts one fresh interpreter in PARENT and one in CHANGE,
 alternating which goes first.  Each imports the program from its own src/
 and the workload from its own bench/workloads.py (read, never changed),
 runs op 0 as a warm-up and checks it with the workload's own check, then
-times ops 1..N with time.process_time, one gc.collect() before each op
-outside the timed region.  Both sides run the same ops: the inputs of op i
-depend only on the workload, the seed and i.
+times ops 1..N with time.process_time and time.perf_counter, one
+gc.collect() before each op outside the timed region.  Both sides run the
+same ops: the inputs of op i depend only on the workload, the seed and i.
 
 CPU time of one process is not disturbed by other processes the way wall
 time is, so this resolves shifts of a few percent that alternating
-bench/run.py pairs cannot.  It is no substitute for them: it leaves out
-interpreter start, imports and peak memory.
+bench/run.py pairs cannot.  Wall time is timed as well, since a change
+can move it without moving CPU time: writing a file in place waits on the
+file system, which op_p50_ms sees and process_time does not.  The tool is
+no substitute for the pairs: it leaves out interpreter start, imports and
+peak memory.
 
-The JSON summary printed to stdout holds, per round, each side's
-median op time in ms and their ratio change / parent, and over all rounds
-the median of each side's round medians, their ratio, the range of the
-per-round ratios and how many rounds the change won.
+The JSON summary printed to stdout holds, per round, each side's median
+op CPU time in ms and their ratio change / parent, and over all rounds the
+median of each side's round medians, their ratio, the range of the
+per-round ratios and how many rounds the change won; under "wall" it holds
+the same for wall time.
 """
 
 from __future__ import annotations
@@ -42,14 +46,17 @@ with tempfile.TemporaryDirectory() as out:
     w = workloads.WORKLOADS[name](seed, out)
     inputs = w.inputs(0)
     problems = w.check(inputs, w.run(inputs), True)
-    cpu_ms = []
+    cpu_ms, wall_ms = [], []
     for op in range(1, ops + 1):
         inputs = w.inputs(op)
         gc.collect()
-        c0 = time.process_time()
+        c0, w0 = time.process_time(), time.perf_counter()
         w.run(inputs)
-        cpu_ms.append((time.process_time() - c0) * 1e3)
-print(json.dumps({"problems": problems, "cpu_ms": cpu_ms}))
+        w1, c1 = time.perf_counter(), time.process_time()
+        cpu_ms.append((c1 - c0) * 1e3)
+        wall_ms.append((w1 - w0) * 1e3)
+print(json.dumps({"problems": problems, "cpu_ms": cpu_ms,
+                  "wall_ms": wall_ms}))
 """
 
 
@@ -70,12 +77,11 @@ def run_side(checkout: pathlib.Path, workload: str, seed: int,
     return json.loads(done.stdout.strip().splitlines()[-1])
 
 
-def summarize(samples: list) -> dict:
-    """Per-round and overall medians of samples, a list of {"round",
-    "side", "cpu_ms"} with one parent and one change entry per round."""
+def _compare(samples: list, key: str) -> dict:
+    """Per-round and overall medians of the op times under key."""
     rounds = {}
     for s in samples:
-        rounds.setdefault(s["round"], {})[s["side"]] = median(s["cpu_ms"])
+        rounds.setdefault(s["round"], {})[s["side"]] = median(s[key])
     per_round = [{"round": r, "parent_ms": sides["parent"],
                   "change_ms": sides["change"],
                   "ratio": sides["change"] / sides["parent"]}
@@ -93,6 +99,13 @@ def summarize(samples: list) -> dict:
         "change_faster_rounds": sum(r < 1.0 for r in ratios),
         "n_rounds": len(per_round),
     }
+
+
+def summarize(samples: list) -> dict:
+    """The CPU-time comparison of samples, a list of {"round", "side",
+    "cpu_ms", "wall_ms"} with one parent and one change entry per round,
+    with the wall-time comparison under "wall"."""
+    return {**_compare(samples, "cpu_ms"), "wall": _compare(samples, "wall_ms")}
 
 
 def main(argv=None) -> None:
@@ -116,9 +129,11 @@ def main(argv=None) -> None:
                 sys.exit(f"{side}: the warm-up op is wrong: "
                          f"{result['problems'][:3]}")
             samples.append({"round": r, "side": side,
-                            "cpu_ms": result["cpu_ms"]})
+                            "cpu_ms": result["cpu_ms"],
+                            "wall_ms": result["wall_ms"]})
             print(f"round {r} {side}: median "
-                  f"{median(result['cpu_ms']):.4f} ms", file=sys.stderr,
+                  f"{median(result['cpu_ms']):.4f} ms CPU, "
+                  f"{median(result['wall_ms']):.4f} ms wall", file=sys.stderr,
                   flush=True)
 
     record = {"workload": args.workload, "seed": args.seed, "ops": args.ops,
