@@ -54,6 +54,7 @@ from .giqueue import (
     pmf_total_mass,
     solve_factorial_moments,
     stationary_pmf,
+    stationary_pmfs,
     transition_probability,
     transition_row_mass,
 )
@@ -82,6 +83,6 @@ __all__ = [
     "min_moment", "moment_oracle", "pgf", "pmf_total_mass",
     "simulate_gi", "simulate_mg", "solve", "solve_factorial_moments",
     "solve_stage_moments", "stage_count_pmf", "stationary_density",
-    "stationary_pmf", "transition_probability", "transition_row_mass",
-    "truncate", "validate",
+    "stationary_pmf", "stationary_pmfs", "transition_probability",
+    "transition_row_mass", "truncate", "validate",
 ]

@@ -27,11 +27,19 @@ A JSON file passed as --config overrides any flags it names.  The default
 output directory is $GATEDQ_OUTPUT_DIR, falling back to the working
 directory.  In-process callers of main() reuse one argument parser per
 process, built on the first call.
+
+Every artifact is published whole: written to a hidden temporary file
+.NAME.PID.tmp in the output directory, then renamed over NAME after
+whatever NAME held (a file, a link, a read-only file) is removed.  A run
+that fails or is interrupted while writing leaves the previous artifact,
+or none, never a partial one; only a killed process leaves its temporary
+file behind.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -69,8 +77,35 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _write_text(path: str, text: str) -> str:
-    with open(path, "w") as fh:
-        fh.write(text)
+    """Publish text at path: write it to a hidden temporary file beside
+    path, remove whatever path holds (a file, a link, a read-only file) and
+    rename the temporary file into place.  A failure removes the temporary
+    file and re-raises, so path keeps its old artifact, or, when the rename
+    itself fails, none; never a partial one.
+
+    The temporary file is created like open(path, "w") creates a file, mode
+    0o666 & ~umask, and exclusively, so a link planted at its name is never
+    followed.  Unlinking the old file before the rename matters for speed:
+    renaming over it, like truncating it, triggers ext4's auto_da_alloc
+    flush of the new data, which makes a rewrite about four times as slow.
+    """
+    head, name = os.path.split(path)
+    tmp = os.path.join(head, f".{name}.{os.getpid()}.tmp")
+    try:
+        try:
+            fh = open(tmp, "x")
+        except FileExistsError:  # left by a killed run that had this pid
+            os.unlink(tmp)
+            fh = open(tmp, "x")
+        with fh:
+            fh.write(text)
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(path)
+        os.rename(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
     return path
 
 
@@ -311,7 +346,22 @@ def _mg_model(args, lam: Optional[float] = None) -> mgqueue.MgModel:
         _require(args, "lam")
         lam = args.lam
     _require(args, "mu")
-    return mgqueue.MgModel(lam, ServiceDistribution.exponential(args.mu))
+    with _rates_in_range():
+        return mgqueue.MgModel(lam, ServiceDistribution.exponential(args.mu))
+
+
+@contextlib.contextmanager
+def _rates_in_range():
+    """A model's refusal of its rates, as a config error.
+
+    validate_config bounds each flag alone, but a rate built from two of
+    them (rho * mu) can overflow or underflow, and the interarrival mean
+    1 / rate of a subnormal rate overflows.
+    """
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _gi_model(args) -> giqueue.GiModel:
@@ -320,7 +370,9 @@ def _gi_model(args) -> giqueue.GiModel:
             raise ConfigError("--rho is a shortcut; do not combine it with "
                               "--arrival-rate or --deterministic")
         mu = 1.0 if args.mu is None else args.mu
-        return giqueue.GiModel(ArrivalDistribution.poisson(args.rho * mu), mu)
+        with _rates_in_range():
+            return giqueue.GiModel(ArrivalDistribution.poisson(args.rho * mu),
+                                   mu)
     if args.arrival_rate is not None:
         arrivals = ArrivalDistribution.poisson(args.arrival_rate)
     elif args.deterministic is not None:
@@ -329,7 +381,8 @@ def _gi_model(args) -> giqueue.GiModel:
         raise ConfigError("specify arrivals via --rho, --arrival-rate, or "
                           "--deterministic")
     _require(args, "mu")
-    return giqueue.GiModel(arrivals, args.mu)
+    with _rates_in_range():
+        return giqueue.GiModel(arrivals, args.mu)
 
 
 def _simulate(model, stages: int, seed: int, burn_in: int) -> simulator.StageTrace:
@@ -360,6 +413,15 @@ def _run_analyze_mg(args) -> int:
     return 0
 
 
+def _pmf_blocks(sol, model):
+    """pi_1, pi_2, ..., pi_100000, read in blocks of doubling length, so
+    that a pmf whose rows stop early computes few rows past its stop."""
+    lo, hi = 1, 32
+    while lo <= 100000:
+        yield from giqueue.stationary_pmfs(sol, model, range(lo, hi + 1))
+        lo, hi = hi + 1, min(2 * hi, 100000)
+
+
 def _run_analyze_gi(args) -> int:
     model = _gi_model(args)
     sol = giqueue.solve_factorial_moments(model, order=args.order, tol=args.tol,
@@ -374,8 +436,7 @@ def _run_analyze_gi(args) -> int:
     mass = giqueue.pmf_total_mass(sol, model)
     pmf = []
     cum = 0.0
-    for i in range(1, 100001):
-        pi = giqueue.stationary_pmf(sol, model, i)
+    for i, pi in enumerate(_pmf_blocks(sol, model), 1):
         pmf.append(pi)
         cum += pi
         if mass - cum < 1e-10 and i >= 10:
@@ -474,9 +535,9 @@ def _mean_length_rows(args, order, rho, model, sol, trace):
 
 def _pmf_rows(args, order, label, model, sol, trace):
     stats = simulator.empirical_stats(trace, bins=args.bins, column="active")
-    return [(int(i), giqueue.stationary_pmf(sol, model, int(i)), float(p),
-             float(se))
-            for i, p, se in zip(stats.k_values, stats.k_pmf, stats.k_se)]
+    states = stats.k_values.tolist()
+    return list(zip(states, giqueue.stationary_pmfs(sol, model, states),
+                    stats.k_pmf.tolist(), stats.k_se.tolist()))
 
 
 # figure -> (first column, default order, default stages, points, rows)

@@ -841,8 +841,24 @@ class GammaTable:
         return float(self._entries(np.asarray(m), np.asarray(k)))
 
     def gammas(self, ms, ks) -> np.ndarray:
-        """gamma_{m,k} at every index pair of the broadcast arrays ms, ks."""
-        return self._entries(np.asarray(ms), np.asarray(ks))
+        """gamma_{m,k} at every index pair of the broadcast arrays ms, ks.
+
+        For exponential laws integer indices >= 1 read the closed form
+        directly, the same floats the table would store, without taking
+        the lock or storing them.  Any other index, or a NaN value, takes
+        the table's path and its refusal.
+        """
+        m, k = np.asarray(ms), np.asarray(ks)
+        if (self.dist.mu is not None and m.dtype.kind in "iu"
+                and k.dtype.kind in "iu" and m.size and k.size
+                and min(m.min(), k.min()) >= 1):
+            m, k = np.broadcast_arrays(m, k)
+            vals = np.reshape([_exponential_min_moment(self.dist.mu, p, q)
+                               for p, q in zip(m.ravel().tolist(),
+                                               k.ravel().tolist())], m.shape)
+            if not np.isnan(vals).any():
+                return vals
+        return self._entries(m, k)
 
     def ratio(self, m: int, k: int) -> float:
         return float(self.ratios(m, k))

@@ -60,7 +60,6 @@ laws, whose weights v_k = (-1)^{k-1} x_k every reader sums over:
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
@@ -448,20 +447,38 @@ def solve_factorial_moments(model: GiModel, order: int = 25, tol: float = 1e-8,
 
 
 def stationary_pmf(sol: GiMomentSolution, model: GiModel, i: int) -> float:
-    """pi_i as the signed sum of the geometric laws at i.
-
-    The k-sum is cut at the first term below 1e-14 in magnitude.  Truncation
-    of an alternating series can leave harmless tiny negatives; values in
-    [-1e-10, 0) are clamped to zero.
-    """
+    """pi_i as the signed sum of the geometric laws at i (see
+    stationary_pmfs)."""
     i = count(i, "state i", 1)
     sol.require_converged("stationary_pmf")
+    return stationary_pmfs(sol, model, (i,))[0]
+
+
+def stationary_pmfs(sol: GiMomentSolution, model: GiModel, states) -> list:
+    """pi_i at every state i of states, in order.
+
+    Each k-sum is cut at the first term below 1e-14 in magnitude (or NaN).
+    Truncation of an alternating series can leave harmless tiny negatives;
+    values in [-1e-10, 0) are clamped to zero.  The coefficients
+    v_k (1 - bhat_k) are formed once per call, and each term is Python's
+    float power c_k * bhat_k ** (i - 1): numpy's power differs from it in
+    the last bit for some entries.
+    """
+    sol.require_converged("stationary_pmfs")
     bhat = model.bhats(len(sol.weights))
-    terms = (v * (1.0 - bk) * bk ** (i - 1)
-             for bk, v in zip(bhat[1:], sol.weights))
-    val = math.fsum(itertools.takewhile(
-        lambda term: abs(term) >= _PMF_TERM_TOL, terms))
-    return 0.0 if _NEGATIVE_CLAMP <= val < 0.0 else val
+    coef = [(v * (1.0 - bk), bk) for bk, v in zip(bhat[1:], sol.weights)]
+    pmf = []
+    for i in states:
+        e = count(i, "state i", 1) - 1
+        terms = []
+        for c, bk in coef:
+            term = c * bk ** e
+            if not abs(term) >= _PMF_TERM_TOL:
+                break
+            terms.append(term)
+        val = math.fsum(terms)
+        pmf.append(0.0 if _NEGATIVE_CLAMP <= val < 0.0 else val)
+    return pmf
 
 
 def pmf_total_mass(sol: GiMomentSolution, model: GiModel) -> float:

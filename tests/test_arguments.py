@@ -55,6 +55,8 @@ def simulate_gi(**kw):
 COUNTS = [
     ("stationary_pmf", "state i",
      lambda v: giqueue.stationary_pmf(gi()[1], gi()[0], v)),
+    ("stationary_pmfs", "state i",
+     lambda v: giqueue.stationary_pmfs(gi()[1], gi()[0], [1, v])),
     ("stage_count_pmf", "customer count k",
      lambda v: mgqueue.stage_count_pmf(mg()[1], mg()[0], v)),
     ("transition_probability", "state i",

@@ -1,6 +1,7 @@
 """Command-line interface: artifacts, exit codes, config handling."""
 
 import argparse
+import errno
 import json
 import os
 import pathlib
@@ -676,10 +677,19 @@ def test_unconverged_compare_exits_3_before_simulating(argv, tmp_path, capsys,
      "--stages", "3000", "--bins", "0"],
     ["compare", "--figure", "density", "--lambda", "0.5", "--mu", "1.0",
      "--stages", "3000", "--bins", "0"],
+    # Rates built from flags that each pass alone: rho * mu overflows or
+    # underflows, and the mean 1 / rate of a subnormal rate overflows.
+    ["analyze-gi", "--rho", "1e200", "--mu", "1e200"],
+    ["simulate", "--model", "gi", "--rho", "1e-200", "--mu", "1e-200",
+     "--stages", "200", "--burn-in", "0"],
+    ["compare", "--figure", "mean-length", "--mu", "5e-324", "--rho-grid",
+     "0.2", "--stages", "2000"],
+    ["dominance", "--system", "gi", "--arrival-rate", "1e-310", "--mu", "1.0"],
 ])
 def test_config_errors_exit_1(argv, tmp_path, capsys):
     assert main(argv + ["--out", str(tmp_path)] if argv else argv) == 1
     assert stderr_code(capsys) == "config"
+    assert not os.listdir(tmp_path)
 
 
 def test_bad_config_files_exit_1(tmp_path, capsys):
@@ -754,6 +764,89 @@ def test_simulate_insufficient_data_exits_1_without_writing_trace(
     assert stderr_code(capsys) == "config"
     assert not os.path.exists(os.path.join(out, "trace-mg.csv"))
     assert os.listdir(out) == []
+
+
+# ---------------------------------------------------------------- publishing ----
+
+GI_RERUN = [["analyze-gi", "--rho", "0.45"], ["analyze-gi", "--rho", "0.2"]]
+SIM_RERUN = [["simulate", "--model", "gi", "--rho", "0.5", "--stages", "3000"],
+             ["simulate", "--model", "gi", "--rho", "0.3", "--stages", "2000"]]
+
+
+def snapshot(out):
+    return {p.name: p.read_bytes() for p in sorted(pathlib.Path(out).iterdir())}
+
+
+def test_rerunning_into_one_directory_leaves_only_fresh_artifacts(tmp_path):
+    shared = tmp_path / "shared"
+    for argv in GI_RERUN + SIM_RERUN:
+        assert main(argv + ["--out", str(shared)]) == 0
+    # The second run of each pair writes shorter files than the first.
+    for argv in (GI_RERUN[1], SIM_RERUN[1]):
+        assert main(argv + ["--out", str(tmp_path / "fresh")]) == 0
+    assert snapshot(shared) == snapshot(tmp_path / "fresh")
+    assert sorted(os.listdir(shared)) == [
+        "analyze-gi-pmf.csv", "analyze-gi.json", "stats-gi.json",
+        "trace-gi.csv"]
+
+
+class _FullDisk:
+    """A text file whose write stores half the text and then fails as a
+    full disk does."""
+
+    def __init__(self, path, mode):
+        self._fh = open(path, mode)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+    def write(self, text):
+        self._fh.write(text[:len(text) // 2])
+        self._fh.flush()
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+@pytest.mark.parametrize("argv", [GI_RERUN, SIM_RERUN], ids=["gi", "sim"])
+def test_a_failed_write_keeps_the_previous_artifact(argv, tmp_path,
+                                                    monkeypatch):
+    out = ["--out", str(tmp_path)]
+    assert main(argv[0] + out) == 0
+    before = snapshot(tmp_path)
+    monkeypatch.setattr(cli, "open", _FullDisk, raising=False)
+    with pytest.raises(OSError, match="No space left"):
+        main(argv[1] + out)
+    assert snapshot(tmp_path) == before
+
+
+def test_a_link_or_read_only_file_at_an_artifact_path_is_replaced(tmp_path):
+    out = tmp_path / "out"
+    out.mkdir()
+    target = tmp_path / "target.json"
+    target.write_text("kept\n")
+    (out / "analyze-gi.json").symlink_to(target)
+    (out / "analyze-gi-pmf.csv").write_text("stale\n")
+    (out / "analyze-gi-pmf.csv").chmod(0o444)
+    assert main(["analyze-gi", "--rho", "0.3", "--out", str(out)]) == 0
+    assert main(["analyze-gi", "--rho", "0.3", "--out",
+                 str(tmp_path / "fresh")]) == 0
+    assert snapshot(out) == snapshot(tmp_path / "fresh")
+    assert target.read_text() == "kept\n"
+    umask = os.umask(0)
+    os.umask(umask)
+    for path in out.iterdir():
+        assert path.is_file() and not path.is_symlink()
+        assert path.stat().st_mode & 0o777 == 0o666 & ~umask
+
+
+def test_a_stale_temporary_file_is_replaced(tmp_path):
+    stale = tmp_path / f".analyze-gi.json.{os.getpid()}.tmp"
+    stale.write_text("left by a killed run\n")
+    assert main(["analyze-gi", "--rho", "0.3", "--out", str(tmp_path)]) == 0
+    assert sorted(os.listdir(tmp_path)) == ["analyze-gi-pmf.csv",
+                                            "analyze-gi.json"]
 
 
 # ------------------------------------------------------------- serialization ----

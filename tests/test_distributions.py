@@ -312,6 +312,31 @@ def test_gamma_table_exponential_ratio_is_exact():
     assert table.ratio(400, 2) == 2.0 ** -400
 
 
+def test_exponential_gammas_read_the_closed_form_bit_for_bit():
+    """The direct read gives the floats the table stores: finite entries,
+    entries past double range (inf) and powers that underflow (0.0)."""
+    m, k = np.arange(1, 401)[:, None], np.arange(1, 41)[None, :]
+    seen = []
+    for mu in (1e-3, MU, 1e3):
+        law = ServiceDistribution.exponential(mu)
+        direct, filled = GammaTable(law), GammaTable(law)
+        got, want = direct.gammas(m, k), filled._entries(m, k)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes(), mu
+        seen.append(got)
+        # The direct read stores nothing; the table's own path fills.
+        assert (1, 1) not in direct and (1, 1) in filled
+        assert direct.gammas(1, [1, 3, 2]).tolist() == [
+            want[0, 0], want[0, 2], want[0, 1]]
+        assert direct.gammas(np.int64(4), 2) == want[3, 1]
+    seen = np.concatenate(seen)
+    assert np.isinf(seen).any() and (seen == 0.0).any()
+    table = GammaTable(ServiceDistribution.exponential(MU))
+    for ms, ks in (([0, 1], 1), (1, [-2])):
+        with pytest.raises(ValueError, match="must be an integer >= 1"):
+            table.gammas(ms, ks)
+
+
 def test_gamma_table_user_ratio():
     table = GammaTable(wrapped_exponential())
     assert table.ratio(3, 2) == pytest.approx(2.0 ** -3, rel=1e-9)

@@ -1,6 +1,7 @@
 """Customers-per-stage analytics for the synchronized gated GI/M/infinity queue."""
 
 import dataclasses
+import itertools
 import json
 import math
 from fractions import Fraction
@@ -321,8 +322,51 @@ def test_pmf_argument_validation():
     for bad in (0, 2.5, math.nan, 2.0):
         with pytest.raises(ValueError):
             giqueue.stationary_pmf(sol, m, bad)
+        with pytest.raises(ValueError):
+            giqueue.stationary_pmfs(sol, m, [1, bad])
     assert (giqueue.stationary_pmf(sol, m, np.int64(2))
             == giqueue.stationary_pmf(sol, m, 2))
+
+
+def _reference_pmf(sol, model, i):
+    """The per-state reader that summed a generator of terms up to the
+    first one below 1e-14, kept as the reference for stationary_pmfs."""
+    bhat = model.bhats(len(sol.weights))
+    terms = (v * (1.0 - bk) * bk ** (i - 1)
+             for bk, v in zip(bhat[1:], sol.weights))
+    val = math.fsum(itertools.takewhile(
+        lambda term: abs(term) >= 1e-14, terms))
+    return 0.0 if -1e-10 <= val < 0.0 else val
+
+
+@pytest.mark.parametrize("model", [
+    poisson_model(0.2), poisson_model(0.45), poisson_model(0.62),
+    giqueue.GiModel(ArrivalDistribution.deterministic(1 / (0.6 * 1.3)), 1.3),
+    giqueue.GiModel(ArrivalDistribution.deterministic(1 / (0.2 * 0.7)), 0.7),
+], ids=["poisson-0.2", "poisson-0.45", "poisson-0.62", "det-0.6", "det-0.2"])
+def test_stationary_pmfs_equal_the_per_state_reader_bit_for_bit(model):
+    sol = giqueue.solve_factorial_moments(model)
+    assert sol.converged
+    states = range(1, 301)
+    rows = giqueue.stationary_pmfs(sol, model, states)
+    bits = [x.hex() for x in rows]
+    assert bits == [_reference_pmf(sol, model, i).hex() for i in states]
+    assert bits == [giqueue.stationary_pmf(sol, model, i).hex()
+                    for i in states]
+    assert giqueue.stationary_pmfs(sol, model, [7, 2, 7]) == [rows[6], rows[1],
+                                                             rows[6]]
+    assert giqueue.stationary_pmfs(sol, model, []) == []
+
+
+def test_stationary_pmfs_stop_at_a_nan_term_like_the_reference():
+    m = poisson_model(0.3)
+    sol = giqueue.solve_factorial_moments(m)
+    broken = dataclasses.replace(sol)
+    broken.__dict__["weights"] = sol.weights[:2] + (math.nan,) + sol.weights[3:]
+    rows = giqueue.stationary_pmfs(broken, m, range(1, 40))
+    assert [x.hex() for x in rows] == [_reference_pmf(broken, m, i).hex()
+                                       for i in range(1, 40)]
+    assert not any(map(math.isnan, rows))
 
 
 def test_mixture_weights_are_computed_once_per_solution(monkeypatch):
@@ -347,6 +391,8 @@ def test_unconverged_solutions_are_refused():
     broken = dataclasses.replace(sol, converged=False)
     with pytest.raises(UnconvergedError):
         giqueue.stationary_pmf(broken, m, 1)
+    with pytest.raises(UnconvergedError):
+        giqueue.stationary_pmfs(broken, m, [1])
     with pytest.raises(UnconvergedError):
         giqueue.pgf(broken, m, 0.5)
     with pytest.raises(UnconvergedError):

@@ -11,10 +11,14 @@ a numerically singular truncation, a zero diagonal, both dominance systems,
 deterministic dominance past light traffic, short simulate runs, simulate
 runs that take more than 65 536 draws of a stream, heavy-load simulate runs
 whose stages take many draws, loads too heavy to simulate, every compare
-figure and extreme GI rates.  Each command runs in its own empty directory
-OUTDIR/NN (the working directory, so the paths it prints are relative).
+figure, extreme GI rates and rates built from two flags that leave double
+range.  Each command runs in its own empty directory OUTDIR/NN (the working
+directory, so the paths it prints are relative).  Last come the overwrite
+cases: an analyze-gi and a simulate command each run in a directory where
+another command of its kind ran first.
 OUTDIR/manifest.json holds, per command, its exit code, stdout, stderr and
-the sha256 of each file it wrote.  An exception that escapes cli.main is
+the sha256 of each file in its directory afterwards (for an overwrite, also
+the command it ran over).  An exception that escapes cli.main is
 recorded as exit 1 with its last traceback line, which names no path.
 
 Two checkouts give the same bytes when their manifests are identical:
@@ -141,6 +145,21 @@ EDGES = [
     "--order 120 --n-max 120",
     "gatedq dominance --system mg --lambda 0.0005 --mu 0.001 --assembly "
     "general --order 60",
+    # Rates built from two flags that leave double range: a config error.
+    "gatedq analyze-gi --rho 1e200 --mu 1e200",
+    "gatedq simulate --model gi --rho 1e-200 --mu 1e-200 --stages 200 "
+    "--burn-in 0",
+    "gatedq compare --figure mean-length --mu 5e-324 --rho-grid 0.2 "
+    "--stages 2000",
+]
+
+# Overwrites: each pair runs in one directory, and the record describes the
+# second command and the files it leaves.  The second run writes shorter
+# artifacts than the first, so any byte of the first left behind shows.
+OVERWRITES = [
+    ("gatedq analyze-gi --rho 0.45", "gatedq analyze-gi --rho 0.2"),
+    ("gatedq simulate --model gi --rho 0.5 --stages 3000",
+     "gatedq simulate --model gi --rho 0.3 --stages 2000"),
 ]
 
 
@@ -158,23 +177,26 @@ def readme_commands(checkout: pathlib.Path) -> list:
     return commands
 
 
-def run(main, command: str, workdir: pathlib.Path) -> dict:
-    """Run one command in workdir and describe what it did."""
+def run(main, command: str, workdir: pathlib.Path, over=None) -> dict:
+    """Run one command in workdir, after the command over when one is
+    given, and describe what the last command did and the files left."""
     workdir.mkdir(parents=True)
     for name, text in CONFIG.items():
         (workdir / name).write_text(text)
-    out, err = io.StringIO(), io.StringIO()
     cwd = os.getcwd()
     os.chdir(workdir)
     try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                code = main(shlex.split(command)[1:])
-            except SystemExit as exc:
-                code = exc.code
-            except Exception as exc:  # what an uncaught error would do
-                err.write("".join(traceback.format_exception_only(exc)))
-                code = 1
+        for line in filter(None, (over, command)):
+            out, err = io.StringIO(), io.StringIO()
+            with (contextlib.redirect_stdout(out),
+                  contextlib.redirect_stderr(err)):
+                try:
+                    code = main(shlex.split(line)[1:])
+                except SystemExit as exc:
+                    code = exc.code
+                except Exception as exc:  # what an uncaught error would do
+                    err.write("".join(traceback.format_exception_only(exc)))
+                    code = 1
     finally:
         os.chdir(cwd)
     artifacts = {
@@ -182,8 +204,9 @@ def run(main, command: str, workdir: pathlib.Path) -> dict:
             hashlib.sha256(path.read_bytes()).hexdigest()
         for path in sorted(workdir.rglob("*"))
         if path.is_file() and path.name not in CONFIG}
-    return {"command": command, "exit": code, "stdout": out.getvalue(),
-            "stderr": err.getvalue(), "artifacts": artifacts}
+    record = {"command": command, "exit": code, "stdout": out.getvalue(),
+              "stderr": err.getvalue(), "artifacts": artifacts}
+    return record if over is None else {"over": over, **record}
 
 
 def main(argv=None) -> int:
@@ -205,9 +228,10 @@ def main(argv=None) -> int:
         print(f"imported gatedq from {source}, not from {checkout}",
               file=sys.stderr)
         return 2
-    commands = readme_commands(checkout) + EDGES
-    manifest = [run(cli.main, command, outdir / f"{n:02d}")
-                for n, command in enumerate(commands)]
+    commands = ([(c, None) for c in readme_commands(checkout) + EDGES]
+                + [(c, over) for over, c in OVERWRITES])
+    manifest = [run(cli.main, command, outdir / f"{n:02d}", over)
+                for n, (command, over) in enumerate(commands)]
     path = outdir / "manifest.json"
     path.write_text(json.dumps(manifest, indent=2) + "\n")
     print(f"{path}: {len(manifest)} commands")
