@@ -16,12 +16,12 @@ Subcommands:
 Exit codes: 0 success, 1 invalid configuration (machine-readable JSON on
 stderr; simulate and compare refuse a run whose stages leave fewer than
 simulator.MIN_RECORDS after burn-in before simulating or writing anything),
-2 out-of-regime refusal (also for a model whose coefficients leave
-floating-point range, or whose truncation is numerically singular, which
-writes nothing), 3 unconverged truncation ladder.  On exit 3 analyze-mg
-and analyze-gi still write their JSON report (analyze-gi skips its pmf
-CSV); compare writes nothing and runs no simulation.  compare --figure
-mean-length pins the truncation at --order and never exits 3.
+2 out-of-regime refusal, which writes nothing: an errors.OutOfRegimeError,
+which every model the numerics decline raises, 3 unconverged truncation
+ladder.  On exit 3 analyze-mg and analyze-gi still write their JSON report
+(analyze-gi skips its pmf CSV); compare writes nothing and runs no
+simulation.  compare --figure mean-length pins the truncation at --order
+and never exits 3.
 
 A JSON file passed as --config overrides any flags it names.  The default
 output directory is $GATEDQ_OUTPUT_DIR, falling back to the working
@@ -598,11 +598,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         _emit_error("config", str(exc))
         return 1
-    except (OutOfRegimeError, linsys.AssemblyError,
-            linsys.SingularSystemError, linsys.ZeroDiagonalError) as exc:
-        # A coefficient that leaves floating-point range, a zero diagonal
-        # entry or a truncation that is numerically singular puts the model
-        # outside what the system can represent.
+    except OutOfRegimeError as exc:
         _emit_error("out_of_regime", str(exc))
         return 2
     except UnconvergedError as exc:

@@ -69,7 +69,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import count, positive
+from .errors import OutOfRegimeError, count, positive
 
 
 # bench/spans.py, the external tracer, reads and replaces this attribute when
@@ -80,8 +80,8 @@ integrate = None
 _INVERSION_STEPS = 60
 
 
-class DivergentMomentError(ValueError):
-    """Raised when a requested moment integral fails to converge."""
+class DivergentMomentError(OutOfRegimeError):
+    """A requested moment integral fails to converge: out of regime."""
 
 
 def _exponential_law(mu: float) -> tuple:
@@ -673,6 +673,8 @@ def tail_support(d: ServiceDistribution, eps: float, k: int = 1,
     tail(y) gives the clamped tail max(Gbar(y), 0); by default it calls
     d.sf.  A tail that refuses to decay signals a divergent moment.
     """
+    positive(eps, "tail level eps")
+    k = count(k, "min moment count k", 1)
     if tail is None:
         tail = functools.partial(_clamped_sf, d)
     y = 1.0
@@ -692,7 +694,7 @@ def support_end(d: ServiceDistribution, y: float) -> float:
     of the support is found by bisection down to adjacent floats, so that a
     quadrature can stop at a jump of the density instead of straddling it.
     """
-    if _clamped_sf(d, y) > 0.0:
+    if _clamped_sf(d, positive(y, "support bound y")) > 0.0:
         return y
     lo, hi = 0.0, y
     mid = 0.5 * hi
@@ -719,6 +721,20 @@ def min_moment(d: ServiceDistribution, m: int, k: int) -> float:
     if isinstance(val, Exception):
         raise val
     return val
+
+
+def _indices(ms, ks) -> list:
+    """ms and ks as integer arrays, each refused as errors.count refuses its
+    first entry that is not an integer >= 1; a bool reads as 0 or 1."""
+    out = []
+    for x, what in ((ms, "min moment order m"), (ks, "min moment count k")):
+        x = np.asarray(x)
+        if x.dtype.kind not in "iu" or x.size and x.min() < 1:
+            for v in x.ravel().tolist():
+                count(v, what, 1)
+            x = x.astype(int)
+        out.append(x)
+    return out
 
 
 @dataclass
@@ -771,7 +787,7 @@ class GammaTable:
         pairs = list(zip(m.tolist(), k.tolist()))
         with self._lock:
             rows, cols = self._values.shape
-            inside = (m >= 1) & (m < rows) & (k >= 1) & (k < cols)
+            inside = (m < rows) & (k < cols)
             held = np.zeros(m.shape, bool)
             held[inside] = ~np.isnan(self._values[m[inside], k[inside]])
             todo = [p for p in dict.fromkeys(
@@ -801,20 +817,15 @@ class GammaTable:
             raise self._failed[pairs[failed[0]]].with_traceback(None)
         return vals.reshape(shape)
 
-    def _held(self, ms, ks) -> Optional[np.ndarray]:
-        """gamma_{m,k} at every index pair of the broadcast integer arrays
-        ms, ks when the table holds all of them, else None; computes
+    def _held(self, m, k) -> Optional[np.ndarray]:
+        """gamma_{m,k} at every index pair of the broadcast arrays m, k of
+        integers >= 1 when the table holds all of them, else None; computes
         nothing."""
-        m, k = np.asarray(ms), np.asarray(ks)
         try:
             vals = self._values[m, k]
         except IndexError:  # past the store
             return None
-        # Row and column 0 hold NaN, but a negative index wraps around.
-        if (vals.size and not np.isnan(vals).any()
-                and min(m.min(), k.min()) >= 1):
-            return vals
-        return None
+        return None if np.isnan(vals).any() else vals
 
     def __contains__(self, p) -> bool:
         """Whether the table holds entry p = (m, k)."""
@@ -838,20 +849,19 @@ class GammaTable:
         return self
 
     def gamma(self, m: int, k: int) -> float:
-        return float(self._entries(np.asarray(m), np.asarray(k)))
+        return float(self._entries(*_indices(m, k)))
 
     def gammas(self, ms, ks) -> np.ndarray:
         """gamma_{m,k} at every index pair of the broadcast arrays ms, ks.
 
-        For exponential laws integer indices >= 1 read the closed form
-        directly, the same floats the table would store, without taking
-        the lock or storing them.  Any other index, or a NaN value, takes
-        the table's path and its refusal.
+        Every read refuses an index that is not an integer >= 1 with the
+        ValueError of errors.count.  For exponential laws the indices read
+        the closed form directly, the same floats the table would store,
+        without taking the lock or storing them; a NaN value takes the
+        table's path and its refusal.
         """
-        m, k = np.asarray(ms), np.asarray(ks)
-        if (self.dist.mu is not None and m.dtype.kind in "iu"
-                and k.dtype.kind in "iu" and m.size and k.size
-                and min(m.min(), k.min()) >= 1):
+        m, k = _indices(ms, ks)
+        if self.dist.mu is not None:
             m, k = np.broadcast_arrays(m, k)
             vals = np.reshape([_exponential_min_moment(self.dist.mu, p, q)
                                for p, q in zip(m.ravel().tolist(),
@@ -873,7 +883,7 @@ class GammaTable:
         any other block is filled in one batch.  A gamma_{m,1} of 0.0 raises
         ZeroDivisionError, as a float division does.
         """
-        m, k = np.asarray(ms), np.asarray(ks)
+        m, k = _indices(ms, ks)
         if self.dist.mu is not None:
             # Python's float power, not numpy's: the two differ in the last
             # bit for some (m, k).

@@ -1,8 +1,11 @@
 """Exceptions shared across the analytic and simulation modules, and the
-argument contract every entry point checks: a count (a state, an order, a
-seed) is what operator.index accepts, an int, a numpy integer or a bool,
-and a rate or a tolerance lies in (0, inf).  count() and positive() refuse
-anything else with a ValueError that names the argument.
+argument contract every entry point checks.  A refusal is one of three kinds:
+
+* a bad argument is a ValueError from count() or positive(), naming it: a
+  count (a state, an order, a seed) is what operator.index accepts, an
+  int, a numpy integer or a bool, and a rate or a tolerance lies in (0, inf);
+* a model out of regime is an OutOfRegimeError;
+* an unconverged truncation ladder is an UnconvergedError.
 """
 
 import math
@@ -10,7 +13,9 @@ import operator
 
 
 class OutOfRegimeError(ValueError):
-    """Model parameters fall outside the regime an analytic routine supports."""
+    """Model parameters fall outside the regime an analytic routine supports,
+    or outside what its numerics can represent (the subclasses in linsys and
+    distributions).  The command line exits 2 on this class alone."""
 
 
 class UnconvergedError(RuntimeError):

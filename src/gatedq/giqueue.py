@@ -187,8 +187,8 @@ def _zeta(s: int) -> float:
 
 
 def _binomial_sum(i: int, ops: int, weights) -> float:
-    """math.fsum of C(i,k) (-1)^k w_k over k = 1..i, refused once rounding
-    the terms can move it by more than _ROUNDING_TOL.
+    """math.fsum of C(i,k) (-1)^k w_k over k = 1..i, an OutOfRegimeError
+    once rounding the terms can move it by more than _ROUNDING_TOL.
 
     Each term carries a relative rounding error below ops * eps, so
     ops * eps * sum |terms| bounds the error of the sum on the given bhat_k;
@@ -201,7 +201,7 @@ def _binomial_sum(i: int, ops: int, weights) -> float:
         terms = [math.inf]
     bound = ops * _EPS * math.fsum(map(abs, terms))
     if not bound <= _ROUNDING_TOL:
-        raise ValueError(
+        raise OutOfRegimeError(
             f"row i={i}: rounding the alternating binomial terms can move "
             f"the sum by {bound:.3g} in double arithmetic; estimate this "
             "row by simulation instead")

@@ -45,19 +45,19 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import UnconvergedError, count, positive
+from .errors import OutOfRegimeError, UnconvergedError, count, positive
 
 
-class AssemblyError(ValueError):
-    """An oracle produced a non-finite coefficient during truncation."""
+class AssemblyError(OutOfRegimeError):
+    """A coefficient or a dominance ratio is not finite: out of regime."""
 
 
-class SingularSystemError(ValueError):
-    """A truncation is singular or too ill-conditioned to solve."""
+class SingularSystemError(OutOfRegimeError):
+    """A truncation is numerically singular: out of regime."""
 
 
-class ZeroDiagonalError(ValueError):
-    """A dominance report found a zero diagonal entry."""
+class ZeroDiagonalError(OutOfRegimeError):
+    """A dominance report met a zero diagonal entry: out of regime."""
 
 
 @dataclass(frozen=True)
@@ -438,10 +438,8 @@ def converge(oracle: CoefficientOracle, n_start: int, n_max: int,
     positive(tol, "tol")
 
     rungs, residuals, rconds = [], [], []
-    prev = None
     gaps = np.array([])
     max_gap = math.inf
-    converged = False
     stopped = None
     # One growing system serves every rung: rung n solves its leading n x n
     # block, and a later rung requests only the entries it lacks.  The first
@@ -459,30 +457,22 @@ def converge(oracle: CoefficientOracle, n_start: int, n_max: int,
                 a, b = _grow(oracle, a, b, n)
             _check_finite(oracle.name, a[:n, :n], b[:n])
         except stop_on as exc:
-            if prev is None:
+            if not rungs:
                 raise
             stopped = f"rung {n} could not be assembled: {exc}"
-            n_used = rungs[-1]
             break
         res = solve(TruncatedSystem(n=n, a=a[:n, :n], b=b[:n]))
+        if rungs:  # the gap runs over the previous, shorter rung
+            gaps = np.abs(res.x[:len(values)] - values)
+            max_gap = float(gaps.max())
+        values = res.x
         rungs.append(n)
         residuals.append(res.residual)
         rconds.append(res.rcond)
-        if prev is not None:
-            shared = min(len(prev), len(res.x))
-            gaps = np.abs(res.x[:shared] - prev[:shared])
-            max_gap = float(gaps.max()) if shared else 0.0
-            if max_gap <= tol:
-                converged = True
-                prev = res.x
-                n_used = n
-                break
-        prev = res.x
-        if n >= n_max:
-            n_used = n
+        if max_gap <= tol or n >= n_max:
             break
         n = min(2 * n, n_max)
-    return ConvergedSolution(values=prev, n_used=n_used, gaps=gaps,
-                             max_gap=max_gap, converged=converged, tol=tol,
-                             rungs=rungs, residuals=residuals, stopped=stopped,
-                             rconds=rconds)
+    return ConvergedSolution(values=values, n_used=rungs[-1], gaps=gaps,
+                             max_gap=max_gap, converged=max_gap <= tol,
+                             tol=tol, rungs=rungs, residuals=residuals,
+                             stopped=stopped, rconds=rconds)

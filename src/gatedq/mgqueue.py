@@ -526,7 +526,7 @@ def fixed_point_density(model: MgModel, n_points: int = 2048,
     n_points = count(n_points, "n_points", 2)
     if y_max is None:
         y_max = tail_support(model.service, _GRID_TAIL_EPS)
-    elif float(model.service.sf(y_max)) >= _GRID_TAIL_EPS:
+    elif float(model.service.sf(positive(y_max, "y_max"))) >= _GRID_TAIL_EPS:
         raise ValueError(
             f"grid must cover the service tail: Gbar({y_max}) = "
             f"{float(model.service.sf(y_max)):.3g} >= 1e-10")

@@ -39,6 +39,29 @@ def oracle():
     return giqueue.factorial_oracle(gi()[0])
 
 
+@functools.cache
+def user_law():
+    """The exponential law of rate 2 given as callables, so its table is
+    filled by quadrature, not by the closed form."""
+    law = ServiceDistribution.exponential(2.0)
+    return ServiceDistribution.from_callables(law.pdf, law.cdf, sf=law.sf)
+
+
+def table_reads(law, reads=("gamma", "gammas", "ratio", "ratios")):
+    """(entry, name, call) for each read of the law's min-moment table,
+    with the bad value as its m and then as its k."""
+    def call(read, at, v):
+        m, k = (v, 2) if at == "m" else (3, v)
+        return getattr(law().gamma_table, read)(m, k)
+    return [(f"{law.__name__} {read}", f"min moment {what} {at}",
+             functools.partial(call, read, at))
+            for read in reads for what, at in (("order", "m"), ("count", "k"))]
+
+
+def exponential():
+    return ServiceDistribution.exponential(2.0)
+
+
 def simulate_mg(**kw):
     args = dict(lam=0.5, service=ServiceDistribution.exponential(1.0),
                 n_stages=200, seed=1)
@@ -92,7 +115,17 @@ COUNTS = [
     ("min_moment", "min moment count k",
      lambda v: distributions.min_moment(
          ServiceDistribution.exponential(1.0), 1, v)),
+    ("tail_support", "min moment count k",
+     lambda v: distributions.tail_support(user_law(), 1e-14, v)),
 ]
+# Table reads.  Every read but an exponential law's ratios already refused an
+# m or k below 1 in the quadrature's own check, so only those take 0 and -1.
+OTHER_COUNTS = (
+    [(entry, name, (2.5, math.nan, math.inf, None), call)
+     for entry, name, call in table_reads(user_law) + table_reads(exponential)]
+    + [(entry, name, (0, -1), call)
+       for entry, name, call in table_reads(exponential, ("ratio", "ratios"))]
+)
 SEEDS = [
     ("simulate_mg", "seed", lambda v: simulate_mg(seed=v)),
     ("simulate_gi", "seed", lambda v: simulate_gi(seed=v)),
@@ -119,6 +152,12 @@ OTHER_RATES = [
      lambda v: linsys.converge(oracle(), 4, 16, v)),
     ("empirical_stats", "y_max", (math.nan, math.inf),
      lambda v: simulator.empirical_stats(trace(), y_max=v)),
+    ("fixed_point_density", "y_max", (math.nan, math.inf, -1),
+     lambda v: mgqueue.fixed_point_density(mg()[0], n_points=8, y_max=v)),
+    ("tail_support", "tail level eps", (math.nan, math.inf, -1, 0, None),
+     lambda v: distributions.tail_support(user_law(), v)),
+    ("support_end", "support bound y", (math.nan, math.inf, -1, None),
+     lambda v: distributions.support_end(user_law(), v)),
 ]
 
 INTEGER = r"an integer( >= \d+)?"
@@ -127,6 +166,8 @@ CASES = (
      for v in (2.5, math.nan, math.inf, -1, None)]
     + [(entry, name, INTEGER, call, v) for entry, name, call in SEEDS
        for v in (2.5, math.nan, math.inf, None)]
+    + [(entry, name, INTEGER, call, v)
+       for entry, name, values, call in OTHER_COUNTS for v in values]
     + [(entry, name, "(positive|finite)", call, v)
        for entry, name, call in RATES
        for v in (math.nan, math.inf, -1, None)]
@@ -156,6 +197,10 @@ def test_numpy_integer_and_bool_counts_are_taken_as_ints():
     mm, msol = mg()
     assert (mgqueue.stage_count_pmf(msol, mm, np.int64(2))
             == mgqueue.stage_count_pmf(msol, mm, 2))
+    for law in (user_law(), exponential()):
+        table = law.gamma_table
+        assert table.gammas(True, 1) == table.gammas(1, 1) == table.gamma(1, 1)
+        assert table.ratios(np.int32(3), [True]) == [1.0]
     system = linsys.truncate(oracle(), np.int64(5))
     assert system.n == 5 and type(system.n) is int
     tr = simulate_mg(seed=np.int64(7), n_stages=np.int32(200))

@@ -14,9 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gatedq import cli, giqueue, mgqueue, simulator
+from gatedq import cli, distributions, giqueue, linsys, mgqueue, simulator
 from gatedq.cli import main, write_csv
 from gatedq.distributions import ArrivalDistribution, ServiceDistribution
+from gatedq.errors import OutOfRegimeError
 
 
 def read_json(path):
@@ -465,6 +466,59 @@ def test_zero_diagonal_exits_2_without_writing(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err)["error"]
     assert err["code"] == "out_of_regime"
     assert "zero diagonal at row 1" in err["message"]
+    assert not os.listdir(out)
+
+
+def _slow_tail_law():
+    """A law whose tail 1/log(e + y) is still above 1e-14 at y = 2^120, so
+    no min moment of it can be computed."""
+    def sf(y):
+        return 1.0 / np.log(np.e + np.asarray(y, dtype=float))
+
+    return ServiceDistribution.from_callables(
+        lambda y: sf(y) ** 2 / (np.e + np.asarray(y, dtype=float)),
+        lambda y: 1.0 - sf(y), sf=sf, name="slow-tail")
+
+
+# Each way the numerics decline a model, with the class it raises.
+_DECLINED = [
+    (linsys.AssemblyError, lambda: mgqueue.solve_stage_moments(
+        mgqueue.MgModel(0.5, ServiceDistribution.exponential(1e300)))),
+    (linsys.SingularSystemError, lambda: linsys.solve(
+        linsys.TruncatedSystem(n=2, a=np.zeros((2, 2)), b=np.ones(2)))),
+    (linsys.ZeroDiagonalError, lambda: linsys.dominance_report(
+        giqueue.factorial_oracle(
+            giqueue.GiModel(ArrivalDistribution.poisson(1.0), 1.0),
+            override=True), 2)),
+    (distributions.DivergentMomentError,
+     lambda: distributions.tail_support(_slow_tail_law(), 1e-14)),
+    # Row 30's alternating binomial sum cannot be rounded to 1e-6.
+    (OutOfRegimeError, lambda: giqueue.transition_probability(
+        giqueue.GiModel(ArrivalDistribution.poisson(0.3), 1.0), 30, 1)),
+]
+
+
+@pytest.mark.parametrize("cls,decline", _DECLINED,
+                         ids=[cls.__name__ for cls, _ in _DECLINED])
+def test_every_declined_model_is_out_of_regime(cls, decline):
+    with pytest.raises(OutOfRegimeError) as caught:
+        decline()
+    assert type(caught.value) is cls
+    assert isinstance(caught.value, ValueError)
+
+
+def test_a_first_rung_divergent_moment_exits_2(tmp_path, capsys,
+                                              monkeypatch):
+    # A law no min moment of which can be computed fails on the ladder's
+    # first rung, where stop_on does not apply.
+    monkeypatch.setattr(cli.ServiceDistribution, "exponential",
+                        lambda mu: _slow_tail_law())
+    out = str(tmp_path)
+    assert main(["analyze-mg", "--lambda", "0.5", "--mu", "1.0",
+                 "--out", out]) == 2
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["code"] == "out_of_regime"
+    assert "slow-tail" in err["message"]
     assert not os.listdir(out)
 
 

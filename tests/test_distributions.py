@@ -875,6 +875,14 @@ def test_validate_flags_jensen_violation():
     assert any("Jensen" in msg for msg in rep.issues)
 
 
+def test_validate_flags_a_laplace_transform_that_leaves_the_open_unit_interval():
+    bad = ArrivalDistribution.from_callables(
+        sampler=None, laplace=lambda s: 1.0 if s == 0 else 0.0,
+        mean=1.0, second_moment=1.0)
+    rep = validate(bad)
+    assert rep.issues == ["Bhat(s) leaves (0,1) for s > 0 on the probe grid"]
+
+
 def test_validate_arrival_laws_ok():
     assert validate(ArrivalDistribution.poisson(0.85)).ok
     assert validate(ArrivalDistribution.deterministic(1.0)).ok
@@ -931,3 +939,19 @@ def test_validate_reports_each_structural_problem(law, problem):
 def test_validate_rejects_foreign_objects():
     with pytest.raises(TypeError):
         validate(42)
+
+
+@pytest.mark.parametrize("m", [150, 200], ids=["past-y-max", "through-y-max"])
+def test_a_power_past_double_range_is_refused_as_python_refuses_it(m):
+    """For rate 1, Y_max = 64.  At m = 150 the octaves through Y_max keep
+    y^(m-1) finite and only the octave past it overflows (128^149); at
+    m = 200 an octave through Y_max overflows already (64^199).  Either
+    entry is refused with the OverflowError y ** (m - 1) raises for a
+    Python float."""
+    law = ServiceDistribution.from_callables(
+        lambda y: math.exp(-y) if y >= 0 else 0.0,
+        lambda y: -math.expm1(-y) if y >= 0 else 0.0,
+        sf=lambda y: math.exp(-y) if y >= 0 else 1.0, name="exact-sf-exp")
+    with pytest.raises(OverflowError) as caught:
+        distributions.min_moment(law, m, 1)
+    assert caught.value.args == (34, "Numerical result out of range")

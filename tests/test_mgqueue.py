@@ -491,6 +491,25 @@ def test_the_general_lead_stays_in_range_where_its_factors_do_not(lam, mu,
                                rtol=1e-13 if rate else 1e-11)
 
 
+def test_a_general_lead_past_double_range_reads_inf():
+    """uniform(0, 1) at lam = 1e-3: the lead i!/(lam^i gamma_{i,1}) =
+    (i + 1)! / lam^i leaves double range from i = 70 (oracle row 69), and
+    from i = 121 lam^i underflows and the log-space lead overflows too.
+    Every such entry reads inf, and a truncation there is refused."""
+    oracle = mgqueue.moment_oracle(mgqueue.MgModel(
+        1e-3, uniform_law(1.0, exact_sf=True)))
+    idx = np.arange(1, 121)
+    np.testing.assert_array_equal(np.isinf(oracle.a(idx, idx)), idx >= 69)
+    with pytest.raises(linsys.AssemblyError, match=r"a\(69,69\) = inf"):
+        linsys.truncate(oracle, 120)
+
+
+@pytest.mark.parametrize("yi", [0.0, math.inf, -math.inf])
+def test_a_raw_moment_of_zero_or_infinite_y_is_that_value(yi):
+    # 200! leaves double range, and so does 0.5^-200 times it.
+    assert mgqueue._raw_moment(200, yi, 0.5) == yi
+
+
 def test_general_oracle_computes_each_block_in_one_batch(monkeypatch):
     batches = []
     batch = distributions._min_moments

@@ -391,6 +391,35 @@ def test_deterministic_row_sums_match_an_mpmath_reference(q, rows):
     assert np.all(np.abs(sums - want) <= tol), np.abs(sums - want) / tol
 
 
+@pytest.mark.parametrize("spacing", [2.335844085233836, 3.5368334206026204])
+def test_a_row_head_that_does_not_settle_doubles(spacing, monkeypatch):
+    """At these spacings (mu = 1) row 1's first head of columns does not
+    settle: adding the geometric bound on the columns past it still moves
+    its sum, so the head doubles once.  The sums of 64 rows still match the
+    40-digit reference, as in the test above, and the report's sigma_i are
+    those sums over |a_ii|."""
+    calls = []
+    magnitudes = giqueue._magnitudes
+
+    def counted(bj, i, j):
+        calls.append(len(j))
+        return magnitudes(bj, i, j)
+
+    monkeypatch.setattr(giqueue, "_magnitudes", counted)
+    model = giqueue.GiModel(ArrivalDistribution.deterministic(spacing), 1.0)
+    rows = np.arange(1, 65)
+    sums = giqueue._spacing_row_sums(model, rows)[0]
+    assert len(calls) == 2 and calls[1] == 2 * calls[0]
+    q = model.bhat(1)
+    want = mpmath_row_sums(
+        model.bhats(max(200, math.ceil(-100.0 / math.log(q)))), rows)
+    tol = (rows + 8) * np.finfo(float).eps * want + 16 * 2.0 ** -1074
+    assert np.all(np.abs(sums - want) <= tol), np.abs(sums - want) / tol
+    oracle = giqueue.factorial_oracle(model)
+    report = dominance_report(oracle, 64)
+    assert np.array_equal(report.sigma, sums / np.abs(oracle.a(rows, rows)))
+
+
 def test_deterministic_rows_that_overflow_sum_to_nan():
     """Spacing 0.1 at mu = 1 (q = 0.9048): a(i, 1) grows like
     (q / (1 - q))^(i-1) and leaves double range from row 316.  Those rows

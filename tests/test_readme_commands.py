@@ -1,5 +1,6 @@
 """Every `gatedq ...` command of README's command-line section runs as shown."""
 
+import importlib.util
 import json
 import os
 import pathlib
@@ -9,24 +10,17 @@ import pytest
 
 from gatedq import cli
 
-README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+_SPEC = importlib.util.spec_from_file_location(
+    "same_bytes", ROOT / "tools" / "same_bytes.py")
+same_bytes = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(same_bytes)
 
 
 def readme_commands():
-    """`gatedq` lines inside fenced blocks of the "Command line" section.
-
-    The `--config run.json` example is skipped: it needs a file the README
-    does not show.
-    """
-    text = README.read_text()
-    section = text.split("## Command line", 1)[1].split("\n## ", 1)[0]
-    commands, fenced = [], False
-    for line in section.splitlines():
-        if line.startswith("```"):
-            fenced = not fenced
-        elif fenced and line.startswith("gatedq ") and "--config" not in line:
-            commands.append(line)
-    return commands
+    """tools/same_bytes.py's README commands, less the `--config run.json`
+    example, which needs a file the README does not show."""
+    return [c for c in same_bytes.readme_commands(ROOT) if "--config" not in c]
 
 
 def test_readme_has_commands():

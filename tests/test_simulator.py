@@ -210,6 +210,10 @@ def test_drift_check_argument_errors():
     gi_trace = simulate_gi(GI_ARRIVALS, 1.0, 5000, seed=1)
     with pytest.raises(InsufficientDataError):
         simulator.drift_check(gi_trace, model, min_visits=10 ** 9)
+    # One stage past burn-in leaves no transition pair.
+    short = simulate_gi(GI_ARRIVALS, 1.0, 101, seed=1, burn_in=100)
+    with pytest.raises(InsufficientDataError, match="too short"):
+        simulator.drift_check(short, model)
 
 
 def test_batch_se_matches_direct_computation():

@@ -83,6 +83,10 @@ EDGES = [
     "gatedq dominance --system mg --lambda 0.93 --mu 1.0",
     "gatedq dominance --system gi --rho 0.34",
     "gatedq dominance --system gi --deterministic 2.0 --mu 1.0 --order 64",
+    # Exact deterministic rows whose first head of columns does not settle,
+    # so it doubles.
+    "gatedq dominance --system gi --deterministic 2.335844085233836 "
+    "--mu 1.0 --order 64",
     # Short simulations of both queues and all arrival laws.
     "gatedq simulate --model mg --lambda 1.0 --mu 2.5 --stages 2000 --seed 3",
     "gatedq simulate --model mg --lambda 0.5 --mu 1.0 --stages 2000 "
