@@ -45,7 +45,6 @@ import json
 import math
 import os
 import sys
-from itertools import chain
 from typing import Optional
 
 import numpy as np
@@ -76,12 +75,13 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _write_text(path: str, text: str) -> str:
-    """Publish text at path: write it to a hidden temporary file beside
-    path, remove whatever path holds (a file, a link, a read-only file) and
-    rename the temporary file into place.  A failure removes the temporary
-    file and re-raises, so path keeps its old artifact, or, when the rename
-    itself fails, none; never a partial one.
+def _write_text(path: str, chunks) -> str:
+    """Publish the text of the string chunks, an iterable read once, at
+    path: write them in turn to a hidden temporary file beside path, remove
+    whatever path holds (a file, a link, a read-only file) and rename the
+    temporary file into place.  A failure, in writing or in producing a
+    chunk, removes the temporary file and re-raises, so path keeps its old
+    artifact, or, when the rename itself fails, none; never a partial one.
 
     The temporary file is created like open(path, "w") creates a file, mode
     0o666 & ~umask, and exclusively, so a link planted at its name is never
@@ -98,7 +98,8 @@ def _write_text(path: str, text: str) -> str:
             os.unlink(tmp)
             fh = open(tmp, "x")
         with fh:
-            fh.write(text)
+            for chunk in chunks:
+                fh.write(chunk)
         with contextlib.suppress(FileNotFoundError):
             os.unlink(path)
         os.rename(tmp, path)
@@ -111,7 +112,8 @@ def _write_text(path: str, text: str) -> str:
 
 def write_json(path: str, obj) -> str:
     """Canonical JSON: sorted keys, two-space indent, trailing newline."""
-    return _write_text(path, json.dumps(obj, sort_keys=True, indent=2) + "\n")
+    return _write_text(path,
+                       [json.dumps(obj, sort_keys=True, indent=2) + "\n"])
 
 
 def _cell(v) -> str:
@@ -137,12 +139,33 @@ def _column_cells(col):
     return map(_cell, col)
 
 
+# Rows write_csv formats and writes at a time.
+_CSV_BLOCK = 4096
+
+
 def write_csv(path: str, header, columns) -> str:
     """Plain CSV from equal-length columns, repr-formatted floats so values
-    round-trip exactly."""
-    cells = [_column_cells(col) for col in columns]
-    lines = map(",".join, zip(*cells, strict=True))
-    return _write_text(path, "\n".join(chain([",".join(header)], lines)) + "\n")
+    round-trip exactly.
+
+    Columns that are not arrays or ranges are read into lists first, and
+    columns of unequal length are refused with ValueError before anything
+    is written.  The rows are then formatted and written _CSV_BLOCK at a
+    time, so neither the whole text nor all its cells are ever held.
+    """
+    cols = [col if isinstance(col, (np.ndarray, range)) else list(col)
+            for col in columns]
+    lengths = [len(col) for col in cols]
+    if len(set(lengths)) > 1:
+        raise ValueError(f"CSV columns differ in length: {lengths}")
+
+    def blocks():
+        yield ",".join(header) + "\n"
+        for start in range(0, lengths[0] if cols else 0, _CSV_BLOCK):
+            cells = [_column_cells(col[start:start + _CSV_BLOCK])
+                     for col in cols]
+            yield "\n".join(map(",".join, zip(*cells))) + "\n"
+
+    return _write_text(path, blocks())
 
 
 def _emit_error(code: str, message: str) -> None:
@@ -459,7 +482,7 @@ def _run_simulate(args) -> int:
     try:
         stats = simulator.empirical_stats(trace, bins=args.bins,
                                           column=args.column)
-    except Exception as exc:
+    except ValueError as exc:  # InsufficientDataError among them
         raise ConfigError(f"statistics unavailable: {exc}")
     stats_path = write_json(os.path.join(out, f"stats-{args.model}.json"),
                             stats.to_dict())

@@ -828,11 +828,9 @@ class GammaTable:
         return None if np.isnan(vals).any() else vals
 
     def __contains__(self, p) -> bool:
-        """Whether the table holds entry p = (m, k)."""
-        m, k = p
-        rows, cols = self._values.shape
-        return 0 < m < rows and 0 < k < cols and not math.isnan(
-            self._values[m, k])
+        """Whether the table holds entry p = (m, k), read as every read
+        reads its indices; computes nothing."""
+        return self._held(*_indices(*p)) is not None
 
     def _grow(self, m: int, k: int) -> None:
         """Widen the store, under the lock, to hold index [m, k]."""
@@ -880,8 +878,7 @@ class GammaTable:
         For exponential laws this is k^-m exactly, which stays representable
         long after the two moments themselves overflow.  A block the table
         holds is read as two plain gathers, of gamma_{m,k} and gamma_{m,1};
-        any other block is filled in one batch.  A gamma_{m,1} of 0.0 raises
-        ZeroDivisionError, as a float division does.
+        any other block is filled in one batch.
         """
         m, k = _indices(ms, ks)
         if self.dist.mu is not None:
@@ -897,19 +894,21 @@ class GammaTable:
             both = self._entries(m[..., None],
                                  np.stack((k, np.ones_like(k)), axis=-1))
             gamma, first = both[..., 0], both[..., 1]
-        if not first.all():
-            raise ZeroDivisionError("float division by zero")
         return gamma / first
 
 
 @dataclass
 class ValidationReport:
-    """Report-only diagnostics for a distribution; never raises."""
+    """Report-only diagnostics for a distribution; never raises.  ok, no
+    issue found, is derived from issues, never stored."""
 
     subject: str
-    ok: bool
     issues: list
     normalization_defect: Optional[float] = None
+
+    @property
+    def ok(self) -> bool:
+        return not self.issues
 
     def to_dict(self) -> dict:
         return {
@@ -981,5 +980,5 @@ def validate(d) -> ValidationReport:
             issues.append(f"Laplace transform probe failed: {exc}")
     else:
         raise TypeError(f"cannot validate object of type {type(d).__name__}")
-    return ValidationReport(subject=subject, ok=not issues, issues=issues,
+    return ValidationReport(subject=subject, issues=issues,
                             normalization_defect=defect)

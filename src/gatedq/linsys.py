@@ -117,29 +117,44 @@ class DominanceReport:
     sums, +inf where one is unbounded.  Otherwise every sigma_i, and so
     max_sigma and max_offdiag_row_sum, is NaN: finite, perhaps, but unknown.
     Such a report has both side conditions false and worst_row 1.
-    satisfied requires every sigma_i < 1 plus all three side conditions.
     analytic_region_ok mirrors the oracle's closed-form sufficient condition
-    when it has one (None otherwise), and marginal flags the honest
-    in-between: the rows are dominant but the parameters sit outside that
-    sufficient region.  to_dict writes a number that is not finite as None,
-    and tail_cutoff, a key kept for the artifacts' schema, as None.
+    when it has one (None otherwise).  to_dict writes a number that is not
+    finite as None, and tail_cutoff, a key kept for the artifacts' schema,
+    as None.
+
+    The verdicts are derived from those fields, never stored: worst_row is
+    the first row of the largest sigma_i (of the first NaN, where one is
+    NaN), max_sigma its sigma, satisfied requires every sigma_i < 1 plus
+    both side conditions, marginal flags the honest in-between (satisfied,
+    but the parameters sit outside the sufficient region), and certifies
+    means satisfied and exact.
     """
 
     order: int
     sigma: np.ndarray
-    worst_row: int
     diag_sums_summable: bool      # sum of 1/|a_ii| stated finite
     col_sums_finite: bool         # every column sum stated finite
-    satisfied: bool
     tail_is_analytic: bool
     analytic_region_ok: Optional[bool]
-    marginal: bool
     max_offdiag_row_sum: float
     notes: list = field(default_factory=list)
 
     @property
+    def worst_row(self) -> int:
+        return int(np.argmax(self.sigma)) + 1
+
+    @property
     def max_sigma(self) -> float:
         return float(self.sigma[self.worst_row - 1])
+
+    @property
+    def satisfied(self) -> bool:
+        return (bool(np.all(self.sigma < 1.0)) and self.diag_sums_summable
+                and self.col_sums_finite)
+
+    @property
+    def marginal(self) -> bool:
+        return self.satisfied and self.analytic_region_ok is False
 
     @property
     def certifies(self) -> bool:
@@ -170,26 +185,38 @@ class ConvergedSolution:
     """Outcome of the doubling ladder.
 
     values holds the last truncation's solution (index j stored at values[j-1]).
-    gaps holds |x_j^(N) - x_j^(N_prev)| over the indices the last two rungs
-    share.  converged means the max gap met the tolerance before the ladder
-    ran out of orders; an exhausted ladder is reported, not raised.  stopped
-    says why a ladder ended before its last order, when it did (see
-    converge); a ladder stopped after one rung has no gaps and max_gap inf.
-    rconds holds each rung's reciprocal condition number (SolveResult.rcond).
-    to_dict writes a max_gap that is not finite as None (JSON null), so its
-    dict is standard JSON, and leaves rconds out.
+    rungs lists the orders solved and residuals their residuals.  gaps holds
+    |x_j^(N) - x_j^(N_prev)| over the indices the last two rungs share.
+    stopped says why a ladder ended before its last order, when it did (see
+    converge).  rconds holds each rung's reciprocal condition number
+    (SolveResult.rcond).  to_dict writes a max_gap that is not finite as
+    None (JSON null), so its dict is standard JSON, and leaves rconds out.
+
+    The verdicts are derived from those fields, never stored: n_used is the
+    last rung, max_gap the largest gap (inf for a ladder of one rung, which
+    has no gaps), and converged means max_gap met tol; an exhausted ladder
+    is reported, not raised.
     """
 
     values: np.ndarray
-    n_used: int
     gaps: np.ndarray
-    max_gap: float
-    converged: bool
     tol: float
     rungs: list
     residuals: list
     stopped: Optional[str] = None
     rconds: list = field(default_factory=list)
+
+    @property
+    def n_used(self) -> int:
+        return self.rungs[-1]
+
+    @property
+    def max_gap(self) -> float:
+        return float(self.gaps.max()) if len(self.gaps) else math.inf
+
+    @property
+    def converged(self) -> bool:
+        return self.max_gap <= self.tol
 
     def to_dict(self) -> dict:
         return {
@@ -398,18 +425,16 @@ def dominance_report(oracle: CoefficientOracle, order: int) -> DominanceReport:
         notes.append(f"{oracle.name} states no row sums: every sigma and "
                      "the side conditions are unknown")
 
-    worst = int(np.argmax(sigma)) + 1
-    satisfied = bool(np.all(sigma < 1.0)) and diag_ok and col_ok
     region = bool(oracle.analytic_region()) if oracle.analytic_region else None
-    marginal = satisfied and region is False
-    if marginal:
+    report = DominanceReport(
+        order=order, sigma=sigma, diag_sums_summable=diag_ok,
+        col_sums_finite=col_ok, tail_is_analytic=exact,
+        analytic_region_ok=region,
+        max_offdiag_row_sum=float(offdiag_sums.max()), notes=notes)
+    if report.marginal:
         notes.append(f"rows 1..{order} are dominant but the parameters lie "
                      "outside the closed-form sufficient region")
-    return DominanceReport(
-        order=order, sigma=sigma, worst_row=worst, diag_sums_summable=diag_ok,
-        col_sums_finite=col_ok, satisfied=satisfied, tail_is_analytic=exact,
-        analytic_region_ok=region, marginal=marginal,
-        max_offdiag_row_sum=float(offdiag_sums.max()), notes=notes)
+    return report
 
 
 def converge(oracle: CoefficientOracle, n_start: int, n_max: int,
@@ -437,10 +462,10 @@ def converge(oracle: CoefficientOracle, n_start: int, n_max: int,
     n_max = count(n_max, "n_max", 2 * n_start)
     positive(tol, "tol")
 
-    rungs, residuals, rconds = [], [], []
-    gaps = np.array([])
-    max_gap = math.inf
-    stopped = None
+    # The outcome grows rung by rung, and the ladder stops on its own
+    # verdict: converged, or out of orders.
+    out = ConvergedSolution(values=np.empty(0), gaps=np.empty(0), tol=tol,
+                            rungs=[], residuals=[])
     # One growing system serves every rung: rung n solves its leading n x n
     # block, and a later rung requests only the entries it lacks.  The first
     # two rungs come in one call; when that call raises, they are requested
@@ -457,22 +482,18 @@ def converge(oracle: CoefficientOracle, n_start: int, n_max: int,
                 a, b = _grow(oracle, a, b, n)
             _check_finite(oracle.name, a[:n, :n], b[:n])
         except stop_on as exc:
-            if not rungs:
+            if not out.rungs:
                 raise
-            stopped = f"rung {n} could not be assembled: {exc}"
+            out.stopped = f"rung {n} could not be assembled: {exc}"
             break
         res = solve(TruncatedSystem(n=n, a=a[:n, :n], b=b[:n]))
-        if rungs:  # the gap runs over the previous, shorter rung
-            gaps = np.abs(res.x[:len(values)] - values)
-            max_gap = float(gaps.max())
-        values = res.x
-        rungs.append(n)
-        residuals.append(res.residual)
-        rconds.append(res.rcond)
-        if max_gap <= tol or n >= n_max:
+        if out.rungs:  # the gap runs over the previous, shorter rung
+            out.gaps = np.abs(res.x[:len(out.values)] - out.values)
+        out.values = res.x
+        out.rungs.append(n)
+        out.residuals.append(res.residual)
+        out.rconds.append(res.rcond)
+        if out.converged or n >= n_max:
             break
         n = min(2 * n, n_max)
-    return ConvergedSolution(values=values, n_used=rungs[-1], gaps=gaps,
-                             max_gap=max_gap, converged=max_gap <= tol,
-                             tol=tol, rungs=rungs, residuals=residuals,
-                             stopped=stopped, rconds=rconds)
+    return out

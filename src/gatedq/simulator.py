@@ -279,7 +279,11 @@ MIN_RECORDS = 100
 
 @dataclass
 class EmpiricalStats:
-    """Post-burn-in summary of a trace with batch-means standard errors."""
+    """Post-burn-in summary of a trace with batch-means standard errors.
+
+    k_pmf[i-1] and k_se[i-1] belong to serve count i; k_values, the counts
+    1..len(k_pmf), is derived from k_pmf, never stored.
+    """
 
     column: str
     n_used: int
@@ -288,11 +292,14 @@ class EmpiricalStats:
     overflow_mass: float
     mean_y: float
     se_y: float
-    k_values: np.ndarray
     k_pmf: np.ndarray
     k_se: np.ndarray
     mean_k: float
     se_k: float
+
+    @property
+    def k_values(self) -> np.ndarray:
+        return np.arange(1, len(self.k_pmf) + 1)
 
     def to_dict(self) -> dict:
         return {
@@ -339,7 +346,6 @@ def empirical_stats(trace: StageTrace, bins: int = 64,
     overflow = float((data > y_max).mean())
 
     k_max = int(ks.max())
-    k_values = np.arange(1, k_max + 1)
     k_pmf = np.bincount(ks, minlength=k_max + 1)[1:] / n
     # _batch_se of each k's indicator: one contiguous row of batch means per k.
     batches = ks[:n - n % _N_BATCHES].reshape(_N_BATCHES, -1)
@@ -352,7 +358,7 @@ def empirical_stats(trace: StageTrace, bins: int = 64,
         column=column, n_used=n, bin_edges=edges, histogram=hist,
         overflow_mass=overflow,
         mean_y=float(data.mean()), se_y=_batch_se(data),
-        k_values=k_values, k_pmf=k_pmf, k_se=k_se,
+        k_pmf=k_pmf, k_se=k_se,
         mean_k=float(ks.mean()), se_k=_batch_se(ks.astype(float)))
 
 
@@ -363,8 +369,9 @@ class DriftReport:
     For each state i visited at least min_visits times after burn-in:
     the empirical mean of K_next given K=i, its batch-means SE, the bound
     rho * H_i + b0 (H_i the i-th harmonic number), and, for Poisson
-    arrivals, the exact conditional mean 1 + rho * H_i.  violations lists
-    states whose empirical mean exceeds the bound by more than 3 SEs.
+    arrivals, the exact conditional mean 1 + rho * H_i.  violations, the
+    states whose empirical mean exceeds the bound by more than 3 SEs, is
+    derived from those arrays, never stored.
     """
 
     states: np.ndarray
@@ -373,17 +380,21 @@ class DriftReport:
     se: np.ndarray
     bound: np.ndarray
     reference: Optional[np.ndarray]
-    violations: list
     min_visits: int
     rho: float
     b0: float
+
+    @property
+    def violations(self) -> list:
+        over = self.mean_next > self.bound + 3.0 * self.se
+        return self.states[over].tolist()
 
     def to_dict(self) -> dict:
         out = {
             "rho": float(self.rho),
             "b0": float(self.b0),
             "min_visits": self.min_visits,
-            "violations": [int(i) for i in self.violations],
+            "violations": self.violations,
             "states": {},
         }
         for idx, i in enumerate(self.states):
@@ -437,10 +448,6 @@ def drift_check(trace: StageTrace, model: GiModel,
     reference = None
     if model.arrivals.lam is not None:
         reference = np.array([1.0 + rho * _harmonic(int(i)) for i in states])
-
-    violations = [int(i) for idx, i in enumerate(states)
-                  if mean_next[idx] > bound[idx] + 3.0 * se[idx]]
     return DriftReport(states=states, visits=visits, mean_next=mean_next,
                        se=se, bound=bound, reference=reference,
-                       violations=violations, min_visits=min_visits,
-                       rho=rho, b0=b0)
+                       min_visits=min_visits, rho=rho, b0=b0)

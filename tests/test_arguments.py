@@ -49,10 +49,12 @@ def user_law():
 
 def table_reads(law, reads=("gamma", "gammas", "ratio", "ratios")):
     """(entry, name, call) for each read of the law's min-moment table,
-    with the bad value as its m and then as its k."""
+    with the bad value as its m and then as its k; the read "in" asks
+    whether the table holds that entry."""
     def call(read, at, v):
         m, k = (v, 2) if at == "m" else (3, v)
-        return getattr(law().gamma_table, read)(m, k)
+        table = law().gamma_table
+        return (m, k) in table if read == "in" else getattr(table, read)(m, k)
     return [(f"{law.__name__} {read}", f"min moment {what} {at}",
              functools.partial(call, read, at))
             for read in reads for what, at in (("order", "m"), ("count", "k"))]
@@ -125,6 +127,9 @@ OTHER_COUNTS = (
      for entry, name, call in table_reads(user_law) + table_reads(exponential)]
     + [(entry, name, (0, -1), call)
        for entry, name, call in table_reads(exponential, ("ratio", "ratios"))]
+    + [(entry, name, (2.5, math.nan, math.inf, None, 0, -1), call)
+       for entry, name, call in table_reads(user_law, ("in",))
+       + table_reads(exponential, ("in",))]
 )
 SEEDS = [
     ("simulate_mg", "seed", lambda v: simulate_mg(seed=v)),
@@ -200,6 +205,8 @@ def test_numpy_integer_and_bool_counts_are_taken_as_ints():
     for law in (user_law(), exponential()):
         table = law.gamma_table
         assert table.gammas(True, 1) == table.gammas(1, 1) == table.gamma(1, 1)
+        assert (True, 1) in table and (1, True) in table
+        assert (np.int64(1), 1) in table and (1, 40) not in table
         assert table.ratios(np.int32(3), [True]) == [1.0]
     system = linsys.truncate(oracle(), np.int64(5))
     assert system.n == 5 and type(system.n) is int

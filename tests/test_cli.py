@@ -8,6 +8,7 @@ import pathlib
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -820,6 +821,37 @@ def test_simulate_insufficient_data_exits_1_without_writing_trace(
     assert os.listdir(out) == []
 
 
+@pytest.mark.parametrize("error", [
+    simulator.InsufficientDataError("too few stages"),
+    ValueError("bad bins"),
+])
+def test_simulate_stats_refusal_exits_1_after_the_trace(error, tmp_path,
+                                                        capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli.simulator, "empirical_stats", refuse)
+    out = str(tmp_path)
+    assert main(["simulate", "--model", "mg", "--lambda", "1.0", "--mu", "2.5",
+                 "--stages", "300", "--burn-in", "100", "--out", out]) == 1
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err == {"code": "config",
+                   "message": f"statistics unavailable: {error}"}
+    assert os.listdir(out) == ["trace-mg.csv"]
+
+
+def test_a_bug_in_simulate_stats_is_not_a_config_error(tmp_path, capsys,
+                                                       monkeypatch):
+    def broken(*args, **kwargs):
+        raise TypeError("a bug")
+
+    monkeypatch.setattr(cli.simulator, "empirical_stats", broken)
+    with pytest.raises(TypeError, match="a bug"):
+        main(["simulate", "--model", "mg", "--lambda", "1.0", "--mu", "2.5",
+              "--stages", "300", "--burn-in", "100", "--out", str(tmp_path)])
+    assert capsys.readouterr().err == ""
+
+
 # ---------------------------------------------------------------- publishing ----
 
 GI_RERUN = [["analyze-gi", "--rho", "0.45"], ["analyze-gi", "--rho", "0.2"]]
@@ -956,6 +988,39 @@ def test_write_csv_columns_match_the_per_row_writer(tmp_path):
     assert read_text(path) == "a,b\n"
     with pytest.raises(ValueError):
         write_csv(str(tmp_path / "ragged.csv"), ["a", "b"], [range(3), [1.0]])
+
+
+def test_write_csv_block_edges_match_the_per_row_writer(tmp_path):
+    # Two whole blocks of the writer's 4096 rows and one row past them.
+    n = 2 * 4096 + 1
+    floats = np.random.default_rng(8).exponential(size=n)
+    ints = np.arange(n) - 7
+    flags = floats > 1.0
+    mixed = [("x", 0.5, True, None, -3)[i % 5] for i in range(n)]
+    halves = (i / 2 for i in range(n))
+    header = list("abcdef")
+    path = write_csv(str(tmp_path / "edges.csv"), header,
+                     [range(n), floats, ints, flags, mixed, halves])
+    rows = zip(range(n), floats.tolist(), ints.tolist(), flags.tolist(),
+               mixed, (i / 2 for i in range(n)))
+    assert read_text(path) == reference_csv(header, rows)
+
+
+def test_a_long_trace_is_written_in_bounded_memory(tmp_path):
+    n = 200_000
+    rng = np.random.default_rng(9)
+    y = rng.exponential(size=n)
+    m = y * rng.random(n)
+    k = rng.integers(1, 30, n)
+    columns = [range(n), y, k, m < y, m]
+    tracemalloc.start()
+    try:
+        write_csv(str(tmp_path / "trace.csv"),
+                  ["n", "y", "k", "waiting_phase", "m"], columns)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 @pytest.mark.parametrize("argv", [

@@ -622,6 +622,14 @@ def test_a_nan_entry_is_refused_and_not_stored():
     assert (1, 1) not in table and table._failed.keys() == {(1, 1), (2, 1)}
 
 
+def test_an_empty_block_reads_empty_and_computes_nothing():
+    table = erlang2(exact_sf=True).gamma_table
+    assert table.gammas([], 50).shape == (0,)
+    assert table.gammas(np.empty((0, 3), int), [1, 2, 3]).shape == (0, 3)
+    assert table._values.shape == (1, 1) and not table._failed
+    assert (1, 50) not in table
+
+
 def uniform_gamma(b, m, k):
     return b ** m * math.factorial(m) * math.factorial(k) / math.factorial(m + k)
 

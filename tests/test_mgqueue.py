@@ -588,6 +588,16 @@ def test_a_converged_ladder_below_one_customer_per_stage_is_flagged():
     assert sane.s == pytest.approx(0.0996, abs=1e-4)
 
 
+def test_nonpositive_scaled_moments_are_noted():
+    # lam E[sigma] = 4, far past light traffic: the ladder runs out of
+    # orders, and the scaled moments of the low indices come out negative.
+    sol = mgqueue.solve_stage_moments(
+        mgqueue.MgModel(20.0, erlang2(rate=10.0, exact_sf=True)), order=4)
+    neg = [i for i, yi in sol.y.items() if yi <= 0]
+    assert not sol.converged and neg[0] == 2
+    assert sol.notes == [f"nonpositive scaled moments at indices {neg}"]
+
+
 @dataclasses.dataclass
 class Uncached(GammaTable):
     """A table whose entries each come from the memo-free min_moment, so

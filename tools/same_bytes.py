@@ -9,10 +9,11 @@ fixed list of edge cases: an unconverged ladder, beta_i past double range,
 capped, pinned and short ladders, out-of-regime and unrepresentable models,
 a numerically singular truncation, a zero diagonal, both dominance systems,
 deterministic dominance past light traffic, short simulate runs, simulate
-runs that take more than 65 536 draws of a stream, heavy-load simulate runs
-whose stages take many draws, loads too heavy to simulate, every compare
-figure, extreme GI rates and rates built from two flags that leave double
-range.  Each command runs in its own empty directory OUTDIR/NN (the working
+runs that take more than 65 536 draws of a stream, traces at the edge of
+the CSV writer's 4 096-row blocks, heavy-load simulate runs whose stages
+take many draws, loads too heavy to simulate, every compare figure,
+extreme GI rates and rates built from two flags that leave double range.
+Each command runs in its own empty directory OUTDIR/NN (the working
 directory, so the paths it prints are relative).  Last come the overwrite
 cases: an analyze-gi and a simulate command each run in a directory where
 another command of its kind ran first.
@@ -110,6 +111,11 @@ EDGES = [
     # Heavy loads: stages take many draws and lists refill mid-stage.
     "gatedq simulate --model mg --lambda 8.0 --mu 1.0 --stages 20000",
     "gatedq simulate --model gi --rho 3.0 --stages 30000",
+    # Traces of exactly one 4 096-row block of the CSV writer, and one row
+    # past it.
+    "gatedq simulate --model mg --lambda 1.0 --mu 2.5 --stages 4096 "
+    "--burn-in 100",
+    "gatedq simulate --model gi --rho 0.5 --stages 4097 --burn-in 100",
     # Heavier loads whose stages span dozens of 4 096-draw blocks.
     "gatedq simulate --model mg --lambda 1e4 --mu 1.0 --stages 300 "
     "--burn-in 100",
