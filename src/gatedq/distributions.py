@@ -42,12 +42,13 @@ octaves all read 0.0 missed its mass between the nodes of [0, 1]; it is
 integrated again on the dyadic sub-octaves of [0, 1], and refused when it
 still reads 0.0 there.
 
-A GammaTable memoizes two things for one service law: the gamma_{m,k}
-entries, which system assembly and the dominance report read more than once
-and compute a block at a time, and the clamped tail max(Gbar(y), 0) at every
-quadrature node.  The entries live in one float64 array indexed [m, k] that
-holds NaN where an entry is not computed, so a block of entries is one
-fancy-index gather, and only a gather that finds NaN takes the fill path.
+A GammaTable reads an exponential law's closed form; for any other law it
+memoizes two things: the gamma_{m,k} entries, which system assembly and the
+dominance report read more than once and compute a block at a time, and the
+clamped tail max(Gbar(y), 0) at every quadrature node.  The entries live in
+one float64 array indexed [m, k] that holds NaN where an entry is not
+computed, so a block of entries is one fancy-index gather, and only a
+gather that finds NaN takes the fill path.
 The node memo pays because every integral refines its octaves by
 bisection, so the entries of a law sample Gbar at the same dyadic
 Gauss-Kronrod nodes and a user cdf is called once per distinct node.  An
@@ -107,9 +108,9 @@ class ServiceDistribution:
     without one the tail is 1 - cdf(y), which rounds to zero once the cdf
     rounds to one.  moment(m) is optional; without one a raw moment is the
     min moment gamma_{m,1}.  A sampler (rng, size) -> ndarray is optional;
-    without one, sampling inverts the cdf numerically.  mu is set for an
-    exponential law only, and the closed forms downstream are picked by it.
-    exponential() and from_callables() fill in the same fields.
+    without one, sampling inverts the cdf numerically.  mu, in (0, inf), is
+    set for an exponential law only, and the closed forms downstream are
+    picked by it.  exponential() and from_callables() fill in the same fields.
 
     gamma_table is the law's one GammaTable, built on first use and kept
     for the life of the law; moment() and the M/G solves read the law's min
@@ -124,6 +125,10 @@ class ServiceDistribution:
     _sampler: Optional[Callable] = None
     mu: Optional[float] = None
     name: str = ""
+
+    def __post_init__(self):
+        if self.mu is not None:
+            positive(self.mu, "exponential rate mu")
 
     @classmethod
     def exponential(cls, mu: float) -> "ServiceDistribution":
@@ -523,8 +528,9 @@ def _certified(d: ServiceDistribution, m: int, k: int, pieces: list,
 
 
 def _min_moments(d: ServiceDistribution, pairs: list, memo: dict) -> dict:
-    """gamma_{m,k} for every pair (m, k): its float, or the exception that
-    entry raises.
+    """gamma_{m,k} for every pair (m, k) of a law without a rate: its float,
+    positive and finite, or the exception that entry raises (OverflowError
+    for a total of inf, as its neighbours raise, DivergentMomentError for NaN).
 
     Each entry integrates m y^(m-1) Gbar(y)^k octave by octave, [0,1],
     [1,2], [2,4], ... through Y_max, the first power of two with
@@ -534,11 +540,6 @@ def _min_moments(d: ServiceDistribution, pairs: list, memo: dict) -> dict:
     _SPANS integrals run in slices.  memo maps nodes to clamped tails and
     also serves tail_support's probes.
     """
-    for m, k in pairs:
-        count(m, "min moment order m", 1)
-        count(k, "min moment count k", 1)
-    if d.mu is not None:
-        return {(m, k): _exponential_min_moment(d.mu, m, k) for m, k in pairs}
     out = {}
     tail = functools.partial(_memo_tail, d, memo)
     # The support can span many orders of magnitude, and a single adaptive
@@ -609,6 +610,10 @@ def _min_moments(d: ServiceDistribution, pairs: list, memo: dict) -> dict:
              if isinstance(val, float) and val == 0.0]
     if zeros:
         out.update(_below_one(d, zeros, memo))
+    for (m, k), val in out.items():
+        if isinstance(val, float) and not 0.0 < val < math.inf:
+            out[m, k] = _overflow_error() if val == math.inf else (
+                DivergentMomentError(f"min moment for m={m}, k={k} is NaN"))
     return out
 
 
@@ -710,17 +715,12 @@ def support_end(d: ServiceDistribution, y: float) -> float:
 def min_moment(d: ServiceDistribution, m: int, k: int) -> float:
     """gamma_{m,k} = E[min(sigma_1, ..., sigma_k)^m].
 
-    Exponential laws use the closed form m!/(k mu)^m.  Everything else goes
-    through the tail identity integral m y^(m-1) Gbar(y)^k dy, integrated
-    octave by octave by the batched Gauss-Kronrod engine at absolute
-    tolerance 1e-12, as the one-entry case of a GammaTable block.  A value
-    that reads 0.0 is integrated again on the dyadic sub-octaves of [0, 1]
-    (see _below_one).
+    The read of one entry from a fresh GammaTable(d), so it memoizes
+    nothing: exponential laws read the closed form m!/(k mu)^m, and every
+    other law integrates the tail identity integral m y^(m-1) Gbar(y)^k dy
+    as the one-entry case of a table block.
     """
-    val = _min_moments(d, [(m, k)], {})[(m, k)]
-    if isinstance(val, Exception):
-        raise val
-    return val
+    return GammaTable(d).gamma(m, k)
 
 
 def _indices(ms, ks) -> list:
@@ -744,14 +744,15 @@ class GammaTable:
     A law's own table is its gamma_table; a table built by hand (a test's
     reference, say) shares nothing with it.
 
-    The entries live in one float64 array indexed [m, k] (row and column 0
-    unused), which holds NaN wherever an entry is not computed: not yet
-    asked for, or failed.  No computed entry is NaN, so a block of entries
-    is read with one gather and is complete when the gather holds no NaN.
-    The array grows to the largest m and k asked for.  A block's missing
-    entries are computed in one batch; an entry's value depends on the law,
-    m and k alone, so it is the same float whichever block computes it.  An
-    entry that fails stays NaN and is remembered with its exception.
+    An exponential law's entries are read in closed form, never stored.
+    Any other law's live in one float64 array indexed [m, k] (row and column
+    0 unused), which holds NaN wherever an entry is not computed: not yet
+    asked for, or failed.  A stored entry is positive and finite, so a block
+    of entries is read with one gather and is complete when the gather holds
+    no NaN.  The array grows to the largest m and k asked for.  A block's
+    missing entries are computed in one batch; an entry's value depends on
+    the law, m and k alone, so it is the same float whichever block computes
+    it.  An entry that fails stays NaN and is remembered with its exception.
 
     Writes to the array, and its growth, are guarded by a lock so a table
     shared between threads stays consistent.  A read takes no lock: it
@@ -800,10 +801,6 @@ class GammaTable:
             self._grow(int(m.max()), int(k.max()))
             done = []
             for p, val in found.items():
-                if not isinstance(val, Exception) and math.isnan(val):
-                    # NaN marks a missing entry, so it cannot be stored.
-                    val = DivergentMomentError(
-                        f"min moment for m={p[0]}, k={p[1]} is NaN")
                 if isinstance(val, Exception):
                     self._failed[p] = val
                 else:
@@ -847,26 +844,23 @@ class GammaTable:
         return self
 
     def gamma(self, m: int, k: int) -> float:
-        return float(self._entries(*_indices(m, k)))
+        return float(self.gammas(m, k))
 
     def gammas(self, ms, ks) -> np.ndarray:
         """gamma_{m,k} at every index pair of the broadcast arrays ms, ks.
 
         Every read refuses an index that is not an integer >= 1 with the
-        ValueError of errors.count.  For exponential laws the indices read
-        the closed form directly, the same floats the table would store,
-        without taking the lock or storing them; a NaN value takes the
-        table's path and its refusal.
+        ValueError of errors.count.  For exponential laws every read is of
+        the closed form m!/(k mu)^m, saturating at inf, and never takes the
+        lock or stores an entry.
         """
         m, k = _indices(ms, ks)
-        if self.dist.mu is not None:
-            m, k = np.broadcast_arrays(m, k)
-            vals = np.reshape([_exponential_min_moment(self.dist.mu, p, q)
-                               for p, q in zip(m.ravel().tolist(),
-                                               k.ravel().tolist())], m.shape)
-            if not np.isnan(vals).any():
-                return vals
-        return self._entries(m, k)
+        if self.dist.mu is None:
+            return self._entries(m, k)
+        m, k = np.broadcast_arrays(m, k)
+        return np.reshape([_exponential_min_moment(self.dist.mu, p, q)
+                           for p, q in zip(m.ravel().tolist(),
+                                           k.ravel().tolist())], m.shape)
 
     def ratio(self, m: int, k: int) -> float:
         return float(self.ratios(m, k))

@@ -61,6 +61,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
@@ -442,8 +443,8 @@ def solve_factorial_moments(model: GiModel, order: int = 25, tol: float = 1e-8,
     neg = [m for m, xm in x.items() if xm <= 0]
     if neg:
         notes.append(f"nonpositive factorial moments at indices {neg}")
-    return GiMomentSolution(x=x, n_used=conv.n_used, converged=conv.converged,
-                            convergence=conv, oracle=oracle, notes=notes)
+    return GiMomentSolution(x=x, converged=conv.converged, convergence=conv,
+                            oracle=oracle, notes=notes)
 
 
 def stationary_pmf(sol: GiMomentSolution, model: GiModel, i: int) -> float:
@@ -490,8 +491,8 @@ def pmf_total_mass(sol: GiMomentSolution, model: GiModel) -> float:
 
 def pgf(sol: GiMomentSolution, model: GiModel, z: float) -> float:
     """Probability generating function of the stationary customers-per-stage law."""
-    if not 0.0 <= z <= 1.0:
-        raise ValueError(f"pgf argument must lie in [0, 1], got {z}")
+    if not (isinstance(z, numbers.Real) and 0.0 <= z <= 1.0):
+        raise ValueError(f"pgf argument z must be in [0, 1], got {z!r}")
     sol.require_converged("pgf")
     bhat = model.bhats(len(sol.weights))
     return z * math.fsum(v * (1.0 - bk) / (1.0 - bk * z)

@@ -122,15 +122,14 @@ class DominanceReport:
     finite as None, and tail_cutoff, a key kept for the artifacts' schema,
     as None.
 
-    The verdicts are derived from those fields, never stored: worst_row is
-    the first row of the largest sigma_i (of the first NaN, where one is
-    NaN), max_sigma its sigma, satisfied requires every sigma_i < 1 plus
-    both side conditions, marginal flags the honest in-between (satisfied,
-    but the parameters sit outside the sufficient region), and certifies
-    means satisfied and exact.
+    The verdicts are derived from those fields, never stored: order is
+    len(sigma), worst_row the first row of the largest sigma_i (of the first
+    NaN, where one is NaN), max_sigma its sigma, satisfied requires every
+    sigma_i < 1 plus both side conditions, marginal flags the honest
+    in-between (satisfied, but the parameters sit outside the sufficient
+    region), and certifies means satisfied and exact.
     """
 
-    order: int
     sigma: np.ndarray
     diag_sums_summable: bool      # sum of 1/|a_ii| stated finite
     col_sums_finite: bool         # every column sum stated finite
@@ -138,6 +137,10 @@ class DominanceReport:
     analytic_region_ok: Optional[bool]
     max_offdiag_row_sum: float
     notes: list = field(default_factory=list)
+
+    @property
+    def order(self) -> int:
+        return len(self.sigma)
 
     @property
     def worst_row(self) -> int:
@@ -231,8 +234,9 @@ class ConvergedSolution:
 
 @dataclass(kw_only=True)
 class LadderSolution:
-    """The ladder's part of a solution: n_used, converged, convergence and
-    the oracle it solved, which the solution keeps alive with all it reads.
+    """The ladder's part of a solution: converged, convergence (n_used is
+    its last rung) and the oracle it solved, which the solution keeps alive
+    with all it reads.
 
     The report is a diagnostic, not part of the solution, so a solve does not
     compute it: dominance reports on the first min(n_used, 64) rows on first
@@ -240,11 +244,14 @@ class LadderSolution:
     its own.  heuristic is true when that report does not certify.
     """
 
-    n_used: int
     converged: bool
     convergence: ConvergedSolution
     oracle: CoefficientOracle = field(repr=False, compare=False)
     notes: list = field(default_factory=list)
+
+    @property
+    def n_used(self) -> int:
+        return self.convergence.n_used
 
     @functools.cached_property
     def dominance(self) -> DominanceReport:
@@ -427,7 +434,7 @@ def dominance_report(oracle: CoefficientOracle, order: int) -> DominanceReport:
 
     region = bool(oracle.analytic_region()) if oracle.analytic_region else None
     report = DominanceReport(
-        order=order, sigma=sigma, diag_sums_summable=diag_ok,
+        sigma=sigma, diag_sums_summable=diag_ok,
         col_sums_finite=col_ok, tail_is_analytic=exact,
         analytic_region_ok=region,
         max_offdiag_row_sum=float(offdiag_sums.max()), notes=notes)

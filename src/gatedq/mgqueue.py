@@ -254,12 +254,10 @@ def _general_oracle(model: MgModel, table: GammaTable) -> linsys.CoefficientOrac
                 return q
             if mu:
                 return (mu / lam) ** i
-            if 0.0 < gamma < math.inf:
-                return math.exp(math.lgamma(i + 1.0) - i * math.log(lam)
-                                - math.log(gamma))
+            return math.exp(math.lgamma(i + 1.0) - i * math.log(lam)
+                            - math.log(gamma))
         except OverflowError:
             return math.inf
-        return q
 
     def a(mi, mj):
         i, j = np.asarray(mi) + 1, np.asarray(mj) + 1
@@ -386,7 +384,7 @@ def solve_stage_moments(model: MgModel, order: int = 10, tol: float = 1e-8,
                      f"s = {s!r} and beta_1 = {beta1!r} against "
                      f"gamma_{{1,1}} = {g11!r}")
     return MgMomentSolution(
-        lam=lam, beta=beta, y=y, s=s, beta1=beta1, n_used=conv.n_used,
+        lam=lam, beta=beta, y=y, s=s, beta1=beta1,
         converged=conv.converged and not junk, assembly=assembly,
         convergence=conv, oracle=oracle, notes=notes)
 
@@ -501,14 +499,18 @@ def stage_count_pmf(sol: MgMomentSolution, model: MgModel, k: int) -> float:
 
 @dataclass
 class FixedPointDensity:
-    """Stationary density on a grid, from iterating the kernel directly."""
+    """Stationary density on a grid, from iterating the kernel directly;
+    converged (last_change below 1e-10) is derived, never stored."""
 
     y: np.ndarray
     f: np.ndarray
     iterations: int
     last_change: float
-    converged: bool
     y_max: float
+
+    @property
+    def converged(self) -> bool:
+        return self.last_change < _FIXED_POINT_TOL
 
     def interpolate(self, t):
         return np.interp(t, self.y, self.f)
@@ -539,7 +541,6 @@ def fixed_point_density(model: MgModel, n_points: int = 2048,
     f = np.asarray(model.service.pdf(grid), dtype=float)
     f = f / float(f @ w)
     last_change = math.inf
-    converged = False
     it = 0
     for it in range(1, _FIXED_POINT_MAX_ITER + 1):
         nxt = (f * w) @ q
@@ -547,8 +548,6 @@ def fixed_point_density(model: MgModel, n_points: int = 2048,
         last_change = float(np.abs(nxt - f).max())
         f = nxt
         if last_change < _FIXED_POINT_TOL:
-            converged = True
             break
     return FixedPointDensity(y=grid, f=f, iterations=it,
-                             last_change=last_change, converged=converged,
-                             y_max=y_max)
+                             last_change=last_change, y_max=y_max)

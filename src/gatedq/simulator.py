@@ -417,6 +417,7 @@ def _harmonic(i: int) -> float:
 def drift_check(trace: StageTrace, model: GiModel,
                 min_visits: int = 500) -> DriftReport:
     """Check empirical E[K_next | K=i] against rho * H_i + b0 per state."""
+    min_visits = count(min_visits, "min_visits", 1)
     if trace.kind != "gi":
         raise ValueError("drift_check needs a trace from simulate_gi")
     ks = trace.k[trace.burn_in:]
@@ -432,7 +433,7 @@ def drift_check(trace: StageTrace, model: GiModel,
     hits = np.bincount(slots, minlength=size).reshape(-1, _N_BATCHES)
     sums = np.bincount(slots, k_next, size).reshape(-1, _N_BATCHES)
     visits_all = hits.sum(axis=1)
-    states = np.flatnonzero(visits_all >= max(min_visits, 1))
+    states = np.flatnonzero(visits_all >= min_visits)
     if len(states) == 0:
         raise InsufficientDataError(
             f"no state visited >= {min_visits} times after burn-in")

@@ -39,6 +39,11 @@ def oracle():
     return giqueue.factorial_oracle(gi()[0])
 
 
+def check_drift(min_visits):
+    return simulator.drift_check(
+        trace(), GiModel(ArrivalDistribution.poisson(0.5), 1.0), min_visits)
+
+
 @functools.cache
 def user_law():
     """The exponential law of rate 2 given as callables, so its table is
@@ -111,6 +116,7 @@ COUNTS = [
     ("simulate_gi", "burn_in", lambda v: simulate_gi(burn_in=v)),
     ("empirical_stats", "bins",
      lambda v: simulator.empirical_stats(trace(), bins=v)),
+    ("drift_check", "min_visits", check_drift),
     ("min_moment", "min moment order m",
      lambda v: distributions.min_moment(
          ServiceDistribution.exponential(1.0), v, 1)),
@@ -130,6 +136,7 @@ OTHER_COUNTS = (
     + [(entry, name, (2.5, math.nan, math.inf, None, 0, -1), call)
        for entry, name, call in table_reads(user_law, ("in",))
        + table_reads(exponential, ("in",))]
+    + [("drift_check", "min_visits", (0,), check_drift)]
 )
 SEEDS = [
     ("simulate_mg", "seed", lambda v: simulate_mg(seed=v)),
@@ -163,6 +170,9 @@ OTHER_RATES = [
      lambda v: distributions.tail_support(user_law(), v)),
     ("support_end", "support bound y", (math.nan, math.inf, -1, None),
      lambda v: distributions.support_end(user_law(), v)),
+    # A law with mu = None has no rate; a rate that is set is checked.
+    ("ServiceDistribution", "exponential rate mu", (math.nan, math.inf, 0, -1),
+     lambda v: ServiceDistribution(user_law().pdf, user_law().cdf, mu=v)),
 ]
 
 INTEGER = r"an integer( >= \d+)?"
@@ -178,6 +188,8 @@ CASES = (
        for v in (math.nan, math.inf, -1, None)]
     + [(entry, name, "(positive|finite)", call, v)
        for entry, name, values, call in OTHER_RATES for v in values]
+    + [("pgf", "pgf argument z", r"in \[0, 1\]",
+        lambda v: giqueue.pgf(gi()[1], gi()[0], v), v) for v in (None, "0.5")]
 )
 
 
@@ -205,8 +217,11 @@ def test_numpy_integer_and_bool_counts_are_taken_as_ints():
     for law in (user_law(), exponential()):
         table = law.gamma_table
         assert table.gammas(True, 1) == table.gammas(1, 1) == table.gamma(1, 1)
-        assert (True, 1) in table and (1, True) in table
-        assert (np.int64(1), 1) in table and (1, 40) not in table
+        # A law given as callables stores what it reads; an exponential law
+        # reads its closed form and stores nothing.
+        stored = law.mu is None
+        assert ((True, 1) in table) is ((1, True) in table) is stored
+        assert ((np.int64(1), 1) in table) is stored and (1, 40) not in table
         assert table.ratios(np.int32(3), [True]) == [1.0]
     system = linsys.truncate(oracle(), np.int64(5))
     assert system.n == 5 and type(system.n) is int

@@ -9,7 +9,7 @@ import threading
 import numpy as np
 import pytest
 
-from gatedq import distributions
+from gatedq import distributions, mgqueue
 from gatedq.distributions import (
     ArrivalDistribution,
     DivergentMomentError,
@@ -313,28 +313,36 @@ def test_gamma_table_exponential_ratio_is_exact():
 
 
 def test_exponential_gammas_read_the_closed_form_bit_for_bit():
-    """The direct read gives the floats the table stores: finite entries,
-    entries past double range (inf) and powers that underflow (0.0)."""
-    m, k = np.arange(1, 401)[:, None], np.arange(1, 41)[None, :]
+    """Every read is the closed form, entry by entry: finite entries,
+    entries past double range (inf) and powers that underflow (0.0); no
+    read stores an entry."""
+    idx_m, idx_k = range(1, 401), range(1, 41)
+    m, k = np.array(idx_m)[:, None], np.array(idx_k)[None, :]
     seen = []
     for mu in (1e-3, MU, 1e3):
-        law = ServiceDistribution.exponential(mu)
-        direct, filled = GammaTable(law), GammaTable(law)
-        got, want = direct.gammas(m, k), filled._entries(m, k)
+        table = GammaTable(ServiceDistribution.exponential(mu))
+        got = table.gammas(m, k)
+        want = np.array([[distributions._exponential_min_moment(mu, p, q)
+                          for q in idx_k] for p in idx_m])
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes(), mu
         seen.append(got)
-        # The direct read stores nothing; the table's own path fills.
-        assert (1, 1) not in direct and (1, 1) in filled
-        assert direct.gammas(1, [1, 3, 2]).tolist() == [
+        assert table.gammas(1, [1, 3, 2]).tolist() == [
             want[0, 0], want[0, 2], want[0, 1]]
-        assert direct.gammas(np.int64(4), 2) == want[3, 1]
+        assert table.gammas(np.int64(4), 2) == want[3, 1]
+        assert (1, 1) not in table and table._values.shape == (1, 1)
     seen = np.concatenate(seen)
     assert np.isinf(seen).any() and (seen == 0.0).any()
     table = GammaTable(ServiceDistribution.exponential(MU))
     for ms, ks in (([0, 1], 1), (1, [-2])):
         with pytest.raises(ValueError, match="must be an integer >= 1"):
             table.gammas(ms, ks)
+
+
+def test_an_exponential_gamma_reads_the_closed_form_and_stores_nothing():
+    table = ServiceDistribution.exponential(2.5).gamma_table
+    assert table.gamma(5, 3) == distributions._exponential_min_moment(2.5, 5, 3)
+    assert (5, 3) not in table and not table._failed
 
 
 def test_gamma_table_user_ratio():
@@ -612,14 +620,51 @@ def test_a_failing_block_raises_its_first_failure_and_caches_the_rest():
     assert counter["cdf"] == calls
 
 
+def nan_below_support():
+    """Uniform(0, 1e-3) whose exact tail reads NaN below 1e-4.  Every node
+    of [0, 1] lies past its support, so the dyadic sub-octaves of [0, 1]
+    reach the NaN tail."""
+    def sf(y):
+        y = np.asarray(y, dtype=float)
+        return np.where(y < 1e-4, math.nan, np.clip(1.0 - y / 1e-3, 0.0, 1.0))
+
+    return ServiceDistribution.from_callables(
+        lambda y: 0.0, lambda y: 1.0 - sf(y), name="nan-below", sf=sf)
+
+
 def test_a_nan_entry_is_refused_and_not_stored():
-    # exponential() refuses a NaN rate, so the law is built around it.
-    law = dataclasses.replace(ServiceDistribution.exponential(1.0), mu=math.nan)
-    table = GammaTable(law)
+    with pytest.raises(ValueError,
+                       match="^exponential rate mu must be positive, got nan$"):
+        dataclasses.replace(ServiceDistribution.exponential(1.0), mu=math.nan)
+    table = GammaTable(nan_below_support())
     for _ in range(2):
         with pytest.raises(DivergentMomentError, match="m=1, k=1 is NaN"):
             table.gammas([1, 2], 1)
     assert (1, 1) not in table and table._failed.keys() == {(1, 1), (2, 1)}
+
+
+def test_a_min_moment_past_double_range_is_refused_not_stored_as_inf():
+    # (m+1)!/10^m is finite for m = 256, but its last octave reads inf.
+    law = erlang2(exact_sf=True)
+    for m in (250, 256, 260):
+        with pytest.raises(OverflowError, match="Numerical result out of range"):
+            law.gamma_table.gammas(m, 1)
+        assert (m, 1) not in law.gamma_table
+    oracle = mgqueue.moment_oracle(mgqueue.MgModel(0.5, law), "general")
+    with pytest.raises(OverflowError, match="Numerical result out of range"):
+        oracle.a([255], [255])
+
+
+@pytest.mark.parametrize("law,m,k,error", [
+    (erlang2(exact_sf=True), 256, 1, OverflowError),
+    (nan_below_support(), 1, 1, DivergentMomentError)],
+    ids=["overflow", "nan"])
+def test_min_moment_refuses_an_entry_as_the_table_read_does(law, m, k, error):
+    with pytest.raises(error) as table_read:
+        GammaTable(law).gammas(m, k)
+    with pytest.raises(error) as read:
+        min_moment(law, m, k)
+    assert read.value.args == table_read.value.args
 
 
 def test_an_empty_block_reads_empty_and_computes_nothing():

@@ -581,9 +581,9 @@ def test_a_solution_that_cannot_certify_is_heuristic_after_one_report(
 def test_a_ladder_solution_takes_its_fields_by_keyword_only():
     conv = converge(BIDIAGONAL, 4, 8, 1e-300)
     with pytest.raises(TypeError):
-        linsys.LadderSolution(conv.n_used, conv.converged, conv, BIDIAGONAL)
-    sol = linsys.LadderSolution(n_used=conv.n_used, converged=conv.converged,
-                                convergence=conv, oracle=BIDIAGONAL)
+        linsys.LadderSolution(conv.converged, conv, BIDIAGONAL)
+    sol = linsys.LadderSolution(converged=conv.converged, convergence=conv,
+                                oracle=BIDIAGONAL)
     # The report covers min(n_used, 64) rows; BIDIAGONAL states no row
     # sums, so its report is unknown.
     assert sol.notes == [] and sol.heuristic
